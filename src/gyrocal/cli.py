@@ -20,7 +20,7 @@ import numpy as np
 import yaml
 
 from . import doe, observability
-from .estimator import build_linear_system, calibrate, estimate_bias
+from .estimator import calibrate
 from .model import AXES, CalibrationError, CalibrationParams, RotationObservation
 from .session_io import read_session_log
 from .simulator import SimulationConfig, run_monte_carlo
@@ -96,8 +96,6 @@ def _calibration_payload(args: argparse.Namespace) -> dict:
         noise_sigma=args.noise_sigma,
         motion_threshold=args.motion_threshold,
     )
-    biases = estimate_bias(session.static_stage)
-    system = build_linear_system(session.rotations, biases)
     stds = session.static_stage.stds
     rotations = []
     for tag, rot in zip(log.rotation_axes, session.rotations):
@@ -111,7 +109,7 @@ def _calibration_payload(args: argparse.Namespace) -> dict:
     payload: dict = dict(params.as_dict())
     payload["units"] = {"scale": "dimensionless", "bias": "deg/s", "rates": "deg/s"}
     payload["diagnostics"] = {
-        "condition_number": float(np.linalg.cond(system.regressors)),
+        "condition_number": params.condition_number,
         "static_std": {a: float(stds[i]) for i, a in enumerate(AXES)} if stds is not None else None,
         "rotations": rotations,
         "saturated_samples": log.saturated_sample_count(),

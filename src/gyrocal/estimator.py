@@ -12,7 +12,7 @@ independent cross-check of the closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .model import (
     AXES,
     CalibrationError,
     CalibrationParams,
+    ObservationArrays,
     ProtocolViolation,
     RotationObservation,
     Session,
@@ -31,9 +32,11 @@ __all__ = [
     "InconsistentScaleData",
     "ConvergenceFailure",
     "LinearSystem",
+    "Fit",
     "estimate_bias",
     "build_linear_system",
     "solve_scale",
+    "fit_batch",
     "calibrate",
     "calibrate_nonlinear",
 ]
@@ -68,6 +71,62 @@ def estimate_bias(static_stage: StaticObservation) -> np.ndarray:
     return -static_stage.means
 
 
+def _record(errors: list, rows: np.ndarray, make) -> None:
+    """Store ``make(r)`` for every flagged row that has not failed yet, so
+    each row keeps the first guard it tripped."""
+    for r, flagged in enumerate(rows.tolist()):
+        if flagged and errors[r] is None:
+            errors[r] = make(r)
+
+
+def _check_systems(x: np.ndarray, y: np.ndarray, errors: list) -> None:
+    """The LinearSystem entry checks on stacked (R, n, 3) regressors and
+    (R, n) responses, in order."""
+    finite = np.isfinite(x).all(axis=(1, 2)) & np.isfinite(y).all(axis=1)
+    for rows, message in (
+        (~finite, "linear system entries must be finite"),
+        ((x < 0.0).any(axis=(1, 2)), "regressors are squares and cannot be negative"),
+        ((y <= 0.0).any(axis=1), "responses are squared reference angles and must be positive"),
+    ):
+        _record(errors, rows, lambda r: CalibrationError(message))
+
+
+def _solve_systems(
+    x: np.ndarray, y: np.ndarray, condition_limit: float, errors: list
+) -> tuple[np.ndarray, np.ndarray]:
+    """Squared scales and condition numbers of stacked regressions.
+
+    One SVD per row gives both the condition number and the
+    least-squares solution. Rows already in ``errors`` are solved on
+    zeros and come back as NaN.
+    """
+    valid = np.array([e is None for e in errors])
+    if not valid.all():
+        x = np.where(valid[:, None, None], x, 0.0)
+    u, sv, vt = np.linalg.svd(x, full_matrices=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = sv[:, 0] / sv[:, -1]
+        # Element-wise sums keep every row's bits independent of the stack.
+        coef = (u * y[:, :, None]).sum(axis=1) / sv
+        scale_sq = (vt * coef[:, :, None]).sum(axis=1)
+    _record(errors, valid & ~(cond <= condition_limit), lambda r: IllConditionedSystem(
+        f"regressor matrix condition number {cond[r]:.3g} exceeds {condition_limit:.3g}; "
+        "the rotation stages look degenerate (for example repeated axes)"
+    ))
+
+    def inconsistent(r: int) -> InconsistentScaleData:
+        bad = ", ".join(
+            f"{AXES[i]}={scale_sq[r, i]:.6g}" for i in range(3) if scale_sq[r, i] <= 0.0
+        )
+        return InconsistentScaleData(
+            f"non-positive squared scale factor ({bad}); "
+            "the data contradicts the positive-scale model"
+        )
+
+    _record(errors, valid & (scale_sq <= 0.0).any(axis=1), inconsistent)
+    return scale_sq, np.where(valid, cond, np.nan)
+
+
 @dataclass(frozen=True)
 class LinearSystem:
     """Regression view of the rotation stages.
@@ -87,12 +146,10 @@ class LinearSystem:
             raise CalibrationError(
                 f"expected (n, 3) regressors with matching responses, got {x.shape} and {y.shape}"
             )
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            raise CalibrationError("linear system entries must be finite")
-        if np.any(x < 0.0):
-            raise CalibrationError("regressors are squares and cannot be negative")
-        if np.any(y <= 0.0):
-            raise CalibrationError("responses are squared reference angles and must be positive")
+        errors = [None]
+        _check_systems(x[None], y[None], errors)
+        if errors[0] is not None:
+            raise errors[0]
         object.__setattr__(self, "regressors", x)
         object.__setattr__(self, "responses", y)
 
@@ -103,14 +160,8 @@ def build_linear_system(rotations: Sequence[RotationObservation], biases) -> Lin
         raise ProtocolViolation(
             f"need at least 3 rotation observations to identify 3 scale factors, got {len(rotations)}"
         )
-    b = np.asarray(biases, dtype=float)
-    x = np.empty((len(rotations), 3))
-    y = np.empty(len(rotations))
-    for i, rot in enumerate(rotations):
-        s = rot.corrected_sums(b)
-        x[i] = s * s
-        y[i] = rot.theta_total ** 2
-    return LinearSystem(x, y)
+    s = np.stack([rot.corrected_sums(biases) for rot in rotations])
+    return LinearSystem(s * s, np.array([rot.theta_total ** 2 for rot in rotations]))
 
 
 def solve_scale(system: LinearSystem, *, condition_limit: float = CONDITION_LIMIT) -> np.ndarray:
@@ -120,23 +171,85 @@ def solve_scale(system: LinearSystem, *, condition_limit: float = CONDITION_LIMI
     InconsistentScaleData when a fitted squared scale is not positive;
     negative values are reported, never clamped.
     """
-    x = system.regressors
-    cond = np.linalg.cond(x)
-    if not np.isfinite(cond) or cond > condition_limit:
-        raise IllConditionedSystem(
-            f"regressor matrix condition number {cond:.3g} exceeds {condition_limit:.3g}; "
-            "the rotation stages look degenerate (for example repeated axes)"
+    errors = [None]
+    scale_sq, _ = _solve_systems(
+        system.regressors[None], system.responses[None], condition_limit, errors
+    )
+    if errors[0] is not None:
+        raise errors[0]
+    return np.sqrt(scale_sq[0])
+
+
+class Fit(NamedTuple):
+    """Closed-form fits of a stack of R sessions.
+
+    Row r failed when ``errors[r]`` holds the CalibrationError that
+    ``calibrate`` raises for that session; its scales are NaN, and so is
+    its condition number when a guard before the regression tripped.
+    """
+
+    biases: np.ndarray
+    scales: np.ndarray
+    condition_numbers: np.ndarray
+    errors: tuple[CalibrationError | None, ...]
+
+    def params(self, row: int = 0) -> CalibrationParams:
+        """Parameters of one row; raises that row's error if it failed."""
+        if self.errors[row] is not None:
+            raise self.errors[row]
+        return CalibrationParams.from_arrays(
+            self.scales[row], self.biases[row], float(self.condition_numbers[row])
         )
-    scale_sq, *_ = np.linalg.lstsq(x, system.responses, rcond=None)
-    if np.any(scale_sq <= 0.0):
-        bad = ", ".join(
-            f"{AXES[i]}={scale_sq[i]:.6g}" for i in range(3) if scale_sq[i] <= 0.0
-        )
-        raise InconsistentScaleData(
-            f"non-positive squared scale factor ({bad}); "
-            "the data contradicts the positive-scale model"
-        )
-    return np.sqrt(scale_sq)
+
+
+def fit_batch(
+    obs: ObservationArrays,
+    *,
+    noise_sigma: float | None = None,
+    motion_threshold: float = MOTION_THRESHOLD_DEG,
+    condition_limit: float = CONDITION_LIMIT,
+) -> Fit:
+    """Closed-form calibration of every session of an observation stack.
+
+    Applies the guards of :func:`calibrate` to each row, in the same
+    order and with the same messages, and records the first one a row
+    trips instead of raising. A view without a replicate axis is a
+    stack of one.
+    """
+    n_rot = obs.sums.shape[-2]
+    means = np.reshape(obs.static_means, (-1, 3))
+    n_rows = len(means)
+    errors: list[CalibrationError | None] = [None] * n_rows
+
+    if noise_sigma is not None and obs.static_stds is not None:
+        stds = np.reshape(obs.static_stds, (n_rows, 3))
+        limit = STILLNESS_STD_FACTOR * noise_sigma
+        _record(errors, (stds > limit).any(axis=1), lambda r: ProtocolViolation(
+            f"static stage shows motion: axis {AXES[int(np.argmax(stds[r]))]} sample standard "
+            f"deviation {stds[r].max():.4g} deg/s exceeds {limit:.4g} deg/s"
+        ))
+    biases = -means
+    corrected = obs.corrected_sums(biases)
+    x = corrected * corrected
+    motion = np.sqrt(x.sum(axis=2))
+    _record(errors, (motion < motion_threshold).all(axis=1), lambda r: ProtocolViolation(
+        f"every rotation stage integrates below {motion_threshold:g} degrees; "
+        "the session contains no usable rotation"
+    ))
+    scales = np.full((n_rows, 3), np.nan)
+    cond = np.full(n_rows, np.nan)
+    if n_rot < 3:
+        _record(errors, np.ones(n_rows, dtype=bool), lambda r: ProtocolViolation(
+            f"need at least 3 rotation observations to identify 3 scale factors, got {n_rot}"
+        ))
+    else:
+        y = np.empty((n_rows, n_rot))
+        y[...] = obs.theta_sq
+        _check_systems(x, y, errors)
+        scale_sq, cond = _solve_systems(x, y, condition_limit, errors)
+        valid = np.array([e is None for e in errors])
+        scales[valid] = np.sqrt(scale_sq[valid])
+    return Fit(biases=biases, scales=scales, condition_numbers=cond, errors=tuple(errors))
 
 
 def calibrate(
@@ -146,7 +259,9 @@ def calibrate(
     motion_threshold: float = MOTION_THRESHOLD_DEG,
     condition_limit: float = CONDITION_LIMIT,
 ) -> CalibrationParams:
-    """Closed-form calibration of one session.
+    """Closed-form calibration of one session: :func:`fit_batch` of a
+    stack of one, raising its error. The result carries the condition
+    number of the scale regression.
 
     ``noise_sigma`` (deg/s) enables the stillness guard: the static stage
     is rejected when any per-axis sample standard deviation exceeds
@@ -154,28 +269,12 @@ def calibrate(
     the bias estimate. ``motion_threshold`` (degrees) rejects sessions in
     which every rotation stage integrates to almost no motion.
     """
-    static = session.static_stage
-    stds = static.stds
-    if noise_sigma is not None and stds is not None:
-        limit = STILLNESS_STD_FACTOR * noise_sigma
-        if np.any(stds > limit):
-            worst = AXES[int(np.argmax(stds))]
-            raise ProtocolViolation(
-                f"static stage shows motion: axis {worst} sample standard deviation "
-                f"{stds.max():.4g} deg/s exceeds {limit:.4g} deg/s"
-            )
-    biases = estimate_bias(static)
-    motion = [float(np.linalg.norm(rot.corrected_sums(biases))) for rot in session.rotations]
-    if all(m < motion_threshold for m in motion):
-        raise ProtocolViolation(
-            f"every rotation stage integrates below {motion_threshold:g} degrees; "
-            "the session contains no usable rotation"
-        )
-    scales = solve_scale(
-        build_linear_system(session.rotations, biases),
+    return fit_batch(
+        ObservationArrays.from_stages(session.static_stage, session.rotations),
+        noise_sigma=noise_sigma,
+        motion_threshold=motion_threshold,
         condition_limit=condition_limit,
-    )
-    return CalibrationParams.from_arrays(scales, biases)
+    ).params()
 
 
 def _residuals_and_jacobian(
@@ -233,11 +332,9 @@ def calibrate_nonlinear(
         raise ProtocolViolation(
             f"need at least 3 rotation observations, got {len(rotations)}"
         )
-    sums = np.stack([rot.sums for rot in rotations])
-    durations = np.array([rot.duration for rot in rotations])
-    theta_sq = np.array([rot.theta_total ** 2 for rot in rotations])
-    static_means = static_stage.means
-    static_duration = static_stage.duration
+    obs = ObservationArrays.from_stages(static_stage, rotations)
+    sums, durations, theta_sq = obs.sums, obs.durations, obs.theta_sq
+    static_means, static_duration = obs.static_means, obs.static_duration
 
     scales = init.scales.copy()
     biases = init.biases.copy() if fit_biases else estimate_bias(static_stage)

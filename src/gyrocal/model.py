@@ -13,8 +13,8 @@ Rotation stages are summarized by time-scaled sums of the measured rates
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,6 +25,7 @@ __all__ = [
     "StaticObservation",
     "RotationObservation",
     "Session",
+    "ObservationArrays",
     "apply_calibration",
     "inverse_calibration",
     "rotation_residuals",
@@ -51,7 +52,12 @@ def _require_finite(name: str, *values: float) -> None:
 
 @dataclass(frozen=True)
 class CalibrationParams:
-    """Per-axis scale factors (dimensionless, positive) and biases (deg/s)."""
+    """Per-axis scale factors (dimensionless, positive) and biases (deg/s).
+
+    ``condition_number`` is set on the result of a fit: the condition
+    number of the scale regression it solved. It takes no part in
+    equality.
+    """
 
     k_x: float
     k_y: float
@@ -59,6 +65,7 @@ class CalibrationParams:
     b_x: float
     b_y: float
     b_z: float
+    condition_number: float | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         _require_finite(
@@ -76,12 +83,17 @@ class CalibrationParams:
         return cls(1.0, 1.0, 1.0, 0.0, 0.0, 0.0)
 
     @classmethod
-    def from_arrays(cls, scales: Sequence[float], biases: Sequence[float]) -> "CalibrationParams":
+    def from_arrays(
+        cls,
+        scales: Sequence[float],
+        biases: Sequence[float],
+        condition_number: float | None = None,
+    ) -> "CalibrationParams":
         k = [float(v) for v in scales]
         b = [float(v) for v in biases]
         if len(k) != 3 or len(b) != 3:
             raise CalibrationError("expected three scales and three biases")
-        return cls(k[0], k[1], k[2], b[0], b[1], b[2])
+        return cls(k[0], k[1], k[2], b[0], b[1], b[2], condition_number)
 
     @property
     def scales(self) -> np.ndarray:
@@ -251,6 +263,50 @@ class Session:
             )
         if not (math.isfinite(self.sample_rate) and self.sample_rate > 0.0):
             raise CalibrationError(f"sample rate must be positive, got {self.sample_rate}")
+
+
+# A NamedTuple rather than a frozen dataclass, as is ``estimator.Fit``:
+# both are built when ``gyrocal calibrate`` imports the package, and a
+# dataclass takes over a millisecond to build.
+class ObservationArrays(NamedTuple):
+    """Array view of the observations of one session or of a stack of them.
+
+    ``...`` below is an optional leading replicate axis and ``n`` the
+    number of rotation stages:
+
+    - ``static_means``, ``static_stds``: ``(..., 3)`` in deg/s; the stds
+      are None when the static stage does not carry them
+    - ``static_duration``: seconds, a scalar or ``(...)``
+    - ``sums``: ``(..., n, 3)`` time-scaled rate sums in degrees
+    - ``durations``, ``theta_sq``: ``(..., n)`` seconds and deg^2; the
+      replicate axis may be left out when every replicate shares them
+    """
+
+    static_means: np.ndarray
+    static_stds: np.ndarray | None
+    static_duration: np.ndarray | float
+    sums: np.ndarray
+    durations: np.ndarray
+    theta_sq: np.ndarray
+
+    @classmethod
+    def from_stages(
+        cls, static_stage: StaticObservation, rotations: Sequence[RotationObservation]
+    ) -> "ObservationArrays":
+        return cls(
+            static_means=static_stage.means,
+            static_stds=static_stage.stds,
+            static_duration=static_stage.duration,
+            sums=np.array([[r.sum_x, r.sum_y, r.sum_z] for r in rotations]).reshape(-1, 3),
+            durations=np.array([r.duration for r in rotations]),
+            theta_sq=np.array([r.theta_total ** 2 for r in rotations]),
+        )
+
+    def corrected_sums(self, biases) -> np.ndarray:
+        """Bias-corrected integrated angles ``sums + durations * biases``,
+        ``(..., n, 3)``, for biases of shape ``(..., 3)``."""
+        b = np.asarray(biases, dtype=float)
+        return self.sums + self.durations[..., None] * b[..., None, :]
 
 
 def rotation_residuals(params: CalibrationParams, rotations: Sequence[RotationObservation]) -> np.ndarray:

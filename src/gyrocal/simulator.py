@@ -21,11 +21,12 @@ from typing import Mapping
 
 import numpy as np
 
-from .estimator import calibrate
+from .estimator import Fit, fit_batch
 from .model import (
     AXES,
     CalibrationError,
     CalibrationParams,
+    ObservationArrays,
     RotationObservation,
     Session,
     StaticObservation,
@@ -44,8 +45,11 @@ __all__ = [
     "run_monte_carlo",
 ]
 
-#: Integration tolerance for generated speed profiles (degrees).
-PROFILE_ANGLE_TOL = 1e-9
+#: Replicates a campaign simulates and fits together. Results do not
+#: depend on it; it bounds the block's memory, which peaks at about
+#: 180 kB per replicate at the default config, buffers and temporaries
+#: together.
+REPLICATE_BLOCK = 4
 
 #: Bezier control ordinates are drawn in this band around the nominal
 #: (constant-speed) rate before the exactness rescale.
@@ -185,6 +189,40 @@ def sample_ground_truth(config: SimulationConfig, rng: np.random.Generator) -> G
     )
 
 
+def _bezier_samples(ordinates: np.ndarray, config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Speed traces ``(..., n)`` of control ordinates ``(..., 4)``, rescaled
+    to integrate to the turn angle, and their rescale factors ``(...)``."""
+    n = config.rotation_samples
+    u = (np.arange(n) + 0.5) / n
+    v = 1.0 - u
+    o = ordinates[..., None]
+    samples = (
+        o[..., 0, :] * v ** 3
+        + 3.0 * o[..., 1, :] * u * v ** 2
+        + 3.0 * o[..., 2, :] * u ** 2 * v
+        + o[..., 3, :] * u ** 3
+    )
+    dt = config.rotation_duration / n
+    factor = config.rotation_angle / (samples.sum(axis=-1) * dt)
+    samples *= factor[..., None]
+    return samples, factor
+
+
+def _draw_ordinates(rng: np.random.Generator, config: SimulationConfig) -> np.ndarray:
+    nominal = config.rotation_angle / config.rotation_duration
+    return rng.uniform(_CONTROL_BAND[0], _CONTROL_BAND[1], size=4) * nominal
+
+
+def _speed_profile(
+    config: SimulationConfig, ordinates: np.ndarray, samples: np.ndarray, factor
+) -> SpeedProfile:
+    return SpeedProfile(
+        control_points=tuple(float(c * factor) for c in ordinates),
+        duration=config.rotation_duration,
+        samples=samples,
+    )
+
+
 def bezier_profile(rng: np.random.Generator, config: SimulationConfig) -> SpeedProfile:
     """Random cubic Bezier speed curve integrating exactly to the turn angle.
 
@@ -194,38 +232,96 @@ def bezier_profile(rng: np.random.Generator, config: SimulationConfig) -> SpeedP
     within 1e-9 degrees. Positive control points keep the rate positive
     throughout, like a hand turn that never reverses.
     """
-    n = config.rotation_samples
-    nominal = config.rotation_angle / config.rotation_duration
-    ordinates = rng.uniform(_CONTROL_BAND[0], _CONTROL_BAND[1], size=4) * nominal
-    u = (np.arange(n) + 0.5) / n
-    v = 1.0 - u
-    samples = (
-        ordinates[0] * v ** 3
-        + 3.0 * ordinates[1] * u * v ** 2
-        + 3.0 * ordinates[2] * u ** 2 * v
-        + ordinates[3] * u ** 3
-    )
-    dt = config.rotation_duration / n
-    factor = config.rotation_angle / (samples.sum() * dt)
-    return SpeedProfile(
-        control_points=tuple(float(c * factor) for c in ordinates),
-        duration=config.rotation_duration,
-        samples=samples * factor,
-    )
+    ordinates = _draw_ordinates(rng, config)
+    return _speed_profile(config, ordinates, *_bezier_samples(ordinates, config))
 
 
-def _measure(
-    truth: GroundTruth,
-    true_rates: np.ndarray,
-    config: SimulationConfig,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Push true angular rates through the sensor: coupling, inverse model, noise."""
-    perturbed = true_rates @ truth.misalignment.T
-    raw = perturbed / truth.params.scales - truth.params.biases
-    if config.noise_sigma > 0.0:
-        raw = raw + rng.normal(0.0, config.noise_sigma, size=raw.shape)
-    return raw
+class _SessionBlock:
+    """Buffers for up to ``size`` sessions of one config, stacked on a
+    leading replicate axis, and the simulation that fills them. Arrays
+    stay valid until the next ``simulate``."""
+
+    def __init__(self, config: SimulationConfig, size: int) -> None:
+        self.config = config
+        n_static, n_rot, n_test = (
+            config.static_samples, config.rotation_samples, config.n_test_rates
+        )
+        self.static_raw = np.empty((size, n_static, 3))
+        self.rotation_raw = np.empty((size, 3, n_rot, 3))
+        self.ordinates = np.empty((size, 3, 4))
+        self.test_rates = np.empty((size, n_test, 3))
+        self.test_measurements = np.empty((size, n_test, 3))
+
+    def _draw(self, rngs: list[np.random.Generator]) -> None:
+        """Each replicate's draws in the fixed order: static noise, then
+        profile ordinates and noise per axis in x, y, z order, then test
+        rates, then test noise. Noise is drawn only when ``noise_sigma > 0``."""
+        config = self.config
+        noisy = config.noise_sigma > 0.0
+        for r, rng in enumerate(rngs):
+            if noisy:
+                rng.standard_normal(out=self.static_raw[r])
+            for axis in range(3):
+                self.ordinates[r, axis] = _draw_ordinates(rng, config)
+                if noisy:
+                    rng.standard_normal(out=self.rotation_raw[r, axis])
+            self.test_rates[r] = rng.uniform(
+                *config.test_rate_range, size=(config.n_test_rates, 3)
+            )
+            if noisy:
+                rng.standard_normal(out=self.test_measurements[r])
+
+    def simulate(self, truth: GroundTruth, rngs: list[np.random.Generator]) -> None:
+        """One session per generator, in the first ``len(rngs)`` rows.
+
+        The sensor reports each true rate through the coupling matrix and
+        the inverse model, ``(M @ rate) / k - b``, plus white noise of
+        ``noise_sigma``. Also sets ``profiles`` ``(R, 3, n)`` and their
+        rescale ``factors`` ``(R, 3)``.
+        """
+        size = self.size = len(rngs)
+        self._draw(rngs)
+        scales, biases = truth.params.scales, truth.params.biases
+        sigma = self.config.noise_sigma
+
+        def add_noise(out: np.ndarray, clean: np.ndarray) -> None:
+            if sigma > 0.0:
+                out *= sigma
+                out += clean
+            else:
+                out[...] = clean
+
+        # The still stage's true rate is zero, and so is its coupled rate.
+        add_noise(self.static_raw[:size], np.zeros(3) / scales - biases)
+        # A turn about one axis has one nonzero true rate, so the coupled
+        # rate is that rate times one column of the coupling matrix. It is
+        # built as (R, turn axis, sensor axis, sample), where the element-wise
+        # steps run along the samples, then added to the noise transposed.
+        self.profiles, self.factors = _bezier_samples(self.ordinates[:size], self.config)
+        rotation = self.profiles[:, :, None, :] * truth.misalignment.T[:, :, None]
+        rotation /= scales[:, None]
+        rotation -= biases[:, None]
+        add_noise(self.rotation_raw[:size], rotation.transpose(0, 1, 3, 2))
+        coupled = self.test_rates[:size] @ truth.misalignment.T
+        coupled /= scales
+        coupled -= biases
+        add_noise(self.test_measurements[:size], coupled)
+
+    def observations(self) -> ObservationArrays:
+        """The stage summaries of the simulated sessions, computed as
+        ``StaticObservation.from_samples`` and
+        ``RotationObservation.from_samples`` compute them."""
+        config, size = self.config, self.size
+        static_raw = self.static_raw[:size]
+        rate = config.sample_rate
+        return ObservationArrays(
+            static_means=static_raw.mean(axis=1),
+            static_stds=static_raw.std(axis=1, ddof=1),
+            static_duration=config.static_samples / rate,
+            sums=self.rotation_raw[:size].sum(axis=2) / rate,
+            durations=np.full(3, config.rotation_samples / rate),
+            theta_sq=np.full(3, config.rotation_angle ** 2),
+        )
 
 
 @dataclass(frozen=True)
@@ -248,43 +344,30 @@ def simulate_session(
 
     The draw order is fixed (static noise, then profile plus noise per
     axis in x, y, z order, then test rates, then test noise), so a given
-    generator state always yields the same session.
+    generator state always yields the same session, and the same one a
+    campaign replicate with that generator sees.
     """
-    static_truth = np.zeros((config.static_samples, 3))
-    static_raw = _measure(truth, static_truth, config, rng)
-    static_stage = StaticObservation.from_samples(static_raw, config.sample_rate)
-
-    rotations = []
-    rotation_raw = []
-    profiles = []
-    for axis_index in range(3):
-        profile = bezier_profile(rng, config)
-        true_rates = np.zeros((profile.samples.size, 3))
-        true_rates[:, axis_index] = profile.samples
-        raw = _measure(truth, true_rates, config, rng)
-        rotations.append(
-            RotationObservation.from_samples(
-                raw, config.sample_rate, theta_total=config.rotation_angle
-            )
-        )
-        rotation_raw.append(raw)
-        profiles.append(profile)
-
-    test_rates = rng.uniform(*config.test_rate_range, size=(config.n_test_rates, 3))
-    test_measurements = _measure(truth, test_rates, config, rng)
-
+    block = _SessionBlock(config, 1)
+    block.simulate(truth, [rng])
+    rate = config.sample_rate
+    rotation_raw = tuple(block.rotation_raw[0])
+    rotations = tuple(
+        RotationObservation.from_samples(raw, rate, theta_total=config.rotation_angle)
+        for raw in rotation_raw
+    )
     return SimulatedSession(
         session=Session(
-            static_stage=static_stage,
-            rotations=tuple(rotations),
-            sample_rate=config.sample_rate,
+            static_stage=StaticObservation.from_samples(block.static_raw[0], rate),
+            rotations=rotations,
+            sample_rate=rate,
         ),
         truth=truth,
-        static_raw=static_raw,
-        rotation_raw=tuple(rotation_raw),
-        profiles=tuple(profiles),
-        test_rates=test_rates,
-        test_measurements=test_measurements,
+        static_raw=block.static_raw[0],
+        rotation_raw=rotation_raw,
+        profiles=tuple(map(_speed_profile, [config] * 3, block.ordinates[0],
+                           block.profiles[0], block.factors[0])),
+        test_rates=block.test_rates[0],
+        test_measurements=block.test_measurements[0],
     )
 
 
@@ -398,36 +481,51 @@ def _replicate_rng(
     )
 
 
+def _test_set_rms(block: _SessionBlock, fit: Fit) -> tuple[np.ndarray, np.ndarray]:
+    """Test-set RMS error per replicate before and after correction."""
+    rates = block.test_rates[:block.size]
+    measurements = block.test_measurements[:block.size]
+    pre = np.sqrt(np.mean((measurements - rates) ** 2, axis=(1, 2)))
+    corrected = fit.scales[:, None, :] * (measurements + fit.biases[:, None, :])
+    post = np.sqrt(np.mean((corrected - rates) ** 2, axis=(1, 2)))
+    return pre, post
+
+
 def run_monte_carlo(config: SimulationConfig) -> CampaignReport:
     """Run the full campaign: truth draws, replicates, test-set scoring.
 
-    A replicate that fails calibration (degenerate system, protocol
-    guard) is recorded as a failure and skipped; the campaign carries on.
+    Replicates are simulated, fitted and scored in blocks of
+    ``REPLICATE_BLOCK``; each one draws from its own spawn key in the
+    fixed order of :func:`simulate_session` and gets the same result as
+    ``calibrate`` of that session. A replicate that fails calibration
+    (degenerate system, protocol guard) is recorded as a failure and
+    skipped; the campaign carries on.
     """
     records: list[ReplicateResult] = []
     failures: list[tuple[int, int, str]] = []
     guard_sigma = config.noise_sigma if config.noise_sigma > 0.0 else None
+    block = _SessionBlock(config, min(REPLICATE_BLOCK, config.n_sims_per_set))
     for set_index in range(config.n_param_sets):
         truth = sample_ground_truth(config, _truth_rng(config, set_index))
-        for replicate_index in range(config.n_sims_per_set):
-            rng = _replicate_rng(config, set_index, replicate_index)
-            sim = simulate_session(truth, config, rng)
-            try:
-                estimate = calibrate(sim.session, noise_sigma=guard_sigma)
-            except CalibrationError as exc:
-                failures.append((set_index, replicate_index, str(exc)))
-                continue
-            residual_pre = sim.test_measurements - sim.test_rates
-            corrected = estimate.scales * (sim.test_measurements + estimate.biases)
-            residual_post = corrected - sim.test_rates
-            records.append(
-                ReplicateResult(
-                    set_index=set_index,
-                    replicate_index=replicate_index,
-                    truth=truth.params,
-                    estimate=estimate,
-                    pre_rms=float(np.sqrt(np.mean(residual_pre ** 2))),
-                    post_rms=float(np.sqrt(np.mean(residual_post ** 2))),
+        for first in range(0, config.n_sims_per_set, REPLICATE_BLOCK):
+            indices = range(first, min(first + REPLICATE_BLOCK, config.n_sims_per_set))
+            block.simulate(truth, [_replicate_rng(config, set_index, i) for i in indices])
+            fit = fit_batch(block.observations(), noise_sigma=guard_sigma)
+            pre, post = _test_set_rms(block, fit)
+            for row, replicate_index in enumerate(indices):
+                try:
+                    estimate = fit.params(row)
+                except CalibrationError as exc:
+                    failures.append((set_index, replicate_index, str(exc)))
+                    continue
+                records.append(
+                    ReplicateResult(
+                        set_index=set_index,
+                        replicate_index=replicate_index,
+                        truth=truth.params,
+                        estimate=estimate,
+                        pre_rms=float(pre[row]),
+                        post_rms=float(post[row]),
+                    )
                 )
-            )
     return CampaignReport(config=config, records=tuple(records), failures=tuple(failures))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gyrocal.cli import main
-from gyrocal.estimator import calibrate
+from gyrocal.estimator import build_linear_system, calibrate
 from gyrocal.session_io import SessionLog, write_session_log
 from gyrocal.simulator import SimulationConfig, sample_ground_truth, simulate_session
 
@@ -88,7 +88,9 @@ class TestCalibrate:
         assert diag["device"] == "bench"
         assert diag["saturated_samples"] >= 0
         assert len(diag["rotations"]) == 3
-        assert diag["condition_number"] > 0.0
+        system = build_linear_system(sim.session.rotations, expected.biases)
+        assert diag["condition_number"] == pytest.approx(np.linalg.cond(system.regressors),
+                                                         rel=1e-12)
 
     def test_out_flag_writes_file(self, session_log_path, tmp_path, capsys):
         path, _, _ = session_log_path

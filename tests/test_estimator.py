@@ -12,11 +12,13 @@ from gyrocal.estimator import (
     calibrate,
     calibrate_nonlinear,
     estimate_bias,
+    fit_batch,
     solve_scale,
 )
 from gyrocal.model import (
     CalibrationError,
     CalibrationParams,
+    ObservationArrays,
     ProtocolViolation,
     RotationObservation,
     Session,
@@ -208,3 +210,88 @@ class TestCalibrateNonlinear:
         with pytest.raises(ProtocolViolation):
             calibrate_nonlinear(session.rotations[:2], session.static_stage,
                                 CalibrationParams.identity())
+
+
+def _stack(sessions):
+    views = [ObservationArrays.from_stages(s.static_stage, s.rotations) for s in sessions]
+    return ObservationArrays(
+        static_means=np.stack([v.static_means for v in views]),
+        static_stds=np.stack([v.static_stds for v in views]),
+        static_duration=np.array([v.static_duration for v in views]),
+        sums=np.stack([v.sums for v in views]),
+        durations=np.stack([v.durations for v in views]),
+        theta_sq=np.stack([v.theta_sq for v in views]),
+    )
+
+
+class TestFitBatch:
+    def sessions(self):
+        good = exact_session([1.15, 0.85, 1.02], [2.0, -3.5, 0.75])
+        quiet = make_static([0.0, 0.0, 0.0], stds=[0.01, 0.01, 0.01])
+        moved = Session(static_stage=make_static([0.0, 0.0, 0.0], stds=[0.01, 2.0, 0.5]),
+                        rotations=good.rotations, sample_rate=100.0)
+        still = Session(static_stage=quiet,
+                        rotations=tuple(make_rotation([1e-4, 0.0, 0.0]) for _ in range(3)),
+                        sample_rate=100.0)
+        same = make_rotation([360.0, 0.0, 0.0])
+        degenerate = Session(static_stage=quiet,
+                             rotations=(same, same, make_rotation([0.0, 360.0, 0.0])),
+                             sample_rate=100.0)
+        # x rows (1, 1, 0), (1, 2, 0), (0, 0, 1) and y (10, 5, 1), in units
+        # of 360^2, force a negative squared scale on y
+        inconsistent = Session(
+            static_stage=quiet,
+            rotations=(make_rotation([360.0, 360.0, 0.0], theta=360.0 * np.sqrt(10.0)),
+                       make_rotation([360.0, 360.0 * np.sqrt(2.0), 0.0],
+                                     theta=360.0 * np.sqrt(5.0)),
+                       make_rotation([0.0, 0.0, 360.0])),
+            sample_rate=100.0)
+        overflow = Session(static_stage=quiet,
+                           rotations=tuple(make_rotation([1e200, 0.0, 0.0]) for _ in range(3)),
+                           sample_rate=100.0)
+        good_stds = Session(static_stage=make_static(-np.array([2.0, -3.5, 0.75]),
+                                                     stds=[0.1, 0.1, 0.1]),
+                            rotations=good.rotations, sample_rate=100.0)
+        return [good_stds, moved, still, degenerate, inconsistent, overflow]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_rows_match_calibrate_one_by_one(self):
+        sessions = self.sessions()
+        fit = fit_batch(_stack(sessions), noise_sigma=0.15)
+        kinds = []
+        for row, session in enumerate(sessions):
+            try:
+                expected = calibrate(session, noise_sigma=0.15)
+            except CalibrationError as exc:
+                assert type(fit.errors[row]) is type(exc)
+                assert str(fit.errors[row]) == str(exc)
+                with pytest.raises(type(exc)):
+                    fit.params(row)
+                kinds.append(type(exc).__name__)
+            else:
+                assert fit.errors[row] is None
+                assert fit.params(row) == expected
+                kinds.append("ok")
+        assert kinds == ["ok", "ProtocolViolation", "ProtocolViolation",
+                         "IllConditionedSystem", "InconsistentScaleData", "CalibrationError"]
+        assert str(fit.errors[5]) == "linear system entries must be finite"
+
+    def test_condition_number_matches_numpy(self):
+        session = exact_session([1.15, 0.85, 1.02], [2.0, -3.5, 0.75])
+        fit = fit_batch(ObservationArrays.from_stages(session.static_stage, session.rotations))
+        system = build_linear_system(session.rotations, estimate_bias(session.static_stage))
+        np.testing.assert_allclose(fit.condition_numbers[0], np.linalg.cond(system.regressors),
+                                   rtol=1e-12)
+        assert calibrate(session).condition_number == fit.condition_numbers[0]
+
+    def test_condition_number_missing_when_a_guard_trips_first(self):
+        fit = fit_batch(_stack(self.sessions()[:3]), noise_sigma=0.15)
+        assert np.isfinite(fit.condition_numbers[0])
+        assert np.all(np.isnan(fit.condition_numbers[1:]))
+        assert np.all(np.isnan(fit.scales[1:]))
+
+    def test_unstacked_view_is_a_stack_of_one(self):
+        session = exact_session([1.1, 0.9, 1.0], [1.0, -1.0, 0.5])
+        fit = fit_batch(ObservationArrays.from_stages(session.static_stage, session.rotations))
+        assert fit.scales.shape == (1, 3)
+        assert fit.params() == calibrate(session)

@@ -3,10 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+from gyrocal import estimator, simulator
 from gyrocal.estimator import calibrate
 from gyrocal.model import CalibrationError
 from gyrocal.simulator import (
+    REPLICATE_BLOCK,
     SimulationConfig,
+    _replicate_rng,
+    _truth_rng,
     bezier_profile,
     run_monte_carlo,
     sample_ground_truth,
@@ -214,3 +218,82 @@ class TestRunMonteCarlo:
         first = report.records[0]
         assert float(rows[0]["est_k_x"]) == first.estimate.k_x
         assert float(rows[0]["pre_rms"]) == first.pre_rms
+
+
+def _single_session_outcome(truth, config, set_index, replicate_index):
+    """What ``calibrate`` and the test-set scoring give for one replicate
+    simulated on its own: ``(estimate, pre_rms, post_rms)`` or the error text."""
+    sim = simulate_session(truth, config, _replicate_rng(config, set_index, replicate_index))
+    guard = config.noise_sigma if config.noise_sigma > 0.0 else None
+    try:
+        estimate = calibrate(sim.session, noise_sigma=guard)
+    except CalibrationError as exc:
+        return str(exc)
+    pre = float(np.sqrt(np.mean((sim.test_measurements - sim.test_rates) ** 2)))
+    corrected = estimate.scales * (sim.test_measurements + estimate.biases)
+    post = float(np.sqrt(np.mean((corrected - sim.test_rates) ** 2)))
+    return estimate, pre, post
+
+
+def _assert_campaign_matches_single_sessions(config):
+    report = run_monte_carlo(config)
+    records = {(r.set_index, r.replicate_index): r for r in report.records}
+    failures = {(s, r): message for s, r, message in report.failures}
+    assert len(records) + len(failures) == config.n_param_sets * config.n_sims_per_set
+    for set_index in range(config.n_param_sets):
+        truth = sample_ground_truth(config, _truth_rng(config, set_index))
+        for replicate_index in range(config.n_sims_per_set):
+            key = (set_index, replicate_index)
+            expected = _single_session_outcome(truth, config, *key)
+            if isinstance(expected, str):
+                assert failures[key] == expected
+                continue
+            estimate, pre, post = expected
+            record = records[key]
+            assert record.estimate == estimate  # bitwise float equality
+            assert record.pre_rms == pre
+            assert record.post_rms == post
+    return report
+
+
+class TestCampaignMatchesSingleSessions:
+    """Blocked campaign replicates equal ``calibrate(simulate_session(...))``
+    bit for bit; five replicates per set leave a partial block."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 19])
+    def test_seeds_with_cross_coupling(self, seed):
+        config = SimulationConfig(rng_seed=seed, noise_sigma=0.15, n_param_sets=2,
+                                  n_sims_per_set=REPLICATE_BLOCK + 1, n_test_rates=40)
+        report = _assert_campaign_matches_single_sessions(config)
+        assert not report.failures
+
+    def test_noiseless(self):
+        config = SimulationConfig(rng_seed=4, noise_sigma=0.0, n_param_sets=2,
+                                  n_sims_per_set=2 * REPLICATE_BLOCK + 3, n_test_rates=40)
+        report = _assert_campaign_matches_single_sessions(config)
+        assert not report.failures
+
+    def test_motion_guard_failures(self):
+        config = SimulationConfig(rotation_angle=0.5, rng_seed=2, n_param_sets=2,
+                                  n_sims_per_set=REPLICATE_BLOCK + 2, n_test_rates=40)
+        report = _assert_campaign_matches_single_sessions(config)
+        assert len(report.failures) == 12
+        assert "no usable rotation" in report.failures[0][2]
+
+    def test_stillness_guard_failures(self, monkeypatch):
+        # At one noise sigma each axis's static std trips the guard about
+        # half the time, so blocks mix failed and fitted replicates.
+        monkeypatch.setattr(estimator, "STILLNESS_STD_FACTOR", 1.0)
+        config = SimulationConfig(noise_sigma=0.03, rng_seed=6, n_param_sets=2,
+                                  n_sims_per_set=2 * REPLICATE_BLOCK + 1, n_test_rates=40)
+        report = _assert_campaign_matches_single_sessions(config)
+        assert report.failures and report.records
+        assert all("static stage shows motion" in f[2] for f in report.failures)
+
+    @pytest.mark.parametrize("block", [1, 3, 16])
+    def test_block_size_never_changes_results(self, monkeypatch, block):
+        config = SimulationConfig(rng_seed=12, noise_sigma=0.03, n_param_sets=2,
+                                  n_sims_per_set=7, n_test_rates=40)
+        reference = run_monte_carlo(config)
+        monkeypatch.setattr(simulator, "REPLICATE_BLOCK", block)
+        assert run_monte_carlo(config).records == reference.records
