@@ -17,11 +17,10 @@ import sys
 from typing import Sequence
 
 import numpy as np
-import yaml
 
 from . import doe, observability
-from .estimator import calibrate
-from .model import AXES, CalibrationError, CalibrationParams, RotationObservation
+from .estimator import MOTION_THRESHOLD_DEG, calibrate
+from .model import AXES, CalibrationError, ObservationArrays
 from .session_io import read_session_log
 from .simulator import SimulationConfig, run_monte_carlo
 
@@ -39,6 +38,8 @@ def _fail(message: str) -> int:
 
 def _load_simulation_configs(path: str | None, seed: int | None) -> list[SimulationConfig]:
     """Config file to campaign list; a noise_levels list fans out campaigns."""
+    import yaml  # only simulate reads YAML, so calibrate does not pay to import it
+
     mapping: dict = {}
     noise_levels: list[float] = []
     if path is not None:
@@ -63,6 +64,8 @@ def _load_simulation_configs(path: str | None, seed: int | None) -> list[Simulat
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    import yaml
+
     try:
         configs = _load_simulation_configs(args.config, args.seed)
     except (OSError, yaml.YAMLError, CalibrationError, ValueError, TypeError) as exc:
@@ -97,9 +100,10 @@ def _calibration_payload(args: argparse.Namespace) -> dict:
         motion_threshold=args.motion_threshold,
     )
     stds = session.static_stage.stds
+    corrected_sums = ObservationArrays.from_stages(
+        session.static_stage, session.rotations).corrected_sums(params.biases)
     rotations = []
-    for tag, rot in zip(log.rotation_axes, session.rotations):
-        corrected = rot.corrected_sums(params.biases)
+    for tag, corrected in zip(log.rotation_axes, corrected_sums):
         rotations.append(
             {
                 "axis_tag": tag,
@@ -169,99 +173,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_doe() -> list[tuple[bool, str]]:
-    checks = []
-    canonical = doe.canonical_design()
-    worst = doe.max_spv_sphere(canonical)
-    checks.append(
-        (
-            abs(worst - 3.0) <= 1e-9,
-            f"one-turn-per-axis design: worst-case prediction variance {worst!r} == 3",
-        )
-    )
-    rng = np.random.default_rng(_VERIFY_SEED)
-    points = rng.normal(size=(64, 3))
-    points /= np.linalg.norm(points, axis=1, keepdims=True)
-    sphere_ok = all(abs(doe.spv(canonical, p) - 3.0) <= 1e-9 for p in points)
-    checks.append((sphere_ok, "prediction variance equals 3 everywhere on the unit sphere"))
-    redundant = doe.Design(np.array([[1, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float))
-    checks.append(
-        (
-            doe.max_spv_sphere(redundant) > 3.0 + 1e-9,
-            "a redundant fourth rotation pushes the worst case above 3",
-        )
-    )
-    shrunk = doe.Design(0.5 * np.eye(3))
-    checks.append(
-        (
-            abs(doe.max_spv_sphere(shrunk) - 12.0) <= 1e-9,
-            "half-magnitude rotations quadruple the worst case",
-        )
-    )
-    return checks
-
-
-def _verify_observability() -> list[tuple[bool, str]]:
-    checks = []
-    rng = np.random.default_rng(_VERIFY_SEED)
-    worst_rel = 0.0
-    for _ in range(25):
-        nominal = CalibrationParams.from_arrays(
-            rng.uniform(0.8, 1.2, 3), rng.uniform(-5.0, 5.0, 3)
-        )
-        rotations = [
-            RotationObservation(
-                sum_x=rng.uniform(-400.0, 400.0),
-                sum_y=rng.uniform(-400.0, 400.0),
-                sum_z=rng.uniform(-400.0, 400.0),
-                theta_total=rng.uniform(300.0, 400.0),
-                n_samples=500,
-                duration=5.0,
-            )
-            for _ in range(3)
-        ]
-        analytic = np.concatenate(
-            [
-                observability.grad_scale(nominal, rotations),
-                observability.grad_bias(nominal, rotations),
-            ]
-        )
-        numeric = observability.finite_difference_grad(nominal, rotations, step=1e-5)
-        scale = max(1.0, float(np.max(np.abs(analytic))))
-        worst_rel = max(worst_rel, float(np.max(np.abs(analytic - numeric))) / scale)
-    checks.append(
-        (
-            worst_rel < 1e-6,
-            f"analytic gradients match central differences (worst relative error {worst_rel:.3g})",
-        )
-    )
-    still = [
-        RotationObservation(
-            sum_x=0.0, sum_y=0.0, sum_z=0.0, theta_total=360.0, n_samples=300, duration=3.0
-        )
-    ]
-    zero_bias = CalibrationParams(1.1, 0.9, 1.0, 0.0, 0.0, 0.0)
-    checks.append(
-        (
-            np.all(observability.grad_scale(zero_bias, still) == 0.0)
-            and np.all(observability.model_term_grad_scale(zero_bias, still) == 0.0),
-            "a resting sensor with zero bias reveals nothing about scale",
-        )
-    )
-    with_bias = CalibrationParams(1.1, 0.9, 1.0, 2.0, -3.0, 0.5)
-    checks.append(
-        (
-            np.all(observability.grad_bias(with_bias, still) != 0.0)
-            and np.all(observability.model_term_grad_bias(with_bias, still) != 0.0),
-            "a resting sensor with nonzero bias still constrains the bias",
-        )
-    )
-    return checks
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    suites = {"doe": _verify_doe, "observability": _verify_observability}
-    checks = suites[args.suite]()
+    suites = {"doe": doe.property_checks, "observability": observability.property_checks}
+    checks = suites[args.suite](np.random.default_rng(_VERIFY_SEED))
     failures = 0
     for ok, message in checks:
         print(f"{'PASS' if ok else 'FAIL'}  {message}")
@@ -295,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument(
         "--motion-threshold",
         type=float,
-        default=10.0,
+        default=MOTION_THRESHOLD_DEG,
         help="minimum integrated rotation (degrees) before a session counts as moved",
     )
     p_cal.add_argument("--out", help="also write the JSON to this file")

@@ -25,6 +25,7 @@ __all__ = [
     "spv",
     "max_spv_sphere",
     "is_g_optimal",
+    "property_checks",
 ]
 
 N_PARAMETERS = 3
@@ -126,3 +127,31 @@ def is_g_optimal(design: Design, tolerance: float = 1e-9) -> GOptimalityReport:
         max_spv=worst,
         tolerance=tolerance,
     )
+
+
+def property_checks(rng: np.random.Generator) -> list[tuple[bool, str]]:
+    """The design claims as ``(ok, message)`` pairs.
+
+    The one-turn-per-axis design has worst-case prediction variance 3, and
+    equals 3 at 64 random unit-sphere points drawn from ``rng``; a
+    redundant fourth turn and half-magnitude turns both do worse.
+    """
+    canonical = canonical_design()
+    worst = max_spv_sphere(canonical)
+    points = rng.normal(size=(64, 3))
+    points /= np.linalg.norm(points, axis=1, keepdims=True)
+    sphere = max(abs(spv(canonical, p) - N_PARAMETERS) for p in points)
+    redundant = max_spv_sphere(Design(np.array(
+        [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])))
+    shrunk = max_spv_sphere(Design(0.5 * np.eye(3)))
+    return [
+        (abs(worst - N_PARAMETERS) <= 1e-9,
+         f"one-turn-per-axis design: worst-case prediction variance {worst!r} == 3 +/- 1e-9"),
+        (sphere <= 1e-9,
+         f"prediction variance equals 3 at 64 random unit-sphere points "
+         f"(largest gap {sphere:.3g} <= 1e-9)"),
+        (redundant > N_PARAMETERS + 1e-9,
+         f"a redundant fourth rotation pushes the worst case to {redundant:g} > 3"),
+        (abs(shrunk - 12.0) <= 1e-9,
+         f"half-magnitude rotations quadruple the worst case to {shrunk:g} (12 +/- 1e-9)"),
+    ]

@@ -25,6 +25,7 @@ from .model import (
     RotationObservation,
     Session,
     StaticObservation,
+    _turns,
 )
 
 __all__ = [
@@ -160,8 +161,9 @@ def build_linear_system(rotations: Sequence[RotationObservation], biases) -> Lin
         raise ProtocolViolation(
             f"need at least 3 rotation observations to identify 3 scale factors, got {len(rotations)}"
         )
-    s = np.stack([rot.corrected_sums(biases) for rot in rotations])
-    return LinearSystem(s * s, np.array([rot.theta_total ** 2 for rot in rotations]))
+    obs = _turns(rotations)
+    s = obs.corrected_sums(biases)
+    return LinearSystem(s * s, obs.theta_sq)
 
 
 def solve_scale(system: LinearSystem, *, condition_limit: float = CONDITION_LIMIT) -> np.ndarray:
@@ -214,8 +216,13 @@ def fit_batch(
     Applies the guards of :func:`calibrate` to each row, in the same
     order and with the same messages, and records the first one a row
     trips instead of raising. A view without a replicate axis is a
-    stack of one.
+    stack of one. Raises CalibrationError when ``noise_sigma`` or
+    ``motion_threshold`` is negative or not finite, as either would
+    silently disable or misfire its guard.
     """
+    for name, value in (("noise_sigma", noise_sigma), ("motion_threshold", motion_threshold)):
+        if value is not None and not 0.0 <= value < np.inf:
+            raise CalibrationError(f"{name} must be finite and non-negative, got {value!r}")
     n_rot = obs.sums.shape[-2]
     means = np.reshape(obs.static_means, (-1, 3))
     n_rows = len(means)
@@ -278,30 +285,21 @@ def calibrate(
 
 
 def _residuals_and_jacobian(
-    scales: np.ndarray,
-    biases: np.ndarray,
-    sums: np.ndarray,
-    durations: np.ndarray,
-    theta_sq: np.ndarray,
-    static_means: np.ndarray,
-    static_duration: float,
-    fit_biases: bool,
+    obs: ObservationArrays, scales: np.ndarray, biases: np.ndarray, fit_biases: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    # Rotation residual i: sum_l (k_l S_{l,i})^2 - theta_i^2 with
-    # S_{l,i} = sum_{l,i} + duration_i * b_l.
-    s = sums + durations[:, None] * biases
-    r_rot = (s * s) @ (scales ** 2) - theta_sq
-    dr_dk = 2.0 * scales * (s * s)
-    dr_db = 2.0 * (scales ** 2) * s * durations[:, None]
+    """Gauss-Newton residuals and Jacobian: the rotation rows of
+    ``obs.residuals``, in the scales alone or, with ``fit_biases``, in all
+    six parameters plus three static rows."""
+    r_rot, dr_dk, dr_db = obs.residuals(scales, biases)
     if not fit_biases:
         return r_rot, dr_dk
     # Static residual per axis: the integrated angle a still sensor must
     # show as zero, k_l * duration * (mean_l + b_l). Linear in b, so the
     # joint system stays well posed at the optimum.
-    resid_static = scales * static_duration * (static_means + biases)
+    resid_static = scales * obs.static_duration * (obs.static_means + biases)
     j_static = np.zeros((3, 6))
-    j_static[:, :3] = np.diag(static_duration * (static_means + biases))
-    j_static[:, 3:] = np.diag(scales * static_duration)
+    j_static[:, :3] = np.diag(obs.static_duration * (obs.static_means + biases))
+    j_static[:, 3:] = np.diag(scales * obs.static_duration)
     residuals = np.concatenate([r_rot, resid_static])
     jacobian = np.vstack([np.hstack([dr_dk, dr_db]), j_static])
     return residuals, jacobian
@@ -333,8 +331,6 @@ def calibrate_nonlinear(
             f"need at least 3 rotation observations, got {len(rotations)}"
         )
     obs = ObservationArrays.from_stages(static_stage, rotations)
-    sums, durations, theta_sq = obs.sums, obs.durations, obs.theta_sq
-    static_means, static_duration = obs.static_means, obs.static_duration
 
     scales = init.scales.copy()
     biases = init.biases.copy() if fit_biases else estimate_bias(static_stage)
@@ -347,9 +343,7 @@ def calibrate_nonlinear(
 
     def objective(x: np.ndarray) -> float:
         k, b = unpack(x)
-        r, _ = _residuals_and_jacobian(
-            k, b, sums, durations, theta_sq, static_means, static_duration, fit_biases
-        )
+        r, _ = _residuals_and_jacobian(obs, k, b, fit_biases)
         return float(r @ r)
 
     x = np.concatenate([scales, biases]) if fit_biases else scales
@@ -360,9 +354,7 @@ def calibrate_nonlinear(
 
     for _ in range(max_iterations):
         k, b = unpack(x)
-        r, jac = _residuals_and_jacobian(
-            k, b, sums, durations, theta_sq, static_means, static_duration, fit_biases
-        )
+        r, jac = _residuals_and_jacobian(obs, k, b, fit_biases)
         step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         alpha = 1.0
         candidate = None

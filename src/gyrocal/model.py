@@ -242,10 +242,6 @@ class RotationObservation:
     def sums(self) -> np.ndarray:
         return np.array([self.sum_x, self.sum_y, self.sum_z])
 
-    def corrected_sums(self, biases) -> np.ndarray:
-        """Bias-corrected integrated angles per axis: ``sum + duration * bias``."""
-        return self.sums + self.duration * np.asarray(biases, dtype=float)
-
 
 @dataclass(frozen=True)
 class Session:
@@ -280,6 +276,9 @@ class ObservationArrays(NamedTuple):
     - ``sums``: ``(..., n, 3)`` time-scaled rate sums in degrees
     - ``durations``, ``theta_sq``: ``(..., n)`` seconds and deg^2; the
       replicate axis may be left out when every replicate shares them
+
+    A view of rotation stages alone, as the cost and gradient functions
+    build it, has None in its three static fields.
     """
 
     static_means: np.ndarray
@@ -293,20 +292,46 @@ class ObservationArrays(NamedTuple):
     def from_stages(
         cls, static_stage: StaticObservation, rotations: Sequence[RotationObservation]
     ) -> "ObservationArrays":
-        return cls(
-            static_means=static_stage.means,
-            static_stds=static_stage.stds,
-            static_duration=static_stage.duration,
-            sums=np.array([[r.sum_x, r.sum_y, r.sum_z] for r in rotations]).reshape(-1, 3),
-            durations=np.array([r.duration for r in rotations]),
-            theta_sq=np.array([r.theta_total ** 2 for r in rotations]),
-        )
+        return cls(static_stage.means, static_stage.stds, static_stage.duration,
+                   *_turn_arrays(rotations))
 
     def corrected_sums(self, biases) -> np.ndarray:
         """Bias-corrected integrated angles ``sums + durations * biases``,
         ``(..., n, 3)``, for biases of shape ``(..., 3)``."""
         b = np.asarray(biases, dtype=float)
         return self.sums + self.durations[..., None] * b[..., None, :]
+
+    def residuals(self, scales, biases) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rotation residuals and their Jacobian at one parameter point.
+
+        With ``S`` the corrected sums, residual i is ``sum_l (k_l S_{l,i})^2
+        - theta_i^2`` in deg^2, shape ``(..., n)``. The Jacobian comes as
+        ``dr/dk = 2 k S^2`` and ``dr/db = 2 k^2 d S``, each ``(..., n, 3)``.
+        Every cost, gradient and Gauss-Newton step is a reduction of these.
+        """
+        k = np.asarray(scales, dtype=float)
+        k_sq = k * k
+        s = self.corrected_sums(biases)
+        s_sq = s * s
+        r = s_sq @ k_sq - self.theta_sq
+        return r, 2.0 * k * s_sq, 2.0 * k_sq * s * self.durations[..., None]
+
+
+def _turn_arrays(rotations: Sequence[RotationObservation]) -> tuple[np.ndarray, ...]:
+    """Sums, durations and squared reference angles of rotation stages."""
+    return (
+        np.array([[r.sum_x, r.sum_y, r.sum_z] for r in rotations]).reshape(-1, 3),
+        np.array([r.duration for r in rotations]),
+        np.array([r.theta_total ** 2 for r in rotations]),
+    )
+
+
+def _turns(rotations: Sequence[RotationObservation]) -> ObservationArrays:
+    """View of rotation stages alone, for the functions that take no static
+    stage."""
+    if len(rotations) == 0:
+        raise CalibrationError("at least one rotation observation is required")
+    return ObservationArrays(None, None, None, *_turn_arrays(rotations))
 
 
 def rotation_residuals(params: CalibrationParams, rotations: Sequence[RotationObservation]) -> np.ndarray:
@@ -316,14 +341,7 @@ def rotation_residuals(params: CalibrationParams, rotations: Sequence[RotationOb
     The modelled value is ``sum_l (k_l * S_l)^2`` with S the bias-corrected
     integrated angle on axis l.
     """
-    if len(rotations) == 0:
-        raise CalibrationError("at least one rotation observation is required")
-    k_sq = params.scales ** 2
-    out = np.empty(len(rotations))
-    for i, rot in enumerate(rotations):
-        s = rot.corrected_sums(params.biases)
-        out[i] = float(k_sq @ (s * s)) - rot.theta_total ** 2
-    return out
+    return _turns(rotations).residuals(params.scales, params.biases)[0]
 
 
 def cost(params: CalibrationParams, rotations: Sequence[RotationObservation]) -> float:

@@ -2,18 +2,18 @@
 
 The magnitude of the cost gradient at a nominal parameter point says how
 well the observations constrain that parameter: a zero component means
-the data cannot distinguish nearby values. Two gradient flavours live
-here. ``grad_scale`` and ``grad_bias`` differentiate the smooth
-squared-residual cost and therefore agree with numerical
-differentiation. ``model_term_grad_scale`` and ``model_term_grad_bias``
-differentiate only the model prediction (the squared integrated angle),
-which drops the residual weighting; they are the simpler diagnostic
-numbers reported by the command-line tools.
+the data cannot distinguish nearby values. Every gradient here is a
+reduction of the one rotation-residual Jacobian,
+``ObservationArrays.residuals``. ``grad_scale`` and ``grad_bias``
+differentiate the smooth squared-residual cost and therefore agree with
+numerical differentiation. ``model_term_grad_scale`` and
+``model_term_grad_bias`` differentiate only the model prediction (the
+squared integrated angle), which drops the residual weighting; they are
+the simpler diagnostic numbers reported by the command-line tools.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -22,49 +22,45 @@ from .model import (
     CalibrationError,
     CalibrationParams,
     RotationObservation,
+    _turns,
     squared_cost,
 )
 
 __all__ = [
-    "SensitivityReport",
     "grad_scale",
     "grad_bias",
     "model_term_grad_scale",
     "model_term_grad_bias",
-    "sensitivity",
     "finite_difference_grad",
+    "property_checks",
 ]
 
+#: Random configurations the gradient property check draws.
+N_GRADIENT_CONFIGS = 100
 
-def _stage_arrays(
+
+def _jacobian(
     nominal: CalibrationParams, rotations: Sequence[RotationObservation]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if not rotations:
-        raise CalibrationError("sensitivity needs at least one rotation observation")
-    s = np.stack([rot.corrected_sums(nominal.biases) for rot in rotations])
-    durations = np.array([rot.duration for rot in rotations])
-    theta_sq = np.array([rot.theta_total ** 2 for rot in rotations])
-    return s, durations, theta_sq
+    return _turns(rotations).residuals(nominal.scales, nominal.biases)
 
 
 def grad_scale(
     nominal: CalibrationParams, rotations: Sequence[RotationObservation]
 ) -> np.ndarray:
-    """Gradient of the squared-residual cost in the three scale factors."""
-    s, _, theta_sq = _stage_arrays(nominal, rotations)
-    k = nominal.scales
-    residual = (s * s) @ (k ** 2) - theta_sq
-    return 4.0 * k * (residual @ (s * s))
+    """Gradient of the squared-residual cost in the three scale factors,
+    ``2 J_k^T r``."""
+    r, dr_dk, _ = _jacobian(nominal, rotations)
+    return 2.0 * (r @ dr_dk)
 
 
 def grad_bias(
     nominal: CalibrationParams, rotations: Sequence[RotationObservation]
 ) -> np.ndarray:
-    """Gradient of the squared-residual cost in the three biases."""
-    s, durations, theta_sq = _stage_arrays(nominal, rotations)
-    k = nominal.scales
-    residual = (s * s) @ (k ** 2) - theta_sq
-    return 4.0 * k ** 2 * ((residual * durations) @ s)
+    """Gradient of the squared-residual cost in the three biases,
+    ``2 J_b^T r``."""
+    r, _, dr_db = _jacobian(nominal, rotations)
+    return 2.0 * (r @ dr_db)
 
 
 def model_term_grad_scale(
@@ -72,12 +68,12 @@ def model_term_grad_scale(
 ) -> np.ndarray:
     """Derivative of the predicted squared angle in each scale factor.
 
-    Per axis: 2 k_l sum_i S_{l,i}^2. Grows with the integrated rotation
-    magnitude and vanishes exactly when the sensor never moved and the
-    nominal bias is zero, so a resting sensor cannot reveal its scale.
+    Per axis: 2 k_l sum_i S_{l,i}^2, the column sums of ``J_k``. Grows
+    with the integrated rotation magnitude and vanishes exactly when the
+    sensor never moved and the nominal bias is zero, so a resting sensor
+    cannot reveal its scale.
     """
-    s, _, _ = _stage_arrays(nominal, rotations)
-    return 2.0 * nominal.scales * np.sum(s * s, axis=0)
+    return _jacobian(nominal, rotations)[1].sum(axis=0)
 
 
 def model_term_grad_bias(
@@ -85,39 +81,11 @@ def model_term_grad_bias(
 ) -> np.ndarray:
     """Derivative of the predicted squared angle in each bias.
 
-    Per axis: 2 k_l^2 sum_i d_i S_{l,i}. Stays nonzero for a resting
-    sensor with nonzero nominal bias, so stationary data still constrains
-    the bias.
+    Per axis: 2 k_l^2 sum_i d_i S_{l,i}, the column sums of ``J_b``. Stays
+    nonzero for a resting sensor with nonzero nominal bias, so stationary
+    data still constrains the bias.
     """
-    s, durations, _ = _stage_arrays(nominal, rotations)
-    return 2.0 * nominal.scales ** 2 * (durations @ s)
-
-
-@dataclass(frozen=True)
-class SensitivityReport:
-    """Per-axis cost gradients at a nominal parameter point."""
-
-    dJ_dk: tuple[float, float, float]
-    dJ_db: tuple[float, float, float]
-    nominal: CalibrationParams
-
-    def __post_init__(self) -> None:
-        values = (*self.dJ_dk, *self.dJ_db)
-        if len(self.dJ_dk) != 3 or len(self.dJ_db) != 3:
-            raise CalibrationError("sensitivity report needs three components per parameter block")
-        if not all(np.isfinite(v) for v in values):
-            raise CalibrationError("sensitivity report entries must be finite")
-
-
-def sensitivity(
-    nominal: CalibrationParams, rotations: Sequence[RotationObservation]
-) -> SensitivityReport:
-    """Bundle both smooth-cost gradients into one report."""
-    return SensitivityReport(
-        dJ_dk=tuple(float(v) for v in grad_scale(nominal, rotations)),
-        dJ_db=tuple(float(v) for v in grad_bias(nominal, rotations)),
-        nominal=nominal,
-    )
+    return _jacobian(nominal, rotations)[2].sum(axis=0)
 
 
 def finite_difference_grad(
@@ -133,8 +101,6 @@ def finite_difference_grad(
     """
     if not step > 0.0:
         raise CalibrationError(f"finite-difference step must be positive, got {step}")
-    if not rotations:
-        raise CalibrationError("sensitivity needs at least one rotation observation")
     base = np.concatenate([nominal.scales, nominal.biases])
 
     def cost_at(vec: np.ndarray) -> float:
@@ -149,3 +115,41 @@ def finite_difference_grad(
         backward[j] -= step
         grad[j] = (cost_at(forward) - cost_at(backward)) / (2.0 * step)
     return grad
+
+
+def property_checks(rng: np.random.Generator) -> list[tuple[bool, str]]:
+    """The sensitivity claims as ``(ok, message)`` pairs.
+
+    The analytic gradients must match central differences on
+    ``N_GRADIENT_CONFIGS`` random configurations drawn from ``rng``; a
+    resting sensor with zero bias must show exactly zero scale gradients,
+    and one with nonzero bias nonzero bias gradients.
+    """
+    worst_rel = 0.0
+    for _ in range(N_GRADIENT_CONFIGS):
+        nominal = CalibrationParams.from_arrays(
+            rng.uniform(0.8, 1.2, 3), rng.uniform(-5.0, 5.0, 3))
+        rotations = [
+            RotationObservation(*rng.uniform(-400.0, 400.0, 3),
+                                theta_total=rng.uniform(300.0, 400.0),
+                                n_samples=500, duration=5.0)
+            for _ in range(3)
+        ]
+        analytic = np.concatenate([grad_scale(nominal, rotations), grad_bias(nominal, rotations)])
+        numeric = finite_difference_grad(nominal, rotations, step=1e-5)
+        denom = max(1.0, float(np.max(np.abs(analytic))))
+        worst_rel = max(worst_rel, float(np.max(np.abs(analytic - numeric))) / denom)
+    still = [RotationObservation(0.0, 0.0, 0.0, theta_total=360.0, n_samples=300, duration=3.0)]
+    zero_bias = CalibrationParams(1.1, 0.9, 1.0, 0.0, 0.0, 0.0)
+    with_bias = CalibrationParams(1.1, 0.9, 1.0, 2.0, -3.0, 0.5)
+    return [
+        (worst_rel < 1e-6,
+         f"analytic gradients match central differences on {N_GRADIENT_CONFIGS} random "
+         f"configurations (worst relative error {worst_rel:.3g} < 1e-6)"),
+        (bool(np.all(grad_scale(zero_bias, still) == 0.0)
+              and np.all(model_term_grad_scale(zero_bias, still) == 0.0)),
+         "a resting sensor with zero bias reveals nothing about scale (gradients exactly 0)"),
+        (bool(np.all(grad_bias(with_bias, still) != 0.0)
+              and np.all(model_term_grad_bias(with_bias, still) != 0.0)),
+         "a resting sensor with nonzero bias still constrains the bias (gradients nonzero)"),
+    ]

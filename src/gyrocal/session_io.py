@@ -83,12 +83,10 @@ class SessionLog:
     device: str | None = None
 
     def __post_init__(self) -> None:
-        if self.sample_rate <= 0.0:
-            raise LogParseError(f"sample_rate must be positive, got {self.sample_rate}")
-        if self.rotation_angle <= 0.0:
-            raise LogParseError(f"rotation_angle must be positive, got {self.rotation_angle}")
-        if self.full_scale is not None and self.full_scale <= 0.0:
-            raise LogParseError(f"full_scale must be positive, got {self.full_scale}")
+        for key in ("sample_rate", "rotation_angle", "full_scale"):
+            value = getattr(self, key)
+            if value is not None and not 0.0 < value < np.inf:
+                raise LogParseError(f"{key} must be positive and finite, got {value}")
         statics = [i for i, seg in enumerate(self.segments) if seg.is_static]
         if len(statics) != 1:
             raise ProtocolViolation(

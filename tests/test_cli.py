@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import gyrocal
 from gyrocal.cli import main
 from gyrocal.estimator import build_linear_system, calibrate
 from gyrocal.session_io import SessionLog, write_session_log
@@ -110,10 +113,21 @@ class TestCalibrate:
         write_session_log(path, SessionLog.from_arrays(static, turns, 100.0))
         assert main(["calibrate", str(path), "--noise-sigma", "0.15"]) == 1
         assert "static" in capsys.readouterr().err
+        # a NaN sigma must not switch the stillness guard off
+        assert main(["calibrate", str(path), "--noise-sigma", "nan"]) == 1
+        assert "noise_sigma" in capsys.readouterr().err
 
     def test_missing_file_fails_cleanly(self, tmp_path, capsys):
         assert main(["calibrate", str(tmp_path / "nope.csv")]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_import_leaves_yaml_unloaded(self):
+        # only simulate reads YAML; calibrate should not pay to import it
+        src = os.path.dirname(os.path.dirname(gyrocal.__file__))
+        code = "import sys, gyrocal.cli; sys.exit('yaml' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+        assert proc.returncode == 0
 
 
 class TestCompare:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from gyrocal.estimator import (
     ConvergenceFailure,
+    _residuals_and_jacobian,
     IllConditionedSystem,
     InconsistentScaleData,
     LinearSystem,
@@ -148,6 +149,18 @@ class TestCalibrate:
             calibrate(session)
         assert "rotation" in str(info.value)
 
+    @pytest.mark.parametrize("guard", ["noise_sigma", "motion_threshold"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.1])
+    def test_guard_settings_must_be_finite_and_nonnegative(self, guard, value):
+        # NaN or inf would switch a guard off and a negative sigma would
+        # reject every session, so both are refused up front
+        session = exact_session([1.0, 1.0, 1.0], [0.0, 0.0, 0.0])
+        with pytest.raises(CalibrationError, match=guard):
+            calibrate(session, **{guard: value})
+        with pytest.raises(CalibrationError, match=guard):
+            fit_batch(ObservationArrays.from_stages(session.static_stage, session.rotations),
+                      **{guard: value})
+
     def test_degenerate_axes_rejected(self):
         static = make_static([0.0, 0.0, 0.0])
         same = make_rotation([360.0, 0.0, 0.0])
@@ -204,6 +217,31 @@ class TestCalibrateNonlinear:
         est = calibrate_nonlinear(session.rotations, session.static_stage,
                                   truth, max_iterations=1)
         np.testing.assert_allclose(est.scales, truth.scales, atol=1e-12)
+
+    @pytest.mark.parametrize("fit_biases", [True, False])
+    def test_residual_jacobian_matches_central_differences(self, fit_biases):
+        # rotation rows, plus the three static rows when the biases are
+        # free; every residual is quadratic per parameter, so the central
+        # difference is exact up to rounding
+        rng = np.random.default_rng(8)
+        static = make_static(rng.uniform(-5.0, 5.0, 3))
+        rotations = [make_rotation(rng.uniform(-400.0, 400.0, 3), theta=rng.uniform(300.0, 400.0))
+                     for _ in range(4)]
+        obs = ObservationArrays.from_stages(static, rotations)
+        x = np.concatenate([rng.uniform(0.8, 1.2, 3), rng.uniform(-5.0, 5.0, 3)])
+        n_free = 6 if fit_biases else 3
+        _, jacobian = _residuals_and_jacobian(obs, x[:3], x[3:], fit_biases)
+        assert jacobian.shape == (7 if fit_biases else 4, n_free)
+        step = 1e-4
+        numeric = np.empty_like(jacobian)
+        for j in range(n_free):
+            shift = np.zeros(6)
+            shift[j] = step
+            ahead, _ = _residuals_and_jacobian(obs, *np.split(x + shift, 2), fit_biases)
+            behind, _ = _residuals_and_jacobian(obs, *np.split(x - shift, 2), fit_biases)
+            numeric[:, j] = (ahead - behind) / (2.0 * step)
+        np.testing.assert_allclose(jacobian, numeric, rtol=0.0,
+                                   atol=1e-9 * np.max(np.abs(jacobian)))
 
     def test_needs_three_rotations(self):
         session = exact_session([1.0, 1.0, 1.0], [0.0, 0.0, 0.0])

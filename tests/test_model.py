@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from gyrocal.model import (
     CalibrationError,
     CalibrationParams,
+    ObservationArrays,
     ProtocolViolation,
     RotationObservation,
     Session,
@@ -17,6 +18,12 @@ from gyrocal.model import (
     inverse_calibration,
     rotation_residuals,
     squared_cost,
+)
+from gyrocal.observability import (
+    grad_bias,
+    grad_scale,
+    model_term_grad_bias,
+    model_term_grad_scale,
 )
 
 finite_bias = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
@@ -117,8 +124,10 @@ class TestRotationObservation:
     def test_corrected_sums_shift(self):
         obs = RotationObservation(360.0, 0.0, 0.0, theta_total=360.0,
                                   n_samples=300, duration=3.0)
+        static = StaticObservation(0.0, 0.0, 0.0, n_samples=300, duration=3.0)
+        view = ObservationArrays.from_stages(static, [obs])
         np.testing.assert_allclose(
-            obs.corrected_sums([0.5, 0.0, -1.0]), [361.5, 0.0, -3.0])
+            view.corrected_sums([0.5, 0.0, -1.0]), [[361.5, 0.0, -3.0]])
 
     @pytest.mark.parametrize("theta", [0.0, -360.0, float("nan")])
     def test_reference_angle_must_be_positive(self, theta):
@@ -162,8 +171,10 @@ class TestCostFunctions:
             rotation_residuals(p, rots), [(2.0 * 180.0) ** 2 - 360.0 ** 2])
 
     def test_empty_rotation_list_rejected(self):
-        with pytest.raises(CalibrationError):
-            rotation_residuals(CalibrationParams.identity(), [])
+        for func in (rotation_residuals, grad_scale, grad_bias,
+                     model_term_grad_scale, model_term_grad_bias):
+            with pytest.raises(CalibrationError):
+                func(CalibrationParams.identity(), [])
 
     @given(params_strategy())
     @settings(max_examples=25)

@@ -5,13 +5,11 @@ from hypothesis import strategies as st
 
 from gyrocal.model import CalibrationError, CalibrationParams, RotationObservation
 from gyrocal.observability import (
-    SensitivityReport,
     finite_difference_grad,
     grad_bias,
     grad_scale,
     model_term_grad_bias,
     model_term_grad_scale,
-    sensitivity,
 )
 
 
@@ -143,21 +141,10 @@ class TestModelTermForms:
         assert abs(double_m[0]) > abs(single_m[0])
 
 
+
 class TestSensitivityReport:
-    def test_bundles_both_gradients(self):
-        rng = np.random.default_rng(5)
-        nominal, rotations = random_setup(rng)
-        report = sensitivity(nominal, rotations)
-        np.testing.assert_allclose(report.dJ_dk, grad_scale(nominal, rotations))
-        np.testing.assert_allclose(report.dJ_db, grad_bias(nominal, rotations))
-        assert report.nominal == nominal
-
-    def test_rejects_nonfinite_entries(self):
-        with pytest.raises(CalibrationError):
-            SensitivityReport(dJ_dk=(float("nan"), 0.0, 0.0),
-                              dJ_db=(0.0, 0.0, 0.0),
-                              nominal=CalibrationParams.identity())
-
     def test_empty_rotation_list_rejected(self):
-        with pytest.raises(CalibrationError):
-            sensitivity(CalibrationParams.identity(), [])
+        """Both cost sensitivities are undefined without a rotation."""
+        for func in (grad_scale, grad_bias):
+            with pytest.raises(CalibrationError):
+                func(CalibrationParams.identity(), [])

@@ -155,6 +155,17 @@ class TestParseErrors:
             read_session_log(path)
         assert "line 3" in str(info.value)
 
+    @pytest.mark.parametrize("key", ["sample_rate", "rotation_angle", "full_scale"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_header_value_rejected(self, tmp_path, key, value):
+        path = tmp_path / "log.csv"
+        write_session_log(path, tiny_log(full_scale=245.0))
+        lines = [f"# {key}: {value}" if line.startswith(f"# {key}:") else line
+                 for line in path.read_text().splitlines()]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(LogParseError, match=key):
+            read_session_log(path)
+
     def test_empty_log_rejected(self, tmp_path):
         path = self.write(tmp_path, "# sample_rate: 100\nstage,t,m_x,m_y,m_z\n")
         with pytest.raises(LogParseError):
