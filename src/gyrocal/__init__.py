@@ -17,7 +17,6 @@ from .model import (
     Session,
     StaticObservation,
     apply_calibration,
-    cost,
     inverse_calibration,
     rotation_residuals,
     squared_cost,
@@ -27,13 +26,9 @@ from .estimator import (
     Fit,
     IllConditionedSystem,
     InconsistentScaleData,
-    LinearSystem,
-    build_linear_system,
     calibrate,
     calibrate_nonlinear,
-    estimate_bias,
     fit_batch,
-    solve_scale,
 )
 from .observability import (
     finite_difference_grad,
@@ -44,7 +39,6 @@ from .observability import (
 )
 from .doe import (
     Design,
-    GOptimalityReport,
     SingularDesignError,
     canonical_design,
     is_g_optimal,
@@ -55,10 +49,8 @@ from .doe import (
 from .simulator import (
     CampaignReport,
     GroundTruth,
-    ReplicateResult,
     SimulatedSession,
     SimulationConfig,
-    SpeedProfile,
     bezier_profile,
     run_monte_carlo,
     sample_ground_truth,
@@ -84,7 +76,6 @@ __all__ = [
     "Session",
     "StaticObservation",
     "apply_calibration",
-    "cost",
     "inverse_calibration",
     "rotation_residuals",
     "squared_cost",
@@ -92,20 +83,15 @@ __all__ = [
     "Fit",
     "IllConditionedSystem",
     "InconsistentScaleData",
-    "LinearSystem",
-    "build_linear_system",
     "calibrate",
     "calibrate_nonlinear",
-    "estimate_bias",
     "fit_batch",
-    "solve_scale",
     "finite_difference_grad",
     "grad_bias",
     "grad_scale",
     "model_term_grad_bias",
     "model_term_grad_scale",
     "Design",
-    "GOptimalityReport",
     "SingularDesignError",
     "canonical_design",
     "is_g_optimal",
@@ -114,10 +100,8 @@ __all__ = [
     "spv",
     "CampaignReport",
     "GroundTruth",
-    "ReplicateResult",
     "SimulatedSession",
     "SimulationConfig",
-    "SpeedProfile",
     "bezier_profile",
     "run_monte_carlo",
     "sample_ground_truth",

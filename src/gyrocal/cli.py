@@ -80,7 +80,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "replicates_csv": csv_name,
             **report.summary(),
         }
-        print(f"wrote {csv_name} ({len(report.records)} replicates, "
+        print(f"wrote {csv_name} ({len(report.indices)} replicates, "
               f"{len(report.failures)} failures)")
     summary = {"rng_seed": configs[0].rng_seed, "campaigns": campaigns}
     summary_path = os.path.join(args.out, "summary.json")

@@ -10,7 +10,7 @@ is 3. The one-turn-per-axis protocol hits that bound exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .model import CalibrationError
 __all__ = [
     "SingularDesignError",
     "Design",
-    "GOptimalityReport",
     "canonical_design",
     "moment_matrix",
     "spv",
@@ -104,29 +103,12 @@ def max_spv_sphere(design: Design) -> float:
     return float(design.n / eigenvalues[0])
 
 
-@dataclass(frozen=True)
-class GOptimalityReport:
-    """Outcome of the worst-case prediction-variance check."""
-
-    g_optimal: bool
-    max_spv: float
-    tolerance: float
-    n_parameters: int = field(default=N_PARAMETERS)
-
-    def __bool__(self) -> bool:
-        return self.g_optimal
-
-
-def is_g_optimal(design: Design, tolerance: float = 1e-9) -> GOptimalityReport:
-    """Check whether the sphere maximum of spv equals the parameter count."""
+def is_g_optimal(design: Design, tolerance: float = 1e-9) -> bool:
+    """Whether the sphere maximum of spv equals the parameter count to
+    within ``tolerance``."""
     if not tolerance >= 0.0:
         raise CalibrationError(f"tolerance must be non-negative, got {tolerance}")
-    worst = max_spv_sphere(design)
-    return GOptimalityReport(
-        g_optimal=abs(worst - N_PARAMETERS) <= tolerance,
-        max_spv=worst,
-        tolerance=tolerance,
-    )
+    return abs(max_spv_sphere(design) - N_PARAMETERS) <= tolerance
 
 
 def property_checks(rng: np.random.Generator) -> list[tuple[bool, str]]:

@@ -11,7 +11,6 @@ independent cross-check of the closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -25,18 +24,13 @@ from .model import (
     RotationObservation,
     Session,
     StaticObservation,
-    _turns,
 )
 
 __all__ = [
     "IllConditionedSystem",
     "InconsistentScaleData",
     "ConvergenceFailure",
-    "LinearSystem",
     "Fit",
-    "estimate_bias",
-    "build_linear_system",
-    "solve_scale",
     "fit_batch",
     "calibrate",
     "calibrate_nonlinear",
@@ -67,119 +61,12 @@ class ConvergenceFailure(CalibrationError):
     """The iterative solver did not reach its tolerances."""
 
 
-def estimate_bias(static_stage: StaticObservation) -> np.ndarray:
-    """Bias estimate from the stationary stage: negated per-axis means (deg/s)."""
-    return -static_stage.means
-
-
 def _record(errors: list, rows: np.ndarray, make) -> None:
     """Store ``make(r)`` for every flagged row that has not failed yet, so
     each row keeps the first guard it tripped."""
     for r, flagged in enumerate(rows.tolist()):
         if flagged and errors[r] is None:
             errors[r] = make(r)
-
-
-def _check_systems(x: np.ndarray, y: np.ndarray, errors: list) -> None:
-    """The LinearSystem entry checks on stacked (R, n, 3) regressors and
-    (R, n) responses, in order."""
-    finite = np.isfinite(x).all(axis=(1, 2)) & np.isfinite(y).all(axis=1)
-    for rows, message in (
-        (~finite, "linear system entries must be finite"),
-        ((x < 0.0).any(axis=(1, 2)), "regressors are squares and cannot be negative"),
-        ((y <= 0.0).any(axis=1), "responses are squared reference angles and must be positive"),
-    ):
-        _record(errors, rows, lambda r: CalibrationError(message))
-
-
-def _solve_systems(
-    x: np.ndarray, y: np.ndarray, condition_limit: float, errors: list
-) -> tuple[np.ndarray, np.ndarray]:
-    """Squared scales and condition numbers of stacked regressions.
-
-    One SVD per row gives both the condition number and the
-    least-squares solution. Rows already in ``errors`` are solved on
-    zeros and come back as NaN.
-    """
-    valid = np.array([e is None for e in errors])
-    if not valid.all():
-        x = np.where(valid[:, None, None], x, 0.0)
-    u, sv, vt = np.linalg.svd(x, full_matrices=False)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = sv[:, 0] / sv[:, -1]
-        # Element-wise sums keep every row's bits independent of the stack.
-        coef = (u * y[:, :, None]).sum(axis=1) / sv
-        scale_sq = (vt * coef[:, :, None]).sum(axis=1)
-    _record(errors, valid & ~(cond <= condition_limit), lambda r: IllConditionedSystem(
-        f"regressor matrix condition number {cond[r]:.3g} exceeds {condition_limit:.3g}; "
-        "the rotation stages look degenerate (for example repeated axes)"
-    ))
-
-    def inconsistent(r: int) -> InconsistentScaleData:
-        bad = ", ".join(
-            f"{AXES[i]}={scale_sq[r, i]:.6g}" for i in range(3) if scale_sq[r, i] <= 0.0
-        )
-        return InconsistentScaleData(
-            f"non-positive squared scale factor ({bad}); "
-            "the data contradicts the positive-scale model"
-        )
-
-    _record(errors, valid & (scale_sq <= 0.0).any(axis=1), inconsistent)
-    return scale_sq, np.where(valid, cond, np.nan)
-
-
-@dataclass(frozen=True)
-class LinearSystem:
-    """Regression view of the rotation stages.
-
-    One row per rotation. Columns are the squared bias-corrected
-    integrated angles per axis (deg^2); responses are the squared
-    reference angles (deg^2).
-    """
-
-    regressors: np.ndarray
-    responses: np.ndarray
-
-    def __post_init__(self) -> None:
-        x = np.asarray(self.regressors, dtype=float)
-        y = np.asarray(self.responses, dtype=float)
-        if x.ndim != 2 or x.shape[1] != 3 or y.shape != (x.shape[0],):
-            raise CalibrationError(
-                f"expected (n, 3) regressors with matching responses, got {x.shape} and {y.shape}"
-            )
-        errors = [None]
-        _check_systems(x[None], y[None], errors)
-        if errors[0] is not None:
-            raise errors[0]
-        object.__setattr__(self, "regressors", x)
-        object.__setattr__(self, "responses", y)
-
-
-def build_linear_system(rotations: Sequence[RotationObservation], biases) -> LinearSystem:
-    """Assemble the scale-factor regression from >= 3 rotation stages."""
-    if len(rotations) < 3:
-        raise ProtocolViolation(
-            f"need at least 3 rotation observations to identify 3 scale factors, got {len(rotations)}"
-        )
-    obs = _turns(rotations)
-    s = obs.corrected_sums(biases)
-    return LinearSystem(s * s, obs.theta_sq)
-
-
-def solve_scale(system: LinearSystem, *, condition_limit: float = CONDITION_LIMIT) -> np.ndarray:
-    """Least-squares scale factors from the rotation regression.
-
-    Raises IllConditionedSystem for degenerate regressors and
-    InconsistentScaleData when a fitted squared scale is not positive;
-    negative values are reported, never clamped.
-    """
-    errors = [None]
-    scale_sq, _ = _solve_systems(
-        system.regressors[None], system.responses[None], condition_limit, errors
-    )
-    if errors[0] is not None:
-        raise errors[0]
-    return np.sqrt(scale_sq[0])
 
 
 class Fit(NamedTuple):
@@ -244,18 +131,49 @@ def fit_batch(
         "the session contains no usable rotation"
     ))
     scales = np.full((n_rows, 3), np.nan)
-    cond = np.full(n_rows, np.nan)
     if n_rot < 3:
         _record(errors, np.ones(n_rows, dtype=bool), lambda r: ProtocolViolation(
             f"need at least 3 rotation observations to identify 3 scale factors, got {n_rot}"
         ))
-    else:
-        y = np.empty((n_rows, n_rot))
-        y[...] = obs.theta_sq
-        _check_systems(x, y, errors)
-        scale_sq, cond = _solve_systems(x, y, condition_limit, errors)
-        valid = np.array([e is None for e in errors])
-        scales[valid] = np.sqrt(scale_sq[valid])
+        return Fit(biases=biases, scales=scales, condition_numbers=np.full(n_rows, np.nan),
+                   errors=tuple(errors))
+    y = np.empty((n_rows, n_rot))
+    y[...] = obs.theta_sq
+    finite = np.isfinite(x).all(axis=(1, 2)) & np.isfinite(y).all(axis=1)
+    _record(errors, ~finite, lambda r: CalibrationError("linear system entries must be finite"))
+    _record(errors, (y <= 0.0).any(axis=1), lambda r: CalibrationError(
+        "responses are squared reference angles and must be positive"
+    ))
+
+    # One SVD per row gives both the condition number and the least-squares
+    # squared scales. Rows that already failed are solved on zeros.
+    valid = np.array([e is None for e in errors])
+    if not valid.all():
+        x = np.where(valid[:, None, None], x, 0.0)
+    u, sv, vt = np.linalg.svd(x, full_matrices=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = sv[:, 0] / sv[:, -1]
+        # Element-wise sums keep every row's bits independent of the stack.
+        coef = (u * y[:, :, None]).sum(axis=1) / sv
+        scale_sq = (vt * coef[:, :, None]).sum(axis=1)
+    _record(errors, valid & ~(cond <= condition_limit), lambda r: IllConditionedSystem(
+        f"regressor matrix condition number {cond[r]:.3g} exceeds {condition_limit:.3g}; "
+        "the rotation stages look degenerate (for example repeated axes)"
+    ))
+
+    def inconsistent(r: int) -> InconsistentScaleData:
+        bad = ", ".join(
+            f"{AXES[i]}={scale_sq[r, i]:.6g}" for i in range(3) if scale_sq[r, i] <= 0.0
+        )
+        return InconsistentScaleData(
+            f"non-positive squared scale factor ({bad}); "
+            "the data contradicts the positive-scale model"
+        )
+
+    _record(errors, valid & (scale_sq <= 0.0).any(axis=1), inconsistent)
+    fitted = np.array([e is None for e in errors])
+    scales[fitted] = np.sqrt(scale_sq[fitted])
+    cond = np.where(valid, cond, np.nan)
     return Fit(biases=biases, scales=scales, condition_numbers=cond, errors=tuple(errors))
 
 
@@ -333,7 +251,7 @@ def calibrate_nonlinear(
     obs = ObservationArrays.from_stages(static_stage, rotations)
 
     scales = init.scales.copy()
-    biases = init.biases.copy() if fit_biases else estimate_bias(static_stage)
+    biases = init.biases.copy() if fit_biases else -obs.static_means
     n_free = 6 if fit_biases else 3
 
     def unpack(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

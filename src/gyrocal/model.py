@@ -29,7 +29,6 @@ __all__ = [
     "apply_calibration",
     "inverse_calibration",
     "rotation_residuals",
-    "cost",
     "squared_cost",
 ]
 
@@ -48,6 +47,11 @@ def _require_finite(name: str, *values: float) -> None:
     for v in values:
         if not math.isfinite(v):
             raise CalibrationError(f"{name} must be finite, got {v!r}")
+
+
+def _check_sample_rate(sample_rate: float) -> None:
+    if not (math.isfinite(sample_rate) and sample_rate > 0.0):
+        raise CalibrationError(f"sample rate must be finite and positive, got {sample_rate}")
 
 
 @dataclass(frozen=True)
@@ -166,8 +170,7 @@ class StaticObservation:
         arr = np.asarray(samples, dtype=float)
         if arr.ndim != 2 or arr.shape[1] != 3:
             raise CalibrationError(f"expected an (N, 3) sample array, got shape {arr.shape}")
-        if sample_rate <= 0:
-            raise CalibrationError(f"sample rate must be positive, got {sample_rate}")
+        _check_sample_rate(sample_rate)
         n = arr.shape[0]
         if n < 2:
             raise ProtocolViolation(f"static stage needs at least 2 samples, got {n}")
@@ -227,8 +230,7 @@ class RotationObservation:
         arr = np.asarray(samples, dtype=float)
         if arr.ndim != 2 or arr.shape[1] != 3:
             raise CalibrationError(f"expected an (N, 3) sample array, got shape {arr.shape}")
-        if sample_rate <= 0:
-            raise CalibrationError(f"sample rate must be positive, got {sample_rate}")
+        _check_sample_rate(sample_rate)
         n = arr.shape[0]
         sums = arr.sum(axis=0) / sample_rate
         return cls(
@@ -257,8 +259,7 @@ class Session:
             raise ProtocolViolation(
                 f"a session needs at least 3 rotation stages, got {len(self.rotations)}"
             )
-        if not (math.isfinite(self.sample_rate) and self.sample_rate > 0.0):
-            raise CalibrationError(f"sample rate must be positive, got {self.sample_rate}")
+        _check_sample_rate(self.sample_rate)
 
 
 # A NamedTuple rather than a frozen dataclass, as is ``estimator.Fit``:
@@ -277,8 +278,8 @@ class ObservationArrays(NamedTuple):
     - ``durations``, ``theta_sq``: ``(..., n)`` seconds and deg^2; the
       replicate axis may be left out when every replicate shares them
 
-    A view of rotation stages alone, as the cost and gradient functions
-    build it, has None in its three static fields.
+    A view of rotation stages alone, as the residual and gradient
+    functions build it, has None in its three static fields.
     """
 
     static_means: np.ndarray
@@ -307,7 +308,8 @@ class ObservationArrays(NamedTuple):
         With ``S`` the corrected sums, residual i is ``sum_l (k_l S_{l,i})^2
         - theta_i^2`` in deg^2, shape ``(..., n)``. The Jacobian comes as
         ``dr/dk = 2 k S^2`` and ``dr/db = 2 k^2 d S``, each ``(..., n, 3)``.
-        Every cost, gradient and Gauss-Newton step is a reduction of these.
+        The squared cost, every gradient and every Gauss-Newton step are
+        reductions of these.
         """
         k = np.asarray(scales, dtype=float)
         k_sq = k * k
@@ -344,20 +346,12 @@ def rotation_residuals(params: CalibrationParams, rotations: Sequence[RotationOb
     return _turns(rotations).residuals(params.scales, params.biases)[0]
 
 
-def cost(params: CalibrationParams, rotations: Sequence[RotationObservation]) -> float:
-    """Accumulated absolute rotation-magnitude mismatch (deg^2).
-
-    Zero exactly when the parameters reproduce every reference angle.
-    """
-    return float(np.abs(rotation_residuals(params, rotations)).sum())
-
-
 def squared_cost(params: CalibrationParams, rotations: Sequence[RotationObservation]) -> float:
     """Sum of squared rotation residuals (deg^4).
 
-    The smooth variant of :func:`cost`; this is the objective the iterative
-    solver minimizes and the sensitivity analysis differentiates. Both
-    variants vanish together at an exact fit.
+    Zero exactly when the parameters reproduce every reference angle. This
+    is the objective the iterative solver minimizes and the sensitivity
+    analysis differentiates.
     """
     r = rotation_residuals(params, rotations)
     return float(r @ r)

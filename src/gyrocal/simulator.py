@@ -35,9 +35,7 @@ from .model import (
 __all__ = [
     "SimulationConfig",
     "GroundTruth",
-    "SpeedProfile",
     "SimulatedSession",
-    "ReplicateResult",
     "CampaignReport",
     "sample_ground_truth",
     "bezier_profile",
@@ -149,32 +147,6 @@ class GroundTruth:
         object.__setattr__(self, "misalignment", m)
 
 
-@dataclass(frozen=True)
-class SpeedProfile:
-    """One hand-rotation speed trace (deg/s) sampled at the session rate."""
-
-    control_points: tuple[float, float, float, float]
-    duration: float
-    samples: np.ndarray
-
-    def __post_init__(self) -> None:
-        samples = np.asarray(self.samples, dtype=float)
-        if samples.ndim != 1 or samples.size < 2:
-            raise CalibrationError("speed profile needs a 1-d trace of at least 2 samples")
-        if self.duration <= 0.0:
-            raise CalibrationError(f"profile duration must be positive, got {self.duration}")
-        if not np.all(np.isfinite(samples)) or np.any(samples < 0.0):
-            raise CalibrationError("speed profile samples must be finite and non-negative")
-        samples.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
-
-    @property
-    def integrated_angle(self) -> float:
-        """Sample-sum quadrature of the trace, in degrees."""
-        dt = self.duration / self.samples.size
-        return float(self.samples.sum() * dt)
-
-
 def sample_ground_truth(config: SimulationConfig, rng: np.random.Generator) -> GroundTruth:
     """Draw one truth: uniform scales, biases and cross-coupling terms."""
     scales = rng.uniform(*config.scale_range, size=3)
@@ -189,9 +161,9 @@ def sample_ground_truth(config: SimulationConfig, rng: np.random.Generator) -> G
     )
 
 
-def _bezier_samples(ordinates: np.ndarray, config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
+def _bezier_samples(ordinates: np.ndarray, config: SimulationConfig) -> np.ndarray:
     """Speed traces ``(..., n)`` of control ordinates ``(..., 4)``, rescaled
-    to integrate to the turn angle, and their rescale factors ``(...)``."""
+    to integrate to the turn angle."""
     n = config.rotation_samples
     u = (np.arange(n) + 0.5) / n
     v = 1.0 - u
@@ -203,9 +175,8 @@ def _bezier_samples(ordinates: np.ndarray, config: SimulationConfig) -> tuple[np
         + o[..., 3, :] * u ** 3
     )
     dt = config.rotation_duration / n
-    factor = config.rotation_angle / (samples.sum(axis=-1) * dt)
-    samples *= factor[..., None]
-    return samples, factor
+    samples *= (config.rotation_angle / (samples.sum(axis=-1) * dt))[..., None]
+    return samples
 
 
 def _draw_ordinates(rng: np.random.Generator, config: SimulationConfig) -> np.ndarray:
@@ -213,18 +184,9 @@ def _draw_ordinates(rng: np.random.Generator, config: SimulationConfig) -> np.nd
     return rng.uniform(_CONTROL_BAND[0], _CONTROL_BAND[1], size=4) * nominal
 
 
-def _speed_profile(
-    config: SimulationConfig, ordinates: np.ndarray, samples: np.ndarray, factor
-) -> SpeedProfile:
-    return SpeedProfile(
-        control_points=tuple(float(c * factor) for c in ordinates),
-        duration=config.rotation_duration,
-        samples=samples,
-    )
-
-
-def bezier_profile(rng: np.random.Generator, config: SimulationConfig) -> SpeedProfile:
-    """Random cubic Bezier speed curve integrating exactly to the turn angle.
+def bezier_profile(rng: np.random.Generator, config: SimulationConfig) -> np.ndarray:
+    """Random cubic Bezier speed trace (deg/s), ``(n,)`` at the session
+    rate, integrating exactly to the turn angle.
 
     Four control ordinates are drawn around the constant-speed rate, the
     curve is evaluated at interval midpoints, and the whole trace is
@@ -232,8 +194,7 @@ def bezier_profile(rng: np.random.Generator, config: SimulationConfig) -> SpeedP
     within 1e-9 degrees. Positive control points keep the rate positive
     throughout, like a hand turn that never reverses.
     """
-    ordinates = _draw_ordinates(rng, config)
-    return _speed_profile(config, ordinates, *_bezier_samples(ordinates, config))
+    return _bezier_samples(_draw_ordinates(rng, config), config)
 
 
 class _SessionBlock:
@@ -276,8 +237,7 @@ class _SessionBlock:
 
         The sensor reports each true rate through the coupling matrix and
         the inverse model, ``(M @ rate) / k - b``, plus white noise of
-        ``noise_sigma``. Also sets ``profiles`` ``(R, 3, n)`` and their
-        rescale ``factors`` ``(R, 3)``.
+        ``noise_sigma``. Also sets the speed traces ``profiles`` ``(R, 3, n)``.
         """
         size = self.size = len(rngs)
         self._draw(rngs)
@@ -297,7 +257,7 @@ class _SessionBlock:
         # rate is that rate times one column of the coupling matrix. It is
         # built as (R, turn axis, sensor axis, sample), where the element-wise
         # steps run along the samples, then added to the noise transposed.
-        self.profiles, self.factors = _bezier_samples(self.ordinates[:size], self.config)
+        self.profiles = _bezier_samples(self.ordinates[:size], self.config)
         rotation = self.profiles[:, :, None, :] * truth.misalignment.T[:, :, None]
         rotation /= scales[:, None]
         rotation -= biases[:, None]
@@ -332,7 +292,7 @@ class SimulatedSession:
     truth: GroundTruth
     static_raw: np.ndarray
     rotation_raw: tuple[np.ndarray, np.ndarray, np.ndarray]
-    profiles: tuple[SpeedProfile, SpeedProfile, SpeedProfile]
+    profiles: tuple[np.ndarray, np.ndarray, np.ndarray]
     test_rates: np.ndarray
     test_measurements: np.ndarray
 
@@ -364,8 +324,7 @@ def simulate_session(
         truth=truth,
         static_raw=block.static_raw[0],
         rotation_raw=rotation_raw,
-        profiles=tuple(map(_speed_profile, [config] * 3, block.ordinates[0],
-                           block.profiles[0], block.factors[0])),
+        profiles=tuple(block.profiles[0]),
         test_rates=block.test_rates[0],
         test_measurements=block.test_measurements[0],
     )
@@ -374,38 +333,31 @@ def simulate_session(
 _PARAM_NAMES = tuple(f"k_{a}" for a in AXES) + tuple(f"b_{a}" for a in AXES)
 
 
-@dataclass(frozen=True)
-class ReplicateResult:
-    """Outcome of one simulate-then-calibrate replicate."""
-
-    set_index: int
-    replicate_index: int
-    truth: CalibrationParams
-    estimate: CalibrationParams
-    pre_rms: float
-    post_rms: float
-
-    @property
-    def errors(self) -> np.ndarray:
-        """Estimate minus truth, ordered k_x, k_y, k_z, b_x, b_y, b_z."""
-        est = np.concatenate([self.estimate.scales, self.estimate.biases])
-        true = np.concatenate([self.truth.scales, self.truth.biases])
-        return est - true
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CampaignReport:
-    """All replicate outcomes of one Monte-Carlo campaign."""
+    """All replicate outcomes of one Monte-Carlo campaign, as one table
+    with a row per fitted replicate:
+
+    - ``indices`` ``(N, 2)``: set index and replicate index
+    - ``truth``, ``estimate`` ``(N, 6)``: columns k_x, k_y, k_z, b_x, b_y, b_z
+    - ``pre_rms``, ``post_rms`` ``(N,)``: test-set RMS error (deg/s) before
+      and after correction
+
+    ``failures`` holds ``(set index, replicate index, message)`` of every
+    replicate that failed calibration.
+    """
 
     config: SimulationConfig
-    records: tuple[ReplicateResult, ...]
+    indices: np.ndarray
+    truth: np.ndarray
+    estimate: np.ndarray
+    pre_rms: np.ndarray
+    post_rms: np.ndarray
     failures: tuple[tuple[int, int, str], ...]
 
     def parameter_errors(self) -> np.ndarray:
-        """(n_records, 6) error matrix, columns k_x, k_y, k_z, b_x, b_y, b_z."""
-        if not self.records:
-            return np.empty((0, 6))
-        return np.stack([record.errors for record in self.records])
+        """(N, 6) error matrix, estimate minus truth."""
+        return self.estimate - self.truth
 
     def summary(self) -> dict:
         """Quartile digest per parameter plus test-set improvement stats."""
@@ -423,8 +375,7 @@ class CampaignReport:
                 "min": float(values.min()) if values.size else math.nan,
                 "max": float(values.max()) if values.size else math.nan,
             }
-        pre = np.array([r.pre_rms for r in self.records])
-        post = np.array([r.post_rms for r in self.records])
+        pre, post = self.pre_rms, self.post_rms
         improved = float(np.mean(post < pre)) if pre.size else math.nan
         reduction = (
             float(np.median(1.0 - post / pre)) if pre.size else math.nan
@@ -433,7 +384,7 @@ class CampaignReport:
             "noise_sigma": self.config.noise_sigma,
             "n_param_sets": self.config.n_param_sets,
             "n_sims_per_set": self.config.n_sims_per_set,
-            "n_replicates": len(self.records),
+            "n_replicates": len(pre),
             "n_failures": len(self.failures),
             "parameter_errors": per_parameter,
             "test_set": {
@@ -453,19 +404,15 @@ class CampaignReport:
             + [f"err_{n}" for n in _PARAM_NAMES]
             + ["pre_rms", "post_rms"]
         )
+        values = np.column_stack([self.truth, self.estimate, self.parameter_errors(),
+                                  self.pre_rms, self.post_rms])
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(header)
-            for record in self.records:
-                true = np.concatenate([record.truth.scales, record.truth.biases])
-                est = np.concatenate([record.estimate.scales, record.estimate.biases])
-                writer.writerow(
-                    [record.set_index, record.replicate_index]
-                    + [repr(float(v)) for v in true]
-                    + [repr(float(v)) for v in est]
-                    + [repr(float(v)) for v in est - true]
-                    + [repr(record.pre_rms), repr(record.post_rms)]
-                )
+            writer.writerows(
+                [*index, *map(repr, row)]
+                for index, row in zip(self.indices.tolist(), values.tolist())
+            )
 
 
 def _truth_rng(config: SimulationConfig, set_index: int) -> np.random.Generator:
@@ -501,31 +448,30 @@ def run_monte_carlo(config: SimulationConfig) -> CampaignReport:
     (degenerate system, protocol guard) is recorded as a failure and
     skipped; the campaign carries on.
     """
-    records: list[ReplicateResult] = []
+    # Every block's rows in CampaignReport column order; failed rows go at the end.
+    blocks: list[tuple[np.ndarray, ...]] = []
+    fitted: list[bool] = []
     failures: list[tuple[int, int, str]] = []
     guard_sigma = config.noise_sigma if config.noise_sigma > 0.0 else None
     block = _SessionBlock(config, min(REPLICATE_BLOCK, config.n_sims_per_set))
     for set_index in range(config.n_param_sets):
         truth = sample_ground_truth(config, _truth_rng(config, set_index))
+        true_row = np.concatenate([truth.params.scales, truth.params.biases])
         for first in range(0, config.n_sims_per_set, REPLICATE_BLOCK):
             indices = range(first, min(first + REPLICATE_BLOCK, config.n_sims_per_set))
             block.simulate(truth, [_replicate_rng(config, set_index, i) for i in indices])
             fit = fit_batch(block.observations(), noise_sigma=guard_sigma)
             pre, post = _test_set_rms(block, fit)
-            for row, replicate_index in enumerate(indices):
-                try:
-                    estimate = fit.params(row)
-                except CalibrationError as exc:
-                    failures.append((set_index, replicate_index, str(exc)))
-                    continue
-                records.append(
-                    ReplicateResult(
-                        set_index=set_index,
-                        replicate_index=replicate_index,
-                        truth=truth.params,
-                        estimate=estimate,
-                        pre_rms=float(pre[row]),
-                        post_rms=float(post[row]),
-                    )
-                )
-    return CampaignReport(config=config, records=tuple(records), failures=tuple(failures))
+            fitted += [error is None for error in fit.errors]
+            failures += [(set_index, i, str(error))
+                         for i, error in zip(indices, fit.errors) if error is not None]
+            blocks.append((
+                np.column_stack([np.full(len(indices), set_index), indices]),
+                np.tile(true_row, (len(indices), 1)),
+                np.column_stack([fit.scales, fit.biases]),
+                pre,
+                post,
+            ))
+    keep = np.array(fitted)
+    columns = [np.concatenate(column)[keep] for column in zip(*blocks)]
+    return CampaignReport(config, *columns, failures=tuple(failures))

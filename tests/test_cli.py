@@ -8,7 +8,8 @@ import pytest
 
 import gyrocal
 from gyrocal.cli import main
-from gyrocal.estimator import build_linear_system, calibrate
+from gyrocal.estimator import calibrate
+from gyrocal.model import ObservationArrays
 from gyrocal.session_io import SessionLog, write_session_log
 from gyrocal.simulator import SimulationConfig, sample_ground_truth, simulate_session
 
@@ -91,8 +92,9 @@ class TestCalibrate:
         assert diag["device"] == "bench"
         assert diag["saturated_samples"] >= 0
         assert len(diag["rotations"]) == 3
-        system = build_linear_system(sim.session.rotations, expected.biases)
-        assert diag["condition_number"] == pytest.approx(np.linalg.cond(system.regressors),
+        obs = ObservationArrays.from_stages(sim.session.static_stage, sim.session.rotations)
+        corrected = obs.corrected_sums(expected.biases)
+        assert diag["condition_number"] == pytest.approx(np.linalg.cond(corrected * corrected),
                                                          rel=1e-12)
 
     def test_out_flag_writes_file(self, session_log_path, tmp_path, capsys):

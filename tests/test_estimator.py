@@ -8,13 +8,9 @@ from gyrocal.estimator import (
     _residuals_and_jacobian,
     IllConditionedSystem,
     InconsistentScaleData,
-    LinearSystem,
-    build_linear_system,
     calibrate,
     calibrate_nonlinear,
-    estimate_bias,
     fit_batch,
-    solve_scale,
 )
 from gyrocal.model import (
     CalibrationError,
@@ -55,60 +51,80 @@ def exact_session(scales, biases, duration=5.0):
     return Session(static_stage=static, rotations=tuple(rotations), sample_rate=100.0)
 
 
+def axis_session(sums_per_turn, static_means=(0.0, 0.0, 0.0), duration=5.0):
+    """A session from explicit turn sums, every stage ``duration`` seconds long."""
+    static = make_static(static_means, duration=duration)
+    rotations = tuple(make_rotation(sums, duration=duration) for sums in sums_per_turn)
+    return Session(static_stage=static, rotations=rotations, sample_rate=100.0)
+
+
+def inconsistent_session(static):
+    """Regressor rows (1, 1, 0), (1, 2, 0), (0, 0, 1) and responses (10, 5, 1),
+    in units of 360^2: the least-squares squared scale on y is negative."""
+    return Session(
+        static_stage=static,
+        rotations=(make_rotation([ANGLE, ANGLE, 0.0], theta=ANGLE * np.sqrt(10.0)),
+                   make_rotation([ANGLE, ANGLE * np.sqrt(2.0), 0.0], theta=ANGLE * np.sqrt(5.0)),
+                   make_rotation([0.0, 0.0, ANGLE])),
+        sample_rate=100.0)
+
+
 class TestEstimateBias:
+    """The biases calibrate takes from the still stage."""
+
     def test_negated_means(self):
-        static = make_static([1.5, -2.0, 0.25])
-        np.testing.assert_allclose(estimate_bias(static), [-1.5, 2.0, -0.25])
+        session = axis_session(np.eye(3) * ANGLE, static_means=[1.5, -2.0, 0.25])
+        np.testing.assert_allclose(calibrate(session).biases, [-1.5, 2.0, -0.25])
 
 
 class TestLinearSystem:
+    """The scale regression fit_batch builds: one row per turn, the squared
+    bias-corrected integrated angles as regressors."""
+
     def test_bias_shift_enters_regressor(self):
-        # (360 + 3.0 * 0.5)^2 = 130682.25 on the x column
-        rot = make_rotation([360.0, 0.0, 0.0], duration=3.0, n=300)
-        system = build_linear_system([rot] * 3, [0.5, 0.0, 0.0])
-        np.testing.assert_allclose(system.regressors[0], [130682.25, 0.0, 0.0])
-        np.testing.assert_allclose(system.responses, [129600.0] * 3)
+        # bias 0.5 on x over 3 s stages: the x turn's corrected sum is
+        # 360 + 3.0 * 0.5 = 361.5, and the y and z turns' raw -1.5 on x
+        # corrects to 0, so the regression is diagonal
+        session = axis_session([[360.0, 0.0, 0.0], [-1.5, 360.0, 0.0], [-1.5, 0.0, 360.0]],
+                               static_means=[-0.5, 0.0, 0.0], duration=3.0)
+        est = calibrate(session)
+        np.testing.assert_allclose(est.biases, [0.5, 0.0, 0.0])
+        np.testing.assert_allclose(est.scales, [360.0 / 361.5, 1.0, 1.0], rtol=1e-12)
+        assert est.condition_number == pytest.approx(361.5 ** 2 / 360.0 ** 2, rel=1e-12)
 
     def test_requires_three_rotations(self):
-        rot = make_rotation([360.0, 0.0, 0.0])
-        with pytest.raises(ProtocolViolation):
-            build_linear_system([rot, rot], np.zeros(3))
+        session = axis_session(np.eye(3) * ANGLE)
+        fit = fit_batch(ObservationArrays.from_stages(session.static_stage,
+                                                      session.rotations[:2]))
+        assert isinstance(fit.errors[0], ProtocolViolation)
+        assert "need at least 3 rotation observations" in str(fit.errors[0])
+        assert np.all(np.isnan(fit.scales))
 
     def test_accepts_redundant_rotations(self):
-        rot = make_rotation([360.0, 0.0, 0.0])
-        side = make_rotation([0.0, 360.0, 0.0])
-        up = make_rotation([0.0, 0.0, 360.0])
-        system = build_linear_system([rot, side, up, rot], np.zeros(3))
-        assert system.regressors.shape == (4, 3)
-
-    def test_rejects_negative_regressors(self):
-        with pytest.raises(CalibrationError):
-            LinearSystem(np.array([[-1.0, 0.0, 0.0]] * 3), np.full(3, 100.0))
+        turns = np.eye(3) * ANGLE
+        est = calibrate(axis_session([turns[0], turns[1], turns[2], turns[0]]))
+        np.testing.assert_allclose(est.scales, [1.0, 1.0, 1.0], rtol=1e-12)
 
 
 class TestSolveScale:
+    """Solving the regression for the scale factors, through calibrate."""
+
     def test_diagonal_known_values(self):
         # pure per-axis rotations: k_l = theta / S_l
-        x = np.diag([(ANGLE / 1.2) ** 2, (ANGLE / 0.8) ** 2, ANGLE ** 2])
-        system = LinearSystem(x, np.full(3, ANGLE ** 2))
-        np.testing.assert_allclose(solve_scale(system), [1.2, 0.8, 1.0])
+        session = axis_session(np.diag([ANGLE / 1.2, ANGLE / 0.8, ANGLE]))
+        np.testing.assert_allclose(calibrate(session).scales, [1.2, 0.8, 1.0])
 
     def test_condition_guard(self):
-        # two rotations about the same axis: rank-deficient
-        x = np.array([[360.0 ** 2, 0.0, 0.0],
-                      [360.0 ** 2, 0.0, 0.0],
-                      [0.0, 360.0 ** 2, 0.0]])
-        with pytest.raises(IllConditionedSystem):
-            solve_scale(LinearSystem(x, np.full(3, 360.0 ** 2)))
+        # the diagonal regressors above have condition number
+        # (1.2 / 0.8)^2 = 2.25; the limit rejects the fit just below it
+        session = axis_session(np.diag([ANGLE / 1.2, ANGLE / 0.8, ANGLE]))
+        assert calibrate(session, condition_limit=2.26).condition_number == pytest.approx(2.25)
+        with pytest.raises(IllConditionedSystem, match="condition number 2.25 exceeds 2.24"):
+            calibrate(session, condition_limit=2.24)
 
     def test_negative_square_reported_not_clamped(self):
-        # responses force a negative least-squares coefficient
-        x = np.array([[1.0, 1.0, 0.0],
-                      [1.0, 2.0, 0.0],
-                      [0.0, 0.0, 1.0]])
-        y = np.array([10.0, 5.0, 1.0])
         with pytest.raises(InconsistentScaleData) as info:
-            solve_scale(LinearSystem(x, y))
+            calibrate(inconsistent_session(make_static([0.0, 0.0, 0.0])))
         assert "non-positive" in str(info.value)
 
 
@@ -275,15 +291,7 @@ class TestFitBatch:
         degenerate = Session(static_stage=quiet,
                              rotations=(same, same, make_rotation([0.0, 360.0, 0.0])),
                              sample_rate=100.0)
-        # x rows (1, 1, 0), (1, 2, 0), (0, 0, 1) and y (10, 5, 1), in units
-        # of 360^2, force a negative squared scale on y
-        inconsistent = Session(
-            static_stage=quiet,
-            rotations=(make_rotation([360.0, 360.0, 0.0], theta=360.0 * np.sqrt(10.0)),
-                       make_rotation([360.0, 360.0 * np.sqrt(2.0), 0.0],
-                                     theta=360.0 * np.sqrt(5.0)),
-                       make_rotation([0.0, 0.0, 360.0])),
-            sample_rate=100.0)
+        inconsistent = inconsistent_session(quiet)
         overflow = Session(static_stage=quiet,
                            rotations=tuple(make_rotation([1e200, 0.0, 0.0]) for _ in range(3)),
                            sample_rate=100.0)
@@ -317,9 +325,10 @@ class TestFitBatch:
     def test_condition_number_matches_numpy(self):
         session = exact_session([1.15, 0.85, 1.02], [2.0, -3.5, 0.75])
         fit = fit_batch(ObservationArrays.from_stages(session.static_stage, session.rotations))
-        system = build_linear_system(session.rotations, estimate_bias(session.static_stage))
-        np.testing.assert_allclose(fit.condition_numbers[0], np.linalg.cond(system.regressors),
-                                   rtol=1e-12)
+        obs = ObservationArrays.from_stages(session.static_stage, session.rotations)
+        corrected = obs.corrected_sums(-obs.static_means)
+        np.testing.assert_allclose(fit.condition_numbers[0],
+                                   np.linalg.cond(corrected * corrected), rtol=1e-12)
         assert calibrate(session).condition_number == fit.condition_numbers[0]
 
     def test_condition_number_missing_when_a_guard_trips_first(self):

@@ -93,14 +93,15 @@ class TestBezierProfile:
         config = SimulationConfig()
         rng = np.random.default_rng(31)
         for _ in range(1000):
-            profile = bezier_profile(rng, config)
-            assert abs(profile.integrated_angle - 360.0) < 1e-9
+            trace = bezier_profile(rng, config)
+            integrated = trace.sum() * config.rotation_duration / trace.size
+            assert abs(integrated - 360.0) < 1e-9
 
     def test_rates_stay_positive(self):
         config = SimulationConfig()
         rng = np.random.default_rng(5)
         for _ in range(100):
-            assert np.all(bezier_profile(rng, config).samples > 0.0)
+            assert np.all(bezier_profile(rng, config) > 0.0)
 
     def test_flat_control_points_give_constant_rate(self):
         config = SimulationConfig()
@@ -109,15 +110,14 @@ class TestBezierProfile:
             def uniform(self, low, high, size=None):
                 return np.full(size, 1.3) if size else 1.3
 
-        profile = bezier_profile(FlatRng(), config)
-        np.testing.assert_allclose(profile.samples, 72.0, rtol=1e-12)
+        trace = bezier_profile(FlatRng(), config)
+        np.testing.assert_allclose(trace, 72.0, rtol=1e-12)
 
     def test_seed_reproducibility(self):
         config = SimulationConfig()
         a = bezier_profile(np.random.default_rng(9), config)
         b = bezier_profile(np.random.default_rng(9), config)
-        np.testing.assert_array_equal(a.samples, b.samples)
-        assert a.control_points == b.control_points
+        np.testing.assert_array_equal(a, b)
 
 
 class TestSimulateSession:
@@ -177,7 +177,7 @@ class TestRunMonteCarlo:
         config = SimulationConfig(rotation_angle=0.5, rng_seed=2, **QUICK)
         report = run_monte_carlo(config)
         assert len(report.failures) == 6
-        assert not report.records
+        assert report.indices.shape == (0, 2) and report.estimate.shape == (0, 6)
         summary = report.summary()
         assert summary["n_failures"] == 6
         assert np.isnan(summary["parameter_errors"]["k_x"]["median"])
@@ -199,11 +199,10 @@ class TestRunMonteCarlo:
         report = run_monte_carlo(config)
         assert not report.failures
         factor = 1.0 / np.sqrt(1.0 + 2.0 * c ** 2)
-        for record in report.records:
-            np.testing.assert_allclose(
-                record.estimate.scales, record.truth.scales * factor, rtol=1e-9)
-            np.testing.assert_allclose(
-                record.estimate.biases, record.truth.biases, atol=1e-9)
+        assert len(report.estimate) == 3
+        np.testing.assert_allclose(
+            report.estimate[:, :3], report.truth[:, :3] * factor, rtol=1e-9)
+        np.testing.assert_allclose(report.estimate[:, 3:], report.truth[:, 3:], atol=1e-9)
 
     def test_csv_export_round_trips(self, tmp_path):
         import csv
@@ -214,10 +213,9 @@ class TestRunMonteCarlo:
         report.write_replicates_csv(path)
         with open(path, newline="") as handle:
             rows = list(csv.DictReader(handle))
-        assert len(rows) == len(report.records)
-        first = report.records[0]
-        assert float(rows[0]["est_k_x"]) == first.estimate.k_x
-        assert float(rows[0]["pre_rms"]) == first.pre_rms
+        assert len(rows) == len(report.indices)
+        assert float(rows[0]["est_k_x"]) == report.estimate[0, 0]
+        assert float(rows[0]["pre_rms"]) == report.pre_rms[0]
 
 
 def _single_session_outcome(truth, config, set_index, replicate_index):
@@ -237,9 +235,9 @@ def _single_session_outcome(truth, config, set_index, replicate_index):
 
 def _assert_campaign_matches_single_sessions(config):
     report = run_monte_carlo(config)
-    records = {(r.set_index, r.replicate_index): r for r in report.records}
+    rows = {tuple(index): row for row, index in enumerate(report.indices.tolist())}
     failures = {(s, r): message for s, r, message in report.failures}
-    assert len(records) + len(failures) == config.n_param_sets * config.n_sims_per_set
+    assert len(rows) + len(failures) == config.n_param_sets * config.n_sims_per_set
     for set_index in range(config.n_param_sets):
         truth = sample_ground_truth(config, _truth_rng(config, set_index))
         for replicate_index in range(config.n_sims_per_set):
@@ -249,10 +247,12 @@ def _assert_campaign_matches_single_sessions(config):
                 assert failures[key] == expected
                 continue
             estimate, pre, post = expected
-            record = records[key]
-            assert record.estimate == estimate  # bitwise float equality
-            assert record.pre_rms == pre
-            assert record.post_rms == post
+            row = rows[key]
+            # bitwise float equality
+            assert report.truth[row].tolist() == [*truth.params.scales, *truth.params.biases]
+            assert report.estimate[row].tolist() == [*estimate.scales, *estimate.biases]
+            assert report.pre_rms[row] == pre
+            assert report.post_rms[row] == post
     return report
 
 
@@ -287,7 +287,7 @@ class TestCampaignMatchesSingleSessions:
         config = SimulationConfig(noise_sigma=0.03, rng_seed=6, n_param_sets=2,
                                   n_sims_per_set=2 * REPLICATE_BLOCK + 1, n_test_rates=40)
         report = _assert_campaign_matches_single_sessions(config)
-        assert report.failures and report.records
+        assert report.failures and len(report.indices)
         assert all("static stage shows motion" in f[2] for f in report.failures)
 
     @pytest.mark.parametrize("block", [1, 3, 16])
@@ -296,4 +296,7 @@ class TestCampaignMatchesSingleSessions:
                                   n_sims_per_set=7, n_test_rates=40)
         reference = run_monte_carlo(config)
         monkeypatch.setattr(simulator, "REPLICATE_BLOCK", block)
-        assert run_monte_carlo(config).records == reference.records
+        report = run_monte_carlo(config)
+        for column in ("indices", "truth", "estimate", "pre_rms", "post_rms"):
+            np.testing.assert_array_equal(getattr(report, column), getattr(reference, column))
+        assert report.failures == reference.failures
