@@ -78,6 +78,15 @@ class TestSimulate:
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 1
         assert "noise_sgima" in capsys.readouterr().err
 
+    def test_nonfinite_noise_sigma_fails(self, tmp_path, capsys):
+        config = tmp_path / "nan.yaml"
+        config.write_text("noise_sigma: .nan\nn_param_sets: 1\nn_sims_per_set: 1\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "bad simulation config" in err and "noise_sigma must be finite" in err
+        assert not out.exists()
+
 
 class TestCalibrate:
     def test_json_output_matches_library(self, session_log_path, capsys):

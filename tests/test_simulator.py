@@ -38,6 +38,22 @@ class TestSimulationConfig:
         with pytest.raises(CalibrationError):
             SimulationConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", [
+        "noise_sigma", "sample_rate", "static_duration", "rotation_duration",
+        "rotation_angle", "n_param_sets", "n_sims_per_set", "n_test_rates", "rng_seed",
+    ])
+    def test_nonfinite_settings_rejected(self, field, value):
+        with pytest.raises(CalibrationError) as info:
+            SimulationConfig(**{field: value})
+        assert str(info.value).startswith(f"{field} must be finite")
+
+    def test_huge_integer_seed_accepted(self):
+        # An int is always finite, even one too large to convert to a float.
+        config = SimulationConfig(rng_seed=2 ** 1100, n_param_sets=1, n_sims_per_set=1,
+                                  n_test_rates=5)
+        assert len(run_monte_carlo(config).indices) == 1
+
     def test_from_mapping_round_trip(self):
         config = SimulationConfig.from_mapping({
             "noise_sigma": 0.15,
@@ -256,26 +272,38 @@ def _assert_campaign_matches_single_sessions(config):
     return report
 
 
+def _straddling_blocks(config, block):
+    """The (set, replicate) keys of each block of ``block`` flat rows that
+    holds rows of more than one truth set."""
+    keys = [(s, r) for s in range(config.n_param_sets) for r in range(config.n_sims_per_set)]
+    chunks = (keys[i:i + block] for i in range(0, len(keys), block))
+    return [chunk for chunk in chunks if len({s for s, _ in chunk}) > 1]
+
+
 class TestCampaignMatchesSingleSessions:
     """Blocked campaign replicates equal ``calibrate(simulate_session(...))``
-    bit for bit; five replicates per set leave a partial block."""
+    bit for bit, however the blocks fall across truth sets. Cross-coupling
+    is on unless a test says otherwise, so every truth set, and with it
+    every row of a block that spans sets, has its own coupling matrix."""
 
     @pytest.mark.parametrize("seed", [0, 7, 19])
     def test_seeds_with_cross_coupling(self, seed):
-        config = SimulationConfig(rng_seed=seed, noise_sigma=0.15, n_param_sets=2,
-                                  n_sims_per_set=REPLICATE_BLOCK + 1, n_test_rates=40)
+        # 3 x 7 rows: the first block spans all three sets, the last is partial.
+        config = SimulationConfig(rng_seed=seed, noise_sigma=0.15, n_param_sets=3,
+                                  n_sims_per_set=7, n_test_rates=40)
+        assert _straddling_blocks(config, REPLICATE_BLOCK)
         report = _assert_campaign_matches_single_sessions(config)
         assert not report.failures
 
     def test_noiseless(self):
         config = SimulationConfig(rng_seed=4, noise_sigma=0.0, n_param_sets=2,
-                                  n_sims_per_set=2 * REPLICATE_BLOCK + 3, n_test_rates=40)
+                                  n_sims_per_set=11, n_test_rates=40)
         report = _assert_campaign_matches_single_sessions(config)
         assert not report.failures
 
     def test_motion_guard_failures(self):
         config = SimulationConfig(rotation_angle=0.5, rng_seed=2, n_param_sets=2,
-                                  n_sims_per_set=REPLICATE_BLOCK + 2, n_test_rates=40)
+                                  n_sims_per_set=6, n_test_rates=40)
         report = _assert_campaign_matches_single_sessions(config)
         assert len(report.failures) == 12
         assert "no usable rotation" in report.failures[0][2]
@@ -285,18 +313,53 @@ class TestCampaignMatchesSingleSessions:
         # half the time, so blocks mix failed and fitted replicates.
         monkeypatch.setattr(estimator, "STILLNESS_STD_FACTOR", 1.0)
         config = SimulationConfig(noise_sigma=0.03, rng_seed=6, n_param_sets=2,
-                                  n_sims_per_set=2 * REPLICATE_BLOCK + 1, n_test_rates=40)
+                                  n_sims_per_set=9, n_test_rates=40)
         report = _assert_campaign_matches_single_sessions(config)
         assert report.failures and len(report.indices)
         assert all("static stage shows motion" in f[2] for f in report.failures)
 
-    @pytest.mark.parametrize("block", [1, 3, 16])
-    def test_block_size_never_changes_results(self, monkeypatch, block):
-        config = SimulationConfig(rng_seed=12, noise_sigma=0.03, n_param_sets=2,
-                                  n_sims_per_set=7, n_test_rates=40)
-        reference = run_monte_carlo(config)
+    @pytest.mark.parametrize("per_set", [4, 7])
+    @pytest.mark.parametrize("block", [1, 3, 5, 16])
+    def test_blocks_across_truth_sets(self, monkeypatch, block, per_set):
+        # 3 sets: at every size but 1 some block spans two sets, and with
+        # per_set 7 the last block is partial at every size but 1.
         monkeypatch.setattr(simulator, "REPLICATE_BLOCK", block)
-        report = run_monte_carlo(config)
-        for column in ("indices", "truth", "estimate", "pre_rms", "post_rms"):
-            np.testing.assert_array_equal(getattr(report, column), getattr(reference, column))
-        assert report.failures == reference.failures
+        config = SimulationConfig(rng_seed=30 + block, noise_sigma=0.15, n_param_sets=3,
+                                  n_sims_per_set=per_set, n_test_rates=40)
+        assert bool(_straddling_blocks(config, block)) == (block > 1)
+        report = _assert_campaign_matches_single_sessions(config)
+        assert not report.failures
+
+    @pytest.mark.parametrize("block", [3, 5, 16])
+    def test_mixed_failures_across_set_boundaries(self, monkeypatch, block):
+        # At 1.03 noise sigmas the stillness guard rejects about half the
+        # replicates.
+        monkeypatch.setattr(estimator, "STILLNESS_STD_FACTOR", 1.03)
+        monkeypatch.setattr(simulator, "REPLICATE_BLOCK", block)
+        config = SimulationConfig(noise_sigma=0.03, rng_seed=6, n_param_sets=3,
+                                  n_sims_per_set=7, n_test_rates=40)
+        report = _assert_campaign_matches_single_sessions(config)
+        failed = {(s, r) for s, r, _ in report.failures}
+        # Some block spans two sets and holds both failed and fitted rows.
+        assert any(0 < sum(key in failed for key in chunk) < len(chunk)
+                   for chunk in _straddling_blocks(config, block))
+
+    @pytest.mark.parametrize("block", [1, 3, 5, 16])
+    def test_block_size_never_changes_results(self, monkeypatch, block):
+        # Reference blocks of 2; per_set 4 and 7 put the set boundaries at
+        # different places in the blocks, and a stillness factor of 1.03
+        # mixes failed and fitted rows.
+        for per_set in (4, 7):
+            for stillness in (estimator.STILLNESS_STD_FACTOR, 1.03):
+                monkeypatch.setattr(estimator, "STILLNESS_STD_FACTOR", stillness)
+                config = SimulationConfig(rng_seed=12, noise_sigma=0.03, n_param_sets=3,
+                                          n_sims_per_set=per_set, n_test_rates=40)
+                monkeypatch.setattr(simulator, "REPLICATE_BLOCK", 2)
+                reference = run_monte_carlo(config)
+                monkeypatch.setattr(simulator, "REPLICATE_BLOCK", block)
+                report = run_monte_carlo(config)
+                for column in ("indices", "truth", "estimate", "pre_rms", "post_rms"):
+                    np.testing.assert_array_equal(getattr(report, column),
+                                                  getattr(reference, column))
+                assert report.failures == reference.failures
+                assert len(report.indices) + len(report.failures) == 3 * per_set
