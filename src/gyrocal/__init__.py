@@ -14,7 +14,6 @@ from .model import (
     ObservationArrays,
     ProtocolViolation,
     RotationObservation,
-    Session,
     StaticObservation,
     apply_calibration,
     inverse_calibration,
@@ -73,7 +72,6 @@ __all__ = [
     "ObservationArrays",
     "ProtocolViolation",
     "RotationObservation",
-    "Session",
     "StaticObservation",
     "apply_calibration",
     "inverse_calibration",

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import doe, observability
 from .estimator import MOTION_THRESHOLD_DEG, calibrate
-from .model import AXES, CalibrationError, ObservationArrays
+from .model import AXES, CalibrationError
 from .session_io import read_session_log
 from .simulator import SimulationConfig, run_monte_carlo
 
@@ -93,17 +93,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def _calibration_payload(args: argparse.Namespace) -> dict:
     log = read_session_log(args.log)
-    session = log.session()
+    obs = log.session()
     params = calibrate(
-        session,
+        obs,
         noise_sigma=args.noise_sigma,
         motion_threshold=args.motion_threshold,
     )
-    stds = session.static_stage.stds
-    corrected_sums = ObservationArrays.from_stages(
-        session.static_stage, session.rotations).corrected_sums(params.biases)
+    stds = obs.static_stds
     rotations = []
-    for tag, corrected in zip(log.rotation_axes, corrected_sums):
+    for tag, corrected in zip(log.rotation_axes, obs.corrected_sums(params.biases)):
         rotations.append(
             {
                 "axis_tag": tag,

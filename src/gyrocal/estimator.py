@@ -11,7 +11,7 @@ independent cross-check of the closed form.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,9 +21,6 @@ from .model import (
     CalibrationParams,
     ObservationArrays,
     ProtocolViolation,
-    RotationObservation,
-    Session,
-    StaticObservation,
 )
 
 __all__ = [
@@ -37,7 +34,7 @@ __all__ = [
 ]
 
 #: Condition numbers above this signal a degenerate protocol run
-#: (for example two rotations about the same axis).
+#: (for example two rotations about the same axis). Read at call time.
 CONDITION_LIMIT = 1e8
 
 #: A rotation stage whose bias-corrected integrated motion stays below
@@ -47,6 +44,12 @@ MOTION_THRESHOLD_DEG = 10.0
 #: The static stage is rejected when a per-axis sample standard deviation
 #: exceeds this multiple of the configured noise level.
 STILLNESS_STD_FACTOR = 5.0
+
+#: The Gauss-Newton solver stops once a step improves the squared cost by
+#: less than this fraction, or moves no free parameter by more than
+#: ``STEP_TOLERANCE``.
+RESIDUAL_TOLERANCE = 1e-10
+STEP_TOLERANCE = 1e-12
 
 
 class IllConditionedSystem(CalibrationError):
@@ -96,7 +99,6 @@ def fit_batch(
     *,
     noise_sigma: float | None = None,
     motion_threshold: float = MOTION_THRESHOLD_DEG,
-    condition_limit: float = CONDITION_LIMIT,
 ) -> Fit:
     """Closed-form calibration of every session of an observation stack.
 
@@ -156,8 +158,8 @@ def fit_batch(
         # Element-wise sums keep every row's bits independent of the stack.
         coef = (u * y[:, :, None]).sum(axis=1) / sv
         scale_sq = (vt * coef[:, :, None]).sum(axis=1)
-    _record(errors, valid & ~(cond <= condition_limit), lambda r: IllConditionedSystem(
-        f"regressor matrix condition number {cond[r]:.3g} exceeds {condition_limit:.3g}; "
+    _record(errors, valid & ~(cond <= CONDITION_LIMIT), lambda r: IllConditionedSystem(
+        f"regressor matrix condition number {cond[r]:.3g} exceeds {CONDITION_LIMIT:.3g}; "
         "the rotation stages look degenerate (for example repeated axes)"
     ))
 
@@ -177,12 +179,19 @@ def fit_batch(
     return Fit(biases=biases, scales=scales, condition_numbers=cond, errors=tuple(errors))
 
 
+def _single_session(obs: ObservationArrays) -> None:
+    if np.shape(obs.static_means) != (3,):
+        raise CalibrationError(
+            "expected the view of one session with a static stage, got static means "
+            f"of shape {np.shape(obs.static_means)}"
+        )
+
+
 def calibrate(
-    session: Session,
+    obs: ObservationArrays,
     *,
     noise_sigma: float | None = None,
     motion_threshold: float = MOTION_THRESHOLD_DEG,
-    condition_limit: float = CONDITION_LIMIT,
 ) -> CalibrationParams:
     """Closed-form calibration of one session: :func:`fit_batch` of a
     stack of one, raising its error. The result carries the condition
@@ -192,14 +201,11 @@ def calibrate(
     is rejected when any per-axis sample standard deviation exceeds
     ``STILLNESS_STD_FACTOR`` times this value, so motion cannot leak into
     the bias estimate. ``motion_threshold`` (degrees) rejects sessions in
-    which every rotation stage integrates to almost no motion.
+    which every rotation stage integrates to almost no motion. A stacked
+    view is rejected rather than fitted on its first row.
     """
-    return fit_batch(
-        ObservationArrays.from_stages(session.static_stage, session.rotations),
-        noise_sigma=noise_sigma,
-        motion_threshold=motion_threshold,
-        condition_limit=condition_limit,
-    ).params()
+    _single_session(obs)
+    return fit_batch(obs, noise_sigma=noise_sigma, motion_threshold=motion_threshold).params()
 
 
 def _residuals_and_jacobian(
@@ -224,14 +230,11 @@ def _residuals_and_jacobian(
 
 
 def calibrate_nonlinear(
-    rotations: Sequence[RotationObservation],
-    static_stage: StaticObservation,
+    obs: ObservationArrays,
     init: CalibrationParams,
     *,
     fit_biases: bool = True,
     max_iterations: int = 200,
-    residual_tolerance: float = 1e-10,
-    step_tolerance: float = 1e-12,
 ) -> CalibrationParams:
     """Gauss-Newton reference solution over the same observations.
 
@@ -242,13 +245,14 @@ def calibrate_nonlinear(
     estimate and only the scales are optimized. Steps are halved whenever
     the residual would increase or a scale factor would leave the
     positive domain. Convergence requires the relative residual
-    improvement or the step size to fall below the tolerances.
+    improvement or the step size to fall below ``RESIDUAL_TOLERANCE`` or
+    ``STEP_TOLERANCE``. Like :func:`calibrate`, it takes one session and
+    rejects a stacked view.
     """
-    if len(rotations) < 3:
-        raise ProtocolViolation(
-            f"need at least 3 rotation observations, got {len(rotations)}"
-        )
-    obs = ObservationArrays.from_stages(static_stage, rotations)
+    _single_session(obs)
+    n_rot = obs.sums.shape[-2]
+    if n_rot < 3:
+        raise ProtocolViolation(f"need at least 3 rotation observations, got {n_rot}")
 
     scales = init.scales.copy()
     biases = init.biases.copy() if fit_biases else -obs.static_means
@@ -299,8 +303,8 @@ def calibrate_nonlinear(
         previous, current = current, candidate_cost
         if (
             current < 1e-18
-            or improvement <= residual_tolerance * max(previous, 1e-30)
-            or step_size < step_tolerance
+            or improvement <= RESIDUAL_TOLERANCE * max(previous, 1e-30)
+            or step_size < STEP_TOLERANCE
         ):
             k, b = unpack(x)
             return CalibrationParams.from_arrays(k, b)

@@ -24,7 +24,6 @@ __all__ = [
     "CalibrationParams",
     "StaticObservation",
     "RotationObservation",
-    "Session",
     "ObservationArrays",
     "apply_calibration",
     "inverse_calibration",
@@ -245,23 +244,6 @@ class RotationObservation:
         return np.array([self.sum_x, self.sum_y, self.sum_z])
 
 
-@dataclass(frozen=True)
-class Session:
-    """One complete protocol run: a stationary stage then >= 3 rotations."""
-
-    static_stage: StaticObservation
-    rotations: tuple[RotationObservation, ...]
-    sample_rate: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rotations", tuple(self.rotations))
-        if len(self.rotations) < 3:
-            raise ProtocolViolation(
-                f"a session needs at least 3 rotation stages, got {len(self.rotations)}"
-            )
-        _check_sample_rate(self.sample_rate)
-
-
 # A NamedTuple rather than a frozen dataclass, as is ``estimator.Fit``:
 # both are built when ``gyrocal calibrate`` imports the package, and a
 # dataclass takes over a millisecond to build.
@@ -278,8 +260,9 @@ class ObservationArrays(NamedTuple):
     - ``durations``, ``theta_sq``: ``(..., n)`` seconds and deg^2; the
       replicate axis may be left out when every replicate shares them
 
-    A view of rotation stages alone, as the residual and gradient
-    functions build it, has None in its three static fields.
+    This is the session type: log reading and the simulator produce it,
+    and the solvers, residuals and gradients take it. A view of rotation
+    stages alone has None in its three static fields.
     """
 
     static_means: np.ndarray
@@ -291,10 +274,22 @@ class ObservationArrays(NamedTuple):
 
     @classmethod
     def from_stages(
-        cls, static_stage: StaticObservation, rotations: Sequence[RotationObservation]
+        cls,
+        static_stage: StaticObservation | None,
+        rotations: Sequence[RotationObservation],
     ) -> "ObservationArrays":
-        return cls(static_stage.means, static_stage.stds, static_stage.duration,
-                   *_turn_arrays(rotations))
+        """View of one session's stage records; with no static stage, a
+        view of the rotation stages alone."""
+        if len(rotations) == 0:
+            raise CalibrationError("at least one rotation observation is required")
+        static = (None, None, None) if static_stage is None else (
+            static_stage.means, static_stage.stds, static_stage.duration)
+        return cls(
+            *static,
+            np.array([[r.sum_x, r.sum_y, r.sum_z] for r in rotations]),
+            np.array([r.duration for r in rotations]),
+            np.array([r.theta_total ** 2 for r in rotations]),
+        )
 
     def corrected_sums(self, biases) -> np.ndarray:
         """Bias-corrected integrated angles ``sums + durations * biases``,
@@ -319,39 +314,22 @@ class ObservationArrays(NamedTuple):
         return r, 2.0 * k * s_sq, 2.0 * k_sq * s * self.durations[..., None]
 
 
-def _turn_arrays(rotations: Sequence[RotationObservation]) -> tuple[np.ndarray, ...]:
-    """Sums, durations and squared reference angles of rotation stages."""
-    return (
-        np.array([[r.sum_x, r.sum_y, r.sum_z] for r in rotations]).reshape(-1, 3),
-        np.array([r.duration for r in rotations]),
-        np.array([r.theta_total ** 2 for r in rotations]),
-    )
-
-
-def _turns(rotations: Sequence[RotationObservation]) -> ObservationArrays:
-    """View of rotation stages alone, for the functions that take no static
-    stage."""
-    if len(rotations) == 0:
-        raise CalibrationError("at least one rotation observation is required")
-    return ObservationArrays(None, None, None, *_turn_arrays(rotations))
-
-
-def rotation_residuals(params: CalibrationParams, rotations: Sequence[RotationObservation]) -> np.ndarray:
+def rotation_residuals(params: CalibrationParams, obs: ObservationArrays) -> np.ndarray:
     """Per-rotation mismatch between the modelled and the reference squared
     rotation magnitude, in deg^2.
 
     The modelled value is ``sum_l (k_l * S_l)^2`` with S the bias-corrected
     integrated angle on axis l.
     """
-    return _turns(rotations).residuals(params.scales, params.biases)[0]
+    return obs.residuals(params.scales, params.biases)[0]
 
 
-def squared_cost(params: CalibrationParams, rotations: Sequence[RotationObservation]) -> float:
+def squared_cost(params: CalibrationParams, obs: ObservationArrays) -> float:
     """Sum of squared rotation residuals (deg^4).
 
     Zero exactly when the parameters reproduce every reference angle. This
     is the objective the iterative solver minimizes and the sensitivity
     analysis differentiates.
     """
-    r = rotation_residuals(params, rotations)
+    r = rotation_residuals(params, obs)
     return float(r @ r)

@@ -8,21 +8,20 @@ reduction of the one rotation-residual Jacobian,
 differentiate the smooth squared-residual cost and therefore agree with
 numerical differentiation. ``model_term_grad_scale`` and
 ``model_term_grad_bias`` differentiate only the model prediction (the
-squared integrated angle), which drops the residual weighting; they are
-the simpler diagnostic numbers reported by the command-line tools.
+squared integrated angle), which drops the residual weighting; the
+resting-sensor check of ``gyrocal verify --suite observability`` uses
+them.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
 from .model import (
     CalibrationError,
     CalibrationParams,
+    ObservationArrays,
     RotationObservation,
-    _turns,
     squared_cost,
 )
 
@@ -39,33 +38,21 @@ __all__ = [
 N_GRADIENT_CONFIGS = 100
 
 
-def _jacobian(
-    nominal: CalibrationParams, rotations: Sequence[RotationObservation]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return _turns(rotations).residuals(nominal.scales, nominal.biases)
-
-
-def grad_scale(
-    nominal: CalibrationParams, rotations: Sequence[RotationObservation]
-) -> np.ndarray:
+def grad_scale(nominal: CalibrationParams, obs: ObservationArrays) -> np.ndarray:
     """Gradient of the squared-residual cost in the three scale factors,
     ``2 J_k^T r``."""
-    r, dr_dk, _ = _jacobian(nominal, rotations)
+    r, dr_dk, _ = obs.residuals(nominal.scales, nominal.biases)
     return 2.0 * (r @ dr_dk)
 
 
-def grad_bias(
-    nominal: CalibrationParams, rotations: Sequence[RotationObservation]
-) -> np.ndarray:
+def grad_bias(nominal: CalibrationParams, obs: ObservationArrays) -> np.ndarray:
     """Gradient of the squared-residual cost in the three biases,
     ``2 J_b^T r``."""
-    r, _, dr_db = _jacobian(nominal, rotations)
+    r, _, dr_db = obs.residuals(nominal.scales, nominal.biases)
     return 2.0 * (r @ dr_db)
 
 
-def model_term_grad_scale(
-    nominal: CalibrationParams, rotations: Sequence[RotationObservation]
-) -> np.ndarray:
+def model_term_grad_scale(nominal: CalibrationParams, obs: ObservationArrays) -> np.ndarray:
     """Derivative of the predicted squared angle in each scale factor.
 
     Per axis: 2 k_l sum_i S_{l,i}^2, the column sums of ``J_k``. Grows
@@ -73,24 +60,22 @@ def model_term_grad_scale(
     sensor never moved and the nominal bias is zero, so a resting sensor
     cannot reveal its scale.
     """
-    return _jacobian(nominal, rotations)[1].sum(axis=0)
+    return obs.residuals(nominal.scales, nominal.biases)[1].sum(axis=0)
 
 
-def model_term_grad_bias(
-    nominal: CalibrationParams, rotations: Sequence[RotationObservation]
-) -> np.ndarray:
+def model_term_grad_bias(nominal: CalibrationParams, obs: ObservationArrays) -> np.ndarray:
     """Derivative of the predicted squared angle in each bias.
 
     Per axis: 2 k_l^2 sum_i d_i S_{l,i}, the column sums of ``J_b``. Stays
     nonzero for a resting sensor with nonzero nominal bias, so stationary
     data still constrains the bias.
     """
-    return _jacobian(nominal, rotations)[2].sum(axis=0)
+    return obs.residuals(nominal.scales, nominal.biases)[2].sum(axis=0)
 
 
 def finite_difference_grad(
     nominal: CalibrationParams,
-    rotations: Sequence[RotationObservation],
+    obs: ObservationArrays,
     step: float = 1e-5,
 ) -> np.ndarray:
     """Central-difference gradient of the squared-residual cost.
@@ -105,7 +90,7 @@ def finite_difference_grad(
 
     def cost_at(vec: np.ndarray) -> float:
         params = CalibrationParams.from_arrays(vec[:3], vec[3:])
-        return squared_cost(params, rotations)
+        return squared_cost(params, obs)
 
     grad = np.empty(6)
     for j in range(6):
@@ -129,17 +114,18 @@ def property_checks(rng: np.random.Generator) -> list[tuple[bool, str]]:
     for _ in range(N_GRADIENT_CONFIGS):
         nominal = CalibrationParams.from_arrays(
             rng.uniform(0.8, 1.2, 3), rng.uniform(-5.0, 5.0, 3))
-        rotations = [
+        obs = ObservationArrays.from_stages(None, [
             RotationObservation(*rng.uniform(-400.0, 400.0, 3),
                                 theta_total=rng.uniform(300.0, 400.0),
                                 n_samples=500, duration=5.0)
             for _ in range(3)
-        ]
-        analytic = np.concatenate([grad_scale(nominal, rotations), grad_bias(nominal, rotations)])
-        numeric = finite_difference_grad(nominal, rotations, step=1e-5)
+        ])
+        analytic = np.concatenate([grad_scale(nominal, obs), grad_bias(nominal, obs)])
+        numeric = finite_difference_grad(nominal, obs, step=1e-5)
         denom = max(1.0, float(np.max(np.abs(analytic))))
         worst_rel = max(worst_rel, float(np.max(np.abs(analytic - numeric))) / denom)
-    still = [RotationObservation(0.0, 0.0, 0.0, theta_total=360.0, n_samples=300, duration=3.0)]
+    still = ObservationArrays.from_stages(
+        None, [RotationObservation(0.0, 0.0, 0.0, theta_total=360.0, n_samples=300, duration=3.0)])
     zero_bias = CalibrationParams(1.1, 0.9, 1.0, 0.0, 0.0, 0.0)
     with_bias = CalibrationParams(1.1, 0.9, 1.0, 2.0, -3.0, 0.5)
     return [

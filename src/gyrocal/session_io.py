@@ -16,9 +16,9 @@ import numpy as np
 
 from .model import (
     CalibrationError,
+    ObservationArrays,
     ProtocolViolation,
     RotationObservation,
-    Session,
     StaticObservation,
 )
 
@@ -163,8 +163,8 @@ class SessionLog:
             count += int(np.sum(np.any(np.abs(seg.samples) >= self.full_scale, axis=1)))
         return count
 
-    def session(self) -> Session:
-        """Build the in-memory observation set the estimator consumes."""
+    def session(self) -> ObservationArrays:
+        """Build the in-memory observation view the estimator consumes."""
         static = StaticObservation.from_samples(self.static_segment.samples, self.sample_rate)
         rotations = tuple(
             RotationObservation.from_samples(
@@ -172,7 +172,7 @@ class SessionLog:
             )
             for seg in self.rotation_segments
         )
-        return Session(static_stage=static, rotations=rotations, sample_rate=self.sample_rate)
+        return ObservationArrays.from_stages(static, rotations)
 
 
 def _parse_header_value(key: str, value: str, line_number: int):

@@ -28,7 +28,6 @@ from .model import (
     CalibrationParams,
     ObservationArrays,
     RotationObservation,
-    Session,
     StaticObservation,
 )
 
@@ -193,8 +192,8 @@ def _bezier_samples(
     term: np.ndarray,
 ) -> np.ndarray:
     """Fill ``out`` ``(..., n)`` with the speed traces of control
-    ordinates ``(..., 4)``, rescaled to integrate to the turn angle, and
-    return it. The terms are summed in curve order, ``o0 v³ + 3 o1 u v² +
+    ordinates ``(..., 4)``, rescaled so that each trace's sum times the
+    sample period ``1 / sample_rate`` is the turn angle, and return it. The terms are summed in curve order, ``o0 v³ + 3 o1 u v² +
     3 o2 u² v + o3 u³``; ``term`` is scratch of the same shape as ``out``."""
     u, v, v3, v2, u2, u3 = basis
     o = ordinates[..., None]
@@ -207,7 +206,7 @@ def _bezier_samples(
     out += term
     np.multiply(o[..., 3, :], u3, out=term)
     out += term
-    dt = config.rotation_duration / len(u)
+    dt = 1.0 / config.sample_rate
     out *= (config.rotation_angle / (out.sum(axis=-1) * dt))[..., None]
     return out
 
@@ -223,8 +222,12 @@ def bezier_profile(rng: np.random.Generator, config: SimulationConfig) -> np.nda
 
     Four control ordinates are drawn around the constant-speed rate, the
     curve is evaluated at interval midpoints, and the whole trace is
-    rescaled so its sample-sum quadrature lands on ``rotation_angle`` to
-    within 1e-9 degrees. Positive control points keep the rate positive
+    rescaled so that its sum times the sample period ``1 / sample_rate``,
+    the integral the sensor's stage summary takes, lands on
+    ``rotation_angle`` to within 1e-9 degrees. With
+    ``rotation_duration * sample_rate`` not a whole number the trace
+    lasts ``rotation_samples / sample_rate`` seconds, not exactly
+    ``rotation_duration``. Positive control points keep the rate positive
     throughout, like a hand turn that never reverses.
     """
     n = config.rotation_samples
@@ -367,7 +370,7 @@ class _SessionBlock:
 class SimulatedSession:
     """One synthetic protocol run plus its held-out test set."""
 
-    session: Session
+    session: ObservationArrays
     truth: GroundTruth
     static_raw: np.ndarray
     rotation_raw: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -396,11 +399,8 @@ def simulate_session(
         for raw in rotation_raw
     )
     return SimulatedSession(
-        session=Session(
-            static_stage=StaticObservation.from_samples(block.static_raw[0], rate),
-            rotations=rotations,
-            sample_rate=rate,
-        ),
+        session=ObservationArrays.from_stages(
+            StaticObservation.from_samples(block.static_raw[0], rate), rotations),
         truth=truth,
         static_raw=block.static_raw[0],
         rotation_raw=rotation_raw,

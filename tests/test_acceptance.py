@@ -151,8 +151,7 @@ def test_criterion_7_solver_equivalence(capsys):
         truth = sample_ground_truth(config, rng)
         session = simulate_session(truth, config, rng).session
         closed = calibrate(session)
-        iterated = calibrate_nonlinear(session.rotations, session.static_stage,
-                                       CalibrationParams.identity())
+        iterated = calibrate_nonlinear(session, CalibrationParams.identity())
         worst_clean = max(worst_clean, float(np.max(np.abs(
             np.concatenate([iterated.scales - closed.scales,
                             iterated.biases - closed.biases])))))
@@ -167,8 +166,7 @@ def test_criterion_7_solver_equivalence(capsys):
         truth = sample_ground_truth(noisy_config, noisy_rng)
         session = simulate_session(truth, noisy_config, noisy_rng).session
         closed = calibrate(session)
-        iterated = calibrate_nonlinear(session.rotations, session.static_stage,
-                                       CalibrationParams.identity())
+        iterated = calibrate_nonlinear(session, CalibrationParams.identity())
         worst_noisy = max(worst_noisy, float(np.max(np.abs(
             np.concatenate([iterated.scales - closed.scales,
                             iterated.biases - closed.biases])))))

@@ -9,7 +9,6 @@ import pytest
 import gyrocal
 from gyrocal.cli import main
 from gyrocal.estimator import calibrate
-from gyrocal.model import ObservationArrays
 from gyrocal.session_io import SessionLog, write_session_log
 from gyrocal.simulator import SimulationConfig, sample_ground_truth, simulate_session
 
@@ -101,8 +100,7 @@ class TestCalibrate:
         assert diag["device"] == "bench"
         assert diag["saturated_samples"] >= 0
         assert len(diag["rotations"]) == 3
-        obs = ObservationArrays.from_stages(sim.session.static_stage, sim.session.rotations)
-        corrected = obs.corrected_sums(expected.biases)
+        corrected = sim.session.corrected_sums(expected.biases)
         assert diag["condition_number"] == pytest.approx(np.linalg.cond(corrected * corrected),
                                                          rel=1e-12)
 

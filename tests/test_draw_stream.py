@@ -16,7 +16,14 @@ import hashlib
 import numpy as np
 import pytest
 
-from gyrocal import SimulationConfig, run_monte_carlo, sample_ground_truth, simulate_session
+from gyrocal import (
+    SessionLog,
+    SimulationConfig,
+    run_monte_carlo,
+    sample_ground_truth,
+    simulate_session,
+    write_session_log,
+)
 from gyrocal.cli import main
 from gyrocal.simulator import _replicate_rng, _truth_rng
 
@@ -93,3 +100,28 @@ def test_simulate_output_bytes_are_pinned(tmp_path):
     assert main(["simulate", "--config", str(config), "--seed", "17", "--out", str(out)]) == 0
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert got == SIMULATE_OUTPUT_PINS
+
+
+# sha256 of the JSON ``gyrocal calibrate`` prints for the session log the
+# demo script writes (its seed and noise level), recorded with numpy 2.4
+# like the pins above. They cover the session summaries, the closed form,
+# the condition number and the CLI's diagnostics.
+CALIBRATE_OUTPUT_PINS = {
+    (2024, 0.15): "214fbd78fe921159262ddb0ced62277686a816d5562c323638a0586c0de03366",
+    (7, 0.03): "051a81e18aad913397a952fc072bdb916d6d7f2026dff1e0d4a34b16711062b1",
+}
+
+
+@pytest.mark.parametrize("seed,sigma", sorted(CALIBRATE_OUTPUT_PINS))
+def test_calibrate_output_bytes_are_pinned(tmp_path, capsys, seed, sigma):
+    config = SimulationConfig(noise_sigma=sigma, rng_seed=seed)
+    rng = np.random.default_rng(seed)
+    truth = sample_ground_truth(config, rng)
+    sim = simulate_session(truth, config, rng)
+    log = tmp_path / "session.csv"
+    write_session_log(log, SessionLog.from_arrays(
+        sim.static_raw, list(sim.rotation_raw), config.sample_rate,
+        rotation_angle=config.rotation_angle, full_scale=245.0, device="bench unit 1"))
+    assert main(["calibrate", str(log), "--noise-sigma", repr(sigma)]) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == CALIBRATE_OUTPUT_PINS[(seed, sigma)]

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gyrocal import estimator
 from gyrocal.estimator import (
     ConvergenceFailure,
     _residuals_and_jacobian,
@@ -18,7 +19,6 @@ from gyrocal.model import (
     ObservationArrays,
     ProtocolViolation,
     RotationObservation,
-    Session,
     StaticObservation,
 )
 
@@ -38,8 +38,9 @@ def make_rotation(sums, theta=ANGLE, duration=5.0, n=500):
                                n_samples=n, duration=duration)
 
 
-def exact_session(scales, biases, duration=5.0):
-    """Noiseless observations a sensor with the given truth would produce."""
+def exact_stages(scales, biases, duration=5.0):
+    """Noiseless stage records a sensor with the given truth would produce:
+    the static stage and the three turns."""
     k = np.asarray(scales, dtype=float)
     b = np.asarray(biases, dtype=float)
     static = make_static(-b)
@@ -48,25 +49,29 @@ def exact_session(scales, biases, duration=5.0):
         sums = -duration * b
         sums[axis] += ANGLE / k[axis]
         rotations.append(make_rotation(sums, duration=duration))
-    return Session(static_stage=static, rotations=tuple(rotations), sample_rate=100.0)
+    return static, rotations
+
+
+def exact_session(scales, biases, duration=5.0):
+    """The view of ``exact_stages``."""
+    return ObservationArrays.from_stages(*exact_stages(scales, biases, duration))
 
 
 def axis_session(sums_per_turn, static_means=(0.0, 0.0, 0.0), duration=5.0):
     """A session from explicit turn sums, every stage ``duration`` seconds long."""
     static = make_static(static_means, duration=duration)
-    rotations = tuple(make_rotation(sums, duration=duration) for sums in sums_per_turn)
-    return Session(static_stage=static, rotations=rotations, sample_rate=100.0)
+    rotations = [make_rotation(sums, duration=duration) for sums in sums_per_turn]
+    return ObservationArrays.from_stages(static, rotations)
 
 
 def inconsistent_session(static):
     """Regressor rows (1, 1, 0), (1, 2, 0), (0, 0, 1) and responses (10, 5, 1),
     in units of 360^2: the least-squares squared scale on y is negative."""
-    return Session(
-        static_stage=static,
-        rotations=(make_rotation([ANGLE, ANGLE, 0.0], theta=ANGLE * np.sqrt(10.0)),
-                   make_rotation([ANGLE, ANGLE * np.sqrt(2.0), 0.0], theta=ANGLE * np.sqrt(5.0)),
-                   make_rotation([0.0, 0.0, ANGLE])),
-        sample_rate=100.0)
+    return ObservationArrays.from_stages(
+        static,
+        [make_rotation([ANGLE, ANGLE, 0.0], theta=ANGLE * np.sqrt(10.0)),
+         make_rotation([ANGLE, ANGLE * np.sqrt(2.0), 0.0], theta=ANGLE * np.sqrt(5.0)),
+         make_rotation([0.0, 0.0, ANGLE])])
 
 
 class TestEstimateBias:
@@ -93,9 +98,7 @@ class TestLinearSystem:
         assert est.condition_number == pytest.approx(361.5 ** 2 / 360.0 ** 2, rel=1e-12)
 
     def test_requires_three_rotations(self):
-        session = axis_session(np.eye(3) * ANGLE)
-        fit = fit_batch(ObservationArrays.from_stages(session.static_stage,
-                                                      session.rotations[:2]))
+        fit = fit_batch(axis_session(np.eye(3)[:2] * ANGLE))
         assert isinstance(fit.errors[0], ProtocolViolation)
         assert "need at least 3 rotation observations" in str(fit.errors[0])
         assert np.all(np.isnan(fit.scales))
@@ -114,13 +117,15 @@ class TestSolveScale:
         session = axis_session(np.diag([ANGLE / 1.2, ANGLE / 0.8, ANGLE]))
         np.testing.assert_allclose(calibrate(session).scales, [1.2, 0.8, 1.0])
 
-    def test_condition_guard(self):
+    def test_condition_guard(self, monkeypatch):
         # the diagonal regressors above have condition number
         # (1.2 / 0.8)^2 = 2.25; the limit rejects the fit just below it
         session = axis_session(np.diag([ANGLE / 1.2, ANGLE / 0.8, ANGLE]))
-        assert calibrate(session, condition_limit=2.26).condition_number == pytest.approx(2.25)
+        monkeypatch.setattr(estimator, "CONDITION_LIMIT", 2.26)
+        assert calibrate(session).condition_number == pytest.approx(2.25)
+        monkeypatch.setattr(estimator, "CONDITION_LIMIT", 2.24)
         with pytest.raises(IllConditionedSystem, match="condition number 2.25 exceeds 2.24"):
-            calibrate(session, condition_limit=2.24)
+            calibrate(session)
 
     def test_negative_square_reported_not_clamped(self):
         with pytest.raises(InconsistentScaleData) as info:
@@ -141,26 +146,23 @@ class TestCalibrate:
         np.testing.assert_allclose(est.biases, biases, atol=1e-9)
 
     def test_stillness_guard_fires(self):
-        session = exact_session([1.0, 1.0, 1.0], [0.0, 0.0, 0.0])
+        _, rotations = exact_stages([1.0, 1.0, 1.0], [0.0, 0.0, 0.0])
         moved = make_static([0.0, 0.0, 0.0], stds=[2.0, 0.0, 0.0])
-        noisy = Session(static_stage=moved, rotations=session.rotations,
-                        sample_rate=100.0)
+        noisy = ObservationArrays.from_stages(moved, rotations)
         with pytest.raises(ProtocolViolation) as info:
             calibrate(noisy, noise_sigma=0.15)
         assert "static" in str(info.value)
 
     def test_stillness_guard_off_by_default(self):
-        session = exact_session([1.0, 1.0, 1.0], [0.0, 0.0, 0.0])
+        _, rotations = exact_stages([1.0, 1.0, 1.0], [0.0, 0.0, 0.0])
         moved = make_static([0.0, 0.0, 0.0], stds=[2.0, 0.0, 0.0])
-        noisy = Session(static_stage=moved, rotations=session.rotations,
-                        sample_rate=100.0)
+        noisy = ObservationArrays.from_stages(moved, rotations)
         calibrate(noisy)  # no sigma given, guard stays quiet
 
     def test_motion_guard_fires_when_nothing_rotates(self):
         static = make_static([0.0, 0.0, 0.0])
         still = [make_rotation([1e-4, 0.0, 0.0]) for _ in range(3)]
-        session = Session(static_stage=static, rotations=tuple(still),
-                          sample_rate=100.0)
+        session = ObservationArrays.from_stages(static, still)
         with pytest.raises(ProtocolViolation) as info:
             calibrate(session)
         assert "rotation" in str(info.value)
@@ -174,15 +176,13 @@ class TestCalibrate:
         with pytest.raises(CalibrationError, match=guard):
             calibrate(session, **{guard: value})
         with pytest.raises(CalibrationError, match=guard):
-            fit_batch(ObservationArrays.from_stages(session.static_stage, session.rotations),
-                      **{guard: value})
+            fit_batch(session, **{guard: value})
 
     def test_degenerate_axes_rejected(self):
         static = make_static([0.0, 0.0, 0.0])
         same = make_rotation([360.0, 0.0, 0.0])
-        session = Session(static_stage=static,
-                          rotations=(same, same, make_rotation([0.0, 360.0, 0.0])),
-                          sample_rate=100.0)
+        session = ObservationArrays.from_stages(
+            static, [same, same, make_rotation([0.0, 360.0, 0.0])])
         with pytest.raises(IllConditionedSystem):
             calibrate(session)
 
@@ -191,47 +191,39 @@ class TestCalibrateNonlinear:
     def test_matches_closed_form_noiseless(self):
         session = exact_session([1.15, 0.85, 1.02], [2.0, -3.5, 0.75])
         closed = calibrate(session)
-        iterated = calibrate_nonlinear(
-            session.rotations, session.static_stage, CalibrationParams.identity())
+        iterated = calibrate_nonlinear(session, CalibrationParams.identity())
         np.testing.assert_allclose(iterated.scales, closed.scales, atol=1e-9)
         np.testing.assert_allclose(iterated.biases, closed.biases, atol=1e-9)
 
     def test_matches_closed_form_on_perturbed_data(self):
         # hand-perturbed sums stand in for measurement noise
         rng = np.random.default_rng(42)
-        session = exact_session([1.1, 0.9, 1.0], [1.0, -1.0, 0.5])
+        static, exact = exact_stages([1.1, 0.9, 1.0], [1.0, -1.0, 0.5])
         rotations = []
-        for rot in session.rotations:
+        for rot in exact:
             jitter = rng.normal(0.0, 0.05, size=3)
             rotations.append(make_rotation(rot.sums + jitter))
-        closed = calibrate(
-            Session(static_stage=session.static_stage, rotations=tuple(rotations),
-                    sample_rate=100.0))
-        iterated = calibrate_nonlinear(
-            rotations, session.static_stage, CalibrationParams.identity())
+        session = ObservationArrays.from_stages(static, rotations)
+        closed = calibrate(session)
+        iterated = calibrate_nonlinear(session, CalibrationParams.identity())
         np.testing.assert_allclose(iterated.scales, closed.scales, atol=1e-8)
         np.testing.assert_allclose(iterated.biases, closed.biases, atol=1e-8)
 
     def test_scales_only_mode_keeps_biases_fixed(self):
         session = exact_session([1.1, 0.9, 1.0], [1.0, -1.0, 0.5])
-        est = calibrate_nonlinear(
-            session.rotations, session.static_stage,
-            CalibrationParams.identity(), fit_biases=False)
+        est = calibrate_nonlinear(session, CalibrationParams.identity(), fit_biases=False)
         np.testing.assert_allclose(est.biases, [1.0, -1.0, 0.5], atol=1e-12)
         np.testing.assert_allclose(est.scales, [1.1, 0.9, 1.0], atol=1e-9)
 
     def test_exhausted_iterations_reported(self):
         session = exact_session([1.1, 0.9, 1.0], [1.0, -1.0, 0.5])
         with pytest.raises(ConvergenceFailure):
-            calibrate_nonlinear(
-                session.rotations, session.static_stage,
-                CalibrationParams.identity(), max_iterations=0)
+            calibrate_nonlinear(session, CalibrationParams.identity(), max_iterations=0)
 
     def test_start_at_solution_returns_immediately(self):
         session = exact_session([1.1, 0.9, 1.0], [1.0, -1.0, 0.5])
         truth = CalibrationParams(1.1, 0.9, 1.0, 1.0, -1.0, 0.5)
-        est = calibrate_nonlinear(session.rotations, session.static_stage,
-                                  truth, max_iterations=1)
+        est = calibrate_nonlinear(session, truth, max_iterations=1)
         np.testing.assert_allclose(est.scales, truth.scales, atol=1e-12)
 
     @pytest.mark.parametrize("fit_biases", [True, False])
@@ -260,14 +252,13 @@ class TestCalibrateNonlinear:
                                    atol=1e-9 * np.max(np.abs(jacobian)))
 
     def test_needs_three_rotations(self):
-        session = exact_session([1.0, 1.0, 1.0], [0.0, 0.0, 0.0])
+        static, rotations = exact_stages([1.0, 1.0, 1.0], [0.0, 0.0, 0.0])
         with pytest.raises(ProtocolViolation):
-            calibrate_nonlinear(session.rotations[:2], session.static_stage,
+            calibrate_nonlinear(ObservationArrays.from_stages(static, rotations[:2]),
                                 CalibrationParams.identity())
 
 
-def _stack(sessions):
-    views = [ObservationArrays.from_stages(s.static_stage, s.rotations) for s in sessions]
+def _stack(views):
     return ObservationArrays(
         static_means=np.stack([v.static_means for v in views]),
         static_stds=np.stack([v.static_stds for v in views]),
@@ -280,24 +271,20 @@ def _stack(sessions):
 
 class TestFitBatch:
     def sessions(self):
-        good = exact_session([1.15, 0.85, 1.02], [2.0, -3.5, 0.75])
+        _, good = exact_stages([1.15, 0.85, 1.02], [2.0, -3.5, 0.75])
         quiet = make_static([0.0, 0.0, 0.0], stds=[0.01, 0.01, 0.01])
-        moved = Session(static_stage=make_static([0.0, 0.0, 0.0], stds=[0.01, 2.0, 0.5]),
-                        rotations=good.rotations, sample_rate=100.0)
-        still = Session(static_stage=quiet,
-                        rotations=tuple(make_rotation([1e-4, 0.0, 0.0]) for _ in range(3)),
-                        sample_rate=100.0)
+        moved = ObservationArrays.from_stages(
+            make_static([0.0, 0.0, 0.0], stds=[0.01, 2.0, 0.5]), good)
+        still = ObservationArrays.from_stages(
+            quiet, [make_rotation([1e-4, 0.0, 0.0]) for _ in range(3)])
         same = make_rotation([360.0, 0.0, 0.0])
-        degenerate = Session(static_stage=quiet,
-                             rotations=(same, same, make_rotation([0.0, 360.0, 0.0])),
-                             sample_rate=100.0)
+        degenerate = ObservationArrays.from_stages(
+            quiet, [same, same, make_rotation([0.0, 360.0, 0.0])])
         inconsistent = inconsistent_session(quiet)
-        overflow = Session(static_stage=quiet,
-                           rotations=tuple(make_rotation([1e200, 0.0, 0.0]) for _ in range(3)),
-                           sample_rate=100.0)
-        good_stds = Session(static_stage=make_static(-np.array([2.0, -3.5, 0.75]),
-                                                     stds=[0.1, 0.1, 0.1]),
-                            rotations=good.rotations, sample_rate=100.0)
+        overflow = ObservationArrays.from_stages(
+            quiet, [make_rotation([1e200, 0.0, 0.0]) for _ in range(3)])
+        good_stds = ObservationArrays.from_stages(
+            make_static(-np.array([2.0, -3.5, 0.75]), stds=[0.1, 0.1, 0.1]), good)
         return [good_stds, moved, still, degenerate, inconsistent, overflow]
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -324,9 +311,8 @@ class TestFitBatch:
 
     def test_condition_number_matches_numpy(self):
         session = exact_session([1.15, 0.85, 1.02], [2.0, -3.5, 0.75])
-        fit = fit_batch(ObservationArrays.from_stages(session.static_stage, session.rotations))
-        obs = ObservationArrays.from_stages(session.static_stage, session.rotations)
-        corrected = obs.corrected_sums(-obs.static_means)
+        fit = fit_batch(session)
+        corrected = session.corrected_sums(-session.static_means)
         np.testing.assert_allclose(fit.condition_numbers[0],
                                    np.linalg.cond(corrected * corrected), rtol=1e-12)
         assert calibrate(session).condition_number == fit.condition_numbers[0]
@@ -339,6 +325,17 @@ class TestFitBatch:
 
     def test_unstacked_view_is_a_stack_of_one(self):
         session = exact_session([1.1, 0.9, 1.0], [1.0, -1.0, 0.5])
-        fit = fit_batch(ObservationArrays.from_stages(session.static_stage, session.rotations))
+        fit = fit_batch(session)
         assert fit.scales.shape == (1, 3)
         assert fit.params() == calibrate(session)
+
+
+def test_single_session_solvers_reject_a_stack():
+    # a stack of two must not be fitted on its first row
+    session = exact_session([1.1, 0.9, 1.0], [1.0, -1.0, 0.5])
+    stack = _stack([session, session])
+    with pytest.raises(CalibrationError, match=r"shape \(2, 3\)"):
+        calibrate(stack)
+    with pytest.raises(CalibrationError, match=r"shape \(2, 3\)"):
+        calibrate_nonlinear(stack, CalibrationParams.identity())
+    assert fit_batch(stack).params(1) == calibrate(session)

@@ -11,19 +11,13 @@ from gyrocal.model import (
     ObservationArrays,
     ProtocolViolation,
     RotationObservation,
-    Session,
     StaticObservation,
     apply_calibration,
     inverse_calibration,
     rotation_residuals,
     squared_cost,
 )
-from gyrocal.observability import (
-    grad_bias,
-    grad_scale,
-    model_term_grad_bias,
-    model_term_grad_scale,
-)
+from gyrocal.estimator import calibrate
 
 finite_bias = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 positive_scale = st.floats(min_value=0.8, max_value=1.2, allow_nan=False)
@@ -151,14 +145,14 @@ class TestSession:
 
     def test_requires_three_rotations(self):
         static = StaticObservation(0.0, 0.0, 0.0, n_samples=300, duration=3.0)
-        with pytest.raises(ProtocolViolation):
-            Session(static_stage=static, rotations=(self._rotation(),), sample_rate=100.0)
+        with pytest.raises(ProtocolViolation, match="at least 3 rotation"):
+            calibrate(ObservationArrays.from_stages(static, [self._rotation()]))
 
 
 class TestCostFunctions:
     def _single_rotation(self, sums, theta=360.0):
-        return [RotationObservation(sums[0], sums[1], sums[2], theta_total=theta,
-                                    n_samples=500, duration=5.0)]
+        return ObservationArrays.from_stages(None, [RotationObservation(
+            sums[0], sums[1], sums[2], theta_total=theta, n_samples=500, duration=5.0)])
 
     def test_residual_known_value(self):
         # 180^2 - 360^2 = -97200 with identity parameters
@@ -178,10 +172,12 @@ class TestCostFunctions:
             rotation_residuals(p, rots), [(2.0 * 180.0) ** 2 - 360.0 ** 2])
 
     def test_empty_rotation_list_rejected(self):
-        for func in (rotation_residuals, grad_scale, grad_bias,
-                     model_term_grad_scale, model_term_grad_bias):
-            with pytest.raises(CalibrationError):
-                func(CalibrationParams.identity(), [])
+        # the residuals and gradients take a view, and the one helper that
+        # builds a view from stage records refuses an empty list
+        static = StaticObservation(0.0, 0.0, 0.0, n_samples=300, duration=3.0)
+        for stage in (None, static):
+            with pytest.raises(CalibrationError, match="at least one rotation"):
+                ObservationArrays.from_stages(stage, [])
 
     @given(params_strategy())
     @settings(max_examples=25)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gyrocal.model import CalibrationError, CalibrationParams, RotationObservation
+from gyrocal.model import CalibrationError, CalibrationParams, ObservationArrays, RotationObservation
 from gyrocal.observability import (
     finite_difference_grad,
     grad_bias,
@@ -16,6 +16,11 @@ from gyrocal.observability import (
 def rotation(sums, theta=360.0, duration=5.0, n=500):
     return RotationObservation(sums[0], sums[1], sums[2], theta_total=theta,
                                n_samples=n, duration=duration)
+
+
+def turns(*rotations):
+    """The view of rotation stages alone."""
+    return ObservationArrays.from_stages(None, rotations)
 
 
 def still_observation(theta=360.0):
@@ -33,10 +38,10 @@ def consistent_turn(axis, magnitude):
 def random_setup(rng):
     nominal = CalibrationParams.from_arrays(
         rng.uniform(0.8, 1.2, 3), rng.uniform(-5.0, 5.0, 3))
-    rotations = [
+    rotations = turns(*(
         rotation(rng.uniform(-400.0, 400.0, 3), theta=rng.uniform(300.0, 400.0))
         for _ in range(3)
-    ]
+    ))
     return nominal, rotations
 
 
@@ -69,7 +74,7 @@ class TestFiniteDifferenceAgreement:
 
     def test_zero_at_consistent_optimum(self):
         nominal = CalibrationParams.identity()
-        rotations = [consistent_turn(axis, 360.0) for axis in range(3)]
+        rotations = turns(*(consistent_turn(axis, 360.0) for axis in range(3)))
         at_optimum = finite_difference_grad(nominal, rotations)
         nearby = finite_difference_grad(
             CalibrationParams(1.01, 1.0, 1.0, 0.0, 0.0, 0.0), rotations)
@@ -82,19 +87,19 @@ class TestFiniteDifferenceAgreement:
     def test_step_must_be_positive(self):
         with pytest.raises(CalibrationError):
             finite_difference_grad(CalibrationParams.identity(),
-                                   [still_observation()], step=0.0)
+                                   turns(still_observation()), step=0.0)
 
 
 class TestStaticClaims:
     def test_resting_zero_bias_hides_scale(self):
         nominal = CalibrationParams(1.1, 0.9, 1.0, 0.0, 0.0, 0.0)
-        still = [still_observation()]
+        still = turns(still_observation())
         assert np.all(grad_scale(nominal, still) == 0.0)
         assert np.all(model_term_grad_scale(nominal, still) == 0.0)
 
     def test_resting_nonzero_bias_keeps_bias_observable(self):
         nominal = CalibrationParams(1.1, 0.9, 1.0, 2.0, -3.0, 0.5)
-        still = [still_observation()]
+        still = turns(still_observation())
         assert np.all(grad_bias(nominal, still) != 0.0)
         assert np.all(model_term_grad_bias(nominal, still) != 0.0)
 
@@ -103,13 +108,13 @@ class TestModelTermForms:
     def test_scale_form_known_value(self):
         # single x turn, unit scales, zero bias: 2 * 360^2 on x
         nominal = CalibrationParams.identity()
-        value = model_term_grad_scale(nominal, [rotation([360.0, 0.0, 0.0])])
+        value = model_term_grad_scale(nominal, turns(rotation([360.0, 0.0, 0.0])))
         np.testing.assert_allclose(value, [2.0 * 360.0 ** 2, 0.0, 0.0])
 
     def test_bias_form_known_value(self):
         # 2 k^2 d S with d=5, S=360: 3600 on x
         nominal = CalibrationParams.identity()
-        value = model_term_grad_bias(nominal, [rotation([360.0, 0.0, 0.0])])
+        value = model_term_grad_bias(nominal, turns(rotation([360.0, 0.0, 0.0])))
         np.testing.assert_allclose(value, [3600.0, 0.0, 0.0])
 
     @given(st.floats(min_value=10.0, max_value=300.0),
@@ -117,8 +122,8 @@ class TestModelTermForms:
     @settings(max_examples=40)
     def test_scale_sensitivity_grows_with_turn_magnitude(self, magnitude, factor):
         nominal = CalibrationParams(1.05, 1.0, 1.0, 0.0, 0.0, 0.0)
-        small = model_term_grad_scale(nominal, [consistent_turn(0, magnitude)])
-        large = model_term_grad_scale(nominal, [consistent_turn(0, magnitude * factor)])
+        small = model_term_grad_scale(nominal, turns(consistent_turn(0, magnitude)))
+        large = model_term_grad_scale(nominal, turns(consistent_turn(0, magnitude * factor)))
         assert abs(large[0]) >= abs(small[0])
 
     @given(st.floats(min_value=10.0, max_value=300.0),
@@ -127,24 +132,24 @@ class TestModelTermForms:
     def test_smooth_gradient_grows_for_off_truth_nominal(self, magnitude, factor):
         # consistent observations, scale off by 5 percent: |dJ/dk| = 4k|k^2-1|S^4
         nominal = CalibrationParams(1.05, 1.0, 1.0, 0.0, 0.0, 0.0)
-        small = grad_scale(nominal, [consistent_turn(0, magnitude)])
-        large = grad_scale(nominal, [consistent_turn(0, magnitude * factor)])
+        small = grad_scale(nominal, turns(consistent_turn(0, magnitude)))
+        large = grad_scale(nominal, turns(consistent_turn(0, magnitude * factor)))
         assert abs(large[0]) >= abs(small[0])
 
     def test_doubling_turn_angle_raises_scale_sensitivity(self):
         nominal = CalibrationParams(1.05, 1.0, 1.0, 0.0, 0.0, 0.0)
-        single = grad_scale(nominal, [consistent_turn(0, 360.0)])
-        double = grad_scale(nominal, [consistent_turn(0, 720.0)])
+        single = grad_scale(nominal, turns(consistent_turn(0, 360.0)))
+        double = grad_scale(nominal, turns(consistent_turn(0, 720.0)))
         assert abs(double[0]) > abs(single[0])
-        single_m = model_term_grad_scale(nominal, [consistent_turn(0, 360.0)])
-        double_m = model_term_grad_scale(nominal, [consistent_turn(0, 720.0)])
+        single_m = model_term_grad_scale(nominal, turns(consistent_turn(0, 360.0)))
+        double_m = model_term_grad_scale(nominal, turns(consistent_turn(0, 720.0)))
         assert abs(double_m[0]) > abs(single_m[0])
 
 
 
 class TestSensitivityReport:
     def test_empty_rotation_list_rejected(self):
-        """Both cost sensitivities are undefined without a rotation."""
-        for func in (grad_scale, grad_bias):
-            with pytest.raises(CalibrationError):
-                func(CalibrationParams.identity(), [])
+        """Both cost sensitivities are undefined without a rotation, and
+        the gradients' input, a view of rotation stages, cannot hold none."""
+        with pytest.raises(CalibrationError, match="at least one rotation"):
+            turns()

@@ -194,7 +194,7 @@ class TestSessionConversion:
         log, sim, _ = simulated_log()
         session = log.session()
         np.testing.assert_allclose(
-            session.static_stage.means, np.mean(sim.static_raw, axis=0))
+            session.static_means, np.mean(sim.static_raw, axis=0))
         np.testing.assert_allclose(
-            session.rotations[0].sums, np.sum(sim.rotation_raw[0], axis=0) / 100.0)
-        assert session.rotations[0].theta_total == 360.0
+            session.sums[0], np.sum(sim.rotation_raw[0], axis=0) / 100.0)
+        assert session.theta_sq[0] == 360.0 ** 2

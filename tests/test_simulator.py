@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gyrocal import estimator, simulator
 from gyrocal.estimator import calibrate
@@ -110,7 +112,7 @@ class TestBezierProfile:
         rng = np.random.default_rng(31)
         for _ in range(1000):
             trace = bezier_profile(rng, config)
-            integrated = trace.sum() * config.rotation_duration / trace.size
+            integrated = trace.sum() / config.sample_rate
             assert abs(integrated - 360.0) < 1e-9
 
     def test_rates_stay_positive(self):
@@ -153,6 +155,22 @@ class TestSimulateSession:
             est = calibrate(simulate_session(truth, config, rng).session)
             np.testing.assert_allclose(est.scales, truth.params.scales, atol=1e-9)
             np.testing.assert_allclose(est.biases, truth.params.biases, atol=1e-9)
+
+    @given(sample_rate=st.floats(min_value=20.0, max_value=1000.0),
+           rotation_duration=st.floats(min_value=1.0, max_value=10.0))
+    @settings(max_examples=50, deadline=None)
+    def test_noiseless_recovery_at_any_rate_and_duration(self, sample_rate, rotation_duration):
+        # The turn is scaled to the angle with the sample period, the step
+        # the stage summary integrates with, so a duration that is not a
+        # whole number of samples leaves no scale error.
+        config = SimulationConfig(noise_sigma=0.0, misalignment_range=(0.0, 0.0),
+                                  sample_rate=sample_rate,
+                                  rotation_duration=rotation_duration, n_test_rates=1)
+        rng = np.random.default_rng(21)
+        truth = sample_ground_truth(config, rng)
+        est = calibrate(simulate_session(truth, config, rng).session)
+        np.testing.assert_allclose(est.scales, truth.params.scales, rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(est.biases, truth.params.biases, rtol=0.0, atol=1e-9)
 
     def test_static_noise_level_matches_sigma(self):
         config = SimulationConfig(noise_sigma=0.15, misalignment_range=(0.0, 0.0),
