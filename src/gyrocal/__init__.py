@@ -30,19 +30,14 @@ from .estimator import (
     fit_batch,
 )
 from .observability import (
+    cost_gradient,
     finite_difference_grad,
-    grad_bias,
-    grad_scale,
-    model_term_grad_bias,
-    model_term_grad_scale,
+    model_term_gradient,
 )
 from .doe import (
-    Design,
     SingularDesignError,
-    canonical_design,
     is_g_optimal,
     max_spv_sphere,
-    moment_matrix,
     spv,
 )
 from .simulator import (
@@ -84,17 +79,12 @@ __all__ = [
     "calibrate",
     "calibrate_nonlinear",
     "fit_batch",
+    "cost_gradient",
     "finite_difference_grad",
-    "grad_bias",
-    "grad_scale",
-    "model_term_grad_bias",
-    "model_term_grad_scale",
-    "Design",
+    "model_term_gradient",
     "SingularDesignError",
-    "canonical_design",
     "is_g_optimal",
     "max_spv_sphere",
-    "moment_matrix",
     "spv",
     "CampaignReport",
     "GroundTruth",

@@ -99,7 +99,6 @@ def _calibration_payload(args: argparse.Namespace) -> dict:
         noise_sigma=args.noise_sigma,
         motion_threshold=args.motion_threshold,
     )
-    stds = obs.static_stds
     rotations = []
     for tag, corrected in zip(log.rotation_axes, obs.corrected_sums(params.biases)):
         rotations.append(
@@ -112,7 +111,7 @@ def _calibration_payload(args: argparse.Namespace) -> dict:
     payload["units"] = {"scale": "dimensionless", "bias": "deg/s", "rates": "deg/s"}
     payload["diagnostics"] = {
         "condition_number": params.condition_number,
-        "static_std": {a: float(stds[i]) for i, a in enumerate(AXES)} if stds is not None else None,
+        "static_std": {a: float(obs.static_stds[i]) for i, a in enumerate(AXES)},
         "rotations": rotations,
         "saturated_samples": log.saturated_sample_count(),
         "device": log.device,

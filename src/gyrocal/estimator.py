@@ -21,6 +21,7 @@ from .model import (
     CalibrationParams,
     ObservationArrays,
     ProtocolViolation,
+    check_single_session,
 )
 
 __all__ = [
@@ -46,10 +47,11 @@ MOTION_THRESHOLD_DEG = 10.0
 STILLNESS_STD_FACTOR = 5.0
 
 #: The Gauss-Newton solver stops once a step improves the squared cost by
-#: less than this fraction, or moves no free parameter by more than
-#: ``STEP_TOLERANCE``.
+#: less than this fraction, or moves no parameter by more than
+#: ``STEP_TOLERANCE``, and gives up after ``MAX_ITERATIONS`` steps.
 RESIDUAL_TOLERANCE = 1e-10
 STEP_TOLERANCE = 1e-12
+MAX_ITERATIONS = 200
 
 
 class IllConditionedSystem(CalibrationError):
@@ -107,17 +109,23 @@ def fit_batch(
     trips instead of raising. A view without a replicate axis is a
     stack of one. Raises CalibrationError when ``noise_sigma`` or
     ``motion_threshold`` is negative or not finite, as either would
-    silently disable or misfire its guard.
+    silently disable or misfire its guard, and when ``noise_sigma`` is
+    set on a view without static standard deviations to check.
     """
     for name, value in (("noise_sigma", noise_sigma), ("motion_threshold", motion_threshold)):
         if value is not None and not 0.0 <= value < np.inf:
             raise CalibrationError(f"{name} must be finite and non-negative, got {value!r}")
+    if noise_sigma is not None and obs.static_stds is None:
+        raise CalibrationError(
+            "noise_sigma enables the stillness guard, but the static stage carries "
+            "no sample standard deviations"
+        )
     n_rot = obs.sums.shape[-2]
     means = np.reshape(obs.static_means, (-1, 3))
     n_rows = len(means)
     errors: list[CalibrationError | None] = [None] * n_rows
 
-    if noise_sigma is not None and obs.static_stds is not None:
+    if noise_sigma is not None:
         stds = np.reshape(obs.static_stds, (n_rows, 3))
         limit = STILLNESS_STD_FACTOR * noise_sigma
         _record(errors, (stds > limit).any(axis=1), lambda r: ProtocolViolation(
@@ -179,14 +187,6 @@ def fit_batch(
     return Fit(biases=biases, scales=scales, condition_numbers=cond, errors=tuple(errors))
 
 
-def _single_session(obs: ObservationArrays) -> None:
-    if np.shape(obs.static_means) != (3,):
-        raise CalibrationError(
-            "expected the view of one session with a static stage, got static means "
-            f"of shape {np.shape(obs.static_means)}"
-        )
-
-
 def calibrate(
     obs: ObservationArrays,
     *,
@@ -204,19 +204,16 @@ def calibrate(
     which every rotation stage integrates to almost no motion. A stacked
     view is rejected rather than fitted on its first row.
     """
-    _single_session(obs)
+    check_single_session(obs, static=True)
     return fit_batch(obs, noise_sigma=noise_sigma, motion_threshold=motion_threshold).params()
 
 
 def _residuals_and_jacobian(
-    obs: ObservationArrays, scales: np.ndarray, biases: np.ndarray, fit_biases: bool
+    obs: ObservationArrays, scales: np.ndarray, biases: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Newton residuals and Jacobian: the rotation rows of
-    ``obs.residuals``, in the scales alone or, with ``fit_biases``, in all
-    six parameters plus three static rows."""
+    """Gauss-Newton residuals and Jacobian in all six parameters: the
+    rotation rows of ``obs.residuals`` plus three static rows."""
     r_rot, dr_dk, dr_db = obs.residuals(scales, biases)
-    if not fit_biases:
-        return r_rot, dr_dk
     # Static residual per axis: the integrated angle a still sensor must
     # show as zero, k_l * duration * (mean_l + b_l). Linear in b, so the
     # joint system stays well posed at the optimum.
@@ -229,54 +226,34 @@ def _residuals_and_jacobian(
     return residuals, jacobian
 
 
-def calibrate_nonlinear(
-    obs: ObservationArrays,
-    init: CalibrationParams,
-    *,
-    fit_biases: bool = True,
-    max_iterations: int = 200,
-) -> CalibrationParams:
+def calibrate_nonlinear(obs: ObservationArrays, init: CalibrationParams) -> CalibrationParams:
     """Gauss-Newton reference solution over the same observations.
 
-    Minimizes the sum of squared rotation residuals. With
-    ``fit_biases=True`` (default) the stationary stage contributes one
-    residual per axis and all six parameters are free; with
-    ``fit_biases=False`` the biases are fixed to the closed-form static
-    estimate and only the scales are optimized. Steps are halved whenever
-    the residual would increase or a scale factor would leave the
-    positive domain. Convergence requires the relative residual
-    improvement or the step size to fall below ``RESIDUAL_TOLERANCE`` or
-    ``STEP_TOLERANCE``. Like :func:`calibrate`, it takes one session and
-    rejects a stacked view.
+    Minimizes the sum of squared rotation residuals plus one static
+    residual per axis, with all six parameters free, starting at
+    ``init``. Steps are halved whenever the residual would increase or a
+    scale factor would leave the positive domain. Convergence requires
+    the relative residual improvement or the step size to fall below
+    ``RESIDUAL_TOLERANCE`` or ``STEP_TOLERANCE`` within
+    ``MAX_ITERATIONS`` steps. Like :func:`calibrate`, it takes one
+    session and rejects a stacked view.
     """
-    _single_session(obs)
+    check_single_session(obs, static=True)
     n_rot = obs.sums.shape[-2]
     if n_rot < 3:
         raise ProtocolViolation(f"need at least 3 rotation observations, got {n_rot}")
 
-    scales = init.scales.copy()
-    biases = init.biases.copy() if fit_biases else -obs.static_means
-    n_free = 6 if fit_biases else 3
-
-    def unpack(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if fit_biases:
-            return x[:3], x[3:]
-        return x, biases
-
     def objective(x: np.ndarray) -> float:
-        k, b = unpack(x)
-        r, _ = _residuals_and_jacobian(obs, k, b, fit_biases)
+        r, _ = _residuals_and_jacobian(obs, x[:3], x[3:])
         return float(r @ r)
 
-    x = np.concatenate([scales, biases]) if fit_biases else scales
+    x = np.concatenate([init.scales, init.biases])
     current = objective(x)
     if current < 1e-18:
-        k, b = unpack(x)
-        return CalibrationParams.from_arrays(k, b)
+        return CalibrationParams.from_arrays(x[:3], x[3:])
 
-    for _ in range(max_iterations):
-        k, b = unpack(x)
-        r, jac = _residuals_and_jacobian(obs, k, b, fit_biases)
+    for _ in range(MAX_ITERATIONS):
+        r, jac = _residuals_and_jacobian(obs, x[:3], x[3:])
         step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         alpha = 1.0
         candidate = None
@@ -298,7 +275,7 @@ def calibrate_nonlinear(
                 "the solver cannot improve within the positive-scale domain"
             )
         improvement = current - candidate_cost
-        step_size = float(np.max(np.abs(alpha * step[:n_free])))
+        step_size = float(np.max(np.abs(alpha * step)))
         x = candidate
         previous, current = current, candidate_cost
         if (
@@ -306,8 +283,7 @@ def calibrate_nonlinear(
             or improvement <= RESIDUAL_TOLERANCE * max(previous, 1e-30)
             or step_size < STEP_TOLERANCE
         ):
-            k, b = unpack(x)
-            return CalibrationParams.from_arrays(k, b)
+            return CalibrationParams.from_arrays(x[:3], x[3:])
     raise ConvergenceFailure(
-        f"no convergence within {max_iterations} iterations; final residual {current:.6g}"
+        f"no convergence within {MAX_ITERATIONS} iterations; final residual {current:.6g}"
     )

@@ -261,8 +261,9 @@ class ObservationArrays(NamedTuple):
       replicate axis may be left out when every replicate shares them
 
     This is the session type: log reading and the simulator produce it,
-    and the solvers, residuals and gradients take it. A view of rotation
-    stages alone has None in its three static fields.
+    and the solvers, residuals and gradients take it, each one session
+    as :func:`check_single_session` requires. A view of rotation stages
+    alone has None in its three static fields.
     """
 
     static_means: np.ndarray
@@ -314,18 +315,35 @@ class ObservationArrays(NamedTuple):
         return r, 2.0 * k * s_sq, 2.0 * k_sq * s * self.durations[..., None]
 
 
+def check_single_session(obs: ObservationArrays, *, static: bool = False) -> None:
+    """Raise CalibrationError unless ``obs`` is the view of one session:
+    turn sums ``(n, 3)`` and static means ``(3,)``, or no static stage
+    when ``static`` is false. The functions that take one session call
+    it, so a stack is refused rather than fitted on its first row or
+    reduced over its replicate axis."""
+    means = None if obs.static_means is None else np.shape(obs.static_means)
+    stage_ok = means == (3,) or (means is None and not static)
+    if np.ndim(obs.sums) != 2 or not stage_ok:
+        stage = "no static stage" if means is None else f"static means of shape {means}"
+        raise CalibrationError(
+            f"expected the view of one session{' with a static stage' if static else ''}, "
+            f"got turn sums of shape {np.shape(obs.sums)} and {stage}"
+        )
+
+
 def rotation_residuals(params: CalibrationParams, obs: ObservationArrays) -> np.ndarray:
     """Per-rotation mismatch between the modelled and the reference squared
-    rotation magnitude, in deg^2.
+    rotation magnitude, in deg^2, for one session.
 
     The modelled value is ``sum_l (k_l * S_l)^2`` with S the bias-corrected
     integrated angle on axis l.
     """
+    check_single_session(obs)
     return obs.residuals(params.scales, params.biases)[0]
 
 
 def squared_cost(params: CalibrationParams, obs: ObservationArrays) -> float:
-    """Sum of squared rotation residuals (deg^4).
+    """Sum of squared rotation residuals (deg^4) of one session.
 
     Zero exactly when the parameters reproduce every reference angle. This
     is the objective the iterative solver minimizes and the sensitivity

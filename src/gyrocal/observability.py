@@ -2,15 +2,16 @@
 
 The magnitude of the cost gradient at a nominal parameter point says how
 well the observations constrain that parameter: a zero component means
-the data cannot distinguish nearby values. Every gradient here is a
-reduction of the one rotation-residual Jacobian,
-``ObservationArrays.residuals``. ``grad_scale`` and ``grad_bias``
-differentiate the smooth squared-residual cost and therefore agree with
-numerical differentiation. ``model_term_grad_scale`` and
-``model_term_grad_bias`` differentiate only the model prediction (the
-squared integrated angle), which drops the residual weighting; the
-resting-sensor check of ``gyrocal verify --suite observability`` uses
-them.
+the data cannot distinguish nearby values. Both gradients here are
+reductions of the one rotation-residual Jacobian,
+``ObservationArrays.residuals``, and both come as six components in the
+order k_x, k_y, k_z, b_x, b_y, b_z. ``cost_gradient`` differentiates the
+smooth squared-residual cost and therefore agrees with
+``finite_difference_grad``. ``model_term_gradient`` differentiates only
+the model prediction (the squared integrated angle), which drops the
+residual weighting; the resting-sensor check of
+``gyrocal verify --suite observability`` uses it. Each takes the view of
+one session and rejects a stack.
 """
 
 from __future__ import annotations
@@ -22,14 +23,13 @@ from .model import (
     CalibrationParams,
     ObservationArrays,
     RotationObservation,
+    check_single_session,
     squared_cost,
 )
 
 __all__ = [
-    "grad_scale",
-    "grad_bias",
-    "model_term_grad_scale",
-    "model_term_grad_bias",
+    "cost_gradient",
+    "model_term_gradient",
     "finite_difference_grad",
     "property_checks",
 ]
@@ -38,39 +38,27 @@ __all__ = [
 N_GRADIENT_CONFIGS = 100
 
 
-def grad_scale(nominal: CalibrationParams, obs: ObservationArrays) -> np.ndarray:
-    """Gradient of the squared-residual cost in the three scale factors,
-    ``2 J_k^T r``."""
-    r, dr_dk, _ = obs.residuals(nominal.scales, nominal.biases)
-    return 2.0 * (r @ dr_dk)
+def cost_gradient(nominal: CalibrationParams, obs: ObservationArrays) -> np.ndarray:
+    """Gradient of the squared-residual cost, ``2 J^T r``, ``(6,)``."""
+    check_single_session(obs)
+    r, dr_dk, dr_db = obs.residuals(nominal.scales, nominal.biases)
+    return 2.0 * np.concatenate([r @ dr_dk, r @ dr_db])
 
 
-def grad_bias(nominal: CalibrationParams, obs: ObservationArrays) -> np.ndarray:
-    """Gradient of the squared-residual cost in the three biases,
-    ``2 J_b^T r``."""
-    r, _, dr_db = obs.residuals(nominal.scales, nominal.biases)
-    return 2.0 * (r @ dr_db)
+def model_term_gradient(nominal: CalibrationParams, obs: ObservationArrays) -> np.ndarray:
+    """Derivative of the predicted squared angles in each parameter, the
+    column sums of the Jacobian, ``(6,)``.
 
-
-def model_term_grad_scale(nominal: CalibrationParams, obs: ObservationArrays) -> np.ndarray:
-    """Derivative of the predicted squared angle in each scale factor.
-
-    Per axis: 2 k_l sum_i S_{l,i}^2, the column sums of ``J_k``. Grows
-    with the integrated rotation magnitude and vanishes exactly when the
-    sensor never moved and the nominal bias is zero, so a resting sensor
-    cannot reveal its scale.
+    Per scale: 2 k_l sum_i S_{l,i}^2. It grows with the integrated
+    rotation magnitude and vanishes exactly when the sensor never moved
+    and the nominal bias is zero, so a resting sensor cannot reveal its
+    scale. Per bias: 2 k_l^2 sum_i d_i S_{l,i}. It stays nonzero for a
+    resting sensor with nonzero nominal bias, so stationary data still
+    constrains the bias.
     """
-    return obs.residuals(nominal.scales, nominal.biases)[1].sum(axis=0)
-
-
-def model_term_grad_bias(nominal: CalibrationParams, obs: ObservationArrays) -> np.ndarray:
-    """Derivative of the predicted squared angle in each bias.
-
-    Per axis: 2 k_l^2 sum_i d_i S_{l,i}, the column sums of ``J_b``. Stays
-    nonzero for a resting sensor with nonzero nominal bias, so stationary
-    data still constrains the bias.
-    """
-    return obs.residuals(nominal.scales, nominal.biases)[2].sum(axis=0)
+    check_single_session(obs)
+    _, dr_dk, dr_db = obs.residuals(nominal.scales, nominal.biases)
+    return np.concatenate([dr_dk.sum(axis=0), dr_db.sum(axis=0)])
 
 
 def finite_difference_grad(
@@ -80,9 +68,9 @@ def finite_difference_grad(
 ) -> np.ndarray:
     """Central-difference gradient of the squared-residual cost.
 
-    Returns the six components in the order k_x, k_y, k_z, b_x, b_y,
-    b_z. The step must be positive and small enough to keep the
-    perturbed scale factors positive.
+    Returns the six components in the order of :func:`cost_gradient`.
+    The step must be positive and small enough to keep the perturbed
+    scale factors positive. A stack is rejected by ``squared_cost``.
     """
     if not step > 0.0:
         raise CalibrationError(f"finite-difference step must be positive, got {step}")
@@ -120,7 +108,7 @@ def property_checks(rng: np.random.Generator) -> list[tuple[bool, str]]:
                                 n_samples=500, duration=5.0)
             for _ in range(3)
         ])
-        analytic = np.concatenate([grad_scale(nominal, obs), grad_bias(nominal, obs)])
+        analytic = cost_gradient(nominal, obs)
         numeric = finite_difference_grad(nominal, obs, step=1e-5)
         denom = max(1.0, float(np.max(np.abs(analytic))))
         worst_rel = max(worst_rel, float(np.max(np.abs(analytic - numeric))) / denom)
@@ -132,10 +120,10 @@ def property_checks(rng: np.random.Generator) -> list[tuple[bool, str]]:
         (worst_rel < 1e-6,
          f"analytic gradients match central differences on {N_GRADIENT_CONFIGS} random "
          f"configurations (worst relative error {worst_rel:.3g} < 1e-6)"),
-        (bool(np.all(grad_scale(zero_bias, still) == 0.0)
-              and np.all(model_term_grad_scale(zero_bias, still) == 0.0)),
+        (bool(np.all(cost_gradient(zero_bias, still)[:3] == 0.0)
+              and np.all(model_term_gradient(zero_bias, still)[:3] == 0.0)),
          "a resting sensor with zero bias reveals nothing about scale (gradients exactly 0)"),
-        (bool(np.all(grad_bias(with_bias, still) != 0.0)
-              and np.all(model_term_grad_bias(with_bias, still) != 0.0)),
+        (bool(np.all(cost_gradient(with_bias, still)[3:] != 0.0)
+              and np.all(model_term_gradient(with_bias, still)[3:] != 0.0)),
          "a resting sensor with nonzero bias still constrains the bias (gradients nonzero)"),
     ]

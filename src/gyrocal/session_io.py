@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .model import (
+    AXES,
     CalibrationError,
     ObservationArrays,
     ProtocolViolation,
@@ -115,19 +116,19 @@ class SessionLog:
         rotation_angle: float = 360.0,
         full_scale: float | None = None,
         device: str | None = None,
-        axes: Sequence[str] = ("x", "y", "z"),
     ) -> "SessionLog":
-        """Assemble a log from raw sample blocks with continuous timestamps."""
-        if len(rotations) != len(axes):
+        """Assemble a log from raw sample blocks with continuous timestamps;
+        the rotation blocks are the turns about x, y and z, in that order."""
+        if len(rotations) != len(AXES):
             raise CalibrationError(
-                f"got {len(rotations)} rotation blocks for {len(axes)} axis tags"
+                f"got {len(rotations)} rotation blocks for {len(AXES)} axis tags"
             )
         segments = []
         offset = 0
         blocks = [("static", np.asarray(static, dtype=float))]
         blocks += [
             (f"rotate:{axis}", np.asarray(block, dtype=float))
-            for axis, block in zip(axes, rotations)
+            for axis, block in zip(AXES, rotations)
         ]
         for stage, block in blocks:
             n = block.shape[0]

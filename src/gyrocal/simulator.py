@@ -371,10 +371,8 @@ class SimulatedSession:
     """One synthetic protocol run plus its held-out test set."""
 
     session: ObservationArrays
-    truth: GroundTruth
     static_raw: np.ndarray
     rotation_raw: tuple[np.ndarray, np.ndarray, np.ndarray]
-    profiles: tuple[np.ndarray, np.ndarray, np.ndarray]
     test_rates: np.ndarray
     test_measurements: np.ndarray
 
@@ -401,10 +399,8 @@ def simulate_session(
     return SimulatedSession(
         session=ObservationArrays.from_stages(
             StaticObservation.from_samples(block.static_raw[0], rate), rotations),
-        truth=truth,
         static_raw=block.static_raw[0],
         rotation_raw=rotation_raw,
-        profiles=tuple(block.profiles[0]),
         test_rates=block.test_rates[0],
         test_measurements=block.test_measurements[0],
     )

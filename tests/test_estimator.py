@@ -159,6 +159,17 @@ class TestCalibrate:
         noisy = ObservationArrays.from_stages(moved, rotations)
         calibrate(noisy)  # no sigma given, guard stays quiet
 
+    def test_stillness_guard_needs_static_stds(self):
+        # a caller who sets noise_sigma asks for the stillness guard; a
+        # static stage without stds cannot be checked, so it is refused
+        session = exact_session([1.0, 1.0, 1.0], [0.0, 0.0, 0.0])
+        assert session.static_stds is None
+        with pytest.raises(CalibrationError, match="no sample standard deviations"):
+            calibrate(session, noise_sigma=0.15)
+        with pytest.raises(CalibrationError, match="no sample standard deviations"):
+            fit_batch(session, noise_sigma=0.15)
+        calibrate(session)
+
     def test_motion_guard_fires_when_nothing_rotates(self):
         static = make_static([0.0, 0.0, 0.0])
         still = [make_rotation([1e-4, 0.0, 0.0]) for _ in range(3)]
@@ -209,27 +220,22 @@ class TestCalibrateNonlinear:
         np.testing.assert_allclose(iterated.scales, closed.scales, atol=1e-8)
         np.testing.assert_allclose(iterated.biases, closed.biases, atol=1e-8)
 
-    def test_scales_only_mode_keeps_biases_fixed(self):
+    def test_exhausted_iterations_reported(self, monkeypatch):
         session = exact_session([1.1, 0.9, 1.0], [1.0, -1.0, 0.5])
-        est = calibrate_nonlinear(session, CalibrationParams.identity(), fit_biases=False)
-        np.testing.assert_allclose(est.biases, [1.0, -1.0, 0.5], atol=1e-12)
-        np.testing.assert_allclose(est.scales, [1.1, 0.9, 1.0], atol=1e-9)
+        monkeypatch.setattr(estimator, "MAX_ITERATIONS", 0)
+        with pytest.raises(ConvergenceFailure, match="within 0 iterations"):
+            calibrate_nonlinear(session, CalibrationParams.identity())
 
-    def test_exhausted_iterations_reported(self):
-        session = exact_session([1.1, 0.9, 1.0], [1.0, -1.0, 0.5])
-        with pytest.raises(ConvergenceFailure):
-            calibrate_nonlinear(session, CalibrationParams.identity(), max_iterations=0)
-
-    def test_start_at_solution_returns_immediately(self):
+    def test_start_at_solution_returns_immediately(self, monkeypatch):
         session = exact_session([1.1, 0.9, 1.0], [1.0, -1.0, 0.5])
         truth = CalibrationParams(1.1, 0.9, 1.0, 1.0, -1.0, 0.5)
-        est = calibrate_nonlinear(session, truth, max_iterations=1)
+        monkeypatch.setattr(estimator, "MAX_ITERATIONS", 1)
+        est = calibrate_nonlinear(session, truth)
         np.testing.assert_allclose(est.scales, truth.scales, atol=1e-12)
 
-    @pytest.mark.parametrize("fit_biases", [True, False])
-    def test_residual_jacobian_matches_central_differences(self, fit_biases):
-        # rotation rows, plus the three static rows when the biases are
-        # free; every residual is quadratic per parameter, so the central
+    def test_residual_jacobian_matches_central_differences(self):
+        # rotation rows plus the three static rows, in all six parameters;
+        # every residual is quadratic per parameter, so the central
         # difference is exact up to rounding
         rng = np.random.default_rng(8)
         static = make_static(rng.uniform(-5.0, 5.0, 3))
@@ -237,16 +243,15 @@ class TestCalibrateNonlinear:
                      for _ in range(4)]
         obs = ObservationArrays.from_stages(static, rotations)
         x = np.concatenate([rng.uniform(0.8, 1.2, 3), rng.uniform(-5.0, 5.0, 3)])
-        n_free = 6 if fit_biases else 3
-        _, jacobian = _residuals_and_jacobian(obs, x[:3], x[3:], fit_biases)
-        assert jacobian.shape == (7 if fit_biases else 4, n_free)
+        _, jacobian = _residuals_and_jacobian(obs, x[:3], x[3:])
+        assert jacobian.shape == (7, 6)
         step = 1e-4
         numeric = np.empty_like(jacobian)
-        for j in range(n_free):
+        for j in range(6):
             shift = np.zeros(6)
             shift[j] = step
-            ahead, _ = _residuals_and_jacobian(obs, *np.split(x + shift, 2), fit_biases)
-            behind, _ = _residuals_and_jacobian(obs, *np.split(x - shift, 2), fit_biases)
+            ahead, _ = _residuals_and_jacobian(obs, *np.split(x + shift, 2))
+            behind, _ = _residuals_and_jacobian(obs, *np.split(x - shift, 2))
             numeric[:, j] = (ahead - behind) / (2.0 * step)
         np.testing.assert_allclose(jacobian, numeric, rtol=0.0,
                                    atol=1e-9 * np.max(np.abs(jacobian)))

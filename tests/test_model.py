@@ -17,7 +17,8 @@ from gyrocal.model import (
     rotation_residuals,
     squared_cost,
 )
-from gyrocal.estimator import calibrate
+from gyrocal.estimator import calibrate, calibrate_nonlinear
+from gyrocal.observability import cost_gradient, finite_difference_grad, model_term_gradient
 
 finite_bias = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 positive_scale = st.floats(min_value=0.8, max_value=1.2, allow_nan=False)
@@ -184,3 +185,34 @@ class TestCostFunctions:
     def test_cost_nonnegative(self, p):
         rots = self._single_rotation((200.0, -30.0, 15.0))
         assert squared_cost(p, rots) >= 0.0
+
+
+#: Every function that takes the view of one session, as a function of
+#: the view alone.
+SINGLE_SESSION_FUNCTIONS = {
+    "calibrate": calibrate,
+    "calibrate_nonlinear": lambda obs: calibrate_nonlinear(obs, CalibrationParams.identity()),
+    "rotation_residuals": lambda obs: rotation_residuals(CalibrationParams.identity(), obs),
+    "squared_cost": lambda obs: squared_cost(CalibrationParams.identity(), obs),
+    "cost_gradient": lambda obs: cost_gradient(CalibrationParams.identity(), obs),
+    "model_term_gradient": lambda obs: model_term_gradient(CalibrationParams.identity(), obs),
+    "finite_difference_grad": lambda obs: finite_difference_grad(CalibrationParams.identity(), obs),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SINGLE_SESSION_FUNCTIONS))
+def test_single_session_functions_reject_a_stack(name):
+    # a stack is refused, not fitted on its first row or reduced over its
+    # replicate axis into a wrong-shaped answer, and the message names
+    # the stack's shape; with and without a static stage
+    run = SINGLE_SESSION_FUNCTIONS[name]
+    session = ObservationArrays.from_stages(
+        StaticObservation(0.0, 0.0, 0.0, n_samples=300, duration=3.0),
+        [RotationObservation(*sums, theta_total=360.0, n_samples=500, duration=5.0)
+         for sums in 360.0 * np.eye(3)])
+    run(session)
+    turns = session._replace(static_means=None, static_stds=None, static_duration=None)
+    for view in (session, turns):
+        stack = ObservationArrays(*(None if f is None else np.stack([f, f]) for f in view))
+        with pytest.raises(CalibrationError, match=r"turn sums of shape \(2, 3, 3\)"):
+            run(stack)

@@ -4,13 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gyrocal.model import CalibrationError, CalibrationParams, ObservationArrays, RotationObservation
-from gyrocal.observability import (
-    finite_difference_grad,
-    grad_bias,
-    grad_scale,
-    model_term_grad_bias,
-    model_term_grad_scale,
-)
+from gyrocal.observability import cost_gradient, finite_difference_grad, model_term_gradient
 
 
 def rotation(sums, theta=360.0, duration=5.0, n=500):
@@ -50,10 +44,7 @@ class TestFiniteDifferenceAgreement:
         rng = np.random.default_rng(77)
         for _ in range(20):
             nominal, rotations = random_setup(rng)
-            analytic = np.concatenate([
-                grad_scale(nominal, rotations),
-                grad_bias(nominal, rotations),
-            ])
+            analytic = cost_gradient(nominal, rotations)
             numeric = finite_difference_grad(nominal, rotations, step=1e-5)
             denom = max(1.0, float(np.max(np.abs(analytic))))
             assert np.max(np.abs(analytic - numeric)) / denom < 1e-6
@@ -61,10 +52,7 @@ class TestFiniteDifferenceAgreement:
     def test_halving_step_shrinks_mismatch(self):
         rng = np.random.default_rng(3)
         nominal, rotations = random_setup(rng)
-        analytic = np.concatenate([
-            grad_scale(nominal, rotations),
-            grad_bias(nominal, rotations),
-        ])
+        analytic = cost_gradient(nominal, rotations)
         err_coarse = np.max(np.abs(
             finite_difference_grad(nominal, rotations, step=2e-3) - analytic))
         err_fine = np.max(np.abs(
@@ -81,8 +69,7 @@ class TestFiniteDifferenceAgreement:
         # the optimum value sits on the O(h^2) truncation floor, which is
         # negligible next to the gradient a percent away
         assert np.max(np.abs(at_optimum)) < 1e-6 * np.max(np.abs(nearby))
-        np.testing.assert_allclose(grad_scale(nominal, rotations), np.zeros(3))
-        np.testing.assert_allclose(grad_bias(nominal, rotations), np.zeros(3))
+        np.testing.assert_allclose(cost_gradient(nominal, rotations), np.zeros(6))
 
     def test_step_must_be_positive(self):
         with pytest.raises(CalibrationError):
@@ -94,27 +81,27 @@ class TestStaticClaims:
     def test_resting_zero_bias_hides_scale(self):
         nominal = CalibrationParams(1.1, 0.9, 1.0, 0.0, 0.0, 0.0)
         still = turns(still_observation())
-        assert np.all(grad_scale(nominal, still) == 0.0)
-        assert np.all(model_term_grad_scale(nominal, still) == 0.0)
+        assert np.all(cost_gradient(nominal, still)[:3] == 0.0)
+        assert np.all(model_term_gradient(nominal, still)[:3] == 0.0)
 
     def test_resting_nonzero_bias_keeps_bias_observable(self):
         nominal = CalibrationParams(1.1, 0.9, 1.0, 2.0, -3.0, 0.5)
         still = turns(still_observation())
-        assert np.all(grad_bias(nominal, still) != 0.0)
-        assert np.all(model_term_grad_bias(nominal, still) != 0.0)
+        assert np.all(cost_gradient(nominal, still)[3:] != 0.0)
+        assert np.all(model_term_gradient(nominal, still)[3:] != 0.0)
 
 
 class TestModelTermForms:
     def test_scale_form_known_value(self):
         # single x turn, unit scales, zero bias: 2 * 360^2 on x
         nominal = CalibrationParams.identity()
-        value = model_term_grad_scale(nominal, turns(rotation([360.0, 0.0, 0.0])))
+        value = model_term_gradient(nominal, turns(rotation([360.0, 0.0, 0.0])))[:3]
         np.testing.assert_allclose(value, [2.0 * 360.0 ** 2, 0.0, 0.0])
 
     def test_bias_form_known_value(self):
         # 2 k^2 d S with d=5, S=360: 3600 on x
         nominal = CalibrationParams.identity()
-        value = model_term_grad_bias(nominal, turns(rotation([360.0, 0.0, 0.0])))
+        value = model_term_gradient(nominal, turns(rotation([360.0, 0.0, 0.0])))[3:]
         np.testing.assert_allclose(value, [3600.0, 0.0, 0.0])
 
     @given(st.floats(min_value=10.0, max_value=300.0),
@@ -122,8 +109,8 @@ class TestModelTermForms:
     @settings(max_examples=40)
     def test_scale_sensitivity_grows_with_turn_magnitude(self, magnitude, factor):
         nominal = CalibrationParams(1.05, 1.0, 1.0, 0.0, 0.0, 0.0)
-        small = model_term_grad_scale(nominal, turns(consistent_turn(0, magnitude)))
-        large = model_term_grad_scale(nominal, turns(consistent_turn(0, magnitude * factor)))
+        small = model_term_gradient(nominal, turns(consistent_turn(0, magnitude)))[:3]
+        large = model_term_gradient(nominal, turns(consistent_turn(0, magnitude * factor)))[:3]
         assert abs(large[0]) >= abs(small[0])
 
     @given(st.floats(min_value=10.0, max_value=300.0),
@@ -132,17 +119,17 @@ class TestModelTermForms:
     def test_smooth_gradient_grows_for_off_truth_nominal(self, magnitude, factor):
         # consistent observations, scale off by 5 percent: |dJ/dk| = 4k|k^2-1|S^4
         nominal = CalibrationParams(1.05, 1.0, 1.0, 0.0, 0.0, 0.0)
-        small = grad_scale(nominal, turns(consistent_turn(0, magnitude)))
-        large = grad_scale(nominal, turns(consistent_turn(0, magnitude * factor)))
+        small = cost_gradient(nominal, turns(consistent_turn(0, magnitude)))[:3]
+        large = cost_gradient(nominal, turns(consistent_turn(0, magnitude * factor)))[:3]
         assert abs(large[0]) >= abs(small[0])
 
     def test_doubling_turn_angle_raises_scale_sensitivity(self):
         nominal = CalibrationParams(1.05, 1.0, 1.0, 0.0, 0.0, 0.0)
-        single = grad_scale(nominal, turns(consistent_turn(0, 360.0)))
-        double = grad_scale(nominal, turns(consistent_turn(0, 720.0)))
+        single = cost_gradient(nominal, turns(consistent_turn(0, 360.0)))[:3]
+        double = cost_gradient(nominal, turns(consistent_turn(0, 720.0)))[:3]
         assert abs(double[0]) > abs(single[0])
-        single_m = model_term_grad_scale(nominal, turns(consistent_turn(0, 360.0)))
-        double_m = model_term_grad_scale(nominal, turns(consistent_turn(0, 720.0)))
+        single_m = model_term_gradient(nominal, turns(consistent_turn(0, 360.0)))[:3]
+        double_m = model_term_gradient(nominal, turns(consistent_turn(0, 720.0)))[:3]
         assert abs(double_m[0]) > abs(single_m[0])
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gyrocal.estimator import calibrate
-from gyrocal.model import ProtocolViolation
+from gyrocal.model import CalibrationError, ProtocolViolation
 from gyrocal.session_io import (
     LogParseError,
     LogSegment,
@@ -72,6 +72,11 @@ class TestSessionLogStructure:
     def test_axis_tags_exposed(self):
         log = tiny_log()
         assert log.rotation_axes == ("x", "y", "z")
+
+    def test_from_arrays_takes_one_block_per_axis(self):
+        static = np.zeros((4, 3))
+        with pytest.raises(CalibrationError, match="got 2 rotation blocks for 3 axis tags"):
+            SessionLog.from_arrays(static, [np.zeros((4, 3))] * 2, sample_rate=100.0)
 
 
 class TestRoundTrip:
