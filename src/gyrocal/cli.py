@@ -55,6 +55,8 @@ def _load_simulation_configs(path: str | None, seed: int | None) -> list[Simulat
             if not isinstance(levels, (list, tuple)) or not levels:
                 raise CalibrationError("noise_levels must be a non-empty list of numbers")
             noise_levels = [float(v) for v in levels]
+            if len(set(noise_levels)) != len(noise_levels):
+                raise CalibrationError(f"noise_levels must not repeat, got {levels}")
     base = SimulationConfig.from_mapping(mapping)
     if seed is not None:
         base = dataclasses.replace(base, rng_seed=seed)

@@ -40,6 +40,11 @@ class LogParseError(CalibrationError):
     """The log file does not follow the session-log format."""
 
 
+def _check_header_value(key: str, value: float | None) -> None:
+    if value is not None and not 0.0 < value < np.inf:
+        raise LogParseError(f"{key} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class LogSegment:
     """A contiguous run of samples sharing one stage tag."""
@@ -85,9 +90,7 @@ class SessionLog:
 
     def __post_init__(self) -> None:
         for key in ("sample_rate", "rotation_angle", "full_scale"):
-            value = getattr(self, key)
-            if value is not None and not 0.0 < value < np.inf:
-                raise LogParseError(f"{key} must be positive and finite, got {value}")
+            _check_header_value(key, getattr(self, key))
         statics = [i for i, seg in enumerate(self.segments) if seg.is_static]
         if len(statics) != 1:
             raise ProtocolViolation(
@@ -123,6 +126,7 @@ class SessionLog:
             raise CalibrationError(
                 f"got {len(rotations)} rotation blocks for {len(AXES)} axis tags"
             )
+        _check_header_value("sample_rate", sample_rate)  # before it divides the timestamps
         segments = []
         offset = 0
         blocks = [("static", np.asarray(static, dtype=float))]

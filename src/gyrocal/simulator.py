@@ -14,7 +14,6 @@ and independent of replicate execution order.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, fields
 from typing import Mapping
@@ -47,8 +46,8 @@ __all__ = [
 #: sets. Results do not depend on it. Larger blocks spread the fixed cost
 #: of each numpy call over more rows (``fit_batch`` takes about 120 µs for
 #: 4 rows and 200 µs for 16), but hold more memory: the block peaks at
-#: about 140 kB per replicate at the default config, buffers and
-#: temporaries together (2.3 MB at 16, measured with tracemalloc).
+#: about 150 kB per replicate at the default config, buffers and
+#: temporaries together (2.4 MB at 16, measured with tracemalloc).
 REPLICATE_BLOCK = 16
 
 #: Bezier control ordinates are drawn in this band around the nominal
@@ -95,6 +94,10 @@ class SimulationConfig:
                 object.__setattr__(self, name, _check_range(name, value))
             elif not isinstance(value, int) and not math.isfinite(value):
                 raise CalibrationError(f"{name} must be finite, got {value!r}")
+            elif name.startswith("n_") or name == "rng_seed":
+                if isinstance(value, bool) or value != int(value):
+                    raise CalibrationError(f"{name} must be a whole number, got {value!r}")
+                object.__setattr__(self, name, int(value))
         if self.scale_range[0] <= 0.0:
             raise CalibrationError(f"scale_range must stay positive, got {self.scale_range}")
         if self.noise_sigma < 0.0:
@@ -124,7 +127,8 @@ class SimulationConfig:
                     raise CalibrationError(f"{key} must hold exactly two bounds, got {value!r}")
                 kwargs[key] = (float(seq[0]), float(seq[1]))
             elif key.startswith("n_") or key == "rng_seed":
-                kwargs[key] = int(value)  # type: ignore[arg-type]
+                # __post_init__ checks that it is a whole number.
+                kwargs[key] = value if isinstance(value, int) else float(value)  # type: ignore[arg-type]
             else:
                 kwargs[key] = float(value)  # type: ignore[arg-type]
         return cls(**kwargs)
@@ -253,11 +257,12 @@ class _SessionBlock:
         self.test_rates = np.empty((size, n_test, 3))
         self.test_measurements = np.empty((size, n_test, 3))
         self.profiles = np.empty((size, 3, n_rot))
-        # Shared by the turn passes, (R, 3, n_rot), and the test set,
-        # (R, n_test, 3), which never need it at the same time. Fresh
-        # temporaries in its place (and in the Bezier terms) cost about
-        # 3% of the campaign's floor_ratio and 0.3 MB of peak RSS.
-        self._scratch = np.empty(size * 3 * max(n_rot, n_test))
+        # Shared, one user at a time, by the turn passes, (R, 3, n_rot),
+        # the test set, (R, 3, n_test) and (R, n_test, 3), and the
+        # sample-major stage copies, (n_static, R, 3) and (n_rot, R, 3, 3).
+        # Temporaries in its place cost about 3% of the campaign's
+        # floor_ratio and 0.3 MB of peak RSS; a buffer per user, 1 MB.
+        self._scratch = np.empty(size * max(3 * n_static, 9 * n_rot, 3 * n_test))
 
     def _scratch_view(self, *shape: int) -> np.ndarray:
         return self._scratch[:math.prod(shape)].reshape(shape)
@@ -327,25 +332,38 @@ class _SessionBlock:
             column -= biases[:, axis, None, None]
             add(rotation_raw[..., axis], column)
         rates = self.test_rates[:size]
-        coupled = np.matmul(rates, coupling.transpose(0, 2, 1),
-                            out=self._scratch_view(*rates.shape))
-        for axis in range(3):
-            coupled[..., axis] /= scales[:, axis, None]
-            coupled[..., axis] -= biases[:, axis, None]
-        add(measurements, coupled)
+        coupled = np.matmul(coupling, rates.transpose(0, 2, 1),
+                            out=self._scratch_view(size, 3, self.config.n_test_rates))
+        coupled /= scales[:, :, None]
+        coupled -= biases[:, :, None]
+        add(measurements, coupled.transpose(0, 2, 1))
 
     def observations(self) -> ObservationArrays:
         """The stage summaries of the simulated sessions, computed as
         ``StaticObservation.from_samples`` and
-        ``RotationObservation.from_samples`` compute them."""
+        ``RotationObservation.from_samples`` compute them, bit for bit.
+
+        Each stage is copied sample-major, so that every sum runs over the
+        samples in order, as theirs do, with all rows on a long inner loop;
+        on the ``(..., n, 3)`` layout numpy's inner loop is the 3 axes. The
+        std repeats numpy's own steps, reusing the mean."""
         config, size = self.config, self.size
-        static_raw = self.static_raw[:size]
-        rate = config.sample_rate
+        n, rate = config.static_samples, config.sample_rate
+        still = self._scratch_view(n, size, 3)
+        np.copyto(still, self.static_raw[:size].transpose(1, 0, 2))
+        means = still.sum(axis=0) / n
+        still -= means
+        np.square(still, out=still)
+        static_stds = np.sqrt(still.sum(axis=0) / (n - 1))
+        # Whole (3,) samples copy as 24-byte records, 2.5x faster than floats.
+        turns = self._scratch_view(config.rotation_samples, size, 3, 3)
+        np.copyto(turns.view("V24")[..., 0],
+                  self.rotation_raw[:size].view("V24")[..., 0].transpose(2, 0, 1))
         return ObservationArrays(
-            static_means=static_raw.mean(axis=1),
-            static_stds=static_raw.std(axis=1, ddof=1),
-            static_duration=config.static_samples / rate,
-            sums=self.rotation_raw[:size].sum(axis=2) / rate,
+            static_means=means,
+            static_stds=static_stds,
+            static_duration=n / rate,
+            sums=turns.sum(axis=0) / rate,
             durations=np.full(3, config.rotation_samples / rate),
             theta_sq=np.full(3, config.rotation_angle ** 2),
         )
@@ -482,12 +500,12 @@ class CampaignReport:
         )
         values = np.column_stack([self.truth, self.estimate, self.parameter_errors(),
                                   self.pre_rms, self.post_rms])
+        # The rows csv.writer would write: no field needs quoting.
         with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(header)
-            writer.writerows(
-                [*index, *map(repr, row)]
-                for index, row in zip(self.indices.tolist(), values.tolist())
+            handle.write(",".join(header) + "\r\n")
+            handle.writelines(
+                f"{s},{r},{','.join(map(repr, row))}\r\n"
+                for (s, r), row in zip(self.indices.tolist(), values.tolist())
             )
 
 

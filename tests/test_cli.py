@@ -86,6 +86,18 @@ class TestSimulate:
         assert "bad simulation config" in err and "noise_sigma must be finite" in err
         assert not out.exists()
 
+    def test_repeated_noise_level_fails(self, tmp_path, capsys):
+        # Each level writes its own CSV and summary entry; a repeat would
+        # silently overwrite the first run's.
+        config = tmp_path / "twice.yaml"
+        config.write_text("noise_levels: [0.03, 0.15, 0.03]\nn_param_sets: 1\n"
+                          "n_sims_per_set: 1\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "bad simulation config" in err and "noise_levels must not repeat" in err
+        assert not out.exists()
+
 
 class TestCalibrate:
     def test_json_output_matches_library(self, session_log_path, capsys):

@@ -78,6 +78,12 @@ class TestSessionLogStructure:
         with pytest.raises(CalibrationError, match="got 2 rotation blocks for 3 axis tags"):
             SessionLog.from_arrays(static, [np.zeros((4, 3))] * 2, sample_rate=100.0)
 
+    @pytest.mark.parametrize("rate", [0.0, -100.0, float("nan"), float("inf")])
+    @pytest.mark.filterwarnings("error")
+    def test_from_arrays_checks_sample_rate_first(self, rate):
+        with pytest.raises(LogParseError, match="sample_rate must be positive and finite"):
+            tiny_log(sample_rate=rate)
+
 
 class TestRoundTrip:
     def test_bit_exact_round_trip(self, tmp_path):

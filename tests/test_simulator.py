@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from gyrocal import estimator, simulator
 from gyrocal.estimator import calibrate
-from gyrocal.model import CalibrationError
+from gyrocal.model import CalibrationError, RotationObservation, StaticObservation
 from gyrocal.simulator import (
     REPLICATE_BLOCK,
     SimulationConfig,
@@ -67,6 +69,20 @@ class TestSimulationConfig:
         assert config.scale_range == (0.9, 1.1)
         assert config.n_param_sets == 4
         assert config.rng_seed == 11
+
+    @pytest.mark.parametrize("build", [SimulationConfig.from_mapping,
+                                       lambda mapping: SimulationConfig(**mapping)])
+    @pytest.mark.parametrize("key", ["n_param_sets", "n_sims_per_set", "n_test_rates",
+                                     "rng_seed"])
+    @pytest.mark.parametrize("value", [2.7, 5.9, True, False])
+    def test_fractional_and_bool_counts_rejected(self, build, key, value):
+        with pytest.raises(CalibrationError, match=f"{key} must be a whole number"):
+            build({key: value})
+
+    def test_whole_float_counts_become_ints(self):
+        config = SimulationConfig.from_mapping({"n_param_sets": 4.0, "rng_seed": 7.0})
+        assert config.n_param_sets == 4 and type(config.n_param_sets) is int
+        assert config.rng_seed == 7 and type(config.rng_seed) is int
 
     def test_from_mapping_rejects_unknown_keys(self):
         with pytest.raises(CalibrationError) as info:
@@ -238,9 +254,28 @@ class TestRunMonteCarlo:
             report.estimate[:, :3], report.truth[:, :3] * factor, rtol=1e-9)
         np.testing.assert_allclose(report.estimate[:, 3:], report.truth[:, 3:], atol=1e-9)
 
-    def test_csv_export_round_trips(self, tmp_path):
-        import csv
+    @pytest.mark.parametrize("rotation_angle", [360.0, 0.5])
+    def test_csv_bytes_match_csv_module(self, tmp_path, rotation_angle):
+        # A 0.5 degree turn fails every replicate: a header-only file.
+        config = SimulationConfig(rotation_angle=rotation_angle, rng_seed=3, **QUICK)
+        report = run_monte_carlo(config)
+        assert len(report.indices) == (6 if rotation_angle == 360.0 else 0)
+        path = tmp_path / "replicates.csv"
+        report.write_replicates_csv(path)
+        names = [f"{p}_{a}" for p in ("k", "b") for a in "xyz"]
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["set_index", "replicate_index"]
+                        + [f"{kind}_{n}" for kind in ("true", "est", "err") for n in names]
+                        + ["pre_rms", "post_rms"])
+        for index, truth, estimate, pre, post in zip(
+                report.indices.tolist(), report.truth.tolist(), report.estimate.tolist(),
+                report.pre_rms.tolist(), report.post_rms.tolist()):
+            errors = (np.array(estimate) - np.array(truth)).tolist()
+            writer.writerow([*index, *map(repr, truth + estimate + errors + [pre, post])])
+        assert path.read_bytes() == expected.getvalue().encode()
 
+    def test_csv_export_round_trips(self, tmp_path):
         config = SimulationConfig(rng_seed=3, **QUICK)
         report = run_monte_carlo(config)
         path = tmp_path / "replicates.csv"
@@ -381,3 +416,42 @@ class TestCampaignMatchesSingleSessions:
                                                   getattr(reference, column))
                 assert report.failures == reference.failures
                 assert len(report.indices) + len(report.failures) == 3 * per_set
+
+
+class TestSessionBlockObservations:
+    """``_SessionBlock.observations()`` equals the per-session stage
+    summaries of ``StaticObservation.from_samples`` and
+    ``RotationObservation.from_samples`` bit for bit on every row. The
+    static stds feed only the stillness guard, so no campaign pin would
+    catch a drift in their last ulps."""
+
+    @pytest.mark.parametrize("noise_sigma", [0.0, 0.15])
+    @pytest.mark.parametrize("sizer,overrides", [
+        ("turns", dict(n_test_rates=40)),
+        ("test set", dict(n_test_rates=2000)),
+        ("still stage", dict(static_duration=20.0, n_test_rates=40)),
+        ("turns", dict(n_test_rates=1)),
+    ])
+    def test_rows_match_from_samples_bitwise(self, noise_sigma, sizer, overrides):
+        config = SimulationConfig(noise_sigma=noise_sigma, rng_seed=9, **overrides)
+        users = {"still stage": 3 * config.static_samples, "turns": 9 * config.rotation_samples,
+                 "test set": 3 * config.n_test_rates}
+        assert max(users, key=users.get) == sizer
+        block = simulator._SessionBlock(config, 5)
+        assert block._scratch.size == 5 * users[sizer]
+        # A full block, then a partial one over the first's leftovers.
+        for rows in (5, 3):
+            truths = [simulator._truth_arrays(config, _truth_rng(config, r)) for r in range(rows)]
+            scales, biases, coupling = (np.stack(column) for column in zip(*truths))
+            block.simulate(scales, biases, coupling,
+                           [_replicate_rng(config, rows, r) for r in range(rows)])
+            view = block.observations()
+            assert view.sums.shape == (rows, 3, 3)
+            for r in range(rows):
+                static = StaticObservation.from_samples(block.static_raw[r], config.sample_rate)
+                assert view.static_means[r].tobytes() == static.means.tobytes()
+                assert view.static_stds[r].tobytes() == static.stds.tobytes()
+                for axis in range(3):
+                    turn = RotationObservation.from_samples(
+                        block.rotation_raw[r, axis], config.sample_rate)
+                    assert view.sums[r, axis].tobytes() == turn.sums.tobytes()
