@@ -5,7 +5,8 @@ Each ``bench/run.py`` run leaves a result record (its last stdout line,
 also written to ``.bench_out/result-<workload>-seed<n>-trace<t>.json``).
 Give the records of the parent commit and of the change in pair order:
 the i-th parent record of a workload is paired with its i-th change
-record. The output holds, per workload and per end-to-end metric of
+record. A traced record or one with ``correct: false`` is refused. The
+output holds, per workload and per end-to-end metric of
 ``BENCHMARK.json``, each side's runs, median and quartiles and the
 number of pairs the change won, plus the pair count, the seeds, the
 machine facts and both sides' git SHA and source digest. A side run
@@ -28,6 +29,16 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 _MACHINE_FACTS = ("nproc", "usable_cpus", "python", "numpy", "platform", "blas_threads")
+
+
+def _load(path: str) -> dict:
+    """One result record, refused when it cannot be folded."""
+    record = json.loads(Path(path).read_text())
+    if record.get("trace"):
+        raise SystemExit(f"{path}: a traced run (trace: 1) has no end-to-end metrics to fold")
+    if record.get("correct") is False:
+        raise SystemExit(f"{path}: the run failed its checks (correct: false)")
+    return record
 
 
 def _side(records: list[dict]) -> dict:
@@ -89,8 +100,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--order", required=True, help="which side ran first in each pair")
     parser.add_argument("--out", required=True, help="the BENCH_*.json to write")
     args = parser.parse_args(argv)
-    parent, change = ([json.loads(Path(p).read_text()) for p in paths]
-                      for paths in (args.parent, args.change))
+    parent, change = ([_load(p) for p in paths] for paths in (args.parent, args.change))
     folded = fold(parent, change, args.title, args.order)
     Path(args.out).write_text(json.dumps(folded, indent=2) + "\n")
     return 0

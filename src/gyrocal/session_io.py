@@ -4,13 +4,16 @@ Layout: `# key: value` comment lines first (sample_rate is required,
 rotation_angle, full_scale and device are optional), then the column
 header `stage,t,m_x,m_y,m_z`, then one row per sample. The stage column
 is `static` or `rotate:<axis>`. Floats are written with repr so a log
-round-trips bit-for-bit.
+round-trips bit-for-bit. Within a stage, timestamps step by one sample
+period; a step over 1.5 periods is dropped samples and is rejected. The
+device is one line without surrounding whitespace, so it reads back as
+written.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 import numpy as np
 
@@ -91,6 +94,16 @@ class SessionLog:
     def __post_init__(self) -> None:
         for key in ("sample_rate", "rotation_angle", "full_scale"):
             _check_header_value(key, getattr(self, key))
+        # The header line must read back as the same string.
+        device = self.device
+        if device is not None and (
+            not isinstance(device, str)
+            or device != device.strip() or "\n" in device or "\r" in device
+        ):
+            raise LogParseError(
+                "device must be one line of text without leading or trailing whitespace, "
+                f"got {device!r}"
+            )
         statics = [i for i, seg in enumerate(self.segments) if seg.is_static]
         if len(statics) != 1:
             raise ProtocolViolation(
@@ -105,8 +118,18 @@ class SessionLog:
             )
         last = -np.inf
         for seg in self.segments:
-            if seg.times[0] <= last or np.any(np.diff(seg.times) <= 0.0):
+            spacing = np.diff(seg.times)
+            if seg.times[0] <= last or (spacing.size and spacing.min() <= 0.0):
                 raise LogParseError("timestamps must increase strictly across the whole log")
+            # Gaps between stages are allowed; a gap inside one is dropped samples.
+            if spacing.size and spacing.max() * self.sample_rate > 1.5:
+                periods = spacing * self.sample_rate
+                i = int(np.argmax(periods > 1.5))
+                raise ProtocolViolation(
+                    f"{seg.stage!r} stage: {np.rint(periods[i]) - 1:.0f} sample(s) missing "
+                    f"after t = {float(seg.times[i])!r} s at {float(self.sample_rate)!r} Hz; "
+                    "a dropped sample shortens the integrated angle"
+                )
             last = seg.times[-1]
 
     @classmethod
@@ -192,19 +215,23 @@ def _parse_header_value(key: str, value: str, line_number: int):
 
 
 def read_session_log(path) -> SessionLog:
+    """Parse a session log in one streaming pass over the file.
+
+    The data rows go into one flat list of floats, and each change of
+    stage tag starts a new run; the runs are sliced out of one array at
+    the end."""
     header: dict[str, object] = {}
-    rows: list[tuple[str, float, float, float, float]] = []
+    values: list[float] = []
+    runs: list[tuple[str, int]] = []  # (stage, first row) of each run of rows
+    stage_now = None
     saw_columns = False
     with open(path, "r", newline="") as handle:
-        for line_number, raw_line in enumerate(handle, start=1):
+        lines = enumerate(handle, start=1)
+        for line_number, raw_line in lines:
             line = raw_line.strip()
             if not line:
                 continue
             if line.startswith("#"):
-                if saw_columns:
-                    raise LogParseError(
-                        f"line {line_number}: header comments must precede the data"
-                    )
                 body = line.lstrip("#").strip()
                 if ":" not in body:
                     raise LogParseError(
@@ -219,59 +246,63 @@ def read_session_log(path) -> SessionLog:
                     )
                 header[key] = _parse_header_value(key, value.strip(), line_number)
                 continue
-            if not saw_columns:
-                if line != _COLUMNS:
-                    raise LogParseError(
-                        f"line {line_number}: expected column header {_COLUMNS!r}, got {line!r}"
-                    )
-                saw_columns = True
-                continue
+            if line != _COLUMNS:
+                raise LogParseError(
+                    f"line {line_number}: expected column header {_COLUMNS!r}, got {line!r}"
+                )
+            saw_columns = True
+            break
+        # The data rows. float() ignores the whitespace and line ending
+        # around a field, so a row is only split; the rarer cases (blank
+        # lines, late comments, bad rows) are sorted out on the error path.
+        for line_number, line in lines:
             parts = line.split(",")
             if len(parts) != 5:
-                raise LogParseError(
-                    f"line {line_number}: expected 5 comma-separated fields, got {len(parts)}"
-                )
+                if not line.strip():
+                    continue
+                _reject_row(line, line_number,
+                            f"expected 5 comma-separated fields, got {len(parts)}")
             stage = parts[0].strip()
-            if stage not in _STAGES:
-                raise LogParseError(
-                    f"line {line_number}: unknown stage tag {stage!r}"
-                )
+            if stage != stage_now:
+                if stage not in _STAGES:
+                    _reject_row(line, line_number, f"unknown stage tag {stage!r}")
+                stage_now = stage
+                runs.append((stage, len(values) // 4))
             try:
-                numbers = [float(p) for p in parts[1:]]
+                values.extend(map(float, parts[1:]))
             except ValueError:
                 raise LogParseError(
-                    f"line {line_number}: malformed numeric field in {line!r}"
+                    f"line {line_number}: malformed numeric field in {line.strip()!r}"
                 ) from None
-            rows.append((stage, *numbers))
     if "sample_rate" not in header:
         raise LogParseError("missing required header '# sample_rate: <Hz>'")
     if not saw_columns:
         raise LogParseError(f"missing column header line {_COLUMNS!r}")
-    if not rows:
+    if not values:
         raise LogParseError("log contains no sample rows")
 
-    segments = []
-    start = 0
-    for i in range(1, len(rows) + 1):
-        if i == len(rows) or rows[i][0] != rows[start][0]:
-            chunk = rows[start:i]
-            segments.append(
-                LogSegment(
-                    stage=chunk[0][0],
-                    times=np.array([r[1] for r in chunk]),
-                    samples=np.array([r[2:] for r in chunk]),
-                )
-            )
-            start = i
+    data = np.array(values).reshape(-1, 4)
+    ends = [first for _, first in runs[1:]] + [len(data)]
+    segments = tuple(
+        LogSegment(stage, data[first:end, 0].copy(), data[first:end, 1:].copy())
+        for (stage, first), end in zip(runs, ends)
+    )
     return SessionLog(
         sample_rate=float(header["sample_rate"]),  # type: ignore[arg-type]
-        segments=tuple(segments),
+        segments=segments,
         rotation_angle=float(header.get("rotation_angle", 360.0)),  # type: ignore[arg-type]
         full_scale=(
             float(header["full_scale"]) if "full_scale" in header else None  # type: ignore[arg-type]
         ),
         device=header.get("device"),  # type: ignore[arg-type]
     )
+
+
+def _reject_row(line: str, line_number: int, problem: str) -> NoReturn:
+    """Raise for a data row that is not a sample; a comment names itself."""
+    if line.lstrip().startswith("#"):
+        problem = "header comments must precede the data"
+    raise LogParseError(f"line {line_number}: {problem}")
 
 
 def write_session_log(path, log: SessionLog) -> None:
@@ -284,6 +315,10 @@ def write_session_log(path, log: SessionLog) -> None:
             handle.write(f"# device: {log.device}\n")
         handle.write(_COLUMNS + "\n")
         for seg in log.segments:
-            for t, row in zip(seg.times, seg.samples):
-                values = ",".join(repr(float(v)) for v in (t, row[0], row[1], row[2]))
-                handle.write(f"{seg.stage},{values}\n")
+            stage = seg.stage
+            # tolist() gives Python floats, whose repr is the shortest
+            # string that reads back to the same double.
+            handle.writelines(
+                f"{stage},{t!r},{x!r},{y!r},{z!r}\n"
+                for t, (x, y, z) in zip(seg.times.tolist(), seg.samples.tolist())
+            )

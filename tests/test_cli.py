@@ -138,6 +138,28 @@ class TestCalibrate:
         assert main(["calibrate", str(path), "--noise-sigma", "nan"]) == 1
         assert "noise_sigma" in capsys.readouterr().err
 
+    def test_second_call_inherits_no_options(self, session_log_path, tmp_path, capsys):
+        # One parser serves every main() call in a process; each call
+        # must start again from the defaults.
+        path, sim, _ = session_log_path
+        out = tmp_path / "params.json"
+        assert main(["calibrate", str(path), "--noise-sigma", "0.01", "--out", str(out)]) == 1
+        assert "static" in capsys.readouterr().err  # a 0.15 deg/s still stage is too noisy
+        assert not out.exists()
+        assert main(["calibrate", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert not out.exists()
+        assert payload["k_x"] == calibrate(sim.session, noise_sigma=0.15).as_dict()["k_x"]
+
+    def test_handler_rebound_after_parser_built_runs(self, session_log_path, monkeypatch,
+                                                     capsys):
+        path, _, _ = session_log_path
+        assert main(["calibrate", str(path)]) == 0  # builds the parser
+        calls = []
+        monkeypatch.setattr("gyrocal.cli.cmd_calibrate", lambda args: calls.append(args.log) or 7)
+        assert main(["calibrate", str(path)]) == 7
+        assert calls == [str(path)]
+
     def test_missing_file_fails_cleanly(self, tmp_path, capsys):
         assert main(["calibrate", str(tmp_path / "nope.csv")]) == 1
         assert "error" in capsys.readouterr().err

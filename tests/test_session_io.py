@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gyrocal.estimator import calibrate
 from gyrocal.model import CalibrationError, ProtocolViolation
@@ -22,6 +25,22 @@ def simulated_log(seed=3, noise=0.15, device="unit under test", full_scale=245.0
         sim.static_raw, list(sim.rotation_raw), config.sample_rate,
         rotation_angle=config.rotation_angle, full_scale=full_scale, device=device)
     return log, sim, truth
+
+
+def assert_same_log(a, b):
+    """Equal headers, and bit-equal segments (-0.0 is not 0.0)."""
+    assert (a.sample_rate, a.rotation_angle, a.full_scale, a.device) == (
+        b.sample_rate, b.rotation_angle, b.full_scale, b.device)
+    assert [s.stage for s in a.segments] == [s.stage for s in b.segments]
+    for x, y in zip(a.segments, b.segments):
+        assert x.times.tobytes() == y.times.tobytes()
+        assert x.samples.tobytes() == y.samples.tobytes()
+
+
+def data_lines(path):
+    """The log's lines, and the index of its first data row."""
+    lines = path.read_text().splitlines(keepends=True)
+    return lines, lines.index("stage,t,m_x,m_y,m_z\n") + 1
 
 
 def tiny_log(**overrides):
@@ -78,6 +97,28 @@ class TestSessionLogStructure:
         with pytest.raises(CalibrationError, match="got 2 rotation blocks for 3 axis tags"):
             SessionLog.from_arrays(static, [np.zeros((4, 3))] * 2, sample_rate=100.0)
 
+    def test_dropped_sample_inside_a_stage_rejected(self):
+        log = tiny_log()
+        turn = log.segments[2]
+        keep = [0, 1, 3]  # the sample at t = 0.10 s is missing
+        segments = list(log.segments)
+        segments[2] = LogSegment(turn.stage, turn.times[keep], turn.samples[keep])
+        with pytest.raises(ProtocolViolation,
+                           match=r"'rotate:y' stage: 1 sample\(s\) missing after t = 0\.09 s"):
+            SessionLog(sample_rate=100.0, segments=tuple(segments))
+
+    def test_gap_between_stages_allowed(self):
+        log = tiny_log()
+        shifted = [LogSegment(seg.stage, seg.times + 5.0 * i, seg.samples)
+                   for i, seg in enumerate(log.segments)]
+        assert len(SessionLog(sample_rate=100.0, segments=tuple(shifted)).segments) == 4
+
+    @pytest.mark.parametrize("device",
+                             ["a\nb", "a\rb", "  padded  ", " lead", "trail\t", "\n", 7])
+    def test_device_that_cannot_read_back_rejected(self, device):
+        with pytest.raises(LogParseError, match="device must be one line of text"):
+            tiny_log(device=device)
+
     @pytest.mark.parametrize("rate", [0.0, -100.0, float("nan"), float("inf")])
     @pytest.mark.filterwarnings("error")
     def test_from_arrays_checks_sample_rate_first(self, rate):
@@ -116,6 +157,91 @@ class TestRoundTrip:
         back = read_session_log(path)
         assert back.full_scale is None
         assert back.device is None
+
+
+# Finite doubles, with the edge cases a text format can lose named outright.
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+               1.7976931348623157e308, -1.7976931348623157e308)
+finite_floats = st.one_of(st.sampled_from(EDGE_FLOATS),
+                          st.floats(allow_nan=False, allow_infinity=False))
+positive_floats = st.floats(min_value=5e-324, max_value=1.7976931348623157e308)
+devices = st.text(st.characters(codec="ascii")).filter(
+    lambda d: d == d.strip() and "\n" not in d and "\r" not in d)
+
+
+@st.composite
+def session_logs(draw):
+    rate = draw(st.floats(min_value=1.0, max_value=1e4))
+    counts = draw(st.lists(st.integers(1, 5), min_size=4, max_size=4))
+    start = draw(st.one_of(st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308]),
+                           st.floats(min_value=-1e6, max_value=1e6)))
+    times = start + np.arange(sum(counts)) / rate
+    times[0] = start  # keeps the sign of -0.0
+    samples = draw(arrays(np.float64, (sum(counts), 3), elements=finite_floats))
+    bounds = np.cumsum([0, *counts])
+    segments = tuple(
+        LogSegment(stage, times[a:b], samples[a:b])
+        for stage, a, b in zip(("static", "rotate:x", "rotate:y", "rotate:z"), bounds, bounds[1:])
+    )
+    return SessionLog(sample_rate=rate, segments=segments,
+                      rotation_angle=draw(positive_floats),
+                      full_scale=draw(st.none() | positive_floats),
+                      device=draw(st.none() | devices))
+
+
+class TestTextForms:
+    @given(session_logs())
+    @settings(max_examples=150, deadline=None)
+    def test_write_read_is_bit_exact(self, tmp_path_factory, log):
+        path = tmp_path_factory.getbasetemp() / "property.csv"
+        write_session_log(path, log)
+        assert_same_log(read_session_log(path), log)
+
+    def test_write_bytes(self, tmp_path):
+        path = tmp_path / "tiny.csv"
+        write_session_log(path, tiny_log(full_scale=245.0, device="unit 7"))
+        lines = path.read_text().splitlines()
+        assert lines[:6] == [
+            "# sample_rate: 100.0",
+            "# rotation_angle: 90.0",
+            "# full_scale: 245.0",
+            "# device: unit 7",
+            "stage,t,m_x,m_y,m_z",
+            "static,0.0,0.25,0.25,0.25",
+        ]
+        assert lines[9:11] == ["rotate:x,0.04,2250.0,0.0,0.0", "rotate:x,0.05,2250.0,0.0,0.0"]
+        assert len(lines) == 5 + 16
+
+    def test_crlf_and_blank_lines(self, tmp_path):
+        log, _, _ = simulated_log()
+        path = tmp_path / "session.csv"
+        write_session_log(path, log)
+        lines = path.read_text().splitlines()
+        path.write_bytes("\r\n\r\n  \t\r\n".join(lines).encode() + b"\r\n")
+        assert_same_log(read_session_log(path), log)
+
+    def test_stage_tag_with_surrounding_spaces(self, tmp_path):
+        log = tiny_log()
+        path = tmp_path / "log.csv"
+        write_session_log(path, log)
+        lines, first = data_lines(path)
+        lines[first:] = ["  " + line.replace(",", " ,", 1) for line in lines[first:]]
+        path.write_text("".join(lines))
+        assert_same_log(read_session_log(path), log)
+
+    def test_dropped_sample_in_file_rejected(self, tmp_path):
+        log, _, _ = simulated_log()
+        path = tmp_path / "session.csv"
+        write_session_log(path, log)
+        lines, first = data_lines(path)
+        row = first + len(log.segments[0].times) + len(log.segments[1].times) // 2
+        dropped = lines.pop(row)
+        path.write_text("".join(lines))
+        with pytest.raises(ProtocolViolation,
+                           match=r"'rotate:x' stage: 1 sample\(s\) missing") as info:
+            read_session_log(path)
+        assert repr(float(lines[row - 1].split(",")[1])) in str(info.value)
+        assert dropped.startswith("rotate:x,")
 
 
 class TestParseErrors:
@@ -175,6 +301,15 @@ class TestParseErrors:
                  for line in path.read_text().splitlines()]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(LogParseError, match=key):
+            read_session_log(path)
+
+    @pytest.mark.parametrize("comment", ["# device: late", "  # note, with, four, more, commas"])
+    def test_comment_after_data_names_line(self, tmp_path, comment):
+        path = self.write(
+            tmp_path,
+            f"# sample_rate: 100\nstage,t,m_x,m_y,m_z\nstatic,0.0,0,0,0\n{comment}\n")
+        with pytest.raises(LogParseError,
+                           match="line 4: header comments must precede the data"):
             read_session_log(path)
 
     def test_empty_log_rejected(self, tmp_path):
