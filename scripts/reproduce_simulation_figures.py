@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Monte-Carlo error-distribution study at both standard noise levels.
 
-Runs the simulate-calibrate campaign at 0.03 and 0.15 deg/s noise,
-prints per-parameter quartile tables, and writes the replicate CSVs plus
-a JSON summary. The default size keeps a laptop run under a minute; pass
---full for the 30x500 version.
+Writes the campaign config to ``campaign.yaml`` in the output directory,
+runs ``gyrocal simulate`` on it at 0.03 and 0.15 deg/s noise (replicate
+CSVs plus ``summary.json``), and prints per-parameter quartile tables
+from the summary. The default size keeps a laptop run under a minute;
+pass --full for the 30x500 version.
 
 Usage:
     python scripts/reproduce_simulation_figures.py --out results/
@@ -14,20 +15,20 @@ Usage:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 
-from gyrocal import SimulationConfig, run_monte_carlo
+import yaml
 
-PARAM_ORDER = ("k_x", "k_y", "k_z", "b_x", "b_y", "b_z")
+from gyrocal.cli import main as cli_main
+from gyrocal.model import PARAM_NAMES
 
 
 def print_quartiles(summary: dict) -> None:
     print(f"  noise sigma {summary['noise_sigma']:g} deg/s, "
           f"{summary['n_replicates']} replicates, {summary['n_failures']} failures")
     print(f"  {'param':<6} {'q1':>12} {'median':>12} {'q3':>12}")
-    for name in PARAM_ORDER:
+    for name in PARAM_NAMES:
         row = summary["parameter_errors"][name]
         print(f"  {name:<6} {row['q1']:>12.2e} {row['median']:>12.2e} {row['q3']:>12.2e}")
     test = summary["test_set"]
@@ -46,30 +47,26 @@ def main() -> int:
                         help="also draw axis cross-coupling in (-0.10, 0.10)")
     args = parser.parse_args()
 
-    reps = 500 if args.full else 20
-    misalignment = (-0.10, 0.10) if args.misalignment else (0.0, 0.0)
-    base = SimulationConfig(
-        n_param_sets=30,
-        n_sims_per_set=reps,
-        misalignment_range=misalignment,
-        rng_seed=args.seed,
-    )
     os.makedirs(args.out, exist_ok=True)
-    campaigns = {}
-    for sigma in (0.03, 0.15):
-        config = dataclasses.replace(base, noise_sigma=sigma)
-        report = run_monte_carlo(config)
-        summary = report.summary()
-        csv_name = f"replicates_sigma_{sigma!r}.csv"
-        report.write_replicates_csv(os.path.join(args.out, csv_name))
-        campaigns[repr(sigma)] = {"replicates_csv": csv_name, **summary}
-        print(f"campaign sigma={sigma:g}")
+    config_path = os.path.join(args.out, "campaign.yaml")
+    with open(config_path, "w") as handle:
+        yaml.safe_dump({
+            "noise_levels": [0.03, 0.15],
+            "n_param_sets": 30,
+            "n_sims_per_set": 500 if args.full else 20,
+            "misalignment_range": [-0.10, 0.10] if args.misalignment else [0.0, 0.0],
+            "rng_seed": args.seed,
+        }, handle, sort_keys=False)
+    status = cli_main(["simulate", "--config", config_path, "--out", args.out])
+    if status != 0:
+        return status
+    print()
+    with open(os.path.join(args.out, "summary.json")) as handle:
+        campaigns = json.load(handle)["campaigns"]
+    for sigma, summary in campaigns.items():
+        print(f"campaign sigma={float(sigma):g}")
         print_quartiles(summary)
         print()
-    with open(os.path.join(args.out, "summary.json"), "w") as handle:
-        json.dump({"rng_seed": args.seed, "campaigns": campaigns}, handle,
-                  indent=2, sort_keys=True)
-        handle.write("\n")
     print(f"artifacts in {args.out}/")
     return 0
 

@@ -20,14 +20,12 @@ from typing import Sequence
 import numpy as np
 
 from . import doe, observability
-from .estimator import MOTION_THRESHOLD_DEG, calibrate
-from .model import AXES, CalibrationError
+from .estimator import calibrate
+from .model import AXES, PARAM_NAMES, CalibrationError, CalibrationParams
 from .session_io import read_session_log
 from .simulator import SimulationConfig, run_monte_carlo
 
 __all__ = ["main"]
-
-PARAM_KEYS = tuple(f"k_{a}" for a in AXES) + tuple(f"b_{a}" for a in AXES)
 
 _VERIFY_SEED = 20240817
 
@@ -73,12 +71,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         configs = _load_simulation_configs(args.config, args.seed)
     except (OSError, yaml.YAMLError, CalibrationError, ValueError, TypeError) as exc:
         return _fail(f"bad simulation config: {exc}")
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        _write_campaigns(configs, args.out)
+    except OSError as exc:
+        return _fail(f"cannot write output: {exc}")
+    return 0
+
+
+def _write_campaigns(configs: list[SimulationConfig], out: str) -> None:
+    os.makedirs(out, exist_ok=True)
     campaigns = {}
     for config in configs:
         report = run_monte_carlo(config)
         csv_name = f"replicates_sigma_{config.noise_sigma!r}.csv"
-        report.write_replicates_csv(os.path.join(args.out, csv_name))
+        report.write_replicates_csv(os.path.join(out, csv_name))
         campaigns[repr(config.noise_sigma)] = {
             "replicates_csv": csv_name,
             **report.summary(),
@@ -86,22 +92,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"wrote {csv_name} ({len(report.indices)} replicates, "
               f"{len(report.failures)} failures)")
     summary = {"rng_seed": configs[0].rng_seed, "campaigns": campaigns}
-    summary_path = os.path.join(args.out, "summary.json")
-    with open(summary_path, "w") as handle:
+    with open(os.path.join(out, "summary.json"), "w") as handle:
         json.dump(summary, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    print(f"wrote {os.path.basename(summary_path)}")
-    return 0
+    print("wrote summary.json")
 
 
 def _calibration_payload(args: argparse.Namespace) -> dict:
     log = read_session_log(args.log)
     obs = log.session()
-    params = calibrate(
-        obs,
-        noise_sigma=args.noise_sigma,
-        motion_threshold=args.motion_threshold,
-    )
+    params = calibrate(obs, noise_sigma=args.noise_sigma)
     rotations = []
     for tag, corrected in zip(log.rotation_axes, obs.corrected_sums(params.biases)):
         rotations.append(
@@ -131,25 +131,35 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     except CalibrationError as exc:
         return _fail(str(exc))
     text = json.dumps(payload, indent=2, sort_keys=True)
-    print(text)
     if args.out is not None:
-        with open(args.out, "w") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(args.out, "w") as handle:
+                handle.write(text + "\n")
+        except OSError as exc:
+            return _fail(f"cannot write output: {exc}")
+    print(text)
     return 0
 
 
-def _read_params_json(path: str) -> dict:
+def _read_params_json(path: str) -> dict[str, float]:
+    """The six parameters of a JSON file, checked as ``CalibrationParams``
+    checks them: finite, with positive scales."""
     with open(path, "r") as handle:
         data = json.load(handle)
     if not isinstance(data, dict):
         raise CalibrationError(f"{path}: expected a JSON object with parameter fields")
-    missing = [k for k in PARAM_KEYS if k not in data]
+    missing = [k for k in PARAM_NAMES if k not in data]
     if missing:
         raise CalibrationError(f"{path}: missing parameter fields: {', '.join(missing)}")
-    return {k: float(data[k]) for k in PARAM_KEYS}
+    try:
+        return CalibrationParams(**{k: float(data[k]) for k in PARAM_NAMES}).as_dict()
+    except (TypeError, ValueError) as exc:  # CalibrationError is a ValueError
+        raise CalibrationError(f"{path}: {exc}") from None
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    if not 0.0 <= args.threshold < np.inf:
+        return _fail(f"threshold must be finite and non-negative, got {args.threshold!r}")
     try:
         first = _read_params_json(args.first)
         second = _read_params_json(args.second)
@@ -159,7 +169,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     label_b = os.path.splitext(os.path.basename(args.second))[0]
     print(f"{'parameter':<10} {label_a:>12} {label_b:>12} {'difference':>12}")
     flagged = 0
-    for key in PARAM_KEYS:
+    for key in PARAM_NAMES:
         diff = second[key] - first[key]
         mark = ""
         if abs(diff) > args.threshold:
@@ -205,12 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.15,
         help="expected rate noise (deg/s) for the stillness guard (default 0.15)",
-    )
-    p_cal.add_argument(
-        "--motion-threshold",
-        type=float,
-        default=MOTION_THRESHOLD_DEG,
-        help="minimum integrated rotation (degrees) before a session counts as moved",
     )
     p_cal.add_argument("--out", help="also write the JSON to this file")
 

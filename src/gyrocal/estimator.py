@@ -39,7 +39,7 @@ __all__ = [
 CONDITION_LIMIT = 1e8
 
 #: A rotation stage whose bias-corrected integrated motion stays below
-#: this many degrees is treated as static.
+#: this many degrees is treated as static. Read at call time.
 MOTION_THRESHOLD_DEG = 10.0
 
 #: The static stage is rejected when a per-axis sample standard deviation
@@ -96,25 +96,21 @@ class Fit(NamedTuple):
         )
 
 
-def fit_batch(
-    obs: ObservationArrays,
-    *,
-    noise_sigma: float | None = None,
-    motion_threshold: float = MOTION_THRESHOLD_DEG,
-) -> Fit:
+def fit_batch(obs: ObservationArrays, *, noise_sigma: float | None = None) -> Fit:
     """Closed-form calibration of every session of an observation stack.
 
     Applies the guards of :func:`calibrate` to each row, in the same
     order and with the same messages, and records the first one a row
     trips instead of raising. A view without a replicate axis is a
-    stack of one. Raises CalibrationError when ``noise_sigma`` or
-    ``motion_threshold`` is negative or not finite, as either would
-    silently disable or misfire its guard, and when ``noise_sigma`` is
-    set on a view without static standard deviations to check.
+    stack of one. Raises CalibrationError when ``noise_sigma`` is
+    negative or not finite, as either would silently disable or misfire
+    the stillness guard, and when it is set on a view without static
+    standard deviations to check.
     """
-    for name, value in (("noise_sigma", noise_sigma), ("motion_threshold", motion_threshold)):
-        if value is not None and not 0.0 <= value < np.inf:
-            raise CalibrationError(f"{name} must be finite and non-negative, got {value!r}")
+    if noise_sigma is not None and not 0.0 <= noise_sigma < np.inf:
+        raise CalibrationError(
+            f"noise_sigma must be finite and non-negative, got {noise_sigma!r}"
+        )
     if noise_sigma is not None and obs.static_stds is None:
         raise CalibrationError(
             "noise_sigma enables the stillness guard, but the static stage carries "
@@ -136,8 +132,8 @@ def fit_batch(
     corrected = obs.corrected_sums(biases)
     x = corrected * corrected
     motion = np.sqrt(x.sum(axis=2))
-    _record(errors, (motion < motion_threshold).all(axis=1), lambda r: ProtocolViolation(
-        f"every rotation stage integrates below {motion_threshold:g} degrees; "
+    _record(errors, (motion < MOTION_THRESHOLD_DEG).all(axis=1), lambda r: ProtocolViolation(
+        f"every rotation stage integrates below {MOTION_THRESHOLD_DEG:g} degrees; "
         "the session contains no usable rotation"
     ))
     scales = np.full((n_rows, 3), np.nan)
@@ -187,12 +183,7 @@ def fit_batch(
     return Fit(biases=biases, scales=scales, condition_numbers=cond, errors=tuple(errors))
 
 
-def calibrate(
-    obs: ObservationArrays,
-    *,
-    noise_sigma: float | None = None,
-    motion_threshold: float = MOTION_THRESHOLD_DEG,
-) -> CalibrationParams:
+def calibrate(obs: ObservationArrays, *, noise_sigma: float | None = None) -> CalibrationParams:
     """Closed-form calibration of one session: :func:`fit_batch` of a
     stack of one, raising its error. The result carries the condition
     number of the scale regression.
@@ -200,12 +191,12 @@ def calibrate(
     ``noise_sigma`` (deg/s) enables the stillness guard: the static stage
     is rejected when any per-axis sample standard deviation exceeds
     ``STILLNESS_STD_FACTOR`` times this value, so motion cannot leak into
-    the bias estimate. ``motion_threshold`` (degrees) rejects sessions in
-    which every rotation stage integrates to almost no motion. A stacked
-    view is rejected rather than fitted on its first row.
+    the bias estimate. Sessions in which every rotation stage integrates
+    below ``MOTION_THRESHOLD_DEG`` are rejected. A stacked view is
+    rejected rather than fitted on its first row.
     """
     check_single_session(obs, static=True)
-    return fit_batch(obs, noise_sigma=noise_sigma, motion_threshold=motion_threshold).params()
+    return fit_batch(obs, noise_sigma=noise_sigma).params()
 
 
 def _residuals_and_jacobian(

@@ -33,6 +33,9 @@ __all__ = [
 
 AXES = ("x", "y", "z")
 
+#: The six parameters in the order every table, file and vector uses.
+PARAM_NAMES = ("k_x", "k_y", "k_z", "b_x", "b_y", "b_z")
+
 
 class CalibrationError(ValueError):
     """Raised when inputs or data violate the calibration model contract."""
@@ -107,10 +110,7 @@ class CalibrationParams:
         return np.array([self.b_x, self.b_y, self.b_z])
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "k_x": self.k_x, "k_y": self.k_y, "k_z": self.k_z,
-            "b_x": self.b_x, "b_y": self.b_y, "b_z": self.b_z,
-        }
+        return {name: getattr(self, name) for name in PARAM_NAMES}
 
 
 def apply_calibration(params: CalibrationParams, raw) -> np.ndarray:

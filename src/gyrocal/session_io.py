@@ -1,13 +1,13 @@
 """On-disk session logs: a small CSV dialect for 30-second recordings.
 
 Layout: `# key: value` comment lines first (sample_rate is required,
-rotation_angle, full_scale and device are optional), then the column
-header `stage,t,m_x,m_y,m_z`, then one row per sample. The stage column
-is `static` or `rotate:<axis>`. Floats are written with repr so a log
-round-trips bit-for-bit. Within a stage, timestamps step by one sample
-period; a step over 1.5 periods is dropped samples and is rejected. The
-device is one line without surrounding whitespace, so it reads back as
-written.
+rotation_angle, full_scale and device are optional, and none may
+repeat), then the column header `stage,t,m_x,m_y,m_z`, then one row per
+sample. The stage column is `static` or `rotate:<axis>`. Floats are
+written with repr so a log round-trips bit-for-bit. Within a stage,
+timestamps step by one sample period; a step over 1.5 periods is
+dropped samples and is rejected. The device is one line without
+surrounding whitespace, so it reads back as written.
 """
 
 from __future__ import annotations
@@ -244,6 +244,8 @@ def read_session_log(path) -> SessionLog:
                         f"line {line_number}: unknown header key {key!r}; "
                         f"expected one of {', '.join(_HEADER_KEYS)}"
                     )
+                if key in header:
+                    raise LogParseError(f"line {line_number}: duplicate header key {key!r}")
                 header[key] = _parse_header_value(key, value.strip(), line_number)
                 continue
             if line != _COLUMNS:

@@ -21,14 +21,7 @@ from typing import Mapping
 import numpy as np
 
 from .estimator import Fit, fit_batch
-from .model import (
-    AXES,
-    CalibrationError,
-    CalibrationParams,
-    ObservationArrays,
-    RotationObservation,
-    StaticObservation,
-)
+from .model import PARAM_NAMES, CalibrationError, CalibrationParams, ObservationArrays
 
 __all__ = [
     "SimulationConfig",
@@ -106,6 +99,13 @@ class SimulationConfig:
             raise CalibrationError(f"sample_rate must be positive, got {self.sample_rate}")
         if self.static_duration <= 0.0 or self.rotation_duration <= 0.0:
             raise CalibrationError("stage durations must be positive")
+        for name, samples in (("static_duration", self.static_samples),
+                              ("rotation_duration", self.rotation_samples)):
+            if samples < 2:
+                raise CalibrationError(
+                    f"{name} {getattr(self, name)!r} s at {self.sample_rate!r} Hz gives "
+                    f"{samples} sample(s) per stage; a stage needs at least 2"
+                )
         if self.rotation_angle <= 0.0:
             raise CalibrationError(f"rotation_angle must be positive, got {self.rotation_angle}")
         for name in ("n_param_sets", "n_sims_per_set", "n_test_rates"):
@@ -403,28 +403,22 @@ def simulate_session(
     The draw order is fixed (static noise, then profile plus noise per
     axis in x, y, z order, then test rates, then test noise), so a given
     generator state always yields the same session, and the same one a
-    campaign replicate with that generator sees.
+    campaign replicate with that generator sees. Its ``session`` is row 0
+    of a one-row campaign block's stage summaries, so ``calibrate`` of it
+    is that replicate's campaign fit.
     """
     block = _SessionBlock(config, 1)
     block.simulate(truth.params.scales[None], truth.params.biases[None],
                    truth.misalignment[None], [rng])
-    rate = config.sample_rate
-    rotation_raw = tuple(block.rotation_raw[0])
-    rotations = tuple(
-        RotationObservation.from_samples(raw, rate, theta_total=config.rotation_angle)
-        for raw in rotation_raw
-    )
+    stack = block.observations()
     return SimulatedSession(
-        session=ObservationArrays.from_stages(
-            StaticObservation.from_samples(block.static_raw[0], rate), rotations),
+        session=stack._replace(static_means=stack.static_means[0],
+                               static_stds=stack.static_stds[0], sums=stack.sums[0]),
         static_raw=block.static_raw[0],
-        rotation_raw=rotation_raw,
+        rotation_raw=tuple(block.rotation_raw[0]),
         test_rates=block.test_rates[0],
         test_measurements=block.test_measurements[0],
     )
-
-
-_PARAM_NAMES = tuple(f"k_{a}" for a in AXES) + tuple(f"b_{a}" for a in AXES)
 
 
 @dataclass(frozen=True, eq=False)
@@ -457,7 +451,7 @@ class CampaignReport:
         """Quartile digest per parameter plus test-set improvement stats."""
         errors = self.parameter_errors()
         per_parameter = {}
-        for column, name in enumerate(_PARAM_NAMES):
+        for column, name in enumerate(PARAM_NAMES):
             values = errors[:, column]
             q1, median, q3 = (
                 np.quantile(values, [0.25, 0.5, 0.75]) if values.size else (math.nan,) * 3
@@ -493,9 +487,9 @@ class CampaignReport:
         """One row per replicate; floats via repr for lossless round trips."""
         header = (
             ["set_index", "replicate_index"]
-            + [f"true_{n}" for n in _PARAM_NAMES]
-            + [f"est_{n}" for n in _PARAM_NAMES]
-            + [f"err_{n}" for n in _PARAM_NAMES]
+            + [f"true_{n}" for n in PARAM_NAMES]
+            + [f"est_{n}" for n in PARAM_NAMES]
+            + [f"err_{n}" for n in PARAM_NAMES]
             + ["pre_rms", "post_rms"]
         )
         values = np.column_stack([self.truth, self.estimate, self.parameter_errors(),

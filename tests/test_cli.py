@@ -26,6 +26,9 @@ def session_log_path(tmp_path):
     return path, sim, truth
 
 
+IDENTITY = {"k_x": 1.0, "k_y": 1.0, "k_z": 1.0, "b_x": 0.0, "b_y": 0.0, "b_z": 0.0}
+
+
 def write_params(path, values):
     with open(path, "w") as handle:
         json.dump(values, handle)
@@ -98,6 +101,14 @@ class TestSimulate:
         assert "bad simulation config" in err and "noise_levels must not repeat" in err
         assert not out.exists()
 
+    def test_unwritable_out_reported(self, tmp_path, capsys):
+        config = tmp_path / "small.yaml"
+        config.write_text("n_param_sets: 1\nn_sims_per_set: 1\nn_test_rates: 5\n")
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["simulate", "--config", str(config), "--out", str(blocker / "x")]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot write output: ")
+
 
 class TestCalibrate:
     def test_json_output_matches_library(self, session_log_path, capsys):
@@ -137,6 +148,21 @@ class TestCalibrate:
         # a NaN sigma must not switch the stillness guard off
         assert main(["calibrate", str(path), "--noise-sigma", "nan"]) == 1
         assert "noise_sigma" in capsys.readouterr().err
+
+    def test_unwritable_out_reported(self, session_log_path, tmp_path, capsys):
+        path, _, _ = session_log_path
+        target = tmp_path / "missing_dir" / "x.json"
+        assert main(["calibrate", str(path), "--out", str(target)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot write output: ")
+        assert str(target) in captured.err
+        assert captured.out == ""
+
+    def test_motion_threshold_is_not_an_option(self, session_log_path):
+        path, _, _ = session_log_path
+        with pytest.raises(SystemExit) as info:
+            main(["calibrate", str(path), "--motion-threshold", "5"])
+        assert info.value.code == 2
 
     def test_second_call_inherits_no_options(self, session_log_path, tmp_path, capsys):
         # One parser serves every main() call in a process; each call
@@ -210,6 +236,39 @@ class TestCompare:
         assert main(["compare", str(a), str(b)]) == 1
         err = capsys.readouterr().err
         assert "k_y" in err
+
+    @pytest.mark.parametrize("field,value,problem", [
+        ("k_x", float("nan"), "must be finite"),
+        ("b_z", float("inf"), "must be finite"),
+        ("k_y", 0.0, "scale factors must be positive"),
+        ("k_z", -1.0, "scale factors must be positive"),
+        ("b_y", "zero", "could not convert"),
+        ("b_x", [0.0], "real number"),
+    ])
+    def test_invalid_parameter_reported_with_path(self, tmp_path, capsys, field, value,
+                                                 problem):
+        good = write_params(tmp_path / "good.json", IDENTITY)
+        bad = write_params(tmp_path / "bad.json", {**IDENTITY, field: value})
+        for argv in ([str(good), str(bad)], [str(bad), str(good)]):
+            assert main(["compare", *argv]) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"error: {bad}: ")
+            assert problem in captured.err
+            assert captured.out == ""
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-1", "-0.001"])
+    def test_bad_threshold_rejected(self, tmp_path, capsys, threshold):
+        a = write_params(tmp_path / "a.json", IDENTITY)
+        assert main(["compare", str(a), str(a), "--threshold", threshold]) == 1
+        captured = capsys.readouterr()
+        assert "threshold must be finite and non-negative" in captured.err
+        assert captured.out == ""
+
+    def test_zero_threshold_flags_any_difference(self, tmp_path, capsys):
+        a = write_params(tmp_path / "a.json", IDENTITY)
+        b = write_params(tmp_path / "b.json", {**IDENTITY, "b_z": 1e-9})
+        assert main(["compare", str(a), str(b), "--threshold", "0"]) == 0
+        assert "1 difference(s) above threshold 0" in capsys.readouterr().out
 
 
 class TestVerify:

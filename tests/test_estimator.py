@@ -178,7 +178,17 @@ class TestCalibrate:
             calibrate(session)
         assert "rotation" in str(info.value)
 
-    @pytest.mark.parametrize("guard", ["noise_sigma", "motion_threshold"])
+    def test_motion_threshold_is_read_at_call_time(self, monkeypatch):
+        # full turns integrate to 360 degrees, below a 400-degree threshold
+        session = exact_session([1.0, 1.0, 1.0], [0.0, 0.0, 0.0])
+        monkeypatch.setattr(estimator, "MOTION_THRESHOLD_DEG", 400.0)
+        with pytest.raises(ProtocolViolation, match="below 400 degrees"):
+            calibrate(session)
+        assert isinstance(fit_batch(session).errors[0], ProtocolViolation)
+        monkeypatch.setattr(estimator, "MOTION_THRESHOLD_DEG", 350.0)
+        calibrate(session)
+
+    @pytest.mark.parametrize("guard", ["noise_sigma"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.1])
     def test_guard_settings_must_be_finite_and_nonnegative(self, guard, value):
         # NaN or inf would switch a guard off and a negative sigma would

@@ -303,6 +303,22 @@ class TestParseErrors:
         with pytest.raises(LogParseError, match=key):
             read_session_log(path)
 
+    @pytest.mark.parametrize("key,first,second", [
+        ("sample_rate", "100.0", "50.0"),
+        ("device", "unit 1", "unit 2"),
+        ("rotation_angle", "360.0", "360.0"),
+    ])
+    def test_repeated_header_key_rejected(self, tmp_path, key, first, second):
+        # neither value can be trusted, even when both agree
+        path = tmp_path / "log.csv"
+        write_session_log(path, tiny_log(full_scale=245.0))
+        lines = [line for line in path.read_text().splitlines()
+                 if not line.startswith(f"# {key}:")]
+        lines[:0] = [f"# {key}: {first}", f"# {key}: {second}"]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(LogParseError, match=f"line 2: duplicate header key '{key}'"):
+            read_session_log(path)
+
     @pytest.mark.parametrize("comment", ["# device: late", "  # note, with, four, more, commas"])
     def test_comment_after_data_names_line(self, tmp_path, comment):
         path = self.write(

@@ -52,6 +52,26 @@ class TestSimulationConfig:
             SimulationConfig(**{field: value})
         assert str(info.value).startswith(f"{field} must be finite")
 
+    @pytest.mark.parametrize("field,overrides", [
+        ("static_duration", dict(static_duration=0.01)),
+        ("static_duration", dict(static_duration=0.004)),
+        ("rotation_duration", dict(rotation_duration=0.01)),
+        ("rotation_duration", dict(rotation_duration=1.0, sample_rate=1.4)),
+    ])
+    def test_stage_of_fewer_than_two_samples_rejected(self, field, overrides):
+        # One sample has no standard deviation, so the stillness guard
+        # would compare NaN and never fire; no sample has no summary.
+        with pytest.raises(CalibrationError, match=f"^{field} .* a stage needs at least 2"):
+            SimulationConfig(noise_sigma=0.15, n_param_sets=1, n_sims_per_set=2,
+                             n_test_rates=5, **overrides)
+
+    def test_two_sample_stages_accepted(self):
+        config = SimulationConfig(static_duration=0.02, rotation_duration=0.02,
+                                  n_param_sets=1, n_sims_per_set=2, n_test_rates=5)
+        assert (config.static_samples, config.rotation_samples) == (2, 2)
+        report = run_monte_carlo(config)
+        assert len(report.indices) + len(report.failures) == 2
+
     def test_huge_integer_seed_accepted(self):
         # An int is always finite, even one too large to convert to a float.
         config = SimulationConfig(rng_seed=2 ** 1100, n_param_sets=1, n_sims_per_set=1,
