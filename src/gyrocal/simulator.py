@@ -9,14 +9,19 @@ the estimation errors distribute.
 
 Determinism contract: every random stream is derived from the campaign
 seed through named spawn keys, so a report is bit-identical across runs
-and independent of replicate execution order.
+and independent of replicate execution order. Each stream is the
+``PCG64`` generator that ``np.random.SeedSequence(seed, spawn_key=key)``
+would seed. A campaign hashes all of its keys in one numpy pass, with
+the algorithm of ``SeedSequence`` (O'Neill's ``seed_seq_fe``), and
+reseeds one shared generator through its ``state`` before each row's
+draws; the tests hold every state to numpy's own ``SeedSequence``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -111,6 +116,14 @@ class SimulationConfig:
         for name in ("n_param_sets", "n_sims_per_set", "n_test_rates"):
             if getattr(self, name) < 1:
                 raise CalibrationError(f"{name} must be at least 1, got {getattr(self, name)}")
+        for name in ("n_param_sets", "n_sims_per_set"):
+            if getattr(self, name) >= 2 ** 32:
+                raise CalibrationError(
+                    f"{name} must be below 2**32, got {getattr(self, name)}: each set and "
+                    "replicate index is one 32-bit word of a spawn key"
+                )
+        if self.rng_seed < 0:
+            raise CalibrationError(f"rng_seed must be non-negative, got {self.rng_seed}")
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, object]) -> "SimulationConfig":
@@ -133,13 +146,22 @@ class SimulationConfig:
                 kwargs[key] = float(value)  # type: ignore[arg-type]
         return cls(**kwargs)
 
+    def _stage_samples(self, name: str) -> int:
+        samples = getattr(self, name) * self.sample_rate
+        if not math.isfinite(samples):
+            raise CalibrationError(
+                f"{name} {getattr(self, name)!r} s at {self.sample_rate!r} Hz "
+                "overflows the sample count"
+            )
+        return int(round(samples))
+
     @property
     def static_samples(self) -> int:
-        return int(round(self.static_duration * self.sample_rate))
+        return self._stage_samples("static_duration")
 
     @property
     def rotation_samples(self) -> int:
-        return int(round(self.rotation_duration * self.sample_rate))
+        return self._stage_samples("rotation_duration")
 
 
 @dataclass(frozen=True)
@@ -267,13 +289,15 @@ class _SessionBlock:
     def _scratch_view(self, *shape: int) -> np.ndarray:
         return self._scratch[:math.prod(shape)].reshape(shape)
 
-    def _draw(self, rngs: list[np.random.Generator]) -> None:
+    def _draw(self, rngs: Iterable[np.random.Generator]) -> None:
         """Each replicate's draws in the fixed order: static noise, then
         profile ordinates and noise per axis in x, y, z order, then test
-        rates, then test noise. Noise is drawn only when ``noise_sigma > 0``."""
+        rates, then test noise. Noise is drawn only when ``noise_sigma > 0``.
+        Row r draws from the r-th generator ``rngs`` yields, taken just
+        before its draws; no more than ``size`` are taken."""
         config = self.config
         noisy = config.noise_sigma > 0.0
-        for r, rng in enumerate(rngs):
+        for r, rng in zip(range(self.size), rngs):
             if noisy:
                 rng.standard_normal(out=self.static_raw[r])
             for axis in range(3):
@@ -291,17 +315,18 @@ class _SessionBlock:
         scales: np.ndarray,
         biases: np.ndarray,
         coupling: np.ndarray,
-        rngs: list[np.random.Generator],
+        rngs: Iterable[np.random.Generator],
     ) -> None:
-        """One session per generator, in the first ``R = len(rngs)`` rows,
+        """One session per truth, in the first ``R = len(scales)`` rows,
         row r with the truth ``scales[r]``, ``biases[r]`` ``(R, 3)`` and
-        ``coupling[r]`` ``(R, 3, 3)``.
+        ``coupling[r]`` ``(R, 3, 3)`` and the draws of the r-th generator
+        of ``rngs``.
 
         The sensor reports each true rate through the coupling matrix and
         the inverse model, ``(M @ rate) / k - b``, plus white noise of
         ``noise_sigma``. The speed traces go to ``profiles`` ``(R, 3, n)``.
         """
-        size = self.size = len(rngs)
+        size = self.size = len(scales)
         self._draw(rngs)
         sigma = self.config.noise_sigma
         static_raw = self.static_raw[:size]
@@ -503,17 +528,98 @@ class CampaignReport:
             )
 
 
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG64_MULTIPLIER = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _hash_constants(value: int, multiplier: int) -> Iterator[tuple[int, int]]:
+    """The ``(xor, multiply)`` constant pairs of successive hash steps."""
+    while True:
+        following = (value * multiplier) & _MASK32
+        yield value, following
+        value = following
+
+
+def _next_constants(constants: Iterator[tuple[int, int]], n: int) -> np.ndarray:
+    """The next ``n`` pairs as ``uint32`` ``(2, n)``: xors, then multipliers."""
+    return np.array([next(constants) for _ in range(n)], dtype=np.uint32).T
+
+
+def _hashmix(value, xor, multiply):
+    """``seed_seq_fe``'s word hash, on Python ints or ``uint32`` arrays."""
+    value = ((value ^ xor) * multiply) & _MASK32
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    """``seed_seq_fe``'s mix of pool word ``x`` with hashed word ``y``."""
+    value = (((0xCA01F9DD * x) & _MASK32) - ((0x4973F715 * y) & _MASK32)) & _MASK32
+    return value ^ (value >> 16)
+
+
+def _pcg64_states(seed: int, keys) -> Iterator[tuple[int, int]]:
+    """The ``(state, inc)`` of ``PCG64(SeedSequence(seed, spawn_key=row))``
+    for each row of the ``(R, k)`` spawn keys ``keys``, every element
+    below 2**32, in row order; ``seed`` is non-negative.
+
+    The steps are ``SeedSequence``'s: the seed's little-endian 32-bit
+    words, padded to the 4-word pool, fill and mix the pool, and each
+    later word, the key words last, is hashed into every pool word;
+    ``generate_state(4, uint64)`` then hashes the pool into the 128-bit
+    seed and stream that ``pcg_setseq_128_srandom_r`` takes. The pool
+    before the first key word is the same for every row, so it is built
+    once on Python ints. Each key word then goes into all four pool
+    words of all rows at once, as ``uint32`` arrays ``(R, 4)``."""
+    words = []
+    while seed:
+        words.append(seed & _MASK32)
+        seed >>= 32
+    words += [0] * (4 - len(words))
+    constants = _hash_constants(0x43B0D7E5, 0x931E8875)  # numpy's INIT_A, MULT_A
+    pool = [_hashmix(word, *next(constants)) for word in words[:4]]
+    for source in range(4):
+        for target in range(4):
+            if source != target:
+                pool[target] = _mix(pool[target], _hashmix(pool[source], *next(constants)))
+    pool = np.array(pool, dtype=np.uint32)
+    for word in (*words[4:], *np.asarray(keys, dtype=np.uint32).T):
+        word = np.asarray(word, dtype=np.uint32)[..., None]
+        pool = _mix(pool, _hashmix(word, *_next_constants(constants, 4)))
+    constants = _hash_constants(0x8B51F9DD, 0x58F38DED)  # INIT_B, MULT_B
+    state = _hashmix(np.tile(pool, 2), *_next_constants(constants, 8))
+    for row in state.astype("<u4").view("<u8"):
+        seed_high, seed_low, stream_high, stream_low = row.tolist()
+        inc = ((stream_high << 65) | (stream_low << 1) | 1) & _MASK128
+        yield ((inc + (seed_high << 64 | seed_low)) * _PCG64_MULTIPLIER + inc) & _MASK128, inc
+
+
+def _reseeded(
+    rng: np.random.Generator, seed: int, keys
+) -> Iterator[np.random.Generator]:
+    """``rng`` once per row of spawn keys, each time with its ``PCG64`` in
+    the state that ``SeedSequence(seed, spawn_key=row)`` seeds."""
+    bit_generator = rng.bit_generator
+    for state, inc in _pcg64_states(seed, keys):
+        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        yield rng
+
+
+def _shared_generator() -> np.random.Generator:
+    # Every user reseeds it before drawing, so its own seed never shows.
+    return np.random.Generator(np.random.PCG64(0))
+
+
 def _truth_rng(config: SimulationConfig, set_index: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence(config.rng_seed, spawn_key=(0, set_index))
-    )
+    return next(_reseeded(_shared_generator(), config.rng_seed, [(0, set_index)]))
+
 
 def _replicate_rng(
     config: SimulationConfig, set_index: int, replicate_index: int
 ) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence(config.rng_seed, spawn_key=(1, set_index, replicate_index))
-    )
+    return next(_reseeded(_shared_generator(), config.rng_seed,
+                          [(1, set_index, replicate_index)]))
 
 
 def run_monte_carlo(config: SimulationConfig) -> CampaignReport:
@@ -527,14 +633,19 @@ def run_monte_carlo(config: SimulationConfig) -> CampaignReport:
     :func:`simulate_session` and gets the same result as ``calibrate`` of
     that session. A replicate that fails calibration (degenerate system,
     protocol guard) is recorded as a failure and skipped; the campaign
-    carries on.
+    carries on. All keys are hashed up front, and one generator, reseeded
+    per truth set and per replicate, makes every draw.
     """
     per_set = config.n_sims_per_set
     total = config.n_param_sets * per_set
+    rng = _shared_generator()
+    truth_keys = np.insert(np.arange(config.n_param_sets)[:, None], 0, 0, axis=1)
     scales, biases, coupling = (np.stack(column) for column in zip(*(
-        _truth_arrays(config, _truth_rng(config, s)) for s in range(config.n_param_sets)
+        _truth_arrays(config, truth_rng)
+        for truth_rng in _reseeded(rng, config.rng_seed, truth_keys)
     )))
     indices = np.column_stack(np.divmod(np.arange(total), per_set))
+    replicate_rngs = _reseeded(rng, config.rng_seed, np.insert(indices, 0, 1, axis=1))
     truth = np.repeat(np.hstack([scales, biases]), per_set, axis=0)
     estimate = np.empty((total, 6))
     pre_rms = np.empty(total)
@@ -545,8 +656,7 @@ def run_monte_carlo(config: SimulationConfig) -> CampaignReport:
     for first in range(0, total, REPLICATE_BLOCK):
         rows = slice(first, min(first + REPLICATE_BLOCK, total))
         sets = indices[rows, 0]
-        block.simulate(scales[sets], biases[sets], coupling[sets],
-                       [_replicate_rng(config, s, r) for s, r in indices[rows].tolist()])
+        block.simulate(scales[sets], biases[sets], coupling[sets], replicate_rngs)
         fit = fit_batch(block.observations(), noise_sigma=guard_sigma)
         estimate[rows, :3] = fit.scales
         estimate[rows, 3:] = fit.biases

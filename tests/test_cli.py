@@ -101,6 +101,20 @@ class TestSimulate:
         assert "bad simulation config" in err and "noise_levels must not repeat" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text,seed_args,message", [
+        ("rng_seed: -1\n", [], "rng_seed must be non-negative, got -1"),
+        ("", ["--seed", "-1"], "rng_seed must be non-negative, got -1"),
+        ("static_duration: 1.0e+300\nsample_rate: 1.0e+10\n", [],
+         "static_duration 1e+300 s at 10000000000.0 Hz overflows the sample count"),
+    ])
+    def test_unusable_config_reported(self, tmp_path, capsys, text, seed_args, message):
+        config = tmp_path / "bad.yaml"
+        config.write_text(text + "n_param_sets: 1\nn_sims_per_set: 1\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config), *seed_args, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: bad simulation config: {message}\n"
+        assert not out.exists()
+
     def test_unwritable_out_reported(self, tmp_path, capsys):
         config = tmp_path / "small.yaml"
         config.write_text("n_param_sets: 1\nn_sims_per_set: 1\nn_test_rates: 5\n")
