@@ -36,11 +36,11 @@ def _fail(message: str) -> int:
 
 
 def _load_simulation_configs(path: str | None, seed: int | None) -> list[SimulationConfig]:
-    """Config file to campaign list; a noise_levels list fans out campaigns."""
+    """Config file to campaign list; a noise_levels list fans out campaigns,
+    and no two levels may be the same ``noise_sigma`` once converted."""
     import yaml  # only simulate reads YAML, so calibrate does not pay to import it
 
     mapping: dict = {}
-    noise_levels: list[float] = []
     if path is not None:
         with open(path, "r") as handle:
             loaded = yaml.safe_load(handle)
@@ -49,19 +49,18 @@ def _load_simulation_configs(path: str | None, seed: int | None) -> list[Simulat
         if not isinstance(loaded, dict):
             raise CalibrationError(f"config root must be a mapping, got {type(loaded).__name__}")
         mapping = dict(loaded)
-        levels = mapping.pop("noise_levels", None)
-        if levels is not None:
-            if not isinstance(levels, (list, tuple)) or not levels:
-                raise CalibrationError("noise_levels must be a non-empty list of numbers")
-            noise_levels = [float(v) for v in levels]
-            if len(set(noise_levels)) != len(noise_levels):
-                raise CalibrationError(f"noise_levels must not repeat, got {levels}")
+    levels = mapping.pop("noise_levels", None)
+    if levels is not None and (not isinstance(levels, (list, tuple)) or not levels):
+        raise CalibrationError("noise_levels must be a non-empty list of numbers")
     base = SimulationConfig.from_mapping(mapping)
     if seed is not None:
         base = dataclasses.replace(base, rng_seed=seed)
-    if not noise_levels:
+    if levels is None:
         return [base]
-    return [dataclasses.replace(base, noise_sigma=level) for level in noise_levels]
+    configs = [dataclasses.replace(base, noise_sigma=level) for level in levels]
+    if len({config.noise_sigma for config in configs}) != len(configs):
+        raise CalibrationError(f"noise_levels must not repeat, got {levels}")
+    return configs
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

@@ -104,17 +104,11 @@ def fit_batch(obs: ObservationArrays, *, noise_sigma: float | None = None) -> Fi
     trips instead of raising. A view without a replicate axis is a
     stack of one. Raises CalibrationError when ``noise_sigma`` is
     negative or not finite, as either would silently disable or misfire
-    the stillness guard, and when it is set on a view without static
-    standard deviations to check.
+    the stillness guard.
     """
     if noise_sigma is not None and not 0.0 <= noise_sigma < np.inf:
         raise CalibrationError(
             f"noise_sigma must be finite and non-negative, got {noise_sigma!r}"
-        )
-    if noise_sigma is not None and obs.static_stds is None:
-        raise CalibrationError(
-            "noise_sigma enables the stillness guard, but the static stage carries "
-            "no sample standard deviations"
         )
     n_rot = obs.sums.shape[-2]
     means = np.reshape(obs.static_means, (-1, 3))
@@ -195,7 +189,7 @@ def calibrate(obs: ObservationArrays, *, noise_sigma: float | None = None) -> Ca
     below ``MOTION_THRESHOLD_DEG`` are rejected. A stacked view is
     rejected rather than fitted on its first row.
     """
-    check_single_session(obs, static=True)
+    check_single_session(obs)
     return fit_batch(obs, noise_sigma=noise_sigma).params()
 
 
@@ -229,7 +223,7 @@ def calibrate_nonlinear(obs: ObservationArrays, init: CalibrationParams) -> Cali
     ``MAX_ITERATIONS`` steps. Like :func:`calibrate`, it takes one
     session and rejects a stacked view.
     """
-    check_single_session(obs, static=True)
+    check_single_session(obs)
     n_rot = obs.sums.shape[-2]
     if n_rot < 3:
         raise ProtocolViolation(f"need at least 3 rotation observations, got {n_rot}")

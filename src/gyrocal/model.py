@@ -131,10 +131,11 @@ def inverse_calibration(params: CalibrationParams, true_rate) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StaticObservation:
-    """Summary of the stationary stage: per-axis means of the measured rate.
+    """Summary of the stationary stage: per-axis means and sample standard
+    deviations of the measured rate, in deg/s.
 
     ``duration`` is the integration time ``n_samples / sample_rate`` in
-    seconds. The optional per-axis sample standard deviations feed the
+    seconds. The means give the biases; the standard deviations feed the
     stillness guard in the estimator.
     """
 
@@ -143,9 +144,9 @@ class StaticObservation:
     mean_z: float
     n_samples: int
     duration: float
-    std_x: float | None = None
-    std_y: float | None = None
-    std_z: float | None = None
+    std_x: float
+    std_y: float
+    std_z: float
 
     def __post_init__(self) -> None:
         _require_finite("static mean", self.mean_x, self.mean_y, self.mean_z)
@@ -155,11 +156,7 @@ class StaticObservation:
             )
         if not (math.isfinite(self.duration) and self.duration > 0.0):
             raise CalibrationError(f"static duration must be positive, got {self.duration}")
-        stds = (self.std_x, self.std_y, self.std_z)
-        known = [s for s in stds if s is not None]
-        if known and len(known) != 3:
-            raise CalibrationError("provide either no or all three standard deviations")
-        for s in known:
+        for s in (self.std_x, self.std_y, self.std_z):
             if not (math.isfinite(s) and s >= 0.0):
                 raise CalibrationError(f"standard deviation must be nonnegative, got {s}")
 
@@ -187,9 +184,7 @@ class StaticObservation:
         return np.array([self.mean_x, self.mean_y, self.mean_z])
 
     @property
-    def stds(self) -> np.ndarray | None:
-        if self.std_x is None:
-            return None
+    def stds(self) -> np.ndarray:
         return np.array([self.std_x, self.std_y, self.std_z])
 
 
@@ -253,8 +248,8 @@ class ObservationArrays(NamedTuple):
     ``...`` below is an optional leading replicate axis and ``n`` the
     number of rotation stages:
 
-    - ``static_means``, ``static_stds``: ``(..., 3)`` in deg/s; the stds
-      are None when the static stage does not carry them
+    - ``static_means``, ``static_stds``: ``(..., 3)`` in deg/s, the still
+      stage's means and sample standard deviations
     - ``static_duration``: seconds, a scalar or ``(...)``
     - ``sums``: ``(..., n, 3)`` time-scaled rate sums in degrees
     - ``durations``, ``theta_sq``: ``(..., n)`` seconds and deg^2; the
@@ -262,12 +257,12 @@ class ObservationArrays(NamedTuple):
 
     This is the session type: log reading and the simulator produce it,
     and the solvers, residuals and gradients take it, each one session
-    as :func:`check_single_session` requires. A view of rotation stages
-    alone has None in its three static fields.
+    as :func:`check_single_session` requires. Every view carries its
+    still stage: a session is the still stage plus the turns.
     """
 
     static_means: np.ndarray
-    static_stds: np.ndarray | None
+    static_stds: np.ndarray
     static_duration: np.ndarray | float
     sums: np.ndarray
     durations: np.ndarray
@@ -276,17 +271,14 @@ class ObservationArrays(NamedTuple):
     @classmethod
     def from_stages(
         cls,
-        static_stage: StaticObservation | None,
+        static_stage: StaticObservation,
         rotations: Sequence[RotationObservation],
     ) -> "ObservationArrays":
-        """View of one session's stage records; with no static stage, a
-        view of the rotation stages alone."""
+        """View of one session's stage records: its still stage and turns."""
         if len(rotations) == 0:
             raise CalibrationError("at least one rotation observation is required")
-        static = (None, None, None) if static_stage is None else (
-            static_stage.means, static_stage.stds, static_stage.duration)
         return cls(
-            *static,
+            static_stage.means, static_stage.stds, static_stage.duration,
             np.array([[r.sum_x, r.sum_y, r.sum_z] for r in rotations]),
             np.array([r.duration for r in rotations]),
             np.array([r.theta_total ** 2 for r in rotations]),
@@ -315,19 +307,15 @@ class ObservationArrays(NamedTuple):
         return r, 2.0 * k * s_sq, 2.0 * k_sq * s * self.durations[..., None]
 
 
-def check_single_session(obs: ObservationArrays, *, static: bool = False) -> None:
+def check_single_session(obs: ObservationArrays) -> None:
     """Raise CalibrationError unless ``obs`` is the view of one session:
-    turn sums ``(n, 3)`` and static means ``(3,)``, or no static stage
-    when ``static`` is false. The functions that take one session call
-    it, so a stack is refused rather than fitted on its first row or
-    reduced over its replicate axis."""
-    means = None if obs.static_means is None else np.shape(obs.static_means)
-    stage_ok = means == (3,) or (means is None and not static)
-    if np.ndim(obs.sums) != 2 or not stage_ok:
-        stage = "no static stage" if means is None else f"static means of shape {means}"
+    turn sums ``(n, 3)`` and static means ``(3,)``. The functions that
+    take one session call it, so a stack is refused rather than fitted on
+    its first row or reduced over its replicate axis."""
+    if np.ndim(obs.sums) != 2 or np.shape(obs.static_means) != (3,):
         raise CalibrationError(
-            f"expected the view of one session{' with a static stage' if static else ''}, "
-            f"got turn sums of shape {np.shape(obs.sums)} and {stage}"
+            f"expected the view of one session, got turn sums of shape "
+            f"{np.shape(obs.sums)} and static means of shape {np.shape(obs.static_means)}"
         )
 
 

@@ -22,7 +22,6 @@ from .model import (
     CalibrationError,
     CalibrationParams,
     ObservationArrays,
-    RotationObservation,
     check_single_session,
     squared_cost,
 )
@@ -98,22 +97,20 @@ def property_checks(rng: np.random.Generator) -> list[tuple[bool, str]]:
     resting sensor with zero bias must show exactly zero scale gradients,
     and one with nonzero bias nonzero bias gradients.
     """
+    zero = np.zeros(3)  # every view's still stage reads exactly zero
     worst_rel = 0.0
     for _ in range(N_GRADIENT_CONFIGS):
         nominal = CalibrationParams.from_arrays(
             rng.uniform(0.8, 1.2, 3), rng.uniform(-5.0, 5.0, 3))
-        obs = ObservationArrays.from_stages(None, [
-            RotationObservation(*rng.uniform(-400.0, 400.0, 3),
-                                theta_total=rng.uniform(300.0, 400.0),
-                                n_samples=500, duration=5.0)
-            for _ in range(3)
-        ])
+        turns = np.array([(*rng.uniform(-400.0, 400.0, 3), rng.uniform(300.0, 400.0))
+                          for _ in range(3)])
+        obs = ObservationArrays(zero, zero, 3.0, turns[:, :3], np.full(3, 5.0), turns[:, 3] ** 2)
         analytic = cost_gradient(nominal, obs)
         numeric = finite_difference_grad(nominal, obs, step=1e-5)
         denom = max(1.0, float(np.max(np.abs(analytic))))
         worst_rel = max(worst_rel, float(np.max(np.abs(analytic - numeric))) / denom)
-    still = ObservationArrays.from_stages(
-        None, [RotationObservation(0.0, 0.0, 0.0, theta_total=360.0, n_samples=300, duration=3.0)])
+    still = ObservationArrays(zero, zero, 3.0, np.zeros((1, 3)), np.array([3.0]),
+                              np.array([360.0 ** 2]))
     zero_bias = CalibrationParams(1.1, 0.9, 1.0, 0.0, 0.0, 0.0)
     with_bias = CalibrationParams(1.1, 0.9, 1.0, 2.0, -3.0, 0.5)
     return [

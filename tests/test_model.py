@@ -23,6 +23,10 @@ from gyrocal.observability import cost_gradient, finite_difference_grad, model_t
 finite_bias = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 positive_scale = st.floats(min_value=0.8, max_value=1.2, allow_nan=False)
 
+#: A still stage that reads exactly zero.
+STILL = StaticObservation(0.0, 0.0, 0.0, n_samples=300, duration=3.0,
+                          std_x=0.0, std_y=0.0, std_z=0.0)
+
 
 def params_strategy():
     return st.builds(
@@ -107,14 +111,6 @@ class TestStaticObservation:
         with pytest.raises(ProtocolViolation):
             StaticObservation.from_samples(np.zeros((1, 3)), sample_rate=100.0)
 
-    def test_std_all_or_none(self):
-        with pytest.raises(CalibrationError):
-            StaticObservation(0.0, 0.0, 0.0, n_samples=10, duration=0.1, std_x=0.1)
-
-    def test_stds_optional(self):
-        obs = StaticObservation(0.0, 0.0, 0.0, n_samples=10, duration=0.1)
-        assert obs.stds is None
-
 
 class TestRotationObservation:
     def test_from_samples_time_scaled_sums(self):
@@ -127,8 +123,7 @@ class TestRotationObservation:
     def test_corrected_sums_shift(self):
         obs = RotationObservation(360.0, 0.0, 0.0, theta_total=360.0,
                                   n_samples=300, duration=3.0)
-        static = StaticObservation(0.0, 0.0, 0.0, n_samples=300, duration=3.0)
-        view = ObservationArrays.from_stages(static, [obs])
+        view = ObservationArrays.from_stages(STILL, [obs])
         np.testing.assert_allclose(
             view.corrected_sums([0.5, 0.0, -1.0]), [[361.5, 0.0, -3.0]])
 
@@ -145,14 +140,13 @@ class TestSession:
                                    n_samples=500, duration=5.0)
 
     def test_requires_three_rotations(self):
-        static = StaticObservation(0.0, 0.0, 0.0, n_samples=300, duration=3.0)
         with pytest.raises(ProtocolViolation, match="at least 3 rotation"):
-            calibrate(ObservationArrays.from_stages(static, [self._rotation()]))
+            calibrate(ObservationArrays.from_stages(STILL, [self._rotation()]))
 
 
 class TestCostFunctions:
     def _single_rotation(self, sums, theta=360.0):
-        return ObservationArrays.from_stages(None, [RotationObservation(
+        return ObservationArrays.from_stages(STILL, [RotationObservation(
             sums[0], sums[1], sums[2], theta_total=theta, n_samples=500, duration=5.0)])
 
     def test_residual_known_value(self):
@@ -175,10 +169,8 @@ class TestCostFunctions:
     def test_empty_rotation_list_rejected(self):
         # the residuals and gradients take a view, and the one helper that
         # builds a view from stage records refuses an empty list
-        static = StaticObservation(0.0, 0.0, 0.0, n_samples=300, duration=3.0)
-        for stage in (None, static):
-            with pytest.raises(CalibrationError, match="at least one rotation"):
-                ObservationArrays.from_stages(stage, [])
+        with pytest.raises(CalibrationError, match="at least one rotation"):
+            ObservationArrays.from_stages(STILL, [])
 
     @given(params_strategy())
     @settings(max_examples=25)
@@ -204,15 +196,12 @@ SINGLE_SESSION_FUNCTIONS = {
 def test_single_session_functions_reject_a_stack(name):
     # a stack is refused, not fitted on its first row or reduced over its
     # replicate axis into a wrong-shaped answer, and the message names
-    # the stack's shape; with and without a static stage
+    # the stack's shape
     run = SINGLE_SESSION_FUNCTIONS[name]
     session = ObservationArrays.from_stages(
-        StaticObservation(0.0, 0.0, 0.0, n_samples=300, duration=3.0),
-        [RotationObservation(*sums, theta_total=360.0, n_samples=500, duration=5.0)
-         for sums in 360.0 * np.eye(3)])
+        STILL, [RotationObservation(*sums, theta_total=360.0, n_samples=500, duration=5.0)
+                for sums in 360.0 * np.eye(3)])
     run(session)
-    turns = session._replace(static_means=None, static_stds=None, static_duration=None)
-    for view in (session, turns):
-        stack = ObservationArrays(*(None if f is None else np.stack([f, f]) for f in view))
-        with pytest.raises(CalibrationError, match=r"turn sums of shape \(2, 3, 3\)"):
-            run(stack)
+    stack = ObservationArrays(*(np.stack([f, f]) for f in session))
+    with pytest.raises(CalibrationError, match=r"turn sums of shape \(2, 3, 3\)"):
+        run(stack)

@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gyrocal.model import CalibrationError, CalibrationParams, ObservationArrays, RotationObservation
+from gyrocal.model import (
+    CalibrationError,
+    CalibrationParams,
+    ObservationArrays,
+    RotationObservation,
+    StaticObservation,
+)
 from gyrocal.observability import cost_gradient, finite_difference_grad, model_term_gradient
 
 
@@ -13,8 +19,10 @@ def rotation(sums, theta=360.0, duration=5.0, n=500):
 
 
 def turns(*rotations):
-    """The view of rotation stages alone."""
-    return ObservationArrays.from_stages(None, rotations)
+    """The view of a session whose still stage reads exactly zero."""
+    still = StaticObservation(0.0, 0.0, 0.0, n_samples=300, duration=3.0,
+                              std_x=0.0, std_y=0.0, std_z=0.0)
+    return ObservationArrays.from_stages(still, rotations)
 
 
 def still_observation(theta=360.0):

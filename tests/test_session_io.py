@@ -1,3 +1,7 @@
+import math
+import re
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +18,9 @@ from gyrocal.session_io import (
     write_session_log,
 )
 from gyrocal.simulator import SimulationConfig, sample_ground_truth, simulate_session
+
+#: The largest rotation angle whose square is finite.
+LARGEST_ANGLE = math.sqrt(sys.float_info.max)
 
 
 def simulated_log(seed=3, noise=0.15, device="unit under test", full_scale=245.0):
@@ -119,6 +126,29 @@ class TestSessionLogStructure:
         with pytest.raises(LogParseError, match="device must be one line of text"):
             tiny_log(device=device)
 
+    @pytest.mark.parametrize("angle", [1e200, math.nextafter(LARGEST_ANGLE, math.inf)])
+    def test_rotation_angle_with_infinite_square_rejected(self, angle):
+        # The fit takes theta**2; a finite angle whose square is not would
+        # end in an OverflowError instead of an error that names the key.
+        with pytest.raises(LogParseError, match=re.escape(
+                f"rotation_angle {angle!r} has a square that is not finite")):
+            tiny_log(rotation_angle=angle)
+        assert tiny_log(rotation_angle=LARGEST_ANGLE).session().theta_sq[0] == LARGEST_ANGLE ** 2
+
+    def test_caller_arrays_stay_writable(self):
+        # Each segment freezes its own copy, not the arrays it was given.
+        static = np.full((4, 3), 0.25)
+        turns = [np.eye(3)[[0, 1, 2, 0]] for _ in range(3)]
+        times = np.arange(4) / 100.0
+        log = SessionLog.from_arrays(static, turns, sample_rate=100.0)
+        segment = LogSegment("static", times, static)
+        assert all(a.flags.writeable for a in (static, times, *turns))
+        static[0, 0] = turns[0][0, 0] = times[0] = 9.0
+        assert log.static_segment.samples[0, 0] == 0.25 and log.segments[1].samples[0, 0] == 1.0
+        assert segment.samples[0, 0] == 0.25 and segment.times[0] == 0.0
+        for frozen in (log.static_segment.samples, segment.samples, segment.times):
+            assert not frozen.flags.writeable
+
     @pytest.mark.parametrize("rate", [0.0, -100.0, float("nan"), float("inf")])
     @pytest.mark.filterwarnings("error")
     def test_from_arrays_checks_sample_rate_first(self, rate):
@@ -165,6 +195,7 @@ EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e30
 finite_floats = st.one_of(st.sampled_from(EDGE_FLOATS),
                           st.floats(allow_nan=False, allow_infinity=False))
 positive_floats = st.floats(min_value=5e-324, max_value=1.7976931348623157e308)
+angles = st.floats(min_value=5e-324, max_value=LARGEST_ANGLE)
 devices = st.text(st.characters(codec="ascii")).filter(
     lambda d: d == d.strip() and "\n" not in d and "\r" not in d)
 
@@ -184,7 +215,7 @@ def session_logs(draw):
         for stage, a, b in zip(("static", "rotate:x", "rotate:y", "rotate:z"), bounds, bounds[1:])
     )
     return SessionLog(sample_rate=rate, segments=segments,
-                      rotation_angle=draw(positive_floats),
+                      rotation_angle=draw(angles),
                       full_scale=draw(st.none() | positive_floats),
                       device=draw(st.none() | devices))
 

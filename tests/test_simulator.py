@@ -9,9 +9,15 @@ from hypothesis import strategies as st
 
 from gyrocal import estimator, simulator
 from gyrocal.estimator import calibrate
-from gyrocal.model import CalibrationError, RotationObservation, StaticObservation
+from gyrocal.model import (
+    CalibrationError,
+    CalibrationParams,
+    RotationObservation,
+    StaticObservation,
+)
 from gyrocal.simulator import (
     REPLICATE_BLOCK,
+    GroundTruth,
     SimulationConfig,
     _replicate_rng,
     _truth_rng,
@@ -33,6 +39,7 @@ class TestSimulationConfig:
     @pytest.mark.parametrize("field,value", [
         ("scale_range", (1.2, 0.8)),
         ("scale_range", (0.0, 1.2)),
+        ("bias_range", (-1e308, 1e308)),
         ("noise_sigma", -0.1),
         ("sample_rate", 0.0),
         ("rotation_angle", -360.0),
@@ -124,6 +131,50 @@ class TestSimulationConfig:
         assert config.n_param_sets == 4 and type(config.n_param_sets) is int
         assert config.rng_seed == 7 and type(config.rng_seed) is int
 
+    @pytest.mark.parametrize("mapping,outcome", [
+        ({"noise_sigma": True}, "CalibrationError: noise_sigma must be a number, got True"),
+        ({"sample_rate": False}, "CalibrationError: sample_rate must be a number, got False"),
+        ({"scale_range": (True, 1.2)}, "CalibrationError: scale_range must be a number, got True"),
+        ({"n_param_sets": True}, "CalibrationError: n_param_sets must be a whole number, got True"),
+        ({"scale_range": (0.8, 1.2, 9)},
+         "CalibrationError: scale_range must hold exactly two bounds, got (0.8, 1.2, 9)"),
+        ({"bias_range": [1.0]}, "CalibrationError: bias_range must hold exactly two bounds"),
+        ({"scale_range": "12"}, "CalibrationError: scale_range must hold exactly two bounds"),
+        ({"scale_range": 1.0}, "CalibrationError: scale_range must hold exactly two bounds"),
+        ({"noise_sigma": "0.15"}, "noise_sigma=0.15,"),
+        ({"n_param_sets": "4"}, "n_param_sets=4,"),
+        ({"bias_range": ["-1", "1e0"]}, "bias_range=(-1.0, 1.0),"),
+        ({"noise_sigma": "0.1.5"}, "CalibrationError: noise_sigma must be a number, got '0.1.5'"),
+        ({"sample_rate": 10 ** 400}, "CalibrationError: sample_rate is too large for a float"),
+        ({"scale_range": (0.9, -10 ** 400)}, "CalibrationError: scale_range is too large"),
+        ({"rng_seed": 2 ** 1100}, f"rng_seed={2 ** 1100})"),
+        ({"n_sims_per_set": 10 ** 400}, "CalibrationError: n_sims_per_set must be below 2**32"),
+        ({"noise_sigma": 0}, "noise_sigma=0.0,"),
+        ({"sample_rate": 200}, "sample_rate=200.0,"),
+        ({"misalignment_range": [0, 0]}, "misalignment_range=(0.0, 0.0),"),
+        ({"n_param_sets": 4.0, "rng_seed": 7}, "n_param_sets=4,"),
+        ({"rotation_angle": 1e200},
+         "CalibrationError: rotation_angle 1e+200 has a square that is not finite"),
+    ])
+    def test_constructor_and_from_mapping_agree(self, mapping, outcome):
+        # One conversion serves both builders: the same config, field types
+        # included, or the same CalibrationError.
+        def built(make):
+            try:
+                config = make()
+            except CalibrationError as exc:
+                return f"CalibrationError: {exc}"
+            for name, value in dataclasses.asdict(config).items():
+                if name.endswith("_range"):
+                    assert type(value) is tuple and list(map(type, value)) == [float, float]
+                else:
+                    assert type(value) is (int if name[:2] == "n_" or name == "rng_seed" else float)
+            return repr(config)
+
+        direct = built(lambda: SimulationConfig(**mapping))
+        assert direct == built(lambda: SimulationConfig.from_mapping(mapping))
+        assert outcome in direct
+
     def test_from_mapping_rejects_unknown_keys(self):
         with pytest.raises(CalibrationError) as info:
             SimulationConfig.from_mapping({"noise_sgima": 0.15})
@@ -153,6 +204,13 @@ class TestSampleGroundTruth:
             assert np.all(np.abs(off) <= 0.10)
             assert np.all(np.diag(truth.misalignment) == 1.0)
         assert abs(np.mean(scales) - 1.0) < 0.01
+
+    def test_caller_matrix_stays_writable(self):
+        # The truth freezes its own copy, not the matrix it was given.
+        coupling = np.eye(3)
+        truth = GroundTruth(CalibrationParams.identity(), coupling)
+        coupling[0, 1] = 0.5
+        assert truth.misalignment[0, 1] == 0.0 and not truth.misalignment.flags.writeable
 
     def test_same_seed_same_truth(self):
         config = SimulationConfig()
