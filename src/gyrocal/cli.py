@@ -74,6 +74,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         _write_campaigns(configs, args.out)
     except OSError as exc:
         return _fail(f"cannot write output: {exc}")
+    except CalibrationError as exc:  # a session block too large to hold
+        return _fail(f"bad simulation config: {exc}")
     return 0
 
 

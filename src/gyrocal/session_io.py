@@ -6,12 +6,14 @@ repeat), then the column header `stage,t,m_x,m_y,m_z`, then one row per
 sample. The stage column is `static` or `rotate:<axis>`. Floats are
 written with repr so a log round-trips bit-for-bit. Within a stage,
 timestamps step by one sample period; a step over 1.5 periods is
-dropped samples and is rejected. The device is one line without
-surrounding whitespace, so it reads back as written.
+dropped samples, and one more than ``SPACING_TOLERANCE`` of a period off
+it is a jittered clock; both are rejected. The device is one line
+without surrounding whitespace, so it reads back as written.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import NoReturn, Sequence
 
@@ -37,6 +39,16 @@ __all__ = [
 _COLUMNS = "stage,t,m_x,m_y,m_z"
 _HEADER_KEYS = ("sample_rate", "rotation_angle", "full_scale", "device")
 _STAGES = ("static", "rotate:x", "rotate:y", "rotate:z")
+_OUT_OF_ORDER = "timestamps must increase strictly across the whole log"
+
+#: How far, as a fraction of the sample period, a timestamp step within a
+#: stage may stray from ``1 / sample_rate``. A clock off by this much over
+#: a whole turn moves the integrated angle, and so the fitted scale, by
+#: the same fraction, which is acceptance criterion 2's bound on the
+#: median parameter error. Timestamps rounded to the microsecond pass
+#: below 1 kHz, and the rounding of ``t = start + i / sample_rate`` (about
+#: 1e-6 of a period at 1e6 s and 10 kHz) is far inside it.
+SPACING_TOLERANCE = 1e-3
 
 
 class LogParseError(CalibrationError):
@@ -122,18 +134,10 @@ class SessionLog:
             )
         last = -np.inf
         for seg in self.segments:
-            spacing = np.diff(seg.times)
-            if seg.times[0] <= last or (spacing.size and spacing.min() <= 0.0):
-                raise LogParseError("timestamps must increase strictly across the whole log")
-            # Gaps between stages are allowed; a gap inside one is dropped samples.
-            if spacing.size and spacing.max() * self.sample_rate > 1.5:
-                periods = spacing * self.sample_rate
-                i = int(np.argmax(periods > 1.5))
-                raise ProtocolViolation(
-                    f"{seg.stage!r} stage: {np.rint(periods[i]) - 1:.0f} sample(s) missing "
-                    f"after t = {float(seg.times[i])!r} s at {float(self.sample_rate)!r} Hz; "
-                    "a dropped sample shortens the integrated angle"
-                )
+            if seg.times[0] <= last:
+                raise LogParseError(_OUT_OF_ORDER)
+            if seg.times.size > 1:
+                _check_spacing(seg, self.sample_rate)
             last = seg.times[-1]
 
     @classmethod
@@ -207,6 +211,33 @@ class SessionLog:
         return ObservationArrays.from_stages(static, rotations)
 
 
+def _check_spacing(seg: LogSegment, sample_rate: float) -> None:
+    """Within a stage each timestamp steps by one sample period. A step
+    over 1.5 periods is dropped samples (gaps between stages are allowed);
+    any other step may stray from the period by ``SPACING_TOLERANCE`` of it."""
+    spacing = np.diff(seg.times)
+    shortest, longest = spacing.min(), spacing.max()
+    if shortest <= 0.0:
+        raise LogParseError(_OUT_OF_ORDER)
+    if longest * sample_rate > 1.5:
+        periods = spacing * sample_rate
+        i = int(np.argmax(periods > 1.5))
+        raise ProtocolViolation(
+            f"{seg.stage!r} stage: {np.rint(periods[i]) - 1:.0f} sample(s) missing "
+            f"after t = {float(seg.times[i])!r} s at {float(sample_rate)!r} Hz; "
+            "a dropped sample shortens the integrated angle"
+        )
+    if max(longest * sample_rate - 1.0, 1.0 - shortest * sample_rate) > SPACING_TOLERANCE:
+        deviations = np.abs(spacing * sample_rate - 1.0)
+        i = int(np.argmax(deviations))
+        raise LogParseError(
+            f"{seg.stage!r} stage: the step after t = {float(seg.times[i])!r} s is "
+            f"{float(deviations[i]):.3g} of a period off 1/sample_rate at "
+            f"{float(sample_rate)!r} Hz, beyond the {SPACING_TOLERANCE!r} allowed; "
+            "the fit assumes evenly spaced samples"
+        )
+
+
 def _parse_header_value(key: str, value: str, line_number: int):
     if key == "device":
         return value
@@ -219,19 +250,16 @@ def _parse_header_value(key: str, value: str, line_number: int):
 
 
 def read_session_log(path) -> SessionLog:
-    """Parse a session log in one streaming pass over the file.
+    """Parse a session log.
 
-    The data rows go into one flat list of floats, and each change of
-    stage tag starts a new run; the runs are sliced out of one array at
-    the end."""
+    The header lines are read in Python. The data rows go to numpy's C
+    text reader in one pass, each stage tag becoming its index in
+    ``_STAGES``, and each run of one tag becomes a segment. When the
+    reader refuses a row, a second pass finds it and names its line."""
     header: dict[str, object] = {}
-    values: list[float] = []
-    runs: list[tuple[str, int]] = []  # (stage, first row) of each run of rows
-    stage_now = None
-    saw_columns = False
+    columns_line = 0
     with open(path, "r", newline="") as handle:
-        lines = enumerate(handle, start=1)
-        for line_number, raw_line in lines:
+        for line_number, raw_line in enumerate(handle, start=1):
             line = raw_line.strip()
             if not line:
                 continue
@@ -256,42 +284,31 @@ def read_session_log(path) -> SessionLog:
                 raise LogParseError(
                     f"line {line_number}: expected column header {_COLUMNS!r}, got {line!r}"
                 )
-            saw_columns = True
+            columns_line = line_number
             break
-        # The data rows. float() ignores the whitespace and line ending
-        # around a field, so a row is only split; the rarer cases (blank
-        # lines, late comments, bad rows) are sorted out on the error path.
-        for line_number, line in lines:
-            parts = line.split(",")
-            if len(parts) != 5:
-                if not line.strip():
-                    continue
-                _reject_row(line, line_number,
-                            f"expected 5 comma-separated fields, got {len(parts)}")
-            stage = parts[0].strip()
-            if stage != stage_now:
-                if stage not in _STAGES:
-                    _reject_row(line, line_number, f"unknown stage tag {stage!r}")
-                stage_now = stage
-                runs.append((stage, len(values) // 4))
-            try:
-                values.extend(map(float, parts[1:]))
-            except ValueError:
-                raise LogParseError(
-                    f"line {line_number}: malformed numeric field in {line.strip()!r}"
-                ) from None
-    if "sample_rate" not in header:
-        raise LogParseError("missing required header '# sample_rate: <Hz>'")
-    if not saw_columns:
-        raise LogParseError(f"missing column header line {_COLUMNS!r}")
-    if not values:
-        raise LogParseError("log contains no sample rows")
+        if "sample_rate" not in header:
+            raise LogParseError("missing required header '# sample_rate: <Hz>'")
+        if not columns_line:
+            raise LogParseError(f"missing column header line {_COLUMNS!r}")
+        # numpy's reader skips empty lines but not whitespace-only ones, and
+        # warns on an empty body, so both are settled here.
+        rows = (row for row in handle if not row.isspace())
+        first = next(rows, None)
+        if first is None:
+            raise LogParseError("log contains no sample rows")
+        try:
+            data = np.loadtxt(itertools.chain((first,), rows), delimiter=",", comments=None,
+                              ndmin=2, converters={0: _stage_index})
+        except ValueError:
+            _reject_rows(path, columns_line)
+    if data.shape[1] != 5:
+        _reject_rows(path, columns_line)
 
-    data = np.array(values).reshape(-1, 4)
-    ends = [first for _, first in runs[1:]] + [len(data)]
+    codes = data[:, 0]
+    bounds = [0, *(np.flatnonzero(codes[1:] != codes[:-1]) + 1).tolist(), len(data)]
     segments = tuple(
-        LogSegment(stage, data[first:end, 0], data[first:end, 1:])
-        for (stage, first), end in zip(runs, ends)
+        LogSegment(_STAGES[int(codes[first])], data[first:end, 1], data[first:end, 2:])
+        for first, end in zip(bounds, bounds[1:])
     )
     return SessionLog(
         sample_rate=float(header["sample_rate"]),  # type: ignore[arg-type]
@@ -304,11 +321,43 @@ def read_session_log(path) -> SessionLog:
     )
 
 
-def _reject_row(line: str, line_number: int, problem: str) -> NoReturn:
-    """Raise for a data row that is not a sample; a comment names itself."""
-    if line.lstrip().startswith("#"):
-        problem = "header comments must precede the data"
-    raise LogParseError(f"line {line_number}: {problem}")
+def _stage_index(tag: str) -> int:
+    return _STAGES.index(tag.strip())
+
+
+def _is_number(field: str) -> bool:
+    """Whether numpy's reader takes the field: a float literal of ASCII
+    characters without underscores, with any whitespace around it."""
+    field = field.strip()
+    if not field.isascii() or "_" in field:
+        return False
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
+
+
+def _reject_rows(path, columns_line: int) -> NoReturn:
+    """Raise for the first data row that is not a sample, naming its line;
+    a comment names itself."""
+    with open(path, "r", newline="") as handle:
+        for line_number, line in enumerate(handle, start=1):
+            if line_number <= columns_line or line.isspace():
+                continue
+            parts = line.split(",")
+            if len(parts) != 5:
+                problem = f"expected 5 comma-separated fields, got {len(parts)}"
+            elif parts[0].strip() not in _STAGES:
+                problem = f"unknown stage tag {parts[0].strip()!r}"
+            elif not all(map(_is_number, parts[1:])):
+                problem = f"malformed numeric field in {line.strip()!r}"
+            else:
+                continue
+            if line.lstrip().startswith("#"):
+                problem = "header comments must precede the data"
+            raise LogParseError(f"line {line_number}: {problem}")
+    raise LogParseError("sample rows could not be read")
 
 
 def write_session_log(path, log: SessionLog) -> None:

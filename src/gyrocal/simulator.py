@@ -155,7 +155,8 @@ class SimulationConfig:
     def from_mapping(cls, mapping: Mapping[str, object]) -> "SimulationConfig":
         """Build a config from parsed YAML/JSON, rejecting unknown keys;
         ``__post_init__`` converts the values, as it does for the constructor."""
-        unknown = sorted(set(mapping) - {f.name for f in fields(cls)})
+        # A YAML key need not be a string (`1: 2`).
+        unknown = sorted(map(str, set(mapping) - {f.name for f in fields(cls)}))
         if unknown:
             raise CalibrationError(f"unknown simulation config keys: {', '.join(unknown)}")
         return cls(**mapping)  # type: ignore[arg-type]
@@ -287,19 +288,25 @@ class _SessionBlock:
         n_static, n_rot, n_test = (
             config.static_samples, config.rotation_samples, config.n_test_rates
         )
-        self.basis = _bezier_basis(n_rot)
-        self.static_raw = np.empty((size, n_static, 3))
-        self.rotation_raw = np.empty((size, 3, n_rot, 3))
-        self.ordinates = np.empty((size, 3, 4))
-        self.test_rates = np.empty((size, n_test, 3))
-        self.test_measurements = np.empty((size, n_test, 3))
-        self.profiles = np.empty((size, 3, n_rot))
-        # Shared, one user at a time, by the turn passes, (R, 3, n_rot),
-        # the test set, (R, 3, n_test) and (R, n_test, 3), and the
-        # sample-major stage copies, (n_static, R, 3) and (n_rot, R, 3, 3).
-        # Temporaries in its place cost about 3% of the campaign's
-        # floor_ratio and 0.3 MB of peak RSS; a buffer per user, 1 MB.
-        self._scratch = np.empty(size * max(3 * n_static, 9 * n_rot, 3 * n_test))
+        try:
+            self.basis = _bezier_basis(n_rot)
+            self.static_raw = np.empty((size, n_static, 3))
+            self.rotation_raw = np.empty((size, 3, n_rot, 3))
+            self.ordinates = np.empty((size, 3, 4))
+            self.test_rates = np.empty((size, n_test, 3))
+            self.test_measurements = np.empty((size, n_test, 3))
+            self.profiles = np.empty((size, 3, n_rot))
+            # Shared, one user at a time, by the turn passes, (R, 3, n_rot),
+            # the test set, (R, 3, n_test) and (R, n_test, 3), and the
+            # sample-major stage copies, (n_static, R, 3) and (n_rot, R, 3, 3).
+            # Temporaries in its place cost about 3% of the campaign's
+            # floor_ratio and 0.3 MB of peak RSS; a buffer per user, 1 MB.
+            self._scratch = np.empty(size * max(3 * n_static, 9 * n_rot, 3 * n_test))
+        except (ValueError, MemoryError) as exc:  # too large a dimension, or too many bytes
+            raise CalibrationError(
+                f"cannot hold {size} session(s) of {n_static} still, {n_rot} turn and "
+                f"{n_test} test samples: {exc}"
+            ) from None
 
     def _scratch_view(self, *shape: int) -> np.ndarray:
         return self._scratch[:math.prod(shape)].reshape(shape)

@@ -113,6 +113,7 @@ class TestSimulate:
         pytest.param(f"sample_rate: {10 ** 400}\n", [],
                      f"sample_rate is too large for a float, got {10 ** 400}",
                      id="400-digit sample_rate"),
+        ("1: 2\n", [], "unknown simulation config keys: 1"),
     ])
     def test_unusable_config_reported(self, tmp_path, capsys, text, seed_args, message):
         config = tmp_path / "bad.yaml"
@@ -121,6 +122,18 @@ class TestSimulate:
         assert main(["simulate", "--config", str(config), *seed_args, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: bad simulation config: {message}\n"
         assert not out.exists()
+
+    def test_session_block_too_large_reported(self, tmp_path, capsys):
+        # The dimension check refuses this size before any memory is taken.
+        config = tmp_path / "huge.yaml"
+        config.write_text(f"n_test_rates: {10 ** 20}\nn_param_sets: 1\nn_sims_per_set: 1\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad simulation config: cannot hold 1 session(s) of 300 "
+                              f"still, 500 turn and {10 ** 20} test samples: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (out / "summary.json").exists()
 
     def test_unwritable_out_reported(self, tmp_path, capsys):
         config = tmp_path / "small.yaml"

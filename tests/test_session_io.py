@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from gyrocal.estimator import calibrate
 from gyrocal.model import CalibrationError, ProtocolViolation
 from gyrocal.session_io import (
+    SPACING_TOLERANCE,
     LogParseError,
     LogSegment,
     SessionLog,
@@ -119,6 +120,40 @@ class TestSessionLogStructure:
         shifted = [LogSegment(seg.stage, seg.times + 5.0 * i, seg.samples)
                    for i, seg in enumerate(log.segments)]
         assert len(SessionLog(sample_rate=100.0, segments=tuple(shifted)).segments) == 4
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_jittered_timestamp_just_inside_tolerance_accepted(self, sign):
+        assert len(self.jittered(sign * 0.99 * SPACING_TOLERANCE).segments) == 4
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_jittered_timestamp_just_outside_tolerance_rejected(self, sign):
+        with pytest.raises(LogParseError, match=(
+                r"'rotate:y' stage: the step after t = 0\.1 s is 0\.00101 of a period "
+                r"off 1/sample_rate at 100\.0 Hz, beyond the 0\.001 allowed")):
+            self.jittered(sign * 1.01 * SPACING_TOLERANCE)
+
+    @staticmethod
+    def jittered(shift):
+        """``tiny_log`` with the last sample of its second turn, at t = 0.11 s,
+        moved ``shift`` periods: the step after t = 0.1 s strays."""
+        log = tiny_log()
+        turn = log.segments[2]
+        times = turn.times.copy()
+        times[-1] += shift / 100.0
+        segments = list(log.segments)
+        segments[2] = LogSegment(turn.stage, times, turn.samples)
+        return SessionLog(sample_rate=100.0, segments=tuple(segments))
+
+    def test_far_start_at_high_rate_within_tolerance(self):
+        # The property strategy's worst spacing: a clock that starts at 1e6 s
+        # and steps at 10 kHz rounds each step by about 1e-6 of a period.
+        times = 1e6 + np.arange(16) / 1e4
+        segments = tuple(LogSegment(stage, times[i:i + 4], np.zeros((4, 3)))
+                         for stage, i in zip(("static", "rotate:x", "rotate:y", "rotate:z"),
+                                             range(0, 16, 4)))
+        deviation = np.max(np.abs(np.diff(times) * 1e4 - 1.0))
+        assert 1e-7 < deviation < SPACING_TOLERANCE / 100
+        assert len(SessionLog(sample_rate=1e4, segments=segments).segments) == 4
 
     @pytest.mark.parametrize("device",
                              ["a\nb", "a\rb", "  padded  ", " lead", "trail\t", "\n", 7])
@@ -260,6 +295,33 @@ class TestTextForms:
         path.write_text("".join(lines))
         assert_same_log(read_session_log(path), log)
 
+    def test_stage_tag_padded_by_20_spaces(self, tmp_path):
+        # Any amount of padding reads back; a fixed-width tag would cut it.
+        log = tiny_log()
+        path = tmp_path / "log.csv"
+        write_session_log(path, log)
+        lines, first = data_lines(path)
+        pad = " " * 20
+        lines[first:] = [pad + line.replace(",", pad + ",", 1) for line in lines[first:]]
+        path.write_text("".join(lines))
+        assert_same_log(read_session_log(path), log)
+
+    @pytest.mark.parametrize("blank", ["  \n", "\t\n", " \t \f\n", "\n"])
+    def test_whitespace_only_lines_between_rows(self, tmp_path, blank):
+        log = tiny_log()
+        path = tmp_path / "log.csv"
+        write_session_log(path, log)
+        lines, first = data_lines(path)
+        lines[first:] = [blank + line for line in lines[first:]]
+        path.write_text("".join(lines) + blank)
+        assert_same_log(read_session_log(path), log)
+
+    def test_one_row_body_reaches_the_session_checks(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_text("# sample_rate: 100\nstage,t,m_x,m_y,m_z\nstatic,0.0,1.5,-0.0,5e-324\n")
+        with pytest.raises(ProtocolViolation, match="at least 3 rotation stages, found 0"):
+            read_session_log(path)
+
     def test_dropped_sample_in_file_rejected(self, tmp_path):
         log, _, _ = simulated_log()
         path = tmp_path / "session.csv"
@@ -307,6 +369,17 @@ class TestParseErrors:
             read_session_log(path)
         assert "line 3" in str(info.value)
 
+    # Python's float() takes underscores and non-ASCII digits; the log
+    # format, read by numpy's text reader, does not.
+    @pytest.mark.parametrize("field", ["1_000.5", "\u0661\u0662", "\uff11.5", "0x1p3"])
+    def test_number_outside_the_format_names_line(self, tmp_path, field):
+        path = self.write(
+            tmp_path,
+            f"# sample_rate: 100\nstage,t,m_x,m_y,m_z\nstatic,0.0,0,0,0\nstatic,0.01,0,{field},0\n")
+        with pytest.raises(LogParseError, match=re.escape(
+                f"line 4: malformed numeric field in 'static,0.01,0,{field},0'")):
+            read_session_log(path)
+
     def test_truncated_row_names_line(self, tmp_path):
         path = self.write(
             tmp_path,
@@ -314,6 +387,17 @@ class TestParseErrors:
         with pytest.raises(LogParseError) as info:
             read_session_log(path)
         assert "line 4" in str(info.value)
+
+    @pytest.mark.parametrize("rows,count", [
+        ("static,0.0,0,0\nstatic,0.01,0,0\n", 4),
+        ("static,0.0,0,0,0,0\n", 6),
+    ])
+    def test_same_wrong_field_count_in_every_row_names_line(self, tmp_path, rows, count):
+        # numpy's reader takes any count that every row shares.
+        path = self.write(tmp_path, f"# sample_rate: 100\nstage,t,m_x,m_y,m_z\n{rows}")
+        with pytest.raises(LogParseError,
+                           match=f"line 3: expected 5 comma-separated fields, got {count}"):
+            read_session_log(path)
 
     def test_bad_stage_tag_names_line(self, tmp_path):
         path = self.write(
@@ -362,6 +446,12 @@ class TestParseErrors:
     def test_empty_log_rejected(self, tmp_path):
         path = self.write(tmp_path, "# sample_rate: 100\nstage,t,m_x,m_y,m_z\n")
         with pytest.raises(LogParseError):
+            read_session_log(path)
+
+    def test_whitespace_only_body_rejected(self, tmp_path):
+        # ... without the warning numpy's reader gives for an empty input
+        path = self.write(tmp_path, "# sample_rate: 100\nstage,t,m_x,m_y,m_z\n \n\t\n")
+        with pytest.raises(LogParseError, match="log contains no sample rows"):
             read_session_log(path)
 
 
