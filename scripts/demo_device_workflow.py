@@ -55,7 +55,7 @@ def main() -> int:
         ),
     )
     truth_path = os.path.join(args.workdir, "truth.json")
-    with open(truth_path, "w") as handle:
+    with open(truth_path, "w", encoding="utf-8") as handle:
         json.dump(truth.params.as_dict(), handle, indent=2, sort_keys=True)
         handle.write("\n")
     print(f"wrote {log_path} and {truth_path}")

@@ -33,7 +33,7 @@ _MACHINE_FACTS = ("nproc", "usable_cpus", "python", "numpy", "platform", "blas_t
 
 def _load(path: str) -> dict:
     """One result record, refused when it cannot be folded."""
-    record = json.loads(Path(path).read_text())
+    record = json.loads(Path(path).read_text(encoding="utf-8"))
     if record.get("trace"):
         raise SystemExit(f"{path}: a traced run (trace: 1) has no end-to-end metrics to fold")
     if record.get("correct") is False:
@@ -55,7 +55,7 @@ def _stats(values: list[float]) -> dict:
 
 
 def fold(parent: list[dict], change: list[dict], title: str, order: str) -> dict:
-    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = {}
     for name in sorted({r["workload"] for r in parent + change}):
         pairs = list(zip([r for r in parent if r["workload"] == name],
@@ -102,7 +102,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     parent, change = ([_load(p) for p in paths] for paths in (args.parent, args.change))
     folded = fold(parent, change, args.title, args.order)
-    Path(args.out).write_text(json.dumps(folded, indent=2) + "\n")
+    Path(args.out).write_text(json.dumps(folded, indent=2) + "\n", encoding="utf-8")
     return 0
 
 

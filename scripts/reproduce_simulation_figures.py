@@ -49,7 +49,7 @@ def main() -> int:
 
     os.makedirs(args.out, exist_ok=True)
     config_path = os.path.join(args.out, "campaign.yaml")
-    with open(config_path, "w") as handle:
+    with open(config_path, "w", encoding="utf-8") as handle:
         yaml.safe_dump({
             "noise_levels": [0.03, 0.15],
             "n_param_sets": 30,
@@ -61,7 +61,7 @@ def main() -> int:
     if status != 0:
         return status
     print()
-    with open(os.path.join(args.out, "summary.json")) as handle:
+    with open(os.path.join(args.out, "summary.json"), encoding="utf-8") as handle:
         campaigns = json.load(handle)["campaigns"]
     for sigma, summary in campaigns.items():
         print(f"campaign sigma={float(sigma):g}")

@@ -19,11 +19,12 @@ from typing import Sequence
 
 import numpy as np
 
-from . import doe, observability
+# Lazy modules (see the package docstring): binding them loads nothing,
+# so only simulate and verify pay to run them.
+from . import doe, observability, simulator
 from .estimator import calibrate
 from .model import AXES, PARAM_NAMES, CalibrationError, CalibrationParams
 from .session_io import read_session_log
-from .simulator import SimulationConfig, run_monte_carlo
 
 __all__ = ["main"]
 
@@ -35,14 +36,16 @@ def _fail(message: str) -> int:
     return 1
 
 
-def _load_simulation_configs(path: str | None, seed: int | None) -> list[SimulationConfig]:
+def _load_simulation_configs(
+    path: str | None, seed: int | None
+) -> list[simulator.SimulationConfig]:
     """Config file to campaign list; a noise_levels list fans out campaigns,
     and no two levels may be the same ``noise_sigma`` once converted."""
     import yaml  # only simulate reads YAML, so calibrate does not pay to import it
 
     mapping: dict = {}
     if path is not None:
-        with open(path, "r") as handle:
+        with open(path, "r", encoding="utf-8") as handle:
             loaded = yaml.safe_load(handle)
         if loaded is None:
             loaded = {}
@@ -52,7 +55,7 @@ def _load_simulation_configs(path: str | None, seed: int | None) -> list[Simulat
     levels = mapping.pop("noise_levels", None)
     if levels is not None and (not isinstance(levels, (list, tuple)) or not levels):
         raise CalibrationError("noise_levels must be a non-empty list of numbers")
-    base = SimulationConfig.from_mapping(mapping)
+    base = simulator.SimulationConfig.from_mapping(mapping)
     if seed is not None:
         base = dataclasses.replace(base, rng_seed=seed)
     if levels is None:
@@ -79,11 +82,30 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_campaigns(configs: list[SimulationConfig], out: str) -> None:
+def _write_campaigns(configs: list[simulator.SimulationConfig], out: str) -> None:
+    # An unusable --out fails here, before any campaign runs; the
+    # directories made for it go again if a config is refused.
+    made = []
+    head = os.path.abspath(out)
+    while not os.path.lexists(head):
+        made.append(head)
+        head = os.path.dirname(head)
     os.makedirs(out, exist_ok=True)
+    try:
+        _run_campaigns(configs, out)
+    except CalibrationError:
+        for path in made:  # deepest first; one that holds output stays
+            try:
+                os.rmdir(path)
+            except OSError:
+                break
+        raise
+
+
+def _run_campaigns(configs: list[simulator.SimulationConfig], out: str) -> None:
     campaigns = {}
     for config in configs:
-        report = run_monte_carlo(config)
+        report = simulator.run_monte_carlo(config)
         csv_name = f"replicates_sigma_{config.noise_sigma!r}.csv"
         report.write_replicates_csv(os.path.join(out, csv_name))
         campaigns[repr(config.noise_sigma)] = {
@@ -93,7 +115,7 @@ def _write_campaigns(configs: list[SimulationConfig], out: str) -> None:
         print(f"wrote {csv_name} ({len(report.indices)} replicates, "
               f"{len(report.failures)} failures)")
     summary = {"rng_seed": configs[0].rng_seed, "campaigns": campaigns}
-    with open(os.path.join(out, "summary.json"), "w") as handle:
+    with open(os.path.join(out, "summary.json"), "w", encoding="utf-8") as handle:
         json.dump(summary, handle, indent=2, sort_keys=True)
         handle.write("\n")
     print("wrote summary.json")
@@ -134,7 +156,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out is not None:
         try:
-            with open(args.out, "w") as handle:
+            with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(text + "\n")
         except OSError as exc:
             return _fail(f"cannot write output: {exc}")
@@ -145,7 +167,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 def _read_params_json(path: str) -> dict[str, float]:
     """The six parameters of a JSON file, checked as ``CalibrationParams``
     checks them: finite, with positive scales."""
-    with open(path, "r") as handle:
+    with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
     if not isinstance(data, dict):
         raise CalibrationError(f"{path}: expected a JSON object with parameter fields")

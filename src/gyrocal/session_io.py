@@ -3,8 +3,8 @@
 Layout: `# key: value` comment lines first (sample_rate is required,
 rotation_angle, full_scale and device are optional, and none may
 repeat), then the column header `stage,t,m_x,m_y,m_z`, then one row per
-sample. The stage column is `static` or `rotate:<axis>`. Floats are
-written with repr so a log round-trips bit-for-bit. Within a stage,
+sample, all UTF-8 text. The stage column is `static` or `rotate:<axis>`.
+Floats are written with repr so a log round-trips bit-for-bit. Within a stage,
 timestamps step by one sample period; a step over 1.5 periods is
 dropped samples, and one more than ``SPACING_TOLERANCE`` of a period off
 it is a jittered clock; both are rejected. The device is one line
@@ -120,6 +120,11 @@ class SessionLog:
                 "device must be one line of text without leading or trailing whitespace, "
                 f"got {device!r}"
             )
+        if device is not None:
+            try:
+                device.encode("utf-8")  # a lone surrogate has no encoding
+            except UnicodeEncodeError:
+                raise LogParseError(f"device must be UTF-8 text, got {device!r}") from None
         statics = [i for i, seg in enumerate(self.segments) if seg.is_static]
         if len(statics) != 1:
             raise ProtocolViolation(
@@ -255,10 +260,18 @@ def read_session_log(path) -> SessionLog:
     The header lines are read in Python. The data rows go to numpy's C
     text reader in one pass, each stage tag becoming its index in
     ``_STAGES``, and each run of one tag becomes a segment. When the
-    reader refuses a row, a second pass finds it and names its line."""
+    reader refuses a row, a second pass finds it and names its line, and
+    so does one over the raw bytes when the file is not UTF-8."""
+    try:
+        return _parse_session_log(path)
+    except UnicodeDecodeError:  # text is decoded in chunks, so the line is found apart
+        _reject_undecodable(path)
+
+
+def _parse_session_log(path) -> SessionLog:
     header: dict[str, object] = {}
     columns_line = 0
-    with open(path, "r", newline="") as handle:
+    with open(path, "r", encoding="utf-8", newline="") as handle:
         for line_number, raw_line in enumerate(handle, start=1):
             line = raw_line.strip()
             if not line:
@@ -338,10 +351,26 @@ def _is_number(field: str) -> bool:
     return True
 
 
+def _reject_undecodable(path) -> NoReturn:
+    """Raise for the first byte that is not UTF-8, naming its line."""
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # Lines break at \n, \r and \r\n, as in the text-mode reads above.
+        line_number = len((raw[: exc.start] + b"_").splitlines())
+        raise LogParseError(
+            f"line {line_number}: byte {raw[exc.start]:#04x} is not UTF-8 ({exc.reason}); "
+            "session logs are UTF-8 text"
+        ) from None
+    raise LogParseError("log is not UTF-8 text")
+
+
 def _reject_rows(path, columns_line: int) -> NoReturn:
     """Raise for the first data row that is not a sample, naming its line;
     a comment names itself."""
-    with open(path, "r", newline="") as handle:
+    with open(path, "r", encoding="utf-8", newline="") as handle:
         for line_number, line in enumerate(handle, start=1):
             if line_number <= columns_line or line.isspace():
                 continue
@@ -361,7 +390,7 @@ def _reject_rows(path, columns_line: int) -> NoReturn:
 
 
 def write_session_log(path, log: SessionLog) -> None:
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(f"# sample_rate: {float(log.sample_rate)!r}\n")
         handle.write(f"# rotation_angle: {float(log.rotation_angle)!r}\n")
         if log.full_scale is not None:

@@ -542,7 +542,7 @@ class CampaignReport:
         values = np.column_stack([self.truth, self.estimate, self.parameter_errors(),
                                   self.pre_rms, self.post_rms])
         # The rows csv.writer would write: no field needs quoting.
-        with open(path, "w", newline="") as handle:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(",".join(header) + "\r\n")
             handle.writelines(
                 f"{s},{r},{','.join(map(repr, row))}\r\n"

@@ -135,13 +135,29 @@ class TestSimulate:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (out / "summary.json").exists()
 
-    def test_unwritable_out_reported(self, tmp_path, capsys):
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_refused_config_leaves_no_new_directory(self, tmp_path, capsys, existing):
+        config = tmp_path / "huge.yaml"
+        config.write_text(f"n_test_rates: {10 ** 20}\nn_param_sets: 1\nn_sims_per_set: 1\n",
+                          encoding="utf-8")
+        if existing:
+            (tmp_path / "new").mkdir()
+        out = tmp_path / "new" / "nested"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: bad simulation config: cannot hold")
+        assert not out.exists()
+        assert (tmp_path / "new").exists() == existing
+
+    def test_unwritable_out_reported(self, tmp_path, capsys, monkeypatch):
         config = tmp_path / "small.yaml"
         config.write_text("n_param_sets: 1\nn_sims_per_set: 1\nn_test_rates: 5\n")
         blocker = tmp_path / "file"
         blocker.write_text("")
+        campaigns = []
+        monkeypatch.setattr(gyrocal.simulator, "run_monte_carlo", campaigns.append)
         assert main(["simulate", "--config", str(config), "--out", str(blocker / "x")]) == 1
         assert capsys.readouterr().err.startswith("error: cannot write output: ")
+        assert campaigns == []  # before any campaign runs
 
 
 class TestCalibrate:
@@ -229,6 +245,36 @@ class TestCalibrate:
         monkeypatch.setattr("gyrocal.cli.cmd_calibrate", lambda args: calls.append(args.log) or 7)
         assert main(["calibrate", str(path)]) == 7
         assert calls == [str(path)]
+
+    def test_undecodable_byte_reported(self, session_log_path, capsys):
+        path, _, _ = session_log_path
+        data = path.read_bytes()
+        at = data.index(b"rotate:y")
+        path.write_bytes(data[:at] + b"\xb5" + data[at:])
+        line = data[:at].count(b"\n") + 1
+        assert main(["calibrate", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: line {line}: byte 0xb5 is not UTF-8 (invalid start "
+                                "byte); session logs are UTF-8 text\n")
+        assert captured.out == ""
+
+    def test_non_ascii_device_read_in_c_locale(self, tmp_path):
+        # The log is UTF-8 whatever the locale says the default encoding is.
+        config = SimulationConfig(noise_sigma=0.15, rng_seed=13)
+        rng = np.random.default_rng(13)
+        sim = simulate_session(sample_ground_truth(config, rng), config, rng)
+        path = tmp_path / "session.csv"
+        write_session_log(path, SessionLog.from_arrays(
+            sim.static_raw, list(sim.rotation_raw), config.sample_rate,
+            device="Gyro\u2122 \u00b5"))
+        src = os.path.dirname(os.path.dirname(gyrocal.__file__))
+        env = dict(os.environ, PYTHONPATH=src, LC_ALL="C", PYTHONUTF8="0",
+                   PYTHONCOERCECLOCALE="0")
+        proc = subprocess.run([sys.executable, "-m", "gyrocal", "calibrate", str(path)],
+                              env=env, capture_output=True, timeout=120)
+        assert proc.stderr == b""
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["diagnostics"]["device"] == "Gyro\u2122 \u00b5"
 
     def test_missing_file_fails_cleanly(self, tmp_path, capsys):
         assert main(["calibrate", str(tmp_path / "nope.csv")]) == 1

@@ -1,6 +1,9 @@
 import math
+import os
 import re
+import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import gyrocal
 from gyrocal.estimator import calibrate
 from gyrocal.model import CalibrationError, ProtocolViolation
 from gyrocal.session_io import (
@@ -159,6 +163,12 @@ class TestSessionLogStructure:
                              ["a\nb", "a\rb", "  padded  ", " lead", "trail\t", "\n", 7])
     def test_device_that_cannot_read_back_rejected(self, device):
         with pytest.raises(LogParseError, match="device must be one line of text"):
+            tiny_log(device=device)
+
+    @pytest.mark.parametrize("device", ["\udcb5", "unit \ud800 7"])
+    def test_device_without_utf8_form_rejected(self, device):
+        # A lone surrogate cannot be written to a UTF-8 log.
+        with pytest.raises(LogParseError, match="device must be UTF-8 text"):
             tiny_log(device=device)
 
     @pytest.mark.parametrize("angle", [1e200, math.nextafter(LARGEST_ANGLE, math.inf)])
@@ -335,6 +345,54 @@ class TestTextForms:
             read_session_log(path)
         assert repr(float(lines[row - 1].split(",")[1])) in str(info.value)
         assert dropped.startswith("rotate:x,")
+
+
+class TestEncoding:
+    DEVICE = "Gyro\u2122 \u00b5"
+
+    def test_round_trip_in_c_locale(self, tmp_path):
+        # An ASCII locale does not change how a log is written or read.
+        code = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from gyrocal.session_io import SessionLog, read_session_log, write_session_log
+
+            turns = [np.eye(3)[[axis] * 4] * 900.0 for axis in range(3)]
+            log = SessionLog.from_arrays(np.zeros((4, 3)), turns, 10.0,
+                                         device="Gyro\\u2122 \\u00b5")
+            write_session_log(sys.argv[1], log)
+            print(ascii(read_session_log(sys.argv[1]).device))
+        """)
+        src = os.path.dirname(os.path.dirname(gyrocal.__file__))
+        env = dict(os.environ, PYTHONPATH=src, LC_ALL="C", PYTHONUTF8="0",
+                   PYTHONCOERCECLOCALE="0")
+        path = tmp_path / "session.csv"
+        proc = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                              capture_output=True, encoding="utf-8", timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "'Gyro\\u2122 \\xb5'\n"
+        assert f"# device: {self.DEVICE}\n".encode("utf-8") in path.read_bytes()
+
+    @pytest.mark.parametrize("where", ["device", "first row", "row 1000", "last row"])
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_undecodable_byte_names_line(self, tmp_path, where, newline):
+        # The text layer decodes a chunk at a time; the line is still exact.
+        log, _, _ = simulated_log()
+        path = tmp_path / "session.csv"
+        write_session_log(path, log)
+        lines = path.read_bytes().splitlines()
+        index = {"device": 3, "first row": 5, "row 1000": 1004, "last row": len(lines) - 1}[where]
+        lines[index] = lines[index][:-2] + b"\xb5" + lines[index][-2:]
+        path.write_bytes(newline.join(lines) + newline)
+        with pytest.raises(LogParseError, match=re.escape(
+                f"line {index + 1}: byte 0xb5 is not UTF-8 (invalid start byte)")):
+            read_session_log(path)
+
+    def test_truncated_sequence_at_end_names_line(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_bytes(b"# sample_rate: 100\n# device: unit \xe2\x84")
+        with pytest.raises(LogParseError, match="line 2: byte 0xe2 is not UTF-8"):
+            read_session_log(path)
 
 
 class TestParseErrors:
