@@ -14,39 +14,15 @@ them; their public names here are served by the module ``__getattr__``.
 import importlib.util
 import sys
 
-from .model import (
-    AXES,
-    CalibrationError,
-    CalibrationParams,
-    ObservationArrays,
-    ProtocolViolation,
-    RotationObservation,
-    StaticObservation,
-    apply_calibration,
-    inverse_calibration,
-    rotation_residuals,
-    squared_cost,
-)
-from .estimator import (
-    ConvergenceFailure,
-    Fit,
-    IllConditionedSystem,
-    InconsistentScaleData,
-    calibrate,
-    calibrate_nonlinear,
-    fit_batch,
-)
-from .session_io import (
-    LogParseError,
-    LogSegment,
-    SessionLog,
-    read_session_log,
-    write_session_log,
-)
+from . import estimator, model, session_io
+from .model import *
+from .estimator import *
+from .session_io import *
 
 __version__ = "0.1.0"
 
 #: Public names of the lazily loaded modules, and the module each is in.
+#: Written out, because reading a lazy module's ``__all__`` would load it.
 _LAZY_EXPORTS = {
     **dict.fromkeys(("cost_gradient", "finite_difference_grad", "model_term_gradient"),
                     "observability"),
@@ -88,44 +64,5 @@ def __dir__() -> list[str]:
     return sorted({*globals(), *_LAZY_EXPORTS})
 
 
-__all__ = [
-    "AXES",
-    "CalibrationError",
-    "CalibrationParams",
-    "ObservationArrays",
-    "ProtocolViolation",
-    "RotationObservation",
-    "StaticObservation",
-    "apply_calibration",
-    "inverse_calibration",
-    "rotation_residuals",
-    "squared_cost",
-    "ConvergenceFailure",
-    "Fit",
-    "IllConditionedSystem",
-    "InconsistentScaleData",
-    "calibrate",
-    "calibrate_nonlinear",
-    "fit_batch",
-    "cost_gradient",
-    "finite_difference_grad",
-    "model_term_gradient",
-    "SingularDesignError",
-    "is_g_optimal",
-    "max_spv_sphere",
-    "spv",
-    "CampaignReport",
-    "GroundTruth",
-    "SimulatedSession",
-    "SimulationConfig",
-    "bezier_profile",
-    "run_monte_carlo",
-    "sample_ground_truth",
-    "simulate_session",
-    "LogParseError",
-    "LogSegment",
-    "SessionLog",
-    "read_session_log",
-    "write_session_log",
-    "__version__",
-]
+__all__ = [*model.__all__, *estimator.__all__, *session_io.__all__, *_LAZY_EXPORTS,
+           "__version__"]

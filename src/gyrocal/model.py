@@ -19,6 +19,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 __all__ = [
+    "AXES",
     "CalibrationError",
     "ProtocolViolation",
     "CalibrationParams",

@@ -3,16 +3,18 @@
 Layout: `# key: value` comment lines first (sample_rate is required,
 rotation_angle, full_scale and device are optional, and none may
 repeat), then the column header `stage,t,m_x,m_y,m_z`, then one row per
-sample, all UTF-8 text. The stage column is `static` or `rotate:<axis>`.
-Floats are written with repr so a log round-trips bit-for-bit. Within a stage,
-timestamps step by one sample period; a step over 1.5 periods is
-dropped samples, and one more than ``SPACING_TOLERANCE`` of a period off
-it is a jittered clock; both are rejected. The device is one line
-without surrounding whitespace, so it reads back as written.
+sample, all UTF-8 text; a leading byte-order mark is skipped. The stage
+column is `static` or `rotate:<axis>`. Floats are written with repr so a
+log round-trips bit-for-bit. Within a stage, timestamps step by one
+sample period; a step over 1.5 periods is dropped samples, and one more
+than ``SPACING_TOLERANCE`` of a period off it is a jittered clock; both
+are rejected. The device is one line without surrounding whitespace, so
+it reads back as written.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
 from dataclasses import dataclass
 from typing import NoReturn, Sequence
@@ -259,19 +261,18 @@ def read_session_log(path) -> SessionLog:
 
     The header lines are read in Python. The data rows go to numpy's C
     text reader in one pass, each stage tag becoming its index in
-    ``_STAGES``, and each run of one tag becomes a segment. When the
-    reader refuses a row, a second pass finds it and names its line, and
-    so does one over the raw bytes when the file is not UTF-8."""
+    ``_STAGES``, and each run of one tag becomes a segment. When the text
+    is not UTF-8 or the reader refuses a row, a second pass names the line."""
     try:
         return _parse_session_log(path)
     except UnicodeDecodeError:  # text is decoded in chunks, so the line is found apart
-        _reject_undecodable(path)
+        _reject_rows(path)
 
 
 def _parse_session_log(path) -> SessionLog:
     header: dict[str, object] = {}
     columns_line = 0
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         for line_number, raw_line in enumerate(handle, start=1):
             line = raw_line.strip()
             if not line:
@@ -310,12 +311,11 @@ def _parse_session_log(path) -> SessionLog:
         if first is None:
             raise LogParseError("log contains no sample rows")
         try:
-            data = np.loadtxt(itertools.chain((first,), rows), delimiter=",", comments=None,
-                              ndmin=2, converters={0: _stage_index})
+            data = _load_rows(itertools.chain((first,), rows))
         except ValueError:
-            _reject_rows(path, columns_line)
+            _reject_rows(path)
     if data.shape[1] != 5:
-        _reject_rows(path, columns_line)
+        _reject_rows(path)
 
     codes = data[:, 0]
     bounds = [0, *(np.flatnonzero(codes[1:] != codes[:-1]) + 1).tolist(), len(data)]
@@ -338,54 +338,49 @@ def _stage_index(tag: str) -> int:
     return _STAGES.index(tag.strip())
 
 
-def _is_number(field: str) -> bool:
-    """Whether numpy's reader takes the field: a float literal of ASCII
-    characters without underscores, with any whitespace around it."""
-    field = field.strip()
-    if not field.isascii() or "_" in field:
-        return False
-    try:
-        float(field)
-    except ValueError:
-        return False
-    return True
+def _load_rows(rows) -> np.ndarray:
+    """The data rows as an ``(n, k)`` array, the stage tag as its index."""
+    return np.loadtxt(rows, delimiter=",", comments=None, ndmin=2,
+                      converters={0: _stage_index})
 
 
-def _reject_undecodable(path) -> NoReturn:
-    """Raise for the first byte that is not UTF-8, naming its line."""
+def _reject_rows(path) -> NoReturn:
+    """Raise for the first byte that is not UTF-8, or else the first data
+    row ``_load_rows`` refuses, naming its line; a comment names itself."""
     with open(path, "rb") as handle:
         raw = handle.read()
     try:
-        raw.decode("utf-8")
+        text = raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        # Lines break at \n, \r and \r\n, as in the text-mode reads above.
-        line_number = len((raw[: exc.start] + b"_").splitlines())
+        # exc.object is the input after any byte-order mark. Lines break
+        # at \n, \r and \r\n, as in the text-mode read.
+        bad = exc.object
+        line_number = len((bad[: exc.start] + b"_").splitlines())
         raise LogParseError(
-            f"line {line_number}: byte {raw[exc.start]:#04x} is not UTF-8 ({exc.reason}); "
+            f"line {line_number}: byte {bad[exc.start]:#04x} is not UTF-8 ({exc.reason}); "
             "session logs are UTF-8 text"
         ) from None
-    raise LogParseError("log is not UTF-8 text")
-
-
-def _reject_rows(path, columns_line: int) -> NoReturn:
-    """Raise for the first data row that is not a sample, naming its line;
-    a comment names itself."""
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            if line_number <= columns_line or line.isspace():
+    lines = enumerate(io.StringIO(text, newline=""), start=1)
+    for _, line in lines:  # up to the column header, which the header read checked
+        if line.strip() == _COLUMNS:
+            break
+    for line_number, line in lines:
+        if line.isspace():
+            continue
+        parts = line.split(",")
+        if len(parts) != 5:
+            problem = f"expected 5 comma-separated fields, got {len(parts)}"
+        elif parts[0].strip() not in _STAGES:
+            problem = f"unknown stage tag {parts[0].strip()!r}"
+        else:
+            try:
+                _load_rows([line])
                 continue
-            parts = line.split(",")
-            if len(parts) != 5:
-                problem = f"expected 5 comma-separated fields, got {len(parts)}"
-            elif parts[0].strip() not in _STAGES:
-                problem = f"unknown stage tag {parts[0].strip()!r}"
-            elif not all(map(_is_number, parts[1:])):
+            except ValueError:
                 problem = f"malformed numeric field in {line.strip()!r}"
-            else:
-                continue
-            if line.lstrip().startswith("#"):
-                problem = "header comments must precede the data"
-            raise LogParseError(f"line {line_number}: {problem}")
+        if line.lstrip().startswith("#"):
+            problem = "header comments must precede the data"
+        raise LogParseError(f"line {line_number}: {problem}")
     raise LogParseError("sample rows could not be read")
 
 

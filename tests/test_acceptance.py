@@ -205,8 +205,8 @@ def test_criterion_8_published_comparison_columns(capsys, tmp_path):
     for case_index, (ours, reference, printed_column) in enumerate(TABLE_CASES):
         a = tmp_path / f"proposed_{case_index}.json"
         b = tmp_path / f"turntable_{case_index}.json"
-        a.write_text(json.dumps(ours))
-        b.write_text(json.dumps(reference))
+        a.write_text(json.dumps(ours), encoding="utf-8")
+        b.write_text(json.dumps(reference), encoding="utf-8")
         status = cli_main(["compare", str(a), str(b), "--threshold", "0.03"])
         out = capsys.readouterr().out
         assert status == 0

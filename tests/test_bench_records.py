@@ -11,7 +11,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 RECORDS = sorted(ROOT.glob("BENCH_*.json"))
-END_TO_END = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+END_TO_END = [m["name"] for m in
+              json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]]
 SHA1 = re.compile(r"[0-9a-f]{40}")
 SHA256 = re.compile(r"[0-9a-f]{64}")
 
@@ -26,7 +27,7 @@ def test_records_exist():
 
 @pytest.mark.parametrize("path", RECORDS, ids=lambda p: p.name)
 def test_record_carries_trajectory_keys(path):
-    record = json.loads(path.read_text())
+    record = json.loads(path.read_text(encoding="utf-8"))
     assert SHA1.fullmatch(record["parent"]["git_sha"])
     # The change's commit is the one that adds the record, so it may be null.
     change_sha = record["change"]["git_sha"]
@@ -71,12 +72,12 @@ def fold_files(tmp_path, parent, change):
         paths[side] = []
         for i, record in enumerate(records):
             path = tmp_path / f"{side}-{i}.json"
-            path.write_text(json.dumps(record))
+            path.write_text(json.dumps(record), encoding="utf-8")
             paths[side].append(str(path))
     out = tmp_path / "BENCH_test.json"
     fold_bench.main(["--title", "t", "--order", "o", "--out", str(out),
                      "--parent", *paths["parent"], "--change", *paths["change"]])
-    return json.loads(out.read_text())
+    return json.loads(out.read_text(encoding="utf-8"))
 
 
 def test_fold_counts_pairs_won(tmp_path):

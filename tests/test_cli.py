@@ -30,7 +30,7 @@ IDENTITY = {"k_x": 1.0, "k_y": 1.0, "k_z": 1.0, "b_x": 0.0, "b_y": 0.0, "b_z": 0
 
 
 def write_params(path, values):
-    with open(path, "w") as handle:
+    with open(path, "w", encoding="utf-8") as handle:
         json.dump(values, handle)
     return path
 
@@ -43,7 +43,8 @@ class TestSimulate:
             "misalignment_range: [0.0, 0.0]\n"
             "n_param_sets: 2\n"
             "n_sims_per_set: 2\n"
-            "n_test_rates: 20\n"
+            "n_test_rates: 20\n",
+            encoding="utf-8",
         )
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
@@ -53,7 +54,7 @@ class TestSimulate:
                      "--out", str(out_b)]) == 0
         for name in ("summary.json", "replicates_sigma_0.03.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
-        summary = json.loads((out_a / "summary.json").read_text())
+        summary = json.loads((out_a / "summary.json").read_text(encoding="utf-8"))
         assert summary["rng_seed"] == 5
         assert "0.03" in summary["campaigns"]
 
@@ -64,11 +65,12 @@ class TestSimulate:
             "misalignment_range: [0.0, 0.0]\n"
             "n_param_sets: 2\n"
             "n_sims_per_set: 2\n"
-            "n_test_rates: 20\n"
+            "n_test_rates: 20\n",
+            encoding="utf-8",
         )
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
-        summary = json.loads((out / "summary.json").read_text())
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
         stats = summary["campaigns"]["0.0"]["parameter_errors"]
         for name in ("k_x", "k_y", "k_z", "b_x", "b_y", "b_z"):
             assert abs(stats[name]["min"]) < 1e-9
@@ -76,13 +78,14 @@ class TestSimulate:
 
     def test_bad_config_reports_and_fails(self, tmp_path, capsys):
         config = tmp_path / "broken.yaml"
-        config.write_text("noise_sgima: 0.03\n")
+        config.write_text("noise_sgima: 0.03\n", encoding="utf-8")
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 1
         assert "noise_sgima" in capsys.readouterr().err
 
     def test_nonfinite_noise_sigma_fails(self, tmp_path, capsys):
         config = tmp_path / "nan.yaml"
-        config.write_text("noise_sigma: .nan\nn_param_sets: 1\nn_sims_per_set: 1\n")
+        config.write_text("noise_sigma: .nan\nn_param_sets: 1\nn_sims_per_set: 1\n",
+                          encoding="utf-8")
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
         err = capsys.readouterr().err
@@ -94,7 +97,7 @@ class TestSimulate:
         # silently overwrite the first run's.
         config = tmp_path / "twice.yaml"
         config.write_text("noise_levels: [0.03, 0.15, 0.03]\nn_param_sets: 1\n"
-                          "n_sims_per_set: 1\n")
+                          "n_sims_per_set: 1\n", encoding="utf-8")
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
         err = capsys.readouterr().err
@@ -117,7 +120,7 @@ class TestSimulate:
     ])
     def test_unusable_config_reported(self, tmp_path, capsys, text, seed_args, message):
         config = tmp_path / "bad.yaml"
-        config.write_text(text + "n_param_sets: 1\nn_sims_per_set: 1\n")
+        config.write_text(text + "n_param_sets: 1\nn_sims_per_set: 1\n", encoding="utf-8")
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(config), *seed_args, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: bad simulation config: {message}\n"
@@ -126,7 +129,8 @@ class TestSimulate:
     def test_session_block_too_large_reported(self, tmp_path, capsys):
         # The dimension check refuses this size before any memory is taken.
         config = tmp_path / "huge.yaml"
-        config.write_text(f"n_test_rates: {10 ** 20}\nn_param_sets: 1\nn_sims_per_set: 1\n")
+        config.write_text(f"n_test_rates: {10 ** 20}\nn_param_sets: 1\nn_sims_per_set: 1\n",
+                          encoding="utf-8")
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
         err = capsys.readouterr().err
@@ -150,9 +154,10 @@ class TestSimulate:
 
     def test_unwritable_out_reported(self, tmp_path, capsys, monkeypatch):
         config = tmp_path / "small.yaml"
-        config.write_text("n_param_sets: 1\nn_sims_per_set: 1\nn_test_rates: 5\n")
+        config.write_text("n_param_sets: 1\nn_sims_per_set: 1\nn_test_rates: 5\n",
+                          encoding="utf-8")
         blocker = tmp_path / "file"
-        blocker.write_text("")
+        blocker.write_text("", encoding="utf-8")
         campaigns = []
         monkeypatch.setattr(gyrocal.simulator, "run_monte_carlo", campaigns.append)
         assert main(["simulate", "--config", str(config), "--out", str(blocker / "x")]) == 1
@@ -182,7 +187,7 @@ class TestCalibrate:
         out = tmp_path / "params.json"
         assert main(["calibrate", str(path), "--out", str(out)]) == 0
         stdout_payload = json.loads(capsys.readouterr().out)
-        file_payload = json.loads(out.read_text())
+        file_payload = json.loads(out.read_text(encoding="utf-8"))
         assert stdout_payload == file_payload
 
     def test_motion_during_static_stage_fails(self, tmp_path, capsys):
@@ -202,8 +207,9 @@ class TestCalibrate:
     def test_rotation_angle_with_infinite_square_reported(self, session_log_path, capsys):
         # The fit squares the angle; the log is refused, not a traceback.
         path, _, _ = session_log_path
-        path.write_text(path.read_text().replace("# rotation_angle: 360.0",
-                                                 "# rotation_angle: 1e200"))
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace("# rotation_angle: 360.0", "# rotation_angle: 1e200"),
+                        encoding="utf-8")
         assert main(["calibrate", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.err == "error: rotation_angle 1e+200 has a square that is not finite\n"

@@ -95,7 +95,8 @@ SIMULATE_OUTPUT_PINS = {
 
 def test_simulate_output_bytes_are_pinned(tmp_path):
     config = tmp_path / "campaign.yaml"
-    config.write_text("noise_levels: [0.03, 0.15]\nn_param_sets: 5\nn_sims_per_set: 7\n")
+    config.write_text("noise_levels: [0.03, 0.15]\nn_param_sets: 5\nn_sims_per_set: 7\n",
+                      encoding="utf-8")
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(config), "--seed", "17", "--out", str(out)]) == 0
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}

@@ -27,6 +27,36 @@ def test_every_exported_name_resolves(name):
     assert len(set(exported)) == len(exported)
 
 
+#: The package's public surface, pinned: a name joins or leaves it on purpose.
+PUBLIC_NAMES = {
+    "AXES", "CalibrationError", "CalibrationParams", "CampaignReport", "ConvergenceFailure",
+    "Fit", "GroundTruth", "IllConditionedSystem", "InconsistentScaleData", "LogParseError",
+    "LogSegment", "ObservationArrays", "ProtocolViolation", "RotationObservation", "SessionLog",
+    "SimulatedSession", "SimulationConfig", "SingularDesignError", "StaticObservation",
+    "__version__", "apply_calibration", "bezier_profile", "calibrate", "calibrate_nonlinear",
+    "cost_gradient", "finite_difference_grad", "fit_batch", "inverse_calibration",
+    "is_g_optimal", "max_spv_sphere", "model_term_gradient", "read_session_log",
+    "rotation_residuals", "run_monte_carlo", "sample_ground_truth", "simulate_session", "spv",
+    "squared_cost", "write_session_log",
+}
+
+
+def test_public_names_are_pinned():
+    assert set(gyrocal.__all__) == PUBLIC_NAMES
+
+
+def test_lazy_exports_are_the_lazy_modules_all():
+    # The one export list the package writes out, since reading a lazy
+    # module's own would load it. ``doe`` and ``observability`` both have a
+    # ``property_checks``, so the package exports neither.
+    expected = {
+        name: module for module in LAZY
+        for name in importlib.import_module(f"gyrocal.{module}").__all__
+        if name != "property_checks"
+    }
+    assert gyrocal._LAZY_EXPORTS == expected
+
+
 # The lazy modules load on first attribute access (see the gyrocal
 # docstring). Each check below runs in a fresh interpreter, because this
 # one has loaded them all already.

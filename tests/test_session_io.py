@@ -24,6 +24,9 @@ from gyrocal.session_io import (
 )
 from gyrocal.simulator import SimulationConfig, sample_ground_truth, simulate_session
 
+#: The UTF-8 byte-order mark.
+BOM = b"\xef\xbb\xbf"
+
 #: The largest rotation angle whose square is finite.
 LARGEST_ANGLE = math.sqrt(sys.float_info.max)
 
@@ -51,7 +54,7 @@ def assert_same_log(a, b):
 
 def data_lines(path):
     """The log's lines, and the index of its first data row."""
-    lines = path.read_text().splitlines(keepends=True)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
     return lines, lines.index("stage,t,m_x,m_y,m_z\n") + 1
 
 
@@ -276,7 +279,7 @@ class TestTextForms:
     def test_write_bytes(self, tmp_path):
         path = tmp_path / "tiny.csv"
         write_session_log(path, tiny_log(full_scale=245.0, device="unit 7"))
-        lines = path.read_text().splitlines()
+        lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[:6] == [
             "# sample_rate: 100.0",
             "# rotation_angle: 90.0",
@@ -292,7 +295,7 @@ class TestTextForms:
         log, _, _ = simulated_log()
         path = tmp_path / "session.csv"
         write_session_log(path, log)
-        lines = path.read_text().splitlines()
+        lines = path.read_text(encoding="utf-8").splitlines()
         path.write_bytes("\r\n\r\n  \t\r\n".join(lines).encode() + b"\r\n")
         assert_same_log(read_session_log(path), log)
 
@@ -302,7 +305,7 @@ class TestTextForms:
         write_session_log(path, log)
         lines, first = data_lines(path)
         lines[first:] = ["  " + line.replace(",", " ,", 1) for line in lines[first:]]
-        path.write_text("".join(lines))
+        path.write_text("".join(lines), encoding="utf-8")
         assert_same_log(read_session_log(path), log)
 
     def test_stage_tag_padded_by_20_spaces(self, tmp_path):
@@ -313,7 +316,7 @@ class TestTextForms:
         lines, first = data_lines(path)
         pad = " " * 20
         lines[first:] = [pad + line.replace(",", pad + ",", 1) for line in lines[first:]]
-        path.write_text("".join(lines))
+        path.write_text("".join(lines), encoding="utf-8")
         assert_same_log(read_session_log(path), log)
 
     @pytest.mark.parametrize("blank", ["  \n", "\t\n", " \t \f\n", "\n"])
@@ -323,12 +326,13 @@ class TestTextForms:
         write_session_log(path, log)
         lines, first = data_lines(path)
         lines[first:] = [blank + line for line in lines[first:]]
-        path.write_text("".join(lines) + blank)
+        path.write_text("".join(lines) + blank, encoding="utf-8")
         assert_same_log(read_session_log(path), log)
 
     def test_one_row_body_reaches_the_session_checks(self, tmp_path):
         path = tmp_path / "log.csv"
-        path.write_text("# sample_rate: 100\nstage,t,m_x,m_y,m_z\nstatic,0.0,1.5,-0.0,5e-324\n")
+        path.write_text("# sample_rate: 100\nstage,t,m_x,m_y,m_z\nstatic,0.0,1.5,-0.0,5e-324\n",
+                        encoding="utf-8")
         with pytest.raises(ProtocolViolation, match="at least 3 rotation stages, found 0"):
             read_session_log(path)
 
@@ -339,7 +343,7 @@ class TestTextForms:
         lines, first = data_lines(path)
         row = first + len(log.segments[0].times) + len(log.segments[1].times) // 2
         dropped = lines.pop(row)
-        path.write_text("".join(lines))
+        path.write_text("".join(lines), encoding="utf-8")
         with pytest.raises(ProtocolViolation,
                            match=r"'rotate:x' stage: 1 sample\(s\) missing") as info:
             read_session_log(path)
@@ -394,11 +398,47 @@ class TestEncoding:
         with pytest.raises(LogParseError, match="line 2: byte 0xe2 is not UTF-8"):
             read_session_log(path)
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        # Windows Notepad saves UTF-8 with one; the writer adds none.
+        log = tiny_log(device=self.DEVICE)
+        path = tmp_path / "log.csv"
+        write_session_log(path, log)
+        assert path.read_bytes().startswith(b"# sample_rate: ")
+        path.write_bytes(BOM + path.read_bytes())
+        assert_same_log(read_session_log(path), log)
+
+    @pytest.mark.parametrize("where", ["device", "row 1000"])
+    def test_undecodable_byte_after_byte_order_mark_names_line(self, tmp_path, where):
+        log, _, _ = simulated_log()
+        path = tmp_path / "session.csv"
+        write_session_log(path, log)
+        lines = path.read_bytes().splitlines()
+        index = {"device": 3, "row 1000": 1004}[where]
+        lines[index] += b"\xb5"
+        path.write_bytes(BOM + b"\n".join(lines) + b"\n")
+        with pytest.raises(LogParseError, match=re.escape(
+                f"line {index + 1}: byte 0xb5 is not UTF-8 (invalid start byte)")):
+            read_session_log(path)
+
+    def test_undecodable_byte_named_before_a_bad_row(self, tmp_path):
+        # The bad row is read long before the text layer decodes the last
+        # line; the file is still named by its bad byte.
+        log, _, _ = simulated_log()
+        path = tmp_path / "session.csv"
+        write_session_log(path, log)
+        lines = path.read_bytes().splitlines()
+        lines[5] = b"static,0.0,0,zero,0"
+        lines[-1] += b"\xb5"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(LogParseError, match=re.escape(
+                f"line {len(lines)}: byte 0xb5 is not UTF-8")):
+            read_session_log(path)
+
 
 class TestParseErrors:
     def write(self, tmp_path, text):
         path = tmp_path / "log.csv"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         return path
 
     def test_missing_sample_rate(self, tmp_path):
@@ -471,8 +511,8 @@ class TestParseErrors:
         path = tmp_path / "log.csv"
         write_session_log(path, tiny_log(full_scale=245.0))
         lines = [f"# {key}: {value}" if line.startswith(f"# {key}:") else line
-                 for line in path.read_text().splitlines()]
-        path.write_text("\n".join(lines) + "\n")
+                 for line in path.read_text(encoding="utf-8").splitlines()]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(LogParseError, match=key):
             read_session_log(path)
 
@@ -485,10 +525,10 @@ class TestParseErrors:
         # neither value can be trusted, even when both agree
         path = tmp_path / "log.csv"
         write_session_log(path, tiny_log(full_scale=245.0))
-        lines = [line for line in path.read_text().splitlines()
+        lines = [line for line in path.read_text(encoding="utf-8").splitlines()
                  if not line.startswith(f"# {key}:")]
         lines[:0] = [f"# {key}: {first}", f"# {key}: {second}"]
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(LogParseError, match=f"line 2: duplicate header key '{key}'"):
             read_session_log(path)
 
@@ -511,6 +551,41 @@ class TestParseErrors:
         path = self.write(tmp_path, "# sample_rate: 100\nstage,t,m_x,m_y,m_z\n \n\t\n")
         with pytest.raises(LogParseError, match="log contains no sample rows"):
             read_session_log(path)
+
+
+#: Pieces of a mutated measurement field: digits, signs, the characters
+#: of exponents, hex literals and digit grouping, whitespace, parts of
+#: ``inf`` and ``nan``, and a non-ASCII digit.
+FIELD_PIECES = [*"0123456789+-.eE_x ", "\x0c", "i", "in", "inf", "n", "na", "nan", "\u0661"]
+
+
+class TestOneGrammar:
+    """numpy's text reader is the one grammar of a sample field: a field it
+    takes reads back as its value, and a field it refuses names its line."""
+
+    @given(field=st.lists(st.sampled_from(FIELD_PIECES), max_size=8).map("".join),
+           row=st.integers(0, 15), column=st.integers(2, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_field_reads_as_numpy_reads_it(self, tmp_path_factory, field, row, column):
+        path = tmp_path_factory.getbasetemp() / "one_grammar.csv"
+        write_session_log(path, tiny_log())
+        lines, first = data_lines(path)
+        parts = lines[first + row].rstrip("\n").split(",")
+        parts[column] = field
+        lines[first + row] = ",".join(parts) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        try:
+            value = np.loadtxt([f"0,{field}"], delimiter=",", comments=None)[1]
+        except ValueError:
+            with pytest.raises(LogParseError, match=f"^line {first + row + 1}: "):
+                read_session_log(path)
+            return
+        if not np.isfinite(value):
+            with pytest.raises(LogParseError, match="non-finite values"):
+                read_session_log(path)
+            return
+        sample = read_session_log(path).segments[row // 4].samples[row % 4, column - 2]
+        assert repr(float(sample)) == repr(float(value))
 
 
 class TestSaturation:

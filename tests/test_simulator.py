@@ -378,7 +378,7 @@ class TestRunMonteCarlo:
         report = run_monte_carlo(config)
         path = tmp_path / "replicates.csv"
         report.write_replicates_csv(path)
-        with open(path, newline="") as handle:
+        with open(path, newline="", encoding="utf-8") as handle:
             rows = list(csv.DictReader(handle))
         assert len(rows) == len(report.indices)
         assert float(rows[0]["est_k_x"]) == report.estimate[0, 0]
