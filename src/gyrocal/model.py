@@ -23,8 +23,6 @@ __all__ = [
     "CalibrationError",
     "ProtocolViolation",
     "CalibrationParams",
-    "StaticObservation",
-    "RotationObservation",
     "ObservationArrays",
     "apply_calibration",
     "inverse_calibration",
@@ -50,11 +48,6 @@ def _require_finite(name: str, *values: float) -> None:
     for v in values:
         if not math.isfinite(v):
             raise CalibrationError(f"{name} must be finite, got {v!r}")
-
-
-def _check_sample_rate(sample_rate: float) -> None:
-    if not (math.isfinite(sample_rate) and sample_rate > 0.0):
-        raise CalibrationError(f"sample rate must be finite and positive, got {sample_rate}")
 
 
 @dataclass(frozen=True)
@@ -130,114 +123,80 @@ def inverse_calibration(params: CalibrationParams, true_rate) -> np.ndarray:
     return g / params.scales - params.biases
 
 
-@dataclass(frozen=True)
-class StaticObservation:
-    """Summary of the stationary stage: per-axis means and sample standard
-    deviations of the measured rate, in deg/s.
+def _stage_samples(samples, sample_rate: float) -> np.ndarray:
+    """One stage's measured rates as an ``(N, 3)`` float array, taken at a
+    finite positive ``sample_rate``."""
+    arr = np.asarray(samples, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != 3:
+        raise CalibrationError(f"expected an (N, 3) sample array, got shape {arr.shape}")
+    if not (math.isfinite(sample_rate) and sample_rate > 0.0):
+        raise CalibrationError(f"sample rate must be finite and positive, got {sample_rate}")
+    return arr
 
-    ``duration`` is the integration time ``n_samples / sample_rate`` in
-    seconds. The means give the biases; the standard deviations feed the
-    stillness guard in the estimator.
-    """
 
-    mean_x: float
-    mean_y: float
-    mean_z: float
-    n_samples: int
+def _require_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise CalibrationError(f"{name} must be positive, got {value}")
+
+
+# The two stage summaries of a recorded log, built only by their
+# ``from_samples`` for ``SessionLog.session()``. They are not exported:
+# a caller builds an ``ObservationArrays`` directly. They stay classes
+# because the benchmark's tracer (``bench/spans.py``) wraps both
+# ``from_samples``.
+class StaticObservation(NamedTuple):
+    """The still stage: per-axis means and sample standard deviations of
+    the measured rate, ``(3,)`` in deg/s, and the integration time
+    ``n_samples / sample_rate`` in seconds."""
+
+    means: np.ndarray
+    stds: np.ndarray
     duration: float
-    std_x: float
-    std_y: float
-    std_z: float
-
-    def __post_init__(self) -> None:
-        _require_finite("static mean", self.mean_x, self.mean_y, self.mean_z)
-        if self.n_samples < 2:
-            raise ProtocolViolation(
-                f"static stage needs at least 2 samples, got {self.n_samples}"
-            )
-        if not (math.isfinite(self.duration) and self.duration > 0.0):
-            raise CalibrationError(f"static duration must be positive, got {self.duration}")
-        for s in (self.std_x, self.std_y, self.std_z):
-            if not (math.isfinite(s) and s >= 0.0):
-                raise CalibrationError(f"standard deviation must be nonnegative, got {s}")
 
     @classmethod
     def from_samples(cls, samples, sample_rate: float) -> "StaticObservation":
         """Summarize an (N, 3) array of measured rates taken at rest."""
-        arr = np.asarray(samples, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 3:
-            raise CalibrationError(f"expected an (N, 3) sample array, got shape {arr.shape}")
-        _check_sample_rate(sample_rate)
+        arr = _stage_samples(samples, sample_rate)
         n = arr.shape[0]
         if n < 2:
             raise ProtocolViolation(f"static stage needs at least 2 samples, got {n}")
-        mean = arr.mean(axis=0)
-        std = arr.std(axis=0, ddof=1)
-        return cls(
-            mean[0], mean[1], mean[2],
-            n_samples=n,
-            duration=n / sample_rate,
-            std_x=std[0], std_y=std[1], std_z=std[2],
-        )
-
-    @property
-    def means(self) -> np.ndarray:
-        return np.array([self.mean_x, self.mean_y, self.mean_z])
-
-    @property
-    def stds(self) -> np.ndarray:
-        return np.array([self.std_x, self.std_y, self.std_z])
+        means = arr.mean(axis=0)
+        stds = arr.std(axis=0, ddof=1)
+        _require_finite("static mean", *means)
+        duration = n / sample_rate
+        _require_positive("static duration", duration)
+        for s in stds:
+            if not (math.isfinite(s) and s >= 0.0):
+                raise CalibrationError(f"standard deviation must be nonnegative, got {s}")
+        return cls(means, stds, duration)
 
 
-@dataclass(frozen=True)
-class RotationObservation:
-    """Summary of one rotation stage.
+class RotationObservation(NamedTuple):
+    """One rotation stage: the time-scaled sums of the measured rates,
+    ``(3,)`` in degrees, the duration ``n_samples / sample_rate`` in
+    seconds, and ``theta_total``, the known magnitude of the physical
+    rotation used as the reference, in degrees (360 for the standard
+    protocol)."""
 
-    ``sum_x/y/z`` are the time-scaled sums of the measured rates over the
-    stage, in degrees. ``theta_total`` is the known magnitude of the
-    physical rotation used as the reference, in degrees (360 for the
-    standard protocol). ``duration`` is ``n_samples / sample_rate``.
-    """
-
-    sum_x: float
-    sum_y: float
-    sum_z: float
-    theta_total: float
-    n_samples: int
+    sums: np.ndarray
     duration: float
-
-    def __post_init__(self) -> None:
-        _require_finite("rotation sum", self.sum_x, self.sum_y, self.sum_z)
-        if not (math.isfinite(self.theta_total) and self.theta_total > 0.0):
-            raise CalibrationError(
-                f"reference rotation magnitude must be positive, got {self.theta_total}"
-            )
-        if self.n_samples < 2:
-            raise ProtocolViolation(
-                f"rotation stage needs at least 2 samples, got {self.n_samples}"
-            )
-        if not (math.isfinite(self.duration) and self.duration > 0.0):
-            raise CalibrationError(f"rotation duration must be positive, got {self.duration}")
+    theta_total: float
 
     @classmethod
-    def from_samples(cls, samples, sample_rate: float, theta_total: float = 360.0) -> "RotationObservation":
+    def from_samples(
+        cls, samples, sample_rate: float, theta_total: float = 360.0
+    ) -> "RotationObservation":
         """Summarize an (N, 3) array of measured rates over one rotation."""
-        arr = np.asarray(samples, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 3:
-            raise CalibrationError(f"expected an (N, 3) sample array, got shape {arr.shape}")
-        _check_sample_rate(sample_rate)
+        arr = _stage_samples(samples, sample_rate)
         n = arr.shape[0]
         sums = arr.sum(axis=0) / sample_rate
-        return cls(
-            sums[0], sums[1], sums[2],
-            theta_total=theta_total,
-            n_samples=n,
-            duration=n / sample_rate,
-        )
-
-    @property
-    def sums(self) -> np.ndarray:
-        return np.array([self.sum_x, self.sum_y, self.sum_z])
+        _require_finite("rotation sum", *sums)
+        _require_positive("reference rotation magnitude", theta_total)
+        if n < 2:
+            raise ProtocolViolation(f"rotation stage needs at least 2 samples, got {n}")
+        duration = n / sample_rate
+        _require_positive("rotation duration", duration)
+        return cls(sums, duration, theta_total)
 
 
 # A NamedTuple rather than a frozen dataclass, as is ``estimator.Fit``:
@@ -256,10 +215,11 @@ class ObservationArrays(NamedTuple):
     - ``durations``, ``theta_sq``: ``(..., n)`` seconds and deg^2; the
       replicate axis may be left out when every replicate shares them
 
-    This is the session type: log reading and the simulator produce it,
-    and the solvers, residuals and gradients take it, each one session
-    as :func:`check_single_session` requires. Every view carries its
-    still stage: a session is the still stage plus the turns.
+    This is the session type, and a caller builds it directly from these
+    arrays. Log reading and the simulator produce it, and the solvers,
+    residuals and gradients take it, each one session as
+    :func:`check_single_session` requires. Every view carries its still
+    stage: a session is the still stage plus the turns.
     """
 
     static_means: np.ndarray
@@ -268,22 +228,6 @@ class ObservationArrays(NamedTuple):
     sums: np.ndarray
     durations: np.ndarray
     theta_sq: np.ndarray
-
-    @classmethod
-    def from_stages(
-        cls,
-        static_stage: StaticObservation,
-        rotations: Sequence[RotationObservation],
-    ) -> "ObservationArrays":
-        """View of one session's stage records: its still stage and turns."""
-        if len(rotations) == 0:
-            raise CalibrationError("at least one rotation observation is required")
-        return cls(
-            static_stage.means, static_stage.stds, static_stage.duration,
-            np.array([[r.sum_x, r.sum_y, r.sum_z] for r in rotations]),
-            np.array([r.duration for r in rotations]),
-            np.array([r.theta_total ** 2 for r in rotations]),
-        )
 
     def corrected_sums(self, biases) -> np.ndarray:
         """Bias-corrected integrated angles ``sums + durations * biases``,

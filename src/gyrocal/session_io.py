@@ -62,7 +62,8 @@ def _check_header_value(key: str, value: float | None) -> None:
         raise LogParseError(f"{key} must be positive and finite, got {value}")
 
 
-@dataclass(frozen=True)
+# Compared by identity: a generated ``==`` on array fields raises.
+@dataclass(frozen=True, eq=False)
 class LogSegment:
     """A contiguous run of samples sharing one stage tag."""
 
@@ -96,7 +97,8 @@ class LogSegment:
         return None if self.is_static else self.stage.split(":", 1)[1]
 
 
-@dataclass(frozen=True)
+# Compared by identity: a generated ``==`` on array fields raises.
+@dataclass(frozen=True, eq=False)
 class SessionLog:
     """A parsed recording: header metadata plus the ordered stages."""
 
@@ -209,13 +211,18 @@ class SessionLog:
     def session(self) -> ObservationArrays:
         """Build the in-memory observation view the estimator consumes."""
         static = StaticObservation.from_samples(self.static_segment.samples, self.sample_rate)
-        rotations = tuple(
+        turns = [
             RotationObservation.from_samples(
                 seg.samples, self.sample_rate, theta_total=self.rotation_angle
             )
             for seg in self.rotation_segments
+        ]
+        return ObservationArrays(
+            static.means, static.stds, static.duration,
+            np.array([turn.sums for turn in turns]),
+            np.array([turn.duration for turn in turns]),
+            np.array([turn.theta_total ** 2 for turn in turns]),
         )
-        return ObservationArrays.from_stages(static, rotations)
 
 
 def _check_spacing(seg: LogSegment, sample_rate: float) -> None:

@@ -179,7 +179,8 @@ class SimulationConfig:
         return self._stage_samples("rotation_duration")
 
 
-@dataclass(frozen=True)
+# Compared by identity: a generated ``==`` on array fields raises.
+@dataclass(frozen=True, eq=False)
 class GroundTruth:
     """True sensor parameters plus the axis cross-coupling matrix."""
 
@@ -431,7 +432,8 @@ class _SessionBlock:
         return pre, np.sqrt(d.mean(axis=(1, 2)))
 
 
-@dataclass(frozen=True)
+# Compared by identity: a generated ``==`` on array fields raises.
+@dataclass(frozen=True, eq=False)
 class SimulatedSession:
     """One synthetic protocol run plus its held-out test set."""
 
@@ -628,22 +630,6 @@ def _reseeded(
         yield rng
 
 
-def _shared_generator() -> np.random.Generator:
-    # Every user reseeds it before drawing, so its own seed never shows.
-    return np.random.Generator(np.random.PCG64(0))
-
-
-def _truth_rng(config: SimulationConfig, set_index: int) -> np.random.Generator:
-    return next(_reseeded(_shared_generator(), config.rng_seed, [(0, set_index)]))
-
-
-def _replicate_rng(
-    config: SimulationConfig, set_index: int, replicate_index: int
-) -> np.random.Generator:
-    return next(_reseeded(_shared_generator(), config.rng_seed,
-                          [(1, set_index, replicate_index)]))
-
-
 def run_monte_carlo(config: SimulationConfig) -> CampaignReport:
     """Run the full campaign: truth draws, replicates, test-set scoring.
 
@@ -660,7 +646,8 @@ def run_monte_carlo(config: SimulationConfig) -> CampaignReport:
     """
     per_set = config.n_sims_per_set
     total = config.n_param_sets * per_set
-    rng = _shared_generator()
+    # Reseeded before every draw, so its own seed never shows.
+    rng = np.random.Generator(np.random.PCG64(0))
     truth_keys = np.insert(np.arange(config.n_param_sets)[:, None], 0, 0, axis=1)
     scales, biases, coupling = (np.stack(column) for column in zip(*(
         _truth_arrays(config, truth_rng)

@@ -25,7 +25,11 @@ from gyrocal import (
     write_session_log,
 )
 from gyrocal.cli import main
-from gyrocal.simulator import _replicate_rng, _truth_rng
+
+
+def _spawned_generator(seed, key):
+    """The generator a campaign draws spawn key ``key`` from."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
 def _sha256(array: np.ndarray) -> str:
@@ -52,8 +56,8 @@ SESSION_PINS = {
 def test_simulate_session_draw_stream_is_pinned(seed):
     # Default config: 0.15 deg/s noise, cross-coupling on.
     cfg = SimulationConfig(rng_seed=seed, noise_sigma=0.15, n_param_sets=2, n_sims_per_set=3)
-    truth = sample_ground_truth(cfg, _truth_rng(cfg, 1))
-    sim = simulate_session(truth, cfg, _replicate_rng(cfg, 1, 2))
+    truth = sample_ground_truth(cfg, _spawned_generator(cfg.rng_seed, (0, 1)))
+    sim = simulate_session(truth, cfg, _spawned_generator(cfg.rng_seed, (1, 1, 2)))
     got = {
         "static_raw": _sha256(sim.static_raw),
         "rotation_raw": _sha256(np.stack(sim.rotation_raw)),

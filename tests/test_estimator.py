@@ -18,57 +18,39 @@ from gyrocal.model import (
     CalibrationParams,
     ObservationArrays,
     ProtocolViolation,
-    RotationObservation,
-    StaticObservation,
 )
+from gyrocal.simulator import SimulationConfig, sample_ground_truth, simulate_session
 
 ANGLE = 360.0
 
 
-def make_static(means, duration=3.0, n=300, stds=(0.0, 0.0, 0.0)):
-    return StaticObservation(means[0], means[1], means[2], n_samples=n, duration=duration,
-                             std_x=stds[0], std_y=stds[1], std_z=stds[2])
-
-
-def make_rotation(sums, theta=ANGLE, duration=5.0, n=500):
-    return RotationObservation(sums[0], sums[1], sums[2], theta_total=theta,
-                               n_samples=n, duration=duration)
-
-
-def exact_stages(scales, biases, duration=5.0):
-    """Noiseless stage records a sensor with the given truth would produce:
-    the static stage and the three turns."""
-    k = np.asarray(scales, dtype=float)
-    b = np.asarray(biases, dtype=float)
-    static = make_static(-b)
-    rotations = []
-    for axis in range(3):
-        sums = -duration * b
-        sums[axis] += ANGLE / k[axis]
-        rotations.append(make_rotation(sums, duration=duration))
-    return static, rotations
+def axis_session(sums_per_turn, static_means=(0.0, 0.0, 0.0), duration=5.0, *,
+                 stds=(0.0, 0.0, 0.0), theta=ANGLE):
+    """The view of a session from explicit turn sums: a 3 s still stage with
+    the given means and standard deviations, then one turn of ``duration``
+    seconds per row of ``sums_per_turn``, with reference angle ``theta``
+    (one for every turn, or one per turn)."""
+    sums = np.array(sums_per_turn, dtype=float)
+    n = len(sums)
+    return ObservationArrays(
+        np.array(static_means, dtype=float), np.array(stds, dtype=float), 3.0,
+        sums, np.full(n, float(duration)), np.square(np.broadcast_to(theta, (n,))))
 
 
 def exact_session(scales, biases, duration=5.0):
-    """The view of ``exact_stages``."""
-    return ObservationArrays.from_stages(*exact_stages(scales, biases, duration))
+    """The noiseless session a sensor with the given truth would record:
+    the still stage and one turn about each axis."""
+    k = np.asarray(scales, dtype=float)
+    b = np.asarray(biases, dtype=float)
+    return axis_session(np.diag(ANGLE / k) - duration * b, -b, duration)
 
 
-def axis_session(sums_per_turn, static_means=(0.0, 0.0, 0.0), duration=5.0):
-    """A session from explicit turn sums, every stage ``duration`` seconds long."""
-    static = make_static(static_means, duration=duration)
-    rotations = [make_rotation(sums, duration=duration) for sums in sums_per_turn]
-    return ObservationArrays.from_stages(static, rotations)
-
-
-def inconsistent_session(static):
+def inconsistent_session(stds=(0.0, 0.0, 0.0)):
     """Regressor rows (1, 1, 0), (1, 2, 0), (0, 0, 1) and responses (10, 5, 1),
     in units of 360^2: the least-squares squared scale on y is negative."""
-    return ObservationArrays.from_stages(
-        static,
-        [make_rotation([ANGLE, ANGLE, 0.0], theta=ANGLE * np.sqrt(10.0)),
-         make_rotation([ANGLE, ANGLE * np.sqrt(2.0), 0.0], theta=ANGLE * np.sqrt(5.0)),
-         make_rotation([0.0, 0.0, ANGLE])])
+    return axis_session(
+        [[ANGLE, ANGLE, 0.0], [ANGLE, ANGLE * np.sqrt(2.0), 0.0], [0.0, 0.0, ANGLE]],
+        stds=stds, theta=[ANGLE * np.sqrt(10.0), ANGLE * np.sqrt(5.0), ANGLE])
 
 
 class TestEstimateBias:
@@ -126,7 +108,7 @@ class TestSolveScale:
 
     def test_negative_square_reported_not_clamped(self):
         with pytest.raises(InconsistentScaleData) as info:
-            calibrate(inconsistent_session(make_static([0.0, 0.0, 0.0])))
+            calibrate(inconsistent_session())
         assert "non-positive" in str(info.value)
 
 
@@ -143,23 +125,19 @@ class TestCalibrate:
         np.testing.assert_allclose(est.biases, biases, atol=1e-9)
 
     def test_stillness_guard_fires(self):
-        _, rotations = exact_stages([1.0, 1.0, 1.0], [0.0, 0.0, 0.0])
-        moved = make_static([0.0, 0.0, 0.0], stds=[2.0, 0.0, 0.0])
-        noisy = ObservationArrays.from_stages(moved, rotations)
+        noisy = exact_session([1.0, 1.0, 1.0], [0.0, 0.0, 0.0])._replace(
+            static_stds=np.array([2.0, 0.0, 0.0]))
         with pytest.raises(ProtocolViolation) as info:
             calibrate(noisy, noise_sigma=0.15)
         assert "static" in str(info.value)
 
     def test_stillness_guard_off_by_default(self):
-        _, rotations = exact_stages([1.0, 1.0, 1.0], [0.0, 0.0, 0.0])
-        moved = make_static([0.0, 0.0, 0.0], stds=[2.0, 0.0, 0.0])
-        noisy = ObservationArrays.from_stages(moved, rotations)
+        noisy = exact_session([1.0, 1.0, 1.0], [0.0, 0.0, 0.0])._replace(
+            static_stds=np.array([2.0, 0.0, 0.0]))
         calibrate(noisy)  # no sigma given, guard stays quiet
 
     def test_motion_guard_fires_when_nothing_rotates(self):
-        static = make_static([0.0, 0.0, 0.0])
-        still = [make_rotation([1e-4, 0.0, 0.0]) for _ in range(3)]
-        session = ObservationArrays.from_stages(static, still)
+        session = axis_session([[1e-4, 0.0, 0.0]] * 3)
         with pytest.raises(ProtocolViolation) as info:
             calibrate(session)
         assert "rotation" in str(info.value)
@@ -186,12 +164,25 @@ class TestCalibrate:
             fit_batch(session, **{guard: value})
 
     def test_degenerate_axes_rejected(self):
-        static = make_static([0.0, 0.0, 0.0])
-        same = make_rotation([360.0, 0.0, 0.0])
-        session = ObservationArrays.from_stages(
-            static, [same, same, make_rotation([0.0, 360.0, 0.0])])
+        session = axis_session([[360.0, 0.0, 0.0], [360.0, 0.0, 0.0], [0.0, 360.0, 0.0]])
         with pytest.raises(IllConditionedSystem):
             calibrate(session)
+
+    def test_noisy_repeated_axis_rejected(self):
+        # A hand-held session whose third turn is a second turn about y, so
+        # z never turns: noise keeps the regression from being singular,
+        # but its condition number stays far above CONDITION_LIMIT, and far
+        # above the same truth's good session's.
+        config = SimulationConfig(noise_sigma=0.15, n_test_rates=1)
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            truth = sample_ground_truth(config, rng)
+            first, second = (simulate_session(truth, config, rng).session for _ in range(2))
+            good = calibrate(first, noise_sigma=0.15)
+            assert good.condition_number < estimator.CONDITION_LIMIT / 10.0
+            repeated = first._replace(sums=np.stack([*first.sums[:2], second.sums[1]]))
+            with pytest.raises(IllConditionedSystem, match="condition number"):
+                calibrate(repeated, noise_sigma=0.15)
 
 
 class TestCalibrateNonlinear:
@@ -205,12 +196,8 @@ class TestCalibrateNonlinear:
     def test_matches_closed_form_on_perturbed_data(self):
         # hand-perturbed sums stand in for measurement noise
         rng = np.random.default_rng(42)
-        static, exact = exact_stages([1.1, 0.9, 1.0], [1.0, -1.0, 0.5])
-        rotations = []
-        for rot in exact:
-            jitter = rng.normal(0.0, 0.05, size=3)
-            rotations.append(make_rotation(rot.sums + jitter))
-        session = ObservationArrays.from_stages(static, rotations)
+        exact = exact_session([1.1, 0.9, 1.0], [1.0, -1.0, 0.5])
+        session = exact._replace(sums=exact.sums + rng.normal(0.0, 0.05, size=(3, 3)))
         closed = calibrate(session)
         iterated = calibrate_nonlinear(session, CalibrationParams.identity())
         np.testing.assert_allclose(iterated.scales, closed.scales, atol=1e-8)
@@ -234,10 +221,10 @@ class TestCalibrateNonlinear:
         # every residual is quadratic per parameter, so the central
         # difference is exact up to rounding
         rng = np.random.default_rng(8)
-        static = make_static(rng.uniform(-5.0, 5.0, 3))
-        rotations = [make_rotation(rng.uniform(-400.0, 400.0, 3), theta=rng.uniform(300.0, 400.0))
-                     for _ in range(4)]
-        obs = ObservationArrays.from_stages(static, rotations)
+        means = rng.uniform(-5.0, 5.0, 3)
+        turns = [(rng.uniform(-400.0, 400.0, 3), rng.uniform(300.0, 400.0)) for _ in range(4)]
+        obs = axis_session([sums for sums, _ in turns], means,
+                           theta=[theta for _, theta in turns])
         x = np.concatenate([rng.uniform(0.8, 1.2, 3), rng.uniform(-5.0, 5.0, 3)])
         _, jacobian = _residuals_and_jacobian(obs, x[:3], x[3:])
         assert jacobian.shape == (7, 6)
@@ -253,9 +240,8 @@ class TestCalibrateNonlinear:
                                    atol=1e-9 * np.max(np.abs(jacobian)))
 
     def test_needs_three_rotations(self):
-        static, rotations = exact_stages([1.0, 1.0, 1.0], [0.0, 0.0, 0.0])
         with pytest.raises(ProtocolViolation):
-            calibrate_nonlinear(ObservationArrays.from_stages(static, rotations[:2]),
+            calibrate_nonlinear(axis_session(np.eye(3)[:2] * ANGLE),
                                 CalibrationParams.identity())
 
 
@@ -272,20 +258,15 @@ def _stack(views):
 
 class TestFitBatch:
     def sessions(self):
-        _, good = exact_stages([1.15, 0.85, 1.02], [2.0, -3.5, 0.75])
-        quiet = make_static([0.0, 0.0, 0.0], stds=[0.01, 0.01, 0.01])
-        moved = ObservationArrays.from_stages(
-            make_static([0.0, 0.0, 0.0], stds=[0.01, 2.0, 0.5]), good)
-        still = ObservationArrays.from_stages(
-            quiet, [make_rotation([1e-4, 0.0, 0.0]) for _ in range(3)])
-        same = make_rotation([360.0, 0.0, 0.0])
-        degenerate = ObservationArrays.from_stages(
-            quiet, [same, same, make_rotation([0.0, 360.0, 0.0])])
+        good = exact_session([1.15, 0.85, 1.02], [2.0, -3.5, 0.75])
+        quiet = [0.01, 0.01, 0.01]
+        moved = good._replace(static_means=np.zeros(3), static_stds=np.array([0.01, 2.0, 0.5]))
+        still = axis_session([[1e-4, 0.0, 0.0]] * 3, stds=quiet)
+        degenerate = axis_session([[360.0, 0.0, 0.0], [360.0, 0.0, 0.0], [0.0, 360.0, 0.0]],
+                                  stds=quiet)
         inconsistent = inconsistent_session(quiet)
-        overflow = ObservationArrays.from_stages(
-            quiet, [make_rotation([1e200, 0.0, 0.0]) for _ in range(3)])
-        good_stds = ObservationArrays.from_stages(
-            make_static(-np.array([2.0, -3.5, 0.75]), stds=[0.1, 0.1, 0.1]), good)
+        overflow = axis_session([[1e200, 0.0, 0.0]] * 3, stds=quiet)
+        good_stds = good._replace(static_stds=np.full(3, 0.1))
         return [good_stds, moved, still, degenerate, inconsistent, overflow]
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -31,13 +31,13 @@ def test_every_exported_name_resolves(name):
 PUBLIC_NAMES = {
     "AXES", "CalibrationError", "CalibrationParams", "CampaignReport", "ConvergenceFailure",
     "Fit", "GroundTruth", "IllConditionedSystem", "InconsistentScaleData", "LogParseError",
-    "LogSegment", "ObservationArrays", "ProtocolViolation", "RotationObservation", "SessionLog",
-    "SimulatedSession", "SimulationConfig", "SingularDesignError", "StaticObservation",
-    "__version__", "apply_calibration", "bezier_profile", "calibrate", "calibrate_nonlinear",
-    "cost_gradient", "finite_difference_grad", "fit_batch", "inverse_calibration",
-    "is_g_optimal", "max_spv_sphere", "model_term_gradient", "read_session_log",
-    "rotation_residuals", "run_monte_carlo", "sample_ground_truth", "simulate_session", "spv",
-    "squared_cost", "write_session_log",
+    "LogSegment", "ObservationArrays", "ProtocolViolation", "SessionLog", "SimulatedSession",
+    "SimulationConfig", "SingularDesignError", "__version__", "apply_calibration",
+    "bezier_profile", "calibrate", "calibrate_nonlinear", "cost_gradient",
+    "finite_difference_grad", "fit_batch", "inverse_calibration", "is_g_optimal",
+    "max_spv_sphere", "model_term_gradient", "read_session_log", "rotation_residuals",
+    "run_monte_carlo", "sample_ground_truth", "simulate_session", "spv", "squared_cost",
+    "write_session_log",
 }
 
 

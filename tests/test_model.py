@@ -23,9 +23,14 @@ from gyrocal.observability import cost_gradient, finite_difference_grad, model_t
 finite_bias = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 positive_scale = st.floats(min_value=0.8, max_value=1.2, allow_nan=False)
 
-#: A still stage that reads exactly zero.
-STILL = StaticObservation(0.0, 0.0, 0.0, n_samples=300, duration=3.0,
-                          std_x=0.0, std_y=0.0, std_z=0.0)
+
+def zero_still_session(turn_sums, theta=360.0, duration=5.0):
+    """The view of a session whose 3 s still stage reads exactly zero, with
+    one turn of ``duration`` seconds per row of ``turn_sums``."""
+    sums = np.array(turn_sums, dtype=float)
+    n = len(sums)
+    return ObservationArrays(np.zeros(3), np.zeros(3), 3.0, sums,
+                             np.full(n, duration), np.full(n, theta ** 2))
 
 
 def params_strategy():
@@ -98,12 +103,117 @@ def test_from_samples_rejects_bad_sample_rate(observation, rate):
         observation.from_samples(np.ones((10, 3)), sample_rate=rate)
 
 
+_RATE = "sample rate must be finite and positive, got "
+_OVER = {"over": "ignore"}
+
+#: Every refusal of the two ``from_samples``, each in the order they check:
+#: (summary, samples, sample rate, extra arguments, type, exact message,
+#: the numpy floating-point warnings the samples raise first).
+FROM_SAMPLES_REFUSALS = {
+    "static 1-d": (StaticObservation, np.ones(3), 100.0, {},
+                   CalibrationError, "expected an (N, 3) sample array, got shape (3,)", {}),
+    "static 2 columns": (StaticObservation, np.ones((4, 2)), 100.0, {},
+                         CalibrationError, "expected an (N, 3) sample array, got shape (4, 2)",
+                         {}),
+    "static 3-d": (StaticObservation, np.ones((2, 3, 1)), 100.0, {},
+                   CalibrationError, "expected an (N, 3) sample array, got shape (2, 3, 1)", {}),
+    "static shape before rate": (StaticObservation, np.ones(3), float("nan"), {},
+                                 CalibrationError,
+                                 "expected an (N, 3) sample array, got shape (3,)", {}),
+    "static rate nan": (StaticObservation, np.ones((4, 3)), float("nan"), {},
+                        CalibrationError, _RATE + "nan", {}),
+    "static rate inf": (StaticObservation, np.ones((4, 3)), float("inf"), {},
+                        CalibrationError, _RATE + "inf", {}),
+    "static rate zero": (StaticObservation, np.ones((4, 3)), 0.0, {},
+                         CalibrationError, _RATE + "0.0", {}),
+    "static rate negative": (StaticObservation, np.ones((4, 3)), -1.0, {},
+                             CalibrationError, _RATE + "-1.0", {}),
+    "static rate before count": (StaticObservation, np.ones((1, 3)), 0.0, {},
+                                 CalibrationError, _RATE + "0.0", {}),
+    "static one sample": (StaticObservation, np.ones((1, 3)), 100.0, {},
+                          ProtocolViolation, "static stage needs at least 2 samples, got 1", {}),
+    "static no sample": (StaticObservation, np.ones((0, 3)), 100.0, {},
+                         ProtocolViolation, "static stage needs at least 2 samples, got 0", {}),
+    "static mean inf": (StaticObservation, [[0.0, np.inf, 0.0], [0.0, 1.0, 0.0]], 100.0, {},
+                        CalibrationError, "static mean must be finite, got np.float64(inf)",
+                        {"invalid": "ignore"}),
+    "static mean nan": (StaticObservation, [[0.0, 0.0, np.nan], [0.0, 0.0, 1.0]], 100.0, {},
+                        CalibrationError, "static mean must be finite, got np.float64(nan)", {}),
+    "static mean overflows": (StaticObservation, [[1e308, 0.0, 0.0]] * 2, 100.0, {},
+                              CalibrationError,
+                              "static mean must be finite, got np.float64(inf)", _OVER),
+    "static duration overflows": (StaticObservation, np.ones((2, 3)), 5e-324, {},
+                                  CalibrationError, "static duration must be positive, got inf",
+                                  {}),
+    "static std overflows": (StaticObservation, [[0.0, 1e308, 0.0], [0.0, -1e308, 0.0]], 100.0,
+                             {}, CalibrationError,
+                             "standard deviation must be nonnegative, got inf", _OVER),
+    "rotation 1-d": (RotationObservation, np.ones(3), 100.0, {},
+                     CalibrationError, "expected an (N, 3) sample array, got shape (3,)", {}),
+    "rotation 4 columns": (RotationObservation, np.ones((5, 4)), 100.0, {},
+                           CalibrationError, "expected an (N, 3) sample array, got shape (5, 4)",
+                           {}),
+    "rotation rate nan": (RotationObservation, np.ones((4, 3)), float("nan"), {},
+                          CalibrationError, _RATE + "nan", {}),
+    "rotation rate -inf": (RotationObservation, np.ones((4, 3)), float("-inf"), {},
+                           CalibrationError, _RATE + "-inf", {}),
+    "rotation rate before sums": (RotationObservation, [[np.inf, 0.0, 0.0]] * 2, 0.0, {},
+                                  CalibrationError, _RATE + "0.0", {}),
+    "rotation sum inf": (RotationObservation, [[np.inf, 0.0, 0.0], [1.0, 0.0, 0.0]], 100.0, {},
+                         CalibrationError, "rotation sum must be finite, got np.float64(inf)", {}),
+    "rotation sum nan": (RotationObservation, [[0.0, np.nan, 0.0], [0.0, 1.0, 0.0]], 100.0, {},
+                         CalibrationError, "rotation sum must be finite, got np.float64(nan)", {}),
+    "rotation sum overflows": (RotationObservation, [[0.0, 0.0, 1e308]] * 2, 100.0, {},
+                               CalibrationError,
+                               "rotation sum must be finite, got np.float64(inf)", _OVER),
+    "rotation sum over rate overflows": (RotationObservation, [[1.0, 0.0, 0.0]] * 2, 1e-308, {},
+                                         CalibrationError,
+                                         "rotation sum must be finite, got np.float64(inf)",
+                                         _OVER),
+    "rotation sums before angle": (RotationObservation, [[np.nan, 0.0, 0.0]] * 2, 100.0,
+                                   {"theta_total": 0.0}, CalibrationError,
+                                   "rotation sum must be finite, got np.float64(nan)", {}),
+    "rotation angle zero": (RotationObservation, np.ones((4, 3)), 100.0, {"theta_total": 0.0},
+                            CalibrationError,
+                            "reference rotation magnitude must be positive, got 0.0", {}),
+    "rotation angle negative": (RotationObservation, np.ones((4, 3)), 100.0,
+                                {"theta_total": -360.0}, CalibrationError,
+                                "reference rotation magnitude must be positive, got -360.0", {}),
+    "rotation angle nan": (RotationObservation, np.ones((4, 3)), 100.0,
+                           {"theta_total": float("nan")}, CalibrationError,
+                           "reference rotation magnitude must be positive, got nan", {}),
+    "rotation angle inf": (RotationObservation, np.ones((4, 3)), 100.0,
+                           {"theta_total": float("inf")}, CalibrationError,
+                           "reference rotation magnitude must be positive, got inf", {}),
+    "rotation angle before count": (RotationObservation, np.ones((1, 3)), 100.0,
+                                    {"theta_total": 0.0}, CalibrationError,
+                                    "reference rotation magnitude must be positive, got 0.0", {}),
+    "rotation one sample": (RotationObservation, np.ones((1, 3)), 100.0, {},
+                            ProtocolViolation, "rotation stage needs at least 2 samples, got 1",
+                            {}),
+    "rotation no sample": (RotationObservation, np.ones((0, 3)), 100.0, {},
+                           ProtocolViolation, "rotation stage needs at least 2 samples, got 0",
+                           {}),
+    "rotation duration overflows": (RotationObservation, np.zeros((2, 3)), 5e-324, {},
+                                    CalibrationError,
+                                    "rotation duration must be positive, got inf", {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FROM_SAMPLES_REFUSALS))
+def test_from_samples_refusals_are_pinned(case):
+    summary, samples, rate, extra, error, message, ignored = FROM_SAMPLES_REFUSALS[case]
+    with np.errstate(**ignored), pytest.raises(CalibrationError) as info:
+        summary.from_samples(samples, rate, **extra)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
 class TestStaticObservation:
     def test_from_samples(self):
         samples = np.array([[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]])
         obs = StaticObservation.from_samples(samples, sample_rate=100.0)
         np.testing.assert_allclose(obs.means, [2.0, 2.0, 2.0])
-        assert obs.n_samples == 2
         assert obs.duration == pytest.approx(0.02)
         np.testing.assert_allclose(obs.stds, np.std(samples, axis=0, ddof=1))
 
@@ -121,33 +231,25 @@ class TestRotationObservation:
         assert obs.theta_total == 360.0
 
     def test_corrected_sums_shift(self):
-        obs = RotationObservation(360.0, 0.0, 0.0, theta_total=360.0,
-                                  n_samples=300, duration=3.0)
-        view = ObservationArrays.from_stages(STILL, [obs])
+        view = zero_still_session([[360.0, 0.0, 0.0]], duration=3.0)
         np.testing.assert_allclose(
             view.corrected_sums([0.5, 0.0, -1.0]), [[361.5, 0.0, -3.0]])
 
     @pytest.mark.parametrize("theta", [0.0, -360.0, float("nan")])
     def test_reference_angle_must_be_positive(self, theta):
         with pytest.raises(CalibrationError):
-            RotationObservation(1.0, 0.0, 0.0, theta_total=theta,
-                                n_samples=10, duration=0.1)
+            RotationObservation.from_samples(np.ones((10, 3)), 100.0, theta_total=theta)
 
 
 class TestSession:
-    def _rotation(self):
-        return RotationObservation(360.0, 0.0, 0.0, theta_total=360.0,
-                                   n_samples=500, duration=5.0)
-
     def test_requires_three_rotations(self):
         with pytest.raises(ProtocolViolation, match="at least 3 rotation"):
-            calibrate(ObservationArrays.from_stages(STILL, [self._rotation()]))
+            calibrate(zero_still_session([[360.0, 0.0, 0.0]]))
 
 
 class TestCostFunctions:
     def _single_rotation(self, sums, theta=360.0):
-        return ObservationArrays.from_stages(STILL, [RotationObservation(
-            sums[0], sums[1], sums[2], theta_total=theta, n_samples=500, duration=5.0)])
+        return zero_still_session([sums], theta=theta)
 
     def test_residual_known_value(self):
         # 180^2 - 360^2 = -97200 with identity parameters
@@ -165,12 +267,6 @@ class TestCostFunctions:
         rots = self._single_rotation((180.0, 0.0, 0.0))
         np.testing.assert_allclose(
             rotation_residuals(p, rots), [(2.0 * 180.0) ** 2 - 360.0 ** 2])
-
-    def test_empty_rotation_list_rejected(self):
-        # the residuals and gradients take a view, and the one helper that
-        # builds a view from stage records refuses an empty list
-        with pytest.raises(CalibrationError, match="at least one rotation"):
-            ObservationArrays.from_stages(STILL, [])
 
     @given(params_strategy())
     @settings(max_examples=25)
@@ -198,9 +294,7 @@ def test_single_session_functions_reject_a_stack(name):
     # replicate axis into a wrong-shaped answer, and the message names
     # the stack's shape
     run = SINGLE_SESSION_FUNCTIONS[name]
-    session = ObservationArrays.from_stages(
-        STILL, [RotationObservation(*sums, theta_total=360.0, n_samples=500, duration=5.0)
-                for sums in 360.0 * np.eye(3)])
+    session = zero_still_session(360.0 * np.eye(3))
     run(session)
     stack = ObservationArrays(*(np.stack([f, f]) for f in session))
     with pytest.raises(CalibrationError, match=r"turn sums of shape \(2, 3, 3\)"):

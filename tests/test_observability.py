@@ -7,27 +7,26 @@ from gyrocal.model import (
     CalibrationError,
     CalibrationParams,
     ObservationArrays,
-    RotationObservation,
-    StaticObservation,
 )
 from gyrocal.observability import cost_gradient, finite_difference_grad, model_term_gradient
 
 
-def rotation(sums, theta=360.0, duration=5.0, n=500):
-    return RotationObservation(sums[0], sums[1], sums[2], theta_total=theta,
-                               n_samples=n, duration=duration)
+def rotation(sums, theta=360.0, duration=5.0):
+    """One turn: its rate sums in degrees, reference angle and duration."""
+    return sums, theta, duration
 
 
 def turns(*rotations):
-    """The view of a session whose still stage reads exactly zero."""
-    still = StaticObservation(0.0, 0.0, 0.0, n_samples=300, duration=3.0,
-                              std_x=0.0, std_y=0.0, std_z=0.0)
-    return ObservationArrays.from_stages(still, rotations)
+    """The view of a session whose 3 s still stage reads exactly zero."""
+    sums, thetas, durations = zip(*rotations)
+    return ObservationArrays(np.zeros(3), np.zeros(3), 3.0, np.array(sums, dtype=float),
+                             np.array(durations, dtype=float),
+                             np.square(np.array(thetas, dtype=float)))
 
 
 def still_observation(theta=360.0):
     """Zero integrated motion on every axis."""
-    return rotation([0.0, 0.0, 0.0], theta=theta, n=300, duration=3.0)
+    return rotation([0.0, 0.0, 0.0], theta=theta, duration=3.0)
 
 
 def consistent_turn(axis, magnitude):
@@ -140,11 +139,3 @@ class TestModelTermForms:
         double_m = model_term_gradient(nominal, turns(consistent_turn(0, 720.0)))[:3]
         assert abs(double_m[0]) > abs(single_m[0])
 
-
-
-class TestSensitivityReport:
-    def test_empty_rotation_list_rejected(self):
-        """Both cost sensitivities are undefined without a rotation, and
-        the gradients' input, a view of rotation stages, cannot hold none."""
-        with pytest.raises(CalibrationError, match="at least one rotation"):
-            turns()

@@ -605,6 +605,18 @@ class TestSaturation:
         assert log.saturated_sample_count() == 0
 
 
+def test_array_holders_compare_by_identity():
+    # A generated == would compare the array fields and raise, and a
+    # generated hash would hash them.
+    log, sim, truth = simulated_log()
+    twin_log, twin_sim, twin_truth = simulated_log()
+    for a, b in ((log, twin_log), (log.segments[0], twin_log.segments[0]),
+                 (sim, twin_sim), (truth, twin_truth)):
+        assert a == a and a != b
+        assert a in [b, a] and a not in [b]
+        assert len({a, b, a}) == 2
+
+
 class TestSessionConversion:
     def test_session_summaries_match_arrays(self):
         log, sim, _ = simulated_log()

@@ -19,8 +19,6 @@ from gyrocal.simulator import (
     REPLICATE_BLOCK,
     GroundTruth,
     SimulationConfig,
-    _replicate_rng,
-    _truth_rng,
     bezier_profile,
     run_monte_carlo,
     sample_ground_truth,
@@ -407,10 +405,11 @@ def _assert_campaign_matches_single_sessions(config):
     failures = {(s, r): message for s, r, message in report.failures}
     assert len(rows) + len(failures) == config.n_param_sets * config.n_sims_per_set
     for set_index in range(config.n_param_sets):
-        truth = sample_ground_truth(config, _truth_rng(config, set_index))
+        truth = sample_ground_truth(config, _numpy_generator(config.rng_seed, (0, set_index)))
         for replicate_index in range(config.n_sims_per_set):
             key = (set_index, replicate_index)
-            expected = _single_session_outcome(truth, config, _replicate_rng(config, *key))
+            expected = _single_session_outcome(
+                truth, config, _numpy_generator(config.rng_seed, (1, *key)))
             if isinstance(expected, str):
                 assert failures[key] == expected
                 continue
@@ -591,10 +590,11 @@ class TestSessionBlockObservations:
         assert block._scratch.size == 5 * users[sizer]
         # A full block, then a partial one over the first's leftovers.
         for rows in (5, 3):
-            truths = [simulator._truth_arrays(config, _truth_rng(config, r)) for r in range(rows)]
+            truths = [simulator._truth_arrays(config, _numpy_generator(config.rng_seed, (0, r)))
+                      for r in range(rows)]
             scales, biases, coupling = (np.stack(column) for column in zip(*truths))
             block.simulate(scales, biases, coupling,
-                           [_replicate_rng(config, rows, r) for r in range(rows)])
+                           [_numpy_generator(config.rng_seed, (1, rows, r)) for r in range(rows)])
             view = block.observations()
             assert view.sums.shape == (rows, 3, 3)
             for r in range(rows):
