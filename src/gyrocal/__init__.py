@@ -9,6 +9,9 @@ Everything works in degrees and seconds.
 ``simulator``, ``doe`` and ``observability`` load on first attribute
 access, so a process that only calibrates a log never compiles or runs
 them; their public names here are served by the module ``__getattr__``.
+What calibrate never runs lives in them: campaigns and the files of
+``gyrocal simulate`` in ``simulator``, and the Gauss-Newton reference
+``calibrate_nonlinear`` in ``observability``.
 """
 
 import importlib.util
@@ -24,8 +27,8 @@ __version__ = "0.1.0"
 #: Public names of the lazily loaded modules, and the module each is in.
 #: Written out, because reading a lazy module's ``__all__`` would load it.
 _LAZY_EXPORTS = {
-    **dict.fromkeys(("cost_gradient", "finite_difference_grad", "model_term_gradient"),
-                    "observability"),
+    **dict.fromkeys(("ConvergenceFailure", "calibrate_nonlinear", "cost_gradient",
+                     "finite_difference_grad", "model_term_gradient"), "observability"),
     **dict.fromkeys(("SingularDesignError", "is_g_optimal", "max_spv_sphere", "spv"), "doe"),
     **dict.fromkeys(("CampaignReport", "GroundTruth", "SimulatedSession", "SimulationConfig",
                      "bezier_profile", "run_monte_carlo", "sample_ground_truth",

@@ -10,7 +10,6 @@ the built-in design and sensitivity property suites.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
@@ -36,89 +35,20 @@ def _fail(message: str) -> int:
     return 1
 
 
-def _load_simulation_configs(
-    path: str | None, seed: int | None
-) -> list[simulator.SimulationConfig]:
-    """Config file to campaign list; a noise_levels list fans out campaigns,
-    and no two levels may be the same ``noise_sigma`` once converted."""
-    import yaml  # only simulate reads YAML, so calibrate does not pay to import it
-
-    mapping: dict = {}
-    if path is not None:
-        with open(path, "r", encoding="utf-8") as handle:
-            loaded = yaml.safe_load(handle)
-        if loaded is None:
-            loaded = {}
-        if not isinstance(loaded, dict):
-            raise CalibrationError(f"config root must be a mapping, got {type(loaded).__name__}")
-        mapping = dict(loaded)
-    levels = mapping.pop("noise_levels", None)
-    if levels is not None and (not isinstance(levels, (list, tuple)) or not levels):
-        raise CalibrationError("noise_levels must be a non-empty list of numbers")
-    base = simulator.SimulationConfig.from_mapping(mapping)
-    if seed is not None:
-        base = dataclasses.replace(base, rng_seed=seed)
-    if levels is None:
-        return [base]
-    configs = [dataclasses.replace(base, noise_sigma=level) for level in levels]
-    if len({config.noise_sigma for config in configs}) != len(configs):
-        raise CalibrationError(f"noise_levels must not repeat, got {levels}")
-    return configs
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     import yaml
 
     try:
-        configs = _load_simulation_configs(args.config, args.seed)
+        configs = simulator.load_configs(args.config, args.seed)
     except (OSError, yaml.YAMLError, CalibrationError, ValueError, TypeError) as exc:
         return _fail(f"bad simulation config: {exc}")
     try:
-        _write_campaigns(configs, args.out)
+        simulator.write_campaigns(configs, args.out)
     except OSError as exc:
         return _fail(f"cannot write output: {exc}")
     except CalibrationError as exc:  # a session block too large to hold
         return _fail(f"bad simulation config: {exc}")
     return 0
-
-
-def _write_campaigns(configs: list[simulator.SimulationConfig], out: str) -> None:
-    # An unusable --out fails here, before any campaign runs; the
-    # directories made for it go again if a config is refused.
-    made = []
-    head = os.path.abspath(out)
-    while not os.path.lexists(head):
-        made.append(head)
-        head = os.path.dirname(head)
-    os.makedirs(out, exist_ok=True)
-    try:
-        _run_campaigns(configs, out)
-    except CalibrationError:
-        for path in made:  # deepest first; one that holds output stays
-            try:
-                os.rmdir(path)
-            except OSError:
-                break
-        raise
-
-
-def _run_campaigns(configs: list[simulator.SimulationConfig], out: str) -> None:
-    campaigns = {}
-    for config in configs:
-        report = simulator.run_monte_carlo(config)
-        csv_name = f"replicates_sigma_{config.noise_sigma!r}.csv"
-        report.write_replicates_csv(os.path.join(out, csv_name))
-        campaigns[repr(config.noise_sigma)] = {
-            "replicates_csv": csv_name,
-            **report.summary(),
-        }
-        print(f"wrote {csv_name} ({len(report.indices)} replicates, "
-              f"{len(report.failures)} failures)")
-    summary = {"rng_seed": configs[0].rng_seed, "campaigns": campaigns}
-    with open(os.path.join(out, "summary.json"), "w", encoding="utf-8") as handle:
-        json.dump(summary, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print("wrote summary.json")
 
 
 def _calibration_payload(args: argparse.Namespace) -> dict:

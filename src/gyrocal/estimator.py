@@ -1,12 +1,12 @@
-"""Closed-form calibration pipeline and an iterative reference solver.
+"""Closed-form calibration pipeline.
 
 Biases come from the stationary stage (the still sensor must read zero
 rate, so the negated sample means are the biases). Scale factors come
 from a linear least-squares fit: after substituting the bias estimate,
 the squared reference angle of each rotation is linear in the squared
 scale factors, with the squared bias-corrected integrated angles as
-regressors. A Gauss-Newton solver over the same observations provides an
-independent cross-check of the closed form.
+regressors. The Gauss-Newton cross-check of the closed form lives in
+``observability``, off the path of ``gyrocal calibrate``.
 """
 
 from __future__ import annotations
@@ -27,11 +27,9 @@ from .model import (
 __all__ = [
     "IllConditionedSystem",
     "InconsistentScaleData",
-    "ConvergenceFailure",
     "Fit",
     "fit_batch",
     "calibrate",
-    "calibrate_nonlinear",
 ]
 
 #: Condition numbers above this signal a degenerate protocol run (for
@@ -52,13 +50,6 @@ MOTION_THRESHOLD_DEG = 10.0
 #: exceeds this multiple of the configured noise level.
 STILLNESS_STD_FACTOR = 5.0
 
-#: The Gauss-Newton solver stops once a step improves the squared cost by
-#: less than this fraction, or moves no parameter by more than
-#: ``STEP_TOLERANCE``, and gives up after ``MAX_ITERATIONS`` steps.
-RESIDUAL_TOLERANCE = 1e-10
-STEP_TOLERANCE = 1e-12
-MAX_ITERATIONS = 200
-
 
 class IllConditionedSystem(CalibrationError):
     """The rotation stages do not span the parameter space well enough."""
@@ -66,10 +57,6 @@ class IllConditionedSystem(CalibrationError):
 
 class InconsistentScaleData(CalibrationError):
     """The fit produced a non-positive squared scale factor."""
-
-
-class ConvergenceFailure(CalibrationError):
-    """The iterative solver did not reach its tolerances."""
 
 
 def _record(errors: list, rows: np.ndarray, make) -> None:
@@ -197,84 +184,3 @@ def calibrate(obs: ObservationArrays, *, noise_sigma: float | None = None) -> Ca
     """
     check_single_session(obs)
     return fit_batch(obs, noise_sigma=noise_sigma).params()
-
-
-def _residuals_and_jacobian(
-    obs: ObservationArrays, scales: np.ndarray, biases: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Newton residuals and Jacobian in all six parameters: the
-    rotation rows of ``obs.residuals`` plus three static rows."""
-    r_rot, dr_dk, dr_db = obs.residuals(scales, biases)
-    # Static residual per axis: the integrated angle a still sensor must
-    # show as zero, k_l * duration * (mean_l + b_l). Linear in b, so the
-    # joint system stays well posed at the optimum.
-    resid_static = scales * obs.static_duration * (obs.static_means + biases)
-    j_static = np.zeros((3, 6))
-    j_static[:, :3] = np.diag(obs.static_duration * (obs.static_means + biases))
-    j_static[:, 3:] = np.diag(scales * obs.static_duration)
-    residuals = np.concatenate([r_rot, resid_static])
-    jacobian = np.vstack([np.hstack([dr_dk, dr_db]), j_static])
-    return residuals, jacobian
-
-
-def calibrate_nonlinear(obs: ObservationArrays, init: CalibrationParams) -> CalibrationParams:
-    """Gauss-Newton reference solution over the same observations.
-
-    Minimizes the sum of squared rotation residuals plus one static
-    residual per axis, with all six parameters free, starting at
-    ``init``. Steps are halved whenever the residual would increase or a
-    scale factor would leave the positive domain. Convergence requires
-    the relative residual improvement or the step size to fall below
-    ``RESIDUAL_TOLERANCE`` or ``STEP_TOLERANCE`` within
-    ``MAX_ITERATIONS`` steps. Like :func:`calibrate`, it takes one
-    session and rejects a stacked view.
-    """
-    check_single_session(obs)
-    n_rot = obs.sums.shape[-2]
-    if n_rot < 3:
-        raise ProtocolViolation(f"need at least 3 rotation observations, got {n_rot}")
-
-    def objective(x: np.ndarray) -> float:
-        r, _ = _residuals_and_jacobian(obs, x[:3], x[3:])
-        return float(r @ r)
-
-    x = np.concatenate([init.scales, init.biases])
-    current = objective(x)
-    if current < 1e-18:
-        return CalibrationParams.from_arrays(x[:3], x[3:])
-
-    for _ in range(MAX_ITERATIONS):
-        r, jac = _residuals_and_jacobian(obs, x[:3], x[3:])
-        step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-        alpha = 1.0
-        candidate = None
-        candidate_cost = None
-        for _halving in range(60):
-            trial = x + alpha * step
-            if np.min(trial[:3]) <= 0.0:
-                alpha *= 0.5
-                continue
-            trial_cost = objective(trial)
-            if trial_cost <= current:
-                candidate = trial
-                candidate_cost = trial_cost
-                break
-            alpha *= 0.5
-        if candidate is None:
-            raise ConvergenceFailure(
-                f"no descending step found (residual {current:.6g}); "
-                "the solver cannot improve within the positive-scale domain"
-            )
-        improvement = current - candidate_cost
-        step_size = float(np.max(np.abs(alpha * step)))
-        x = candidate
-        previous, current = current, candidate_cost
-        if (
-            current < 1e-18
-            or improvement <= RESIDUAL_TOLERANCE * max(previous, 1e-30)
-            or step_size < STEP_TOLERANCE
-        ):
-            return CalibrationParams.from_arrays(x[:3], x[3:])
-    raise ConvergenceFailure(
-        f"no convergence within {MAX_ITERATIONS} iterations; final residual {current:.6g}"
-    )

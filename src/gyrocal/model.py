@@ -13,7 +13,6 @@ Rotation stages are summarized by time-scaled sums of the measured rates
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -50,33 +49,78 @@ def _require_finite(name: str, *values: float) -> None:
             raise CalibrationError(f"{name} must be finite, got {v!r}")
 
 
-@dataclass(frozen=True)
-class CalibrationParams:
+class Frozen:
+    """Base of the package's immutable records: a plain class with
+    ``__slots__``, not a dataclass, because ``gyrocal calibrate`` builds
+    these classes on every start and a dataclass takes about a millisecond
+    to build. ``__init__`` sets each slot once through ``object.__setattr__``;
+    assigning or deleting an attribute afterwards raises AttributeError.
+    Copies and pickles go through the constructor, and so through its checks.
+    A subclass lists its slots in constructor order."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class CalibrationParams(Frozen):
     """Per-axis scale factors (dimensionless, positive) and biases (deg/s).
 
     ``condition_number`` is set on the result of a fit: the condition
     number of the scale regression it solved. It takes no part in
-    equality.
+    equality or hashing.
     """
 
-    k_x: float
-    k_y: float
-    k_z: float
-    b_x: float
-    b_y: float
-    b_z: float
-    condition_number: float | None = field(default=None, compare=False)
+    __slots__ = (*PARAM_NAMES, "condition_number")
 
-    def __post_init__(self) -> None:
-        _require_finite(
-            "calibration parameter",
-            self.k_x, self.k_y, self.k_z, self.b_x, self.b_y, self.b_z,
-        )
-        if min(self.k_x, self.k_y, self.k_z) <= 0.0:
-            raise CalibrationError(
-                "scale factors must be positive: "
-                f"({self.k_x}, {self.k_y}, {self.k_z})"
-            )
+    def __init__(
+        self,
+        k_x: float,
+        k_y: float,
+        k_z: float,
+        b_x: float,
+        b_y: float,
+        b_z: float,
+        condition_number: float | None = None,
+    ) -> None:
+        # Six calls rather than a loop: a fit builds one of these per
+        # session. ``_require_finite`` runs only to name the bad value.
+        isfinite = math.isfinite
+        if not (isfinite(k_x) and isfinite(k_y) and isfinite(k_z)
+                and isfinite(b_x) and isfinite(b_y) and isfinite(b_z)):
+            _require_finite("calibration parameter", k_x, k_y, k_z, b_x, b_y, b_z)
+        if min(k_x, k_y, k_z) <= 0.0:
+            raise CalibrationError(f"scale factors must be positive: ({k_x}, {k_y}, {k_z})")
+        set_slot = object.__setattr__
+        set_slot(self, "k_x", k_x)
+        set_slot(self, "k_y", k_y)
+        set_slot(self, "k_z", k_z)
+        set_slot(self, "b_x", b_x)
+        set_slot(self, "b_y", b_y)
+        set_slot(self, "b_z", b_z)
+        set_slot(self, "condition_number", condition_number)
+
+    def _params(self) -> tuple[float, ...]:
+        return (self.k_x, self.k_y, self.k_z, self.b_x, self.b_y, self.b_z)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._params() == other._params()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._params())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
 
     @classmethod
     def identity(cls) -> "CalibrationParams":

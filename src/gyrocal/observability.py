@@ -1,4 +1,5 @@
-"""Sensitivity of the calibration cost to each parameter.
+"""Sensitivity of the calibration cost to each parameter, and the
+Gauss-Newton reference solver that cross-checks the closed form.
 
 The magnitude of the cost gradient at a nominal parameter point says how
 well the observations constrain that parameter: a zero component means
@@ -12,6 +13,11 @@ the model prediction (the squared integrated angle), which drops the
 residual weighting; the resting-sensor check of
 ``gyrocal verify --suite observability`` uses it. Each takes the view of
 one session and rejects a stack.
+
+``calibrate_nonlinear`` fits all six parameters by Gauss-Newton from
+the same Jacobian plus three still-stage rows. It lands on the answer of
+``estimator.calibrate`` and serves the tests and the acceptance criteria
+as an independent check of it; ``gyrocal calibrate`` never runs it.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from .model import (
     CalibrationError,
     CalibrationParams,
     ObservationArrays,
+    ProtocolViolation,
     check_single_session,
     squared_cost,
 )
@@ -30,11 +37,24 @@ __all__ = [
     "cost_gradient",
     "model_term_gradient",
     "finite_difference_grad",
+    "ConvergenceFailure",
+    "calibrate_nonlinear",
     "property_checks",
 ]
 
 #: Random configurations the gradient property check draws.
 N_GRADIENT_CONFIGS = 100
+
+#: The Gauss-Newton solver stops once a step improves the squared cost by
+#: less than this fraction, or moves no parameter by more than
+#: ``STEP_TOLERANCE``, and gives up after ``MAX_ITERATIONS`` steps.
+RESIDUAL_TOLERANCE = 1e-10
+STEP_TOLERANCE = 1e-12
+MAX_ITERATIONS = 200
+
+
+class ConvergenceFailure(CalibrationError):
+    """The iterative solver did not reach its tolerances."""
 
 
 def cost_gradient(nominal: CalibrationParams, obs: ObservationArrays) -> np.ndarray:
@@ -87,6 +107,87 @@ def finite_difference_grad(
         backward[j] -= step
         grad[j] = (cost_at(forward) - cost_at(backward)) / (2.0 * step)
     return grad
+
+
+def _residuals_and_jacobian(
+    obs: ObservationArrays, scales: np.ndarray, biases: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Newton residuals and Jacobian in all six parameters: the
+    rotation rows of ``obs.residuals`` plus three static rows."""
+    r_rot, dr_dk, dr_db = obs.residuals(scales, biases)
+    # Static residual per axis: the integrated angle a still sensor must
+    # show as zero, k_l * duration * (mean_l + b_l). Linear in b, so the
+    # joint system stays well posed at the optimum.
+    resid_static = scales * obs.static_duration * (obs.static_means + biases)
+    j_static = np.zeros((3, 6))
+    j_static[:, :3] = np.diag(obs.static_duration * (obs.static_means + biases))
+    j_static[:, 3:] = np.diag(scales * obs.static_duration)
+    residuals = np.concatenate([r_rot, resid_static])
+    jacobian = np.vstack([np.hstack([dr_dk, dr_db]), j_static])
+    return residuals, jacobian
+
+
+def calibrate_nonlinear(obs: ObservationArrays, init: CalibrationParams) -> CalibrationParams:
+    """Gauss-Newton reference solution over the same observations.
+
+    Minimizes the sum of squared rotation residuals plus one static
+    residual per axis, with all six parameters free, starting at
+    ``init``. Steps are halved whenever the residual would increase or a
+    scale factor would leave the positive domain. Convergence requires
+    the relative residual improvement or the step size to fall below
+    ``RESIDUAL_TOLERANCE`` or ``STEP_TOLERANCE`` within
+    ``MAX_ITERATIONS`` steps. Like ``estimator.calibrate``, it takes
+    one session and rejects a stacked view.
+    """
+    check_single_session(obs)
+    n_rot = obs.sums.shape[-2]
+    if n_rot < 3:
+        raise ProtocolViolation(f"need at least 3 rotation observations, got {n_rot}")
+
+    def objective(x: np.ndarray) -> float:
+        r, _ = _residuals_and_jacobian(obs, x[:3], x[3:])
+        return float(r @ r)
+
+    x = np.concatenate([init.scales, init.biases])
+    current = objective(x)
+    if current < 1e-18:
+        return CalibrationParams.from_arrays(x[:3], x[3:])
+
+    for _ in range(MAX_ITERATIONS):
+        r, jac = _residuals_and_jacobian(obs, x[:3], x[3:])
+        step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
+        alpha = 1.0
+        candidate = None
+        candidate_cost = None
+        for _halving in range(60):
+            trial = x + alpha * step
+            if np.min(trial[:3]) <= 0.0:
+                alpha *= 0.5
+                continue
+            trial_cost = objective(trial)
+            if trial_cost <= current:
+                candidate = trial
+                candidate_cost = trial_cost
+                break
+            alpha *= 0.5
+        if candidate is None:
+            raise ConvergenceFailure(
+                f"no descending step found (residual {current:.6g}); "
+                "the solver cannot improve within the positive-scale domain"
+            )
+        improvement = current - candidate_cost
+        step_size = float(np.max(np.abs(alpha * step)))
+        x = candidate
+        previous, current = current, candidate_cost
+        if (
+            current < 1e-18
+            or improvement <= RESIDUAL_TOLERANCE * max(previous, 1e-30)
+            or step_size < STEP_TOLERANCE
+        ):
+            return CalibrationParams.from_arrays(x[:3], x[3:])
+    raise ConvergenceFailure(
+        f"no convergence within {MAX_ITERATIONS} iterations; final residual {current:.6g}"
+    )
 
 
 def property_checks(rng: np.random.Generator) -> list[tuple[bool, str]]:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import io
 import itertools
-from dataclasses import dataclass
 from typing import NoReturn, Sequence
 
 import numpy as np
@@ -24,6 +23,7 @@ import numpy as np
 from .model import (
     AXES,
     CalibrationError,
+    Frozen,
     ObservationArrays,
     ProtocolViolation,
     RotationObservation,
@@ -41,6 +41,8 @@ __all__ = [
 _COLUMNS = "stage,t,m_x,m_y,m_z"
 _HEADER_KEYS = ("sample_rate", "rotation_angle", "full_scale", "device")
 _STAGES = ("static", "rotate:x", "rotate:y", "rotate:z")
+#: One data row: the stage tag as read, the time and the three rates.
+_ROW = np.dtype([("stage", object), ("t", float), ("m", float, (3,))])
 _OUT_OF_ORDER = "timestamps must increase strictly across the whole log"
 
 #: How far, as a fraction of the sample period, a timestamp step within a
@@ -62,31 +64,32 @@ def _check_header_value(key: str, value: float | None) -> None:
         raise LogParseError(f"{key} must be positive and finite, got {value}")
 
 
-# Compared by identity: a generated ``==`` on array fields raises.
-@dataclass(frozen=True, eq=False)
-class LogSegment:
-    """A contiguous run of samples sharing one stage tag."""
+# LogSegment and SessionLog compare by identity: ``==`` on their arrays
+# would raise.
+class LogSegment(Frozen):
+    """A contiguous run of samples sharing one stage tag: ``times`` ``(n,)``
+    in seconds and ``samples`` ``(n, 3)`` in deg/s, read-only copies."""
 
-    stage: str
-    times: np.ndarray
-    samples: np.ndarray
+    __slots__ = ("stage", "times", "samples")
 
-    def __post_init__(self) -> None:
-        if self.stage not in _STAGES:
+    def __init__(self, stage: str, times: np.ndarray, samples: np.ndarray) -> None:
+        if stage not in _STAGES:
             raise LogParseError(
-                f"unknown stage tag {self.stage!r}; expected one of {', '.join(_STAGES)}"
+                f"unknown stage tag {stage!r}; expected one of {', '.join(_STAGES)}"
             )
         # Owned copies: freezing them leaves the caller's arrays writable.
-        times = np.array(self.times, dtype=float)
-        samples = np.array(self.samples, dtype=float)
+        times = np.array(times, dtype=float)
+        samples = np.array(samples, dtype=float)
         if times.ndim != 1 or samples.shape != (times.size, 3) or times.size == 0:
             raise LogParseError("segment needs matching (n,) times and (n, 3) samples, n >= 1")
         if not (np.all(np.isfinite(times)) and np.all(np.isfinite(samples))):
-            raise LogParseError(f"non-finite values in {self.stage!r} segment")
+            raise LogParseError(f"non-finite values in {stage!r} segment")
         times.setflags(write=False)
         samples.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "samples", samples)
+        set_slot = object.__setattr__
+        set_slot(self, "stage", stage)
+        set_slot(self, "times", times)
+        set_slot(self, "samples", samples)
 
     @property
     def is_static(self) -> bool:
@@ -97,25 +100,26 @@ class LogSegment:
         return None if self.is_static else self.stage.split(":", 1)[1]
 
 
-# Compared by identity: a generated ``==`` on array fields raises.
-@dataclass(frozen=True, eq=False)
-class SessionLog:
+class SessionLog(Frozen):
     """A parsed recording: header metadata plus the ordered stages."""
 
-    sample_rate: float
-    segments: tuple[LogSegment, ...]
-    rotation_angle: float = 360.0
-    full_scale: float | None = None
-    device: str | None = None
+    __slots__ = ("sample_rate", "segments", "rotation_angle", "full_scale", "device")
 
-    def __post_init__(self) -> None:
-        for key in ("sample_rate", "rotation_angle", "full_scale"):
-            _check_header_value(key, getattr(self, key))
-        angle = float(self.rotation_angle)  # the fit takes its square
+    def __init__(
+        self,
+        sample_rate: float,
+        segments: tuple[LogSegment, ...],
+        rotation_angle: float = 360.0,
+        full_scale: float | None = None,
+        device: str | None = None,
+    ) -> None:
+        _check_header_value("sample_rate", sample_rate)
+        _check_header_value("rotation_angle", rotation_angle)
+        _check_header_value("full_scale", full_scale)
+        angle = float(rotation_angle)  # the fit takes its square
         if angle * angle == np.inf:
             raise LogParseError(f"rotation_angle {angle!r} has a square that is not finite")
         # The header line must read back as the same string.
-        device = self.device
         if device is not None and (
             not isinstance(device, str)
             or device != device.strip() or "\n" in device or "\r" in device
@@ -129,25 +133,31 @@ class SessionLog:
                 device.encode("utf-8")  # a lone surrogate has no encoding
             except UnicodeEncodeError:
                 raise LogParseError(f"device must be UTF-8 text, got {device!r}") from None
-        statics = [i for i, seg in enumerate(self.segments) if seg.is_static]
+        statics = [i for i, seg in enumerate(segments) if seg.is_static]
         if len(statics) != 1:
             raise ProtocolViolation(
                 f"a session needs exactly one static stage, found {len(statics)}"
             )
         if statics[0] != 0:
             raise ProtocolViolation("the static stage must come before the rotations")
-        n_rotations = len(self.segments) - 1
+        n_rotations = len(segments) - 1
         if n_rotations < 3:
             raise ProtocolViolation(
                 f"a session needs at least 3 rotation stages, found {n_rotations}"
             )
         last = -np.inf
-        for seg in self.segments:
+        for seg in segments:
             if seg.times[0] <= last:
                 raise LogParseError(_OUT_OF_ORDER)
             if seg.times.size > 1:
-                _check_spacing(seg, self.sample_rate)
+                _check_spacing(seg, sample_rate)
             last = seg.times[-1]
+        set_slot = object.__setattr__
+        set_slot(self, "sample_rate", sample_rate)
+        set_slot(self, "segments", segments)
+        set_slot(self, "rotation_angle", rotation_angle)
+        set_slot(self, "full_scale", full_scale)
+        set_slot(self, "device", device)
 
     @classmethod
     def from_arrays(
@@ -255,21 +265,25 @@ def _check_spacing(seg: LogSegment, sample_rate: float) -> None:
 def _parse_header_value(key: str, value: str, line_number: int):
     if key == "device":
         return value
-    try:
-        return float(value)
-    except ValueError:
-        raise LogParseError(
-            f"line {line_number}: header {key!r} needs a numeric value, got {value!r}"
-        ) from None
+    # The data rows' grammar: ``float`` alone would also take digit
+    # separators (``1_00``) and non-ASCII digits, which numpy's reader refuses.
+    if value.isascii() and "_" not in value:
+        try:
+            return float(value)
+        except ValueError:
+            pass
+    raise LogParseError(
+        f"line {line_number}: header {key!r} needs a numeric value, got {value!r}"
+    )
 
 
 def read_session_log(path) -> SessionLog:
     """Parse a session log.
 
     The header lines are read in Python. The data rows go to numpy's C
-    text reader in one pass, each stage tag becoming its index in
-    ``_STAGES``, and each run of one tag becomes a segment. When the text
-    is not UTF-8 or the reader refuses a row, a second pass names the line."""
+    text reader in one pass, and each run of one stage tag becomes a
+    segment. When the text is not UTF-8, the reader refuses a row or a tag
+    is unknown, a second pass names the line."""
     try:
         return _parse_session_log(path)
     except UnicodeDecodeError:  # text is decoded in chunks, so the line is found apart
@@ -321,13 +335,19 @@ def _parse_session_log(path) -> SessionLog:
             data = _load_rows(itertools.chain((first,), rows))
         except ValueError:
             _reject_rows(path)
-    if data.shape[1] != 5:
-        _reject_rows(path)
 
-    codes = data[:, 0]
-    bounds = [0, *(np.flatnonzero(codes[1:] != codes[:-1]) + 1).tolist(), len(data)]
+    # The padding around a tag may change from row to row: each run of one
+    # spelling is named by its stripped tag, and runs of one stage join.
+    tags = data["stage"]
+    starts = [0, *(np.flatnonzero(tags[1:] != tags[:-1]) + 1).tolist()]
+    stages = [tags[i].strip() for i in starts]
+    if any(stage not in _STAGES for stage in stages):
+        _reject_rows(path)
+    bounds = [i for i, stage, before in zip(starts, stages, [None, *stages]) if stage != before]
+    bounds.append(len(data))
+    times, samples = data["t"], data["m"]
     segments = tuple(
-        LogSegment(_STAGES[int(codes[first])], data[first:end, 1], data[first:end, 2:])
+        LogSegment(tags[first].strip(), times[first:end], samples[first:end])
         for first, end in zip(bounds, bounds[1:])
     )
     return SessionLog(
@@ -341,14 +361,10 @@ def _parse_session_log(path) -> SessionLog:
     )
 
 
-def _stage_index(tag: str) -> int:
-    return _STAGES.index(tag.strip())
-
-
 def _load_rows(rows) -> np.ndarray:
-    """The data rows as an ``(n, k)`` array, the stage tag as its index."""
-    return np.loadtxt(rows, delimiter=",", comments=None, ndmin=2,
-                      converters={0: _stage_index})
+    """The data rows as an ``(n,)`` record array of ``_ROW``; a row that is
+    not five fields, or a field that is not a number, is a ValueError."""
+    return np.loadtxt(rows, dtype=_ROW, delimiter=",", comments=None, ndmin=1)
 
 
 def _reject_rows(path) -> NoReturn:

@@ -19,9 +19,11 @@ draws; the tests hold every state to numpy's own ``SeedSequence``.
 
 from __future__ import annotations
 
+import json
 import math
 import numbers
-from dataclasses import dataclass, fields
+import os
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -676,3 +678,75 @@ def run_monte_carlo(config: SimulationConfig) -> CampaignReport:
                      for row, error in enumerate(errors) if error is not None)
     return CampaignReport(config, indices[keep], truth[keep], estimate[keep],
                           pre_rms[keep], post_rms[keep], failures=failures)
+
+
+# The files of ``gyrocal simulate``, here rather than in ``cli`` so that
+# a calibrate process does not compile them.
+
+def load_configs(path: str | None, seed: int | None) -> list[SimulationConfig]:
+    """Config file to campaign list; a noise_levels list fans out campaigns,
+    and no two levels may be the same ``noise_sigma`` once converted."""
+    import yaml  # only simulate reads YAML, so calibrate does not pay to import it
+
+    mapping: dict = {}
+    if path is not None:
+        with open(path, "r", encoding="utf-8") as handle:
+            loaded = yaml.safe_load(handle)
+        if loaded is None:
+            loaded = {}
+        if not isinstance(loaded, dict):
+            raise CalibrationError(f"config root must be a mapping, got {type(loaded).__name__}")
+        mapping = dict(loaded)
+    levels = mapping.pop("noise_levels", None)
+    if levels is not None and (not isinstance(levels, (list, tuple)) or not levels):
+        raise CalibrationError("noise_levels must be a non-empty list of numbers")
+    base = SimulationConfig.from_mapping(mapping)
+    if seed is not None:
+        base = replace(base, rng_seed=seed)
+    if levels is None:
+        return [base]
+    configs = [replace(base, noise_sigma=level) for level in levels]
+    if len({config.noise_sigma for config in configs}) != len(configs):
+        raise CalibrationError(f"noise_levels must not repeat, got {levels}")
+    return configs
+
+
+def write_campaigns(configs: list[SimulationConfig], out: str) -> None:
+    """Run each campaign and write its replicate CSV, then ``summary.json``,
+    into ``out``, printing a line per file."""
+    # An unusable --out fails here, before any campaign runs; the
+    # directories made for it go again if a config is refused.
+    made = []
+    head = os.path.abspath(out)
+    while not os.path.lexists(head):
+        made.append(head)
+        head = os.path.dirname(head)
+    os.makedirs(out, exist_ok=True)
+    try:
+        _run_campaigns(configs, out)
+    except CalibrationError:
+        for path in made:  # deepest first; one that holds output stays
+            try:
+                os.rmdir(path)
+            except OSError:
+                break
+        raise
+
+
+def _run_campaigns(configs: list[SimulationConfig], out: str) -> None:
+    campaigns = {}
+    for config in configs:
+        report = run_monte_carlo(config)
+        csv_name = f"replicates_sigma_{config.noise_sigma!r}.csv"
+        report.write_replicates_csv(os.path.join(out, csv_name))
+        campaigns[repr(config.noise_sigma)] = {
+            "replicates_csv": csv_name,
+            **report.summary(),
+        }
+        print(f"wrote {csv_name} ({len(report.indices)} replicates, "
+              f"{len(report.failures)} failures)")
+    summary = {"rng_seed": configs[0].rng_seed, "campaigns": campaigns}
+    with open(os.path.join(out, "summary.json"), "w", encoding="utf-8") as handle:
+        json.dump(summary, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    print("wrote summary.json")

@@ -14,8 +14,9 @@ import pytest
 
 from gyrocal import doe, observability
 from gyrocal.cli import main as cli_main
-from gyrocal.estimator import calibrate, calibrate_nonlinear
+from gyrocal.estimator import calibrate
 from gyrocal.model import CalibrationParams
+from gyrocal.observability import calibrate_nonlinear
 from gyrocal.simulator import (
     SimulationConfig,
     run_monte_carlo,

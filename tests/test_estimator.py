@@ -3,14 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gyrocal import estimator
+from gyrocal import estimator, observability
 from gyrocal.estimator import (
-    ConvergenceFailure,
-    _residuals_and_jacobian,
     IllConditionedSystem,
     InconsistentScaleData,
     calibrate,
-    calibrate_nonlinear,
     fit_batch,
 )
 from gyrocal.model import (
@@ -19,6 +16,7 @@ from gyrocal.model import (
     ObservationArrays,
     ProtocolViolation,
 )
+from gyrocal.observability import ConvergenceFailure, _residuals_and_jacobian, calibrate_nonlinear
 from gyrocal.simulator import SimulationConfig, sample_ground_truth, simulate_session
 
 ANGLE = 360.0
@@ -205,14 +203,14 @@ class TestCalibrateNonlinear:
 
     def test_exhausted_iterations_reported(self, monkeypatch):
         session = exact_session([1.1, 0.9, 1.0], [1.0, -1.0, 0.5])
-        monkeypatch.setattr(estimator, "MAX_ITERATIONS", 0)
+        monkeypatch.setattr(observability, "MAX_ITERATIONS", 0)
         with pytest.raises(ConvergenceFailure, match="within 0 iterations"):
             calibrate_nonlinear(session, CalibrationParams.identity())
 
     def test_start_at_solution_returns_immediately(self, monkeypatch):
         session = exact_session([1.1, 0.9, 1.0], [1.0, -1.0, 0.5])
         truth = CalibrationParams(1.1, 0.9, 1.0, 1.0, -1.0, 0.5)
-        monkeypatch.setattr(estimator, "MAX_ITERATIONS", 1)
+        monkeypatch.setattr(observability, "MAX_ITERATIONS", 1)
         est = calibrate_nonlinear(session, truth)
         np.testing.assert_allclose(est.scales, truth.scales, atol=1e-12)
 

@@ -103,7 +103,9 @@ def test_calibrate_process_never_runs_the_lazy_modules(tmp_path):
             status = exc.code
         lazy = {name: type(sys.modules["gyrocal." + name]) is not types.ModuleType
                 for name in ("simulator", "doe", "observability")}
-        print(json.dumps({"status": status, "seen": sorted(map(str, seen)), "lazy": lazy}))
+        stdlib = sorted({"dataclasses", "copy"} & set(sys.modules))
+        print(json.dumps({"status": status, "seen": sorted(map(str, seen)), "lazy": lazy,
+                          "stdlib": stdlib}))
     """)
     result = run_fresh(code, str(path))
     assert result["status"] == 0
@@ -112,6 +114,8 @@ def test_calibrate_process_never_runs_the_lazy_modules(tmp_path):
     assert {"cli.py", "estimator.py", "session_io.py"} <= ran  # the hook sees module code
     assert ran.isdisjoint({f"{name}.py" for name in LAZY})
     assert result["lazy"] == dict.fromkeys(LAZY, True)
+    # Building a dataclass costs about a millisecond, and its module pulls in copy.
+    assert result["stdlib"] == []
 
 
 def test_cli_import_puts_every_traced_module_in_sys_modules():

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -17,8 +19,13 @@ from gyrocal.model import (
     rotation_residuals,
     squared_cost,
 )
-from gyrocal.estimator import calibrate, calibrate_nonlinear
-from gyrocal.observability import cost_gradient, finite_difference_grad, model_term_gradient
+from gyrocal.estimator import calibrate
+from gyrocal.observability import (
+    calibrate_nonlinear,
+    cost_gradient,
+    finite_difference_grad,
+    model_term_gradient,
+)
 
 finite_bias = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 positive_scale = st.floats(min_value=0.8, max_value=1.2, allow_nan=False)
@@ -68,6 +75,33 @@ class TestCalibrationParams:
         assert set(CalibrationParams.identity().as_dict()) == {
             "k_x", "k_y", "k_z", "b_x", "b_y", "b_z",
         }
+
+    def test_immutable(self):
+        p = CalibrationParams.identity()
+        for name in ("k_x", "b_z", "condition_number", "other"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, 2.0)
+            with pytest.raises(AttributeError):
+                delattr(p, name)
+        assert p == CalibrationParams.identity() and p.condition_number is None
+
+    def test_equality_and_hash_ignore_condition_number(self):
+        fitted = CalibrationParams(1.1, 0.9, 1.0, 0.5, -0.5, 2.0, condition_number=1.5)
+        plain = CalibrationParams(1.1, 0.9, 1.0, 0.5, -0.5, 2.0)
+        assert fitted == plain and hash(fitted) == hash(plain)
+        assert len({fitted, plain}) == 1
+        assert fitted != CalibrationParams(1.1, 0.9, 1.0, 0.5, -0.5, 2.5)
+        assert fitted != (1.1, 0.9, 1.0, 0.5, -0.5, 2.0)  # not a tuple
+
+    def test_repr(self):
+        assert repr(CalibrationParams(1.1, 0.9, 1.0, 0.5, -0.5, 2.0)) == (
+            "CalibrationParams(k_x=1.1, k_y=0.9, k_z=1.0, b_x=0.5, b_y=-0.5, b_z=2.0, "
+            "condition_number=None)")
+
+    def test_copies_keep_every_field(self):
+        p = CalibrationParams(1.1, 0.9, 1.0, 0.5, -0.5, 2.0, condition_number=1.5)
+        for twin in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert twin == p and twin.condition_number == 1.5
 
 
 class TestApplyCalibration:

@@ -1,5 +1,7 @@
+import copy
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -478,6 +480,15 @@ class TestParseErrors:
                 f"line 4: malformed numeric field in 'static,0.01,0,{field},0'")):
             read_session_log(path)
 
+    # ... nor does it in a header number.
+    @pytest.mark.parametrize("value", ["1_00.0", "\u0661\u0660\u0660", "\uff11\uff10\uff10"])
+    def test_header_number_outside_the_format_names_line(self, tmp_path, value):
+        path = self.write(
+            tmp_path, f"# sample_rate: {value}\nstage,t,m_x,m_y,m_z\nstatic,0.0,0,0,0\n")
+        with pytest.raises(LogParseError, match=re.escape(
+                f"line 1: header 'sample_rate' needs a numeric value, got {value!r}")):
+            read_session_log(path)
+
     def test_truncated_row_names_line(self, tmp_path):
         path = self.write(
             tmp_path,
@@ -588,6 +599,28 @@ class TestOneGrammar:
         assert repr(float(sample)) == repr(float(value))
 
 
+    @given(value=st.lists(st.sampled_from(FIELD_PIECES), max_size=8).map("".join))
+    @settings(max_examples=200, deadline=None)
+    def test_mutated_header_number_reads_as_numpy_reads_it(self, tmp_path_factory, value):
+        path = tmp_path_factory.getbasetemp() / "one_grammar_header.csv"
+        write_session_log(path, tiny_log(full_scale=245.0))
+        lines, _ = data_lines(path)
+        assert lines[2].startswith("# full_scale: ")
+        lines[2] = f"# full_scale: {value}\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        try:
+            number = np.loadtxt([f"0,{value}"], delimiter=",", comments=None)[1]
+        except ValueError:
+            with pytest.raises(LogParseError, match="^line 3: header 'full_scale' needs"):
+                read_session_log(path)
+            return
+        if not 0.0 < number < np.inf:
+            with pytest.raises(LogParseError, match="full_scale must be positive and finite"):
+                read_session_log(path)
+            return
+        assert repr(read_session_log(path).full_scale) == repr(float(number))
+
+
 class TestSaturation:
     def test_counts_clipped_samples(self):
         static = np.full((4, 3), 0.25)
@@ -615,6 +648,18 @@ def test_array_holders_compare_by_identity():
         assert a == a and a != b
         assert a in [b, a] and a not in [b]
         assert len({a, b, a}) == 2
+
+
+def test_log_records_are_immutable_and_copy_through_the_constructor():
+    log, _, _ = simulated_log()
+    for record, name in ((log, "sample_rate"), (log, "segments"), (log.segments[0], "times")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    for twin in (copy.deepcopy(log), pickle.loads(pickle.dumps(log))):
+        assert_same_log(twin, log)
+        assert not twin.segments[1].samples.flags.writeable
 
 
 class TestSessionConversion:
