@@ -24,17 +24,25 @@ from gyrocal.cli import main as cli_main
 from gyrocal.model import PARAM_NAMES
 
 
+def show(value: float | None, spec: str, scale: float = 1.0) -> str:
+    """``scale * value`` formatted by ``spec``; ``n/a`` for a statistic the
+    campaign had no value for, such as when every replicate failed."""
+    return "n/a" if value is None else format(scale * value, spec)
+
+
 def print_quartiles(summary: dict) -> None:
     print(f"  noise sigma {summary['noise_sigma']:g} deg/s, "
           f"{summary['n_replicates']} replicates, {summary['n_failures']} failures")
     print(f"  {'param':<6} {'q1':>12} {'median':>12} {'q3':>12}")
     for name in PARAM_NAMES:
         row = summary["parameter_errors"][name]
-        print(f"  {name:<6} {row['q1']:>12.2e} {row['median']:>12.2e} {row['q3']:>12.2e}")
+        print(f"  {name:<6} " + " ".join(f"{show(row[key], '.2e'):>12}"
+                                         for key in ("q1", "median", "q3")))
     test = summary["test_set"]
-    print(f"  test set: median RMS {test['median_pre_rms']:.3f} -> {test['median_post_rms']:.3f} "
-          f"deg/s ({100 * test['median_rms_reduction']:.1f}% reduction, "
-          f"improved in {100 * test['improved_fraction']:.1f}% of replicates)")
+    print(f"  test set: median RMS {show(test['median_pre_rms'], '.3f')} -> "
+          f"{show(test['median_post_rms'], '.3f')} deg/s "
+          f"({show(test['median_rms_reduction'], '.1f', 100)}% reduction, "
+          f"improved in {show(test['improved_fraction'], '.1f', 100)}% of replicates)")
 
 
 def main() -> int:

@@ -200,24 +200,35 @@ class GroundTruth:
         object.__setattr__(self, "misalignment", m)
 
 
+def _uniform(draws: np.ndarray, bounds: tuple[float, float]) -> np.ndarray:
+    """Map ``Generator.random`` draws in place to ``U(low, high)`` and
+    return them: ``low + (high - low) * u``, which is how numpy's
+    ``Generator.uniform`` maps the same draws, bit for bit."""
+    low, high = bounds
+    draws *= high - low
+    draws += low
+    return draws
+
+
 def _truth_arrays(
-    config: SimulationConfig, rng: np.random.Generator
+    config: SimulationConfig, draws: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One truth's scales, biases and coupling matrix, drawn in that order;
-    the six off-diagonal coupling terms come in row-major order."""
-    scales = rng.uniform(*config.scale_range, size=3)
-    biases = rng.uniform(*config.bias_range, size=3)
-    coupling = np.eye(3)
-    coupling[_OFF_DIAGONAL] = rng.uniform(*config.misalignment_range, size=6)
+    """Scales, biases ``(S, 3)`` and coupling matrices ``(S, 3, 3)`` mapped in
+    place from ``draws`` ``(S, 12)``, each row one truth's ``Generator.random``
+    draws in that order, the six off-diagonal coupling terms row-major."""
+    scales = _uniform(draws[:, :3], config.scale_range)
+    biases = _uniform(draws[:, 3:6], config.bias_range)
+    coupling = np.tile(np.eye(3), (len(draws), 1, 1))
+    coupling[:, _OFF_DIAGONAL] = _uniform(draws[:, 6:], config.misalignment_range)
     return scales, biases, coupling
 
 
 def sample_ground_truth(config: SimulationConfig, rng: np.random.Generator) -> GroundTruth:
     """Draw one truth: uniform scales, biases and cross-coupling terms."""
-    scales, biases, coupling = _truth_arrays(config, rng)
+    scales, biases, coupling = _truth_arrays(config, rng.random((1, 12)))
     return GroundTruth(
-        params=CalibrationParams.from_arrays(scales, biases),
-        misalignment=coupling,
+        params=CalibrationParams.from_arrays(scales[0], biases[0]),
+        misalignment=coupling[0],
     )
 
 
@@ -256,9 +267,12 @@ def _bezier_samples(
     return out
 
 
-def _draw_ordinates(rng: np.random.Generator, config: SimulationConfig) -> np.ndarray:
-    nominal = config.rotation_angle / config.rotation_duration
-    return rng.uniform(_CONTROL_BAND[0], _CONTROL_BAND[1], size=4) * nominal
+def _ordinates(draws: np.ndarray, config: SimulationConfig) -> np.ndarray:
+    """Map ``Generator.random`` draws in place to control ordinates, uniform
+    in ``_CONTROL_BAND`` times the constant-speed rate, and return them."""
+    _uniform(draws, _CONTROL_BAND)
+    draws *= config.rotation_angle / config.rotation_duration
+    return draws
 
 
 def bezier_profile(rng: np.random.Generator, config: SimulationConfig) -> np.ndarray:
@@ -276,8 +290,8 @@ def bezier_profile(rng: np.random.Generator, config: SimulationConfig) -> np.nda
     throughout, like a hand turn that never reverses.
     """
     n = config.rotation_samples
-    return _bezier_samples(_draw_ordinates(rng, config), config, _bezier_basis(n),
-                           np.empty(n), np.empty(n))
+    return _bezier_samples(_ordinates(rng.random(out=np.empty(4)), config), config,
+                           _bezier_basis(n), np.empty(n), np.empty(n))
 
 
 class _SessionBlock:
@@ -319,21 +333,23 @@ class _SessionBlock:
         profile ordinates and noise per axis in x, y, z order, then test
         rates, then test noise. Noise is drawn only when ``noise_sigma > 0``.
         Row r draws from the r-th generator ``rngs`` yields, taken just
-        before its draws; no more than ``size`` are taken."""
-        config = self.config
+        before its draws; no more than ``size`` are taken. The loop only
+        draws: uniform values come as ``Generator.random`` and are mapped
+        once per block, which gives ``Generator.uniform``'s numbers."""
+        config, size = self.config, self.size
         noisy = config.noise_sigma > 0.0
-        for r, rng in zip(range(self.size), rngs):
+        for r, rng in zip(range(size), rngs):
             if noisy:
                 rng.standard_normal(out=self.static_raw[r])
             for axis in range(3):
-                self.ordinates[r, axis] = _draw_ordinates(rng, config)
+                rng.random(out=self.ordinates[r, axis])
                 if noisy:
                     rng.standard_normal(out=self.rotation_raw[r, axis])
-            self.test_rates[r] = rng.uniform(
-                *config.test_rate_range, size=(config.n_test_rates, 3)
-            )
+            rng.random(out=self.test_rates[r])
             if noisy:
                 rng.standard_normal(out=self.test_measurements[r])
+        _ordinates(self.ordinates[:size], config)
+        _uniform(self.test_rates[:size], config.test_rate_range)
 
     def simulate(
         self,
@@ -454,7 +470,9 @@ def simulate_session(
     The draw order is fixed (static noise, then profile plus noise per
     axis in x, y, z order, then test rates, then test noise), so a given
     generator state always yields the same session, and the same one a
-    campaign replicate with that generator sees. Its ``session`` is row 0
+    campaign replicate with that generator sees. Uniform values are drawn
+    as ``Generator.random`` and mapped to their ranges afterwards, which
+    gives ``Generator.uniform``'s numbers. Its ``session`` is row 0
     of a one-row campaign block's stage summaries, so ``calibrate`` of it
     is that replicate's campaign fit.
     """
@@ -470,6 +488,12 @@ def simulate_session(
         test_rates=block.test_rates[0],
         test_measurements=block.test_measurements[0],
     )
+
+
+def _finite(values: np.ndarray) -> list[float | None]:
+    """``values`` as floats, each one that is not finite as ``None``: JSON
+    has no NaN or infinity."""
+    return [value if math.isfinite(value) else None for value in values.tolist()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -499,39 +523,31 @@ class CampaignReport:
         return self.estimate - self.truth
 
     def summary(self) -> dict:
-        """Quartile digest per parameter plus test-set improvement stats."""
-        errors = self.parameter_errors()
-        per_parameter = {}
-        for column, name in enumerate(PARAM_NAMES):
-            values = errors[:, column]
-            q1, median, q3 = (
-                np.quantile(values, [0.25, 0.5, 0.75]) if values.size else (math.nan,) * 3
-            )
-            per_parameter[name] = {
-                "q1": float(q1),
-                "median": float(median),
-                "q3": float(q3),
-                "min": float(values.min()) if values.size else math.nan,
-                "max": float(values.max()) if values.size else math.nan,
-            }
-        pre, post = self.pre_rms, self.post_rms
-        improved = float(np.mean(post < pre)) if pre.size else math.nan
-        reduction = (
-            float(np.median(1.0 - post / pre)) if pre.size else math.nan
-        )
+        """Quartile digest per parameter plus test-set improvement stats.
+        A statistic with no finite value, as over no replicates, is ``None``,
+        and the RMS reduction is taken over the rows with ``pre_rms > 0``."""
+        errors, pre, post = self.parameter_errors(), self.pre_rms, self.post_rms
+        stats = np.full((5, 6), math.nan)
+        test = np.full(4, math.nan)
+        if len(pre):
+            stats[:3] = np.quantile(errors, [0.25, 0.5, 0.75], axis=0)
+            stats[3], stats[4] = errors.min(axis=0), errors.max(axis=0)
+            test[:3] = np.median(pre), np.median(post), np.mean(post < pre)
+        scored = pre > 0.0  # a noiseless identity truth reads its test rates exactly
+        if scored.any():
+            test[3] = np.median(1.0 - post[scored] / pre[scored])
         return {
             "noise_sigma": self.config.noise_sigma,
             "n_param_sets": self.config.n_param_sets,
             "n_sims_per_set": self.config.n_sims_per_set,
             "n_replicates": len(pre),
             "n_failures": len(self.failures),
-            "parameter_errors": per_parameter,
-            "test_set": {
-                "median_pre_rms": float(np.median(pre)) if pre.size else math.nan,
-                "median_post_rms": float(np.median(post)) if post.size else math.nan,
-                "improved_fraction": improved,
-                "median_rms_reduction": reduction,
+            "parameter_errors": {
+                name: dict(zip(("q1", "median", "q3", "min", "max"), _finite(column)))
+                for name, column in zip(PARAM_NAMES, stats.T)
             },
+            "test_set": dict(zip(("median_pre_rms", "median_post_rms", "improved_fraction",
+                                  "median_rms_reduction"), _finite(test))),
         }
 
     def write_replicates_csv(self, path) -> None:
@@ -651,13 +667,13 @@ def run_monte_carlo(config: SimulationConfig) -> CampaignReport:
     # Reseeded before every draw, so its own seed never shows.
     rng = np.random.Generator(np.random.PCG64(0))
     truth_keys = np.insert(np.arange(config.n_param_sets)[:, None], 0, 0, axis=1)
-    scales, biases, coupling = (np.stack(column) for column in zip(*(
-        _truth_arrays(config, truth_rng)
-        for truth_rng in _reseeded(rng, config.rng_seed, truth_keys)
-    )))
+    truth_draws = np.empty((config.n_param_sets, 12))
+    for row, truth_rng in zip(truth_draws, _reseeded(rng, config.rng_seed, truth_keys)):
+        truth_rng.random(out=row)
+    scales, biases, coupling = _truth_arrays(config, truth_draws)
     indices = np.column_stack(np.divmod(np.arange(total), per_set))
     replicate_rngs = _reseeded(rng, config.rng_seed, np.insert(indices, 0, 1, axis=1))
-    truth = np.repeat(np.hstack([scales, biases]), per_set, axis=0)
+    truth = np.repeat(truth_draws[:, :6], per_set, axis=0)
     estimate = np.empty((total, 6))
     pre_rms = np.empty(total)
     post_rms = np.empty(total)
@@ -747,6 +763,5 @@ def _run_campaigns(configs: list[SimulationConfig], out: str) -> None:
               f"{len(report.failures)} failures)")
     summary = {"rng_seed": configs[0].rng_seed, "campaigns": campaigns}
     with open(os.path.join(out, "summary.json"), "w", encoding="utf-8") as handle:
-        json.dump(summary, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n")
     print("wrote summary.json")

@@ -76,6 +76,43 @@ class TestSimulate:
             assert abs(stats[name]["min"]) < 1e-9
             assert abs(stats[name]["max"]) < 1e-9
 
+    @staticmethod
+    def _strict_summary(tmp_path, text):
+        """The one campaign level of a 2x2 run of ``text``, read from a
+        ``summary.json`` that may hold no NaN or infinity token."""
+        config = tmp_path / "campaign.yaml"
+        config.write_text(text + "n_param_sets: 2\nn_sims_per_set: 2\nn_test_rates: 10\n",
+                          encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+
+        def refuse(token):
+            raise AssertionError(f"summary.json holds {token}")
+
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"),
+                             parse_constant=refuse)
+        (level,) = summary["campaigns"].values()
+        return level
+
+    def test_all_failed_campaign_summary_is_null(self, tmp_path):
+        # A 5 degree turn fails every replicate: no statistic has a value.
+        level = self._strict_summary(tmp_path, "rotation_angle: 5.0\n")
+        assert level["n_replicates"] == 0 and level["n_failures"] == 4
+        for stats in (*level["parameter_errors"].values(), level["test_set"]):
+            assert set(stats.values()) == {None}
+
+    def test_exact_test_set_has_no_rms_reduction(self, tmp_path):
+        # An identity truth without noise reads its test rates exactly, so
+        # every RMS before correction is 0 and no reduction can be taken.
+        level = self._strict_summary(
+            tmp_path, "scale_range: [1, 1]\nbias_range: [0, 0]\nmisalignment_range: [0, 0]\n"
+                      "noise_sigma: 0\n")
+        assert level["n_replicates"] == 4
+        assert level["test_set"]["median_pre_rms"] == 0.0
+        assert level["test_set"]["median_rms_reduction"] is None
+        for stats in level["parameter_errors"].values():
+            assert None not in stats.values()
+
     def test_bad_config_reports_and_fails(self, tmp_path, capsys):
         config = tmp_path / "broken.yaml"
         config.write_text("noise_sgima: 0.03\n", encoding="utf-8")

@@ -15,13 +15,17 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gyrocal import (
     SessionLog,
     SimulationConfig,
+    bezier_profile,
     run_monte_carlo,
     sample_ground_truth,
     simulate_session,
+    simulator,
     write_session_log,
 )
 from gyrocal.cli import main
@@ -82,6 +86,100 @@ def test_campaign_biases_and_pre_rms_are_pinned():
         row = rows[key]
         assert repr(tuple(report.estimate[row, 3:].tolist())) == repr(biases)
         assert repr(float(report.pre_rms[row])) == repr(pre_rms)
+
+
+# The simulator draws every uniform value as ``Generator.random`` and maps
+# the draws to their range afterwards, once per block. That is numpy's own
+# ``Generator.uniform`` arithmetic, ``low + (high - low) * u`` on the same
+# doubles, so the numbers are numpy's to the bit.
+@settings(max_examples=300, deadline=None)
+@given(
+    low=st.floats(-1e300, 1e300),
+    width=st.one_of(st.just(0.0), st.floats(1e-300, 1e300)),
+    size=st.integers(1, 40),
+    seed=st.integers(0, 2 ** 64 - 1),
+)
+def test_uniform_is_numpys_map_of_random_draws(low, width, size, seed):
+    high = low + width  # finite and well-ordered; the range may collapse
+    expected = np.random.default_rng(seed).uniform(low, high, size).tobytes()
+    draws = np.random.default_rng(seed).random(size)
+    assert (low + (high - low) * draws).tobytes() == expected
+    assert simulator._uniform(draws, (low, high)).tobytes() == expected
+
+
+def _per_call_truth(config, rng):
+    """A truth's arrays as drawn by one ``Generator.uniform`` call per group."""
+    scales = rng.uniform(*config.scale_range, size=3)
+    biases = rng.uniform(*config.bias_range, size=3)
+    coupling = np.eye(3)
+    coupling[~np.eye(3, dtype=bool)] = rng.uniform(*config.misalignment_range, size=6)
+    return scales, biases, coupling
+
+
+def _per_call_session_draws(config, rng):
+    """A session's control ordinates ``(3, 4)`` and test rates, drawn by one
+    ``Generator.uniform`` call per turn and per test set between the normal
+    draws, in the fixed draw order."""
+    nominal = config.rotation_angle / config.rotation_duration
+    noisy = config.noise_sigma > 0.0
+    if noisy:
+        rng.standard_normal((config.static_samples, 3))
+    ordinates = []
+    for _axis in range(3):
+        ordinates.append(rng.uniform(0.5, 1.5, size=4) * nominal)
+        if noisy:
+            rng.standard_normal((config.rotation_samples, 3))
+    test_rates = rng.uniform(*config.test_rate_range, size=(config.n_test_rates, 3))
+    if noisy:
+        rng.standard_normal((config.n_test_rates, 3))
+    return np.array(ordinates), test_rates
+
+
+ORACLE_CONFIG = dict(scale_range=(0.55, 2.25), bias_range=(-30.0, 7.5),
+                     misalignment_range=(-0.2, 0.05), test_rate_range=(-500.0, 250.0),
+                     rotation_angle=270.0, rotation_duration=4.0, rng_seed=23,
+                     n_param_sets=3, n_sims_per_set=2, n_test_rates=50)
+
+
+def test_truth_draws_match_per_call_uniform():
+    config = SimulationConfig(**ORACLE_CONFIG)
+    oracle, rng = _spawned_generator(23, (0, 1)), _spawned_generator(23, (0, 1))
+    scales, biases, coupling = _per_call_truth(config, oracle)
+    truth = sample_ground_truth(config, rng)
+    assert truth.params.scales.tobytes() == scales.tobytes()
+    assert truth.params.biases.tobytes() == biases.tobytes()
+    assert truth.misalignment.tobytes() == coupling.tobytes()
+    assert rng.bit_generator.state == oracle.bit_generator.state
+    report = run_monte_carlo(config)
+    assert len(report.indices)
+    for (set_index, _), row in zip(report.indices.tolist(), report.truth):
+        scales, biases, _ = _per_call_truth(config, _spawned_generator(23, (0, set_index)))
+        assert row.tobytes() == np.concatenate([scales, biases]).tobytes()
+
+
+@pytest.mark.parametrize("noise_sigma", [0.0, 0.1])
+def test_session_draws_match_per_call_uniform(noise_sigma):
+    config = SimulationConfig(noise_sigma=noise_sigma, **ORACLE_CONFIG)
+    truth = sample_ground_truth(config, _spawned_generator(23, (0, 0)))
+    oracle, rng = _spawned_generator(23, (1, 0, 0)), _spawned_generator(23, (1, 0, 0))
+    ordinates, test_rates = _per_call_session_draws(config, oracle)
+    assert simulate_session(truth, config, rng).test_rates.tobytes() == test_rates.tobytes()
+    assert rng.bit_generator.state == oracle.bit_generator.state
+    block = simulator._SessionBlock(config, 1)
+    block.simulate(truth.params.scales[None], truth.params.biases[None],
+                   truth.misalignment[None], [_spawned_generator(23, (1, 0, 0))])
+    assert block.ordinates[0].tobytes() == ordinates.tobytes()
+
+
+def test_bezier_profile_matches_per_call_uniform():
+    config = SimulationConfig(**ORACLE_CONFIG)
+    oracle, rng = _spawned_generator(23, (2,)), _spawned_generator(23, (2,))
+    nominal = config.rotation_angle / config.rotation_duration
+    n = config.rotation_samples
+    expected = simulator._bezier_samples(oracle.uniform(0.5, 1.5, size=4) * nominal, config,
+                                         simulator._bezier_basis(n), np.empty(n), np.empty(n))
+    assert bezier_profile(rng, config).tobytes() == expected.tobytes()
+    assert rng.bit_generator.state == oracle.bit_generator.state
 
 
 # sha256 of each file ``gyrocal simulate --seed 17`` writes for 5 truth

@@ -17,6 +17,7 @@ from gyrocal.model import (
 )
 from gyrocal.simulator import (
     REPLICATE_BLOCK,
+    CampaignReport,
     GroundTruth,
     SimulationConfig,
     bezier_profile,
@@ -236,9 +237,10 @@ class TestBezierProfile:
     def test_flat_control_points_give_constant_rate(self):
         config = SimulationConfig()
 
-        class FlatRng:
-            def uniform(self, low, high, size=None):
-                return np.full(size, 1.3) if size else 1.3
+        class FlatRng:  # every control ordinate at 0.5 + 1.0 * 0.8 = 1.3 times nominal
+            def random(self, out):
+                out[...] = 0.8
+                return out
 
         trace = bezier_profile(FlatRng(), config)
         np.testing.assert_allclose(trace, 72.0, rtol=1e-12)
@@ -326,7 +328,16 @@ class TestRunMonteCarlo:
         assert report.indices.shape == (0, 2) and report.estimate.shape == (0, 6)
         summary = report.summary()
         assert summary["n_failures"] == 6
-        assert np.isnan(summary["parameter_errors"]["k_x"]["median"])
+        assert summary["parameter_errors"]["k_x"]["median"] is None
+
+    def test_rms_reduction_skips_rows_read_exactly(self):
+        report = CampaignReport(SimulationConfig(**QUICK), np.zeros((3, 2), dtype=int),
+                                np.ones((3, 6)), np.ones((3, 6)), np.array([0.0, 2.0, 4.0]),
+                                np.ones(3), failures=())
+        test_set = report.summary()["test_set"]
+        assert test_set["median_rms_reduction"] == 0.625  # median of 1 - 1/2 and 1 - 1/4
+        assert test_set["improved_fraction"] == 2 / 3
+        assert test_set["median_pre_rms"] == 2.0
 
     def test_improvement_direction_with_cross_coupling(self):
         # full truth ranges including coupling: correction still helps
@@ -590,9 +601,8 @@ class TestSessionBlockObservations:
         assert block._scratch.size == 5 * users[sizer]
         # A full block, then a partial one over the first's leftovers.
         for rows in (5, 3):
-            truths = [simulator._truth_arrays(config, _numpy_generator(config.rng_seed, (0, r)))
-                      for r in range(rows)]
-            scales, biases, coupling = (np.stack(column) for column in zip(*truths))
+            scales, biases, coupling = simulator._truth_arrays(config, np.stack(
+                [_numpy_generator(config.rng_seed, (0, r)).random(12) for r in range(rows)]))
             block.simulate(scales, biases, coupling,
                            [_numpy_generator(config.rng_seed, (1, rows, r)) for r in range(rows)])
             view = block.observations()
