@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import os
 import sys
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .estimator import calibrate
 from .model import AXES, PARAM_NAMES, CalibrationError, CalibrationParams
 from .session_io import read_session_log
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 _VERIFY_SEED = 20240817
 
@@ -95,8 +96,8 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def _read_params_json(path: str) -> dict[str, float]:
-    """The six parameters of a JSON file, checked as ``CalibrationParams``
-    checks them: finite, with positive scales."""
+    """The six parameters of a JSON file: each a JSON number, and checked as
+    ``CalibrationParams`` checks them, finite, with positive scales."""
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
     if not isinstance(data, dict):
@@ -104,9 +105,20 @@ def _read_params_json(path: str) -> dict[str, float]:
     missing = [k for k in PARAM_NAMES if k not in data]
     if missing:
         raise CalibrationError(f"{path}: missing parameter fields: {', '.join(missing)}")
+    values = {}
+    for key in PARAM_NAMES:
+        value = data[key]
+        # A JSON number parses to an int or a float; a bool is an int too.
+        if type(value) not in (int, float):
+            raise CalibrationError(
+                f"{path}: field {key!r} must be a JSON number, got {json.dumps(value)}")
+        try:
+            values[key] = float(value)
+        except OverflowError:
+            raise CalibrationError(f"{path}: field {key!r} is too large for a float") from None
     try:
-        return CalibrationParams(**{k: float(data[k]) for k in PARAM_NAMES}).as_dict()
-    except (TypeError, ValueError) as exc:  # CalibrationError is a ValueError
+        return CalibrationParams(**values).as_dict()
+    except CalibrationError as exc:
         raise CalibrationError(f"{path}: {exc}") from None
 
 
@@ -194,5 +206,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     return globals()[f"cmd_{args.command}"](args)
 
 
-if __name__ == "__main__":
+def run() -> NoReturn:
+    """Run the command of ``sys.argv`` as the whole process, and exit: the
+    entry of the ``gyrocal`` script and of ``python -m gyrocal``.
+
+    The objects that numpy and gyrocal built at import live until exit,
+    so they go into the collector's permanent generation first: no
+    collection, during the command or at interpreter exit, traverses them
+    again. ``main`` called in-process freezes nothing."""
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

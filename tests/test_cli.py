@@ -375,8 +375,6 @@ class TestCompare:
         ("b_z", float("inf"), "must be finite"),
         ("k_y", 0.0, "scale factors must be positive"),
         ("k_z", -1.0, "scale factors must be positive"),
-        ("b_y", "zero", "could not convert"),
-        ("b_x", [0.0], "real number"),
     ])
     def test_invalid_parameter_reported_with_path(self, tmp_path, capsys, field, value,
                                                  problem):
@@ -388,6 +386,49 @@ class TestCompare:
             assert captured.err.startswith(f"error: {bad}: ")
             assert problem in captured.err
             assert captured.out == ""
+
+    @pytest.mark.parametrize("field,value,spelled", [
+        ("k_x", True, "true"),
+        ("b_x", False, "false"),
+        ("k_y", "1_0", '"1_0"'),
+        ("b_z", " 2 ", '" 2 "'),
+        ("b_y", "zero", '"zero"'),
+        ("b_x", [0.0], "[0.0]"),
+        ("k_z", None, "null"),
+        ("k_x", {"value": 1.0}, '{"value": 1.0}'),
+    ])
+    def test_field_that_is_not_a_json_number_refused(self, tmp_path, capsys, field, value,
+                                                     spelled):
+        # float() would read each of these strings, and a bool as 0 or 1.
+        good = write_params(tmp_path / "good.json", IDENTITY)
+        bad = write_params(tmp_path / "bad.json", {**IDENTITY, field: value})
+        for argv in ([str(good), str(bad)], [str(bad), str(good)]):
+            assert main(["compare", *argv]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == (f"error: {bad}: field {field!r} must be a JSON number, "
+                                    f"got {spelled}\n")
+            assert captured.out == ""
+
+    def test_integer_too_large_for_a_float_refused(self, tmp_path, capsys):
+        good = write_params(tmp_path / "good.json", IDENTITY)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(IDENTITY).replace('"b_y": 0.0', '"b_y": 1' + "0" * 400),
+                       encoding="utf-8")
+        assert main(["compare", str(good), str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {bad}: field 'b_y' is too large for a float\n"
+        assert captured.out == ""
+
+    def test_integer_fields_read_as_their_floats(self, tmp_path, capsys):
+        ints = write_params(tmp_path / "ints.json",
+                            {"k_x": 1, "k_y": 2, "k_z": 1, "b_x": 0, "b_y": -3, "b_z": 0})
+        floats = write_params(tmp_path / "floats.json",
+                              {"k_x": 1.0, "k_y": 2.0, "k_z": 1.0,
+                               "b_x": 0.0, "b_y": -3.0, "b_z": 0.0})
+        assert main(["compare", str(floats), str(ints), "--threshold", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "all differences within threshold 0" in out
+        assert "-3.0000" in out
 
     @pytest.mark.parametrize("threshold", ["nan", "inf", "-1", "-0.001"])
     def test_bad_threshold_rejected(self, tmp_path, capsys, threshold):
