@@ -98,8 +98,11 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 def _read_params_json(path: str) -> dict[str, float]:
     """The six parameters of a JSON file: each a JSON number, and checked as
     ``CalibrationParams`` checks them, finite, with positive scales."""
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            data = json.load(handle)
+    except ValueError as exc:  # not JSON, not UTF-8, or an int past Python's digit limit
+        raise CalibrationError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
         raise CalibrationError(f"{path}: expected a JSON object with parameter fields")
     missing = [k for k in PARAM_NAMES if k not in data]
@@ -128,7 +131,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     try:
         first = _read_params_json(args.first)
         second = _read_params_json(args.second)
-    except (OSError, json.JSONDecodeError, CalibrationError, ValueError) as exc:
+    except (OSError, CalibrationError) as exc:
         return _fail(str(exc))
     label_a = os.path.splitext(os.path.basename(args.first))[0]
     label_b = os.path.splitext(os.path.basename(args.second))[0]

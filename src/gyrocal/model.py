@@ -168,10 +168,10 @@ def inverse_calibration(params: CalibrationParams, true_rate) -> np.ndarray:
 
 
 def _stage_samples(samples, sample_rate: float) -> np.ndarray:
-    """One stage's measured rates as an ``(N, 3)`` float array, taken at a
-    finite positive ``sample_rate``."""
+    """A stage's measured rates as a sample-major ``(N, ..., 3)`` float
+    array, taken at a finite positive ``sample_rate``."""
     arr = np.asarray(samples, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 3:
+    if arr.ndim < 2 or arr.shape[-1] != 3:
         raise CalibrationError(f"expected an (N, 3) sample array, got shape {arr.shape}")
     if not (math.isfinite(sample_rate) and sample_rate > 0.0):
         raise CalibrationError(f"sample rate must be finite and positive, got {sample_rate}")
@@ -183,14 +183,15 @@ def _require_positive(name: str, value: float) -> None:
         raise CalibrationError(f"{name} must be positive, got {value}")
 
 
-# The two stage summaries of a recorded log, built only by their
-# ``from_samples`` for ``SessionLog.session()``. They are not exported:
-# a caller builds an ``ObservationArrays`` directly. They stay classes
+# The two stage summaries, built only by their ``from_samples``: for
+# ``SessionLog.session()``, one stage of a log at a time, and for the
+# campaign block, every row's stage at once. They are not exported: a
+# caller builds an ``ObservationArrays`` directly. They stay classes
 # because the benchmark's tracer (``bench/spans.py``) wraps both
 # ``from_samples``.
 class StaticObservation(NamedTuple):
     """The still stage: per-axis means and sample standard deviations of
-    the measured rate, ``(3,)`` in deg/s, and the integration time
+    the measured rate, ``(..., 3)`` in deg/s, and the integration time
     ``n_samples / sample_rate`` in seconds."""
 
     means: np.ndarray
@@ -199,25 +200,25 @@ class StaticObservation(NamedTuple):
 
     @classmethod
     def from_samples(cls, samples, sample_rate: float) -> "StaticObservation":
-        """Summarize an (N, 3) array of measured rates taken at rest."""
+        """Summarize ``(N, ..., 3)`` measured rates taken at rest, samples first."""
         arr = _stage_samples(samples, sample_rate)
         n = arr.shape[0]
         if n < 2:
             raise ProtocolViolation(f"static stage needs at least 2 samples, got {n}")
         means = arr.mean(axis=0)
         stds = arr.std(axis=0, ddof=1)
-        _require_finite("static mean", *means)
+        # Only the non-finite values go to the checks, which name the first.
+        _require_finite("static mean", *means[~np.isfinite(means)])
         duration = n / sample_rate
         _require_positive("static duration", duration)
-        for s in stds:
-            if not (math.isfinite(s) and s >= 0.0):
-                raise CalibrationError(f"standard deviation must be nonnegative, got {s}")
+        for s in stds[~np.isfinite(stds)]:  # a square root is never negative
+            raise CalibrationError(f"standard deviation must be nonnegative, got {s}")
         return cls(means, stds, duration)
 
 
 class RotationObservation(NamedTuple):
     """One rotation stage: the time-scaled sums of the measured rates,
-    ``(3,)`` in degrees, the duration ``n_samples / sample_rate`` in
+    ``(..., 3)`` in degrees, the duration ``n_samples / sample_rate`` in
     seconds, and ``theta_total``, the known magnitude of the physical
     rotation used as the reference, in degrees (360 for the standard
     protocol)."""
@@ -230,11 +231,11 @@ class RotationObservation(NamedTuple):
     def from_samples(
         cls, samples, sample_rate: float, theta_total: float = 360.0
     ) -> "RotationObservation":
-        """Summarize an (N, 3) array of measured rates over one rotation."""
+        """Summarize ``(N, ..., 3)`` measured rates over a rotation, samples first."""
         arr = _stage_samples(samples, sample_rate)
         n = arr.shape[0]
         sums = arr.sum(axis=0) / sample_rate
-        _require_finite("rotation sum", *sums)
+        _require_finite("rotation sum", *sums[~np.isfinite(sums)])
         _require_positive("reference rotation magnitude", theta_total)
         if n < 2:
             raise ProtocolViolation(f"rotation stage needs at least 2 samples, got {n}")

@@ -14,9 +14,7 @@ it reads back as written.
 
 from __future__ import annotations
 
-import io
-import itertools
-from typing import NoReturn, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 import numpy as np
 
@@ -108,11 +106,13 @@ class SessionLog(Frozen):
     def __init__(
         self,
         sample_rate: float,
-        segments: tuple[LogSegment, ...],
+        segments: Iterable[LogSegment],
         rotation_angle: float = 360.0,
         full_scale: float | None = None,
         device: str | None = None,
     ) -> None:
+        # An owned tuple: a caller's list mutated later cannot undo the checks.
+        segments = tuple(segments)
         _check_header_value("sample_rate", sample_rate)
         _check_header_value("rotation_angle", rotation_angle)
         _check_header_value("full_scale", full_scale)
@@ -277,64 +277,67 @@ def _parse_header_value(key: str, value: str, line_number: int):
     )
 
 
-def read_session_log(path) -> SessionLog:
-    """Parse a session log.
-
-    The header lines are read in Python. The data rows go to numpy's C
-    text reader in one pass, and each run of one stage tag becomes a
-    segment. When the text is not UTF-8, the reader refuses a row or a tag
-    is unknown, a second pass names the line."""
+def _read_lines(path) -> list[str]:
+    """The file's lines, read and decoded once, split at the line breaks of
+    a text-mode read (\\r\\n, \\r, \\n) and without them. The bytes and
+    the text go on return; an ``io.StringIO`` takes 4 bytes a character."""
     try:
-        return _parse_session_log(path)
-    except UnicodeDecodeError:  # text is decoded in chunks, so the line is found apart
-        _reject_rows(path)
+        with open(path, "rb") as handle:
+            text = handle.read().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        bad = exc.object  # the input after any byte-order mark
+        raise LogParseError(
+            f"line {len((bad[: exc.start] + b'_').splitlines())}: byte {bad[exc.start]:#04x} "
+            f"is not UTF-8 ({exc.reason}); session logs are UTF-8 text") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
-def _parse_session_log(path) -> SessionLog:
+def read_session_log(path) -> SessionLog:
+    """Parse a session log, held in memory as lines. A byte that is not
+    UTF-8 is named first. The header lines are parsed in Python, and the
+    data rows go to numpy's C text reader in one pass; each run of one
+    stage tag becomes a segment."""
+    lines = _read_lines(path)
     header: dict[str, object] = {}
     columns_line = 0
-    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
-        for line_number, raw_line in enumerate(handle, start=1):
-            line = raw_line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if ":" not in body:
-                    raise LogParseError(
-                        f"line {line_number}: expected '# key: value', got {line!r}"
-                    )
-                key, _, value = body.partition(":")
-                key = key.strip()
-                if key not in _HEADER_KEYS:
-                    raise LogParseError(
-                        f"line {line_number}: unknown header key {key!r}; "
-                        f"expected one of {', '.join(_HEADER_KEYS)}"
-                    )
-                if key in header:
-                    raise LogParseError(f"line {line_number}: duplicate header key {key!r}")
-                header[key] = _parse_header_value(key, value.strip(), line_number)
-                continue
-            if line != _COLUMNS:
+    for line_number, raw_line in enumerate(lines, start=1):
+        line = raw_line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line.lstrip("#").strip()
+            if ":" not in body:
+                raise LogParseError(f"line {line_number}: expected '# key: value', got {line!r}")
+            key, _, value = body.partition(":")
+            key = key.strip()
+            if key not in _HEADER_KEYS:
                 raise LogParseError(
-                    f"line {line_number}: expected column header {_COLUMNS!r}, got {line!r}"
+                    f"line {line_number}: unknown header key {key!r}; "
+                    f"expected one of {', '.join(_HEADER_KEYS)}"
                 )
-            columns_line = line_number
-            break
-        if "sample_rate" not in header:
-            raise LogParseError("missing required header '# sample_rate: <Hz>'")
-        if not columns_line:
-            raise LogParseError(f"missing column header line {_COLUMNS!r}")
-        # numpy's reader skips empty lines but not whitespace-only ones, and
-        # warns on an empty body, so both are settled here.
-        rows = (row for row in handle if not row.isspace())
-        first = next(rows, None)
-        if first is None:
-            raise LogParseError("log contains no sample rows")
-        try:
-            data = _load_rows(itertools.chain((first,), rows))
-        except ValueError:
-            _reject_rows(path)
+            if key in header:
+                raise LogParseError(f"line {line_number}: duplicate header key {key!r}")
+            header[key] = _parse_header_value(key, value.strip(), line_number)
+            continue
+        if line != _COLUMNS:
+            raise LogParseError(
+                f"line {line_number}: expected column header {_COLUMNS!r}, got {line!r}"
+            )
+        columns_line = line_number
+        break
+    if "sample_rate" not in header:
+        raise LogParseError("missing required header '# sample_rate: <Hz>'")
+    if not columns_line:
+        raise LogParseError(f"missing column header line {_COLUMNS!r}")
+    # numpy's reader skips empty lines but not whitespace-only ones, and
+    # warns on an empty body, so both are settled here.
+    rows = [row for row in lines[columns_line:] if row and not row.isspace()]
+    if not rows:
+        raise LogParseError("log contains no sample rows")
+    try:
+        data = _load_rows(rows)
+    except ValueError:
+        _reject_rows(lines, rows, columns_line)
 
     # The padding around a tag may change from row to row: each run of one
     # spelling is named by its stripped tag, and runs of one stage join.
@@ -342,7 +345,7 @@ def _parse_session_log(path) -> SessionLog:
     starts = [0, *(np.flatnonzero(tags[1:] != tags[:-1]) + 1).tolist()]
     stages = [tags[i].strip() for i in starts]
     if any(stage not in _STAGES for stage in stages):
-        _reject_rows(path)
+        _reject_rows(lines, rows, columns_line)
     bounds = [i for i, stage, before in zip(starts, stages, [None, *stages]) if stage != before]
     bounds.append(len(data))
     times, samples = data["t"], data["m"]
@@ -367,44 +370,42 @@ def _load_rows(rows) -> np.ndarray:
     return np.loadtxt(rows, dtype=_ROW, delimiter=",", comments=None, ndmin=1)
 
 
-def _reject_rows(path) -> NoReturn:
-    """Raise for the first byte that is not UTF-8, or else the first data
-    row ``_load_rows`` refuses, naming its line; a comment names itself."""
-    with open(path, "rb") as handle:
-        raw = handle.read()
+def _rows_read(rows: list[str]) -> bool:
+    """Whether ``_load_rows`` takes every row and every stage tag is known."""
     try:
-        text = raw.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        # exc.object is the input after any byte-order mark. Lines break
-        # at \n, \r and \r\n, as in the text-mode read.
-        bad = exc.object
-        line_number = len((bad[: exc.start] + b"_").splitlines())
-        raise LogParseError(
-            f"line {line_number}: byte {bad[exc.start]:#04x} is not UTF-8 ({exc.reason}); "
-            "session logs are UTF-8 text"
-        ) from None
-    lines = enumerate(io.StringIO(text, newline=""), start=1)
-    for _, line in lines:  # up to the column header, which the header read checked
-        if line.strip() == _COLUMNS:
-            break
-    for line_number, line in lines:
-        if line.isspace():
-            continue
-        parts = line.split(",")
-        if len(parts) != 5:
-            problem = f"expected 5 comma-separated fields, got {len(parts)}"
-        elif parts[0].strip() not in _STAGES:
-            problem = f"unknown stage tag {parts[0].strip()!r}"
+        tags = _load_rows(rows)["stage"]
+    except ValueError:
+        return False
+    return all(tag.strip() in _STAGES for tag in set(tags.tolist()))
+
+
+def _reject_rows(lines: list[str], rows: list[str], start: int) -> NoReturn:
+    """Raise for the first of ``rows``, the lines from ``lines[start]`` on
+    that are not blank, that ``_load_rows`` or the tag check refuses,
+    naming its line; a comment names itself. Each row is read or refused
+    on its own, so the row is found by bisection, which reads about as
+    many rows again as the log holds."""
+    good, bad = 0, len(rows)  # rows[:good] read, and rows[good:bad] holds a refused row
+    while bad - good > 1:
+        middle = (good + bad) // 2
+        if _rows_read(rows[good:middle]):
+            good = middle
         else:
-            try:
-                _load_rows([line])
-                continue
-            except ValueError:
-                problem = f"malformed numeric field in {line.strip()!r}"
-        if line.lstrip().startswith("#"):
-            problem = "header comments must precede the data"
-        raise LogParseError(f"line {line_number}: {problem}")
-    raise LogParseError("sample rows could not be read")
+            bad = middle
+    line = rows[good]
+    parts = line.split(",")
+    if len(parts) != 5:
+        problem = f"expected 5 comma-separated fields, got {len(parts)}"
+    elif parts[0].strip() not in _STAGES:
+        problem = f"unknown stage tag {parts[0].strip()!r}"
+    elif _rows_read([line]):
+        raise LogParseError("sample rows could not be read")
+    else:
+        problem = f"malformed numeric field in {line.strip()!r}"
+    if line.lstrip().startswith("#"):
+        problem = "header comments must precede the data"
+    # A copy of the row earlier in the data would be refused first: this is its first.
+    raise LogParseError(f"line {lines.index(line, start) + 1}: {problem}")
 
 
 def write_session_log(path, log: SessionLog) -> None:

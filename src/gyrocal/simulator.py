@@ -30,6 +30,7 @@ import numpy as np
 
 from .estimator import Fit, fit_batch
 from .model import PARAM_NAMES, CalibrationError, CalibrationParams, ObservationArrays
+from .model import RotationObservation, StaticObservation
 
 __all__ = [
     "SimulationConfig",
@@ -405,34 +406,24 @@ class _SessionBlock:
         add(measurements, coupled.transpose(0, 2, 1))
 
     def observations(self) -> ObservationArrays:
-        """The stage summaries of the simulated sessions, computed as
-        ``StaticObservation.from_samples`` and
-        ``RotationObservation.from_samples`` compute them, bit for bit.
-
-        Each stage is copied sample-major, so that every sum runs over the
-        samples in order, as theirs do, with all rows on a long inner loop;
-        on the ``(..., n, 3)`` layout numpy's inner loop is the 3 axes. The
-        std repeats numpy's own steps, reusing the mean."""
+        """The stage summaries of the simulated sessions: the two
+        ``from_samples`` of every row at once, on sample-major copies
+        ``(n, R, 3)`` and ``(n, R, 3, 3)``. Every sum then runs over the
+        samples in order, as on one stage, with all rows on a long inner
+        loop (on the ``(..., n, 3)`` layout numpy's inner loop is the 3
+        axes), so each row is its stage's own summary, bit for bit."""
         config, size = self.config, self.size
-        n, rate = config.static_samples, config.sample_rate
-        still = self._scratch_view(n, size, 3)
+        rate = config.sample_rate
+        still = self._scratch_view(config.static_samples, size, 3)
         np.copyto(still, self.static_raw[:size].transpose(1, 0, 2))
-        means = still.sum(axis=0) / n
-        still -= means
-        np.square(still, out=still)
-        static_stds = np.sqrt(still.sum(axis=0) / (n - 1))
+        static = StaticObservation.from_samples(still, rate)
         # Whole (3,) samples copy as 24-byte records, 2.5x faster than floats.
         turns = self._scratch_view(config.rotation_samples, size, 3, 3)
         np.copyto(turns.view("V24")[..., 0],
                   self.rotation_raw[:size].view("V24")[..., 0].transpose(2, 0, 1))
-        return ObservationArrays(
-            static_means=means,
-            static_stds=static_stds,
-            static_duration=n / rate,
-            sums=turns.sum(axis=0) / rate,
-            durations=np.full(3, config.rotation_samples / rate),
-            theta_sq=np.full(3, config.rotation_angle ** 2),
-        )
+        turn = RotationObservation.from_samples(turns, rate, config.rotation_angle)
+        return ObservationArrays(static.means, static.stds, static.duration, turn.sums,
+                                 np.full(3, turn.duration), np.full(3, turn.theta_total ** 2))
 
     def test_set_rms(self, fit: Fit) -> tuple[np.ndarray, np.ndarray]:
         """Test-set RMS error per row before and after correction by ``fit``."""
@@ -659,8 +650,10 @@ def run_monte_carlo(config: SimulationConfig) -> CampaignReport:
     :func:`simulate_session` and gets the same result as ``calibrate`` of
     that session. A replicate that fails calibration (degenerate system,
     protocol guard) is recorded as a failure and skipped; the campaign
-    carries on. All keys are hashed up front, and one generator, reseeded
-    per truth set and per replicate, makes every draw.
+    carries on. A stage summary that is not finite, which only a config
+    at the edge of the float range gives, stops the campaign with the
+    ``from_samples`` refusal. All keys are hashed up front, and one
+    generator, reseeded per truth set and per replicate, makes every draw.
     """
     per_set = config.n_sims_per_set
     total = config.n_param_sets * per_set

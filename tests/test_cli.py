@@ -419,6 +419,23 @@ class TestCompare:
         assert captured.err == f"error: {bad}: field 'b_y' is too large for a float\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("content,problem", [
+        (b'{"k_x": 1.0,', "Expecting property name enclosed in double quotes: "
+                          "line 1 column 13 (char 12)"),
+        (b'{"k_x": 1' + b"0" * 5000 + b"}", "Exceeds the limit (4300 digits)"),
+        (b'\xff{"k_x": 1.0}', "'utf-8' codec can't decode byte 0xff in position 0"),
+    ], ids=["truncated", "5000 digits", "not utf-8"])
+    def test_unparsable_file_named(self, tmp_path, capsys, content, problem):
+        good = write_params(tmp_path / "good.json", IDENTITY)
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        for argv in ([str(good), str(bad)], [str(bad), str(good)]):
+            assert main(["compare", *argv]) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"error: {bad}: {problem}")
+            assert captured.err.count("\n") == 1
+            assert captured.out == ""
+
     def test_integer_fields_read_as_their_floats(self, tmp_path, capsys):
         ints = write_params(tmp_path / "ints.json",
                             {"k_x": 1, "k_y": 2, "k_z": 1, "b_x": 0, "b_y": -3, "b_z": 0})

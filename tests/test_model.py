@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -241,6 +242,68 @@ def test_from_samples_refusals_are_pinned(case):
         summary.from_samples(samples, rate, **extra)
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+class TestStackedStages:
+    """``from_samples`` on a sample-major ``(N, R, 3)`` stack summarises R
+    stages at once, as R calls on ``(N, 3)`` stages would."""
+
+    @pytest.mark.parametrize("n,rows", [(2, 1), (3, 5), (300, 16), (501, 3)])
+    def test_rows_equal_single_stages_bitwise(self, n, rows):
+        rng = np.random.default_rng(n * rows)
+        stack = rng.normal(size=(n, rows, 3)) * 0.15 + rng.uniform(-5.0, 5.0, size=(rows, 3))
+        static = StaticObservation.from_samples(stack, 100.0)
+        turn = RotationObservation.from_samples(stack * 7e3, 100.0, theta_total=720.0)
+        assert static.means.shape == static.stds.shape == turn.sums.shape == (rows, 3)
+        assert (static.duration, turn.duration, turn.theta_total) == (n / 100.0, n / 100.0,
+                                                                      720.0)
+        for r in range(rows):
+            one = StaticObservation.from_samples(stack[:, r], 100.0)
+            assert static.means[r].tobytes() == one.means.tobytes()
+            assert static.stds[r].tobytes() == one.stds.tobytes()
+            one_turn = RotationObservation.from_samples(stack[:, r] * 7e3, 100.0, 720.0)
+            assert turn.sums[r].tobytes() == one_turn.sums.tobytes()
+
+    def test_deeper_stack(self):
+        stack = np.random.default_rng(5).normal(size=(50, 4, 3, 3))
+        turn = RotationObservation.from_samples(stack, 100.0)
+        assert turn.sums.shape == (4, 3, 3)
+        for r in range(4):
+            for axis in range(3):
+                one = RotationObservation.from_samples(stack[:, r, axis], 100.0)
+                assert turn.sums[r, axis].tobytes() == one.sums.tobytes()
+
+    @pytest.mark.parametrize("summary,bad,name", [
+        (StaticObservation, np.inf, "static mean must be finite, got np.float64(inf)"),
+        (StaticObservation, np.nan, "static mean must be finite, got np.float64(nan)"),
+        (RotationObservation, -np.inf, "rotation sum must be finite, got np.float64(-inf)"),
+        (RotationObservation, np.nan, "rotation sum must be finite, got np.float64(nan)"),
+    ])
+    def test_one_nonfinite_row_named(self, summary, bad, name):
+        # Rows 2 and 3 are bad; the message names row 2's value, the first in C order.
+        stack = np.ones((4, 5, 3))
+        stack[1, 2, 1] = bad
+        stack[0, 3, 0] = np.nan
+        with np.errstate(invalid="ignore"), pytest.raises(CalibrationError) as info:
+            summary.from_samples(stack, 100.0)
+        assert type(info.value) is CalibrationError
+        assert str(info.value) == name
+
+    def test_one_overflowing_std_named(self):
+        stack = np.zeros((2, 4, 3))
+        stack[:, 1, 2] = (1e308, -1e308)
+        with np.errstate(over="ignore"), pytest.raises(CalibrationError) as info:
+            StaticObservation.from_samples(stack, 100.0)
+        assert type(info.value) is CalibrationError
+        assert str(info.value) == "standard deviation must be nonnegative, got inf"
+
+    def test_samples_come_first(self):
+        # A stage count is read from the leading axis: (1, R, 3) is one sample.
+        with pytest.raises(ProtocolViolation, match="needs at least 2 samples, got 1"):
+            StaticObservation.from_samples(np.ones((1, 8, 3)), 100.0)
+        shape = "expected an (N, 3) sample array, got shape (4, 3, 2)"
+        with pytest.raises(CalibrationError, match=re.escape(shape)):
+            RotationObservation.from_samples(np.ones((4, 3, 2)), 100.0)
 
 
 class TestStaticObservation:

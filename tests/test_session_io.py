@@ -1,3 +1,4 @@
+import builtins
 import copy
 import math
 import os
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import gyrocal
+from gyrocal import session_io
 from gyrocal.estimator import calibrate
 from gyrocal.model import CalibrationError, ProtocolViolation
 from gyrocal.session_io import (
@@ -198,6 +200,25 @@ class TestSessionLogStructure:
         assert segment.samples[0, 0] == 0.25 and segment.times[0] == 0.0
         for frozen in (log.static_segment.samples, segment.samples, segment.times):
             assert not frozen.flags.writeable
+
+    def test_segments_list_mutated_later_changes_nothing(self):
+        # The log checks and keeps a tuple of its own, not the caller's list.
+        segments = list(tiny_log().segments)
+        kept = tuple(segments)
+        log = SessionLog(100.0, segments, rotation_angle=90.0)
+        expected = calibrate(log.session())
+        segments[-1] = segments[0]  # a second static stage
+        assert type(log.segments) is tuple
+        assert all(a is b for a, b in zip(log.segments, kept, strict=True))
+        assert calibrate(log.session()) == expected
+        segments.clear()
+        assert calibrate(log.session()) == expected
+
+    def test_segments_from_a_generator(self):
+        segments = tiny_log().segments
+        log = SessionLog(100.0, (segment for segment in segments), rotation_angle=90.0)
+        assert all(a is b for a, b in zip(log.segments, segments, strict=True))
+        assert calibrate(log.session()) == calibrate(tiny_log().session())
 
     @pytest.mark.parametrize("rate", [0.0, -100.0, float("nan"), float("inf")])
     @pytest.mark.filterwarnings("error")
@@ -436,6 +457,59 @@ class TestEncoding:
                 f"line {len(lines)}: byte 0xb5 is not UTF-8")):
             read_session_log(path)
 
+    @pytest.mark.parametrize("index", [6, 1004])
+    def test_undecodable_byte_named_before_a_bad_header(self, tmp_path, index):
+        # Line 1005 lies past the first 8 KB that a text-mode read decodes
+        # before the header is parsed; the byte is still named first.
+        log, _, _ = simulated_log()
+        path = tmp_path / "session.csv"
+        write_session_log(path, log)
+        lines = path.read_bytes().splitlines()
+        lines[1] = b"# colour: red"
+        lines[index] += b"\xb5"
+        assert len(b"\n".join(lines[:index])) > 8192 or index < 10
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(LogParseError, match=re.escape(
+                f"line {index + 1}: byte 0xb5 is not UTF-8")):
+            read_session_log(path)
+
+
+def _opens_of(path, monkeypatch):
+    """A list that gains the mode of each ``open`` of ``path``."""
+    opens = []
+    real_open = builtins.open
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, bytes, os.PathLike)) and os.fsdecode(file) == str(path):
+            opens.append(mode)
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    return opens
+
+
+@pytest.mark.parametrize("fault", [None, "bad byte", "bad header", "bad row", "unknown tag"])
+def test_log_is_opened_once(tmp_path, monkeypatch, fault):
+    path = tmp_path / "session.csv"
+    write_session_log(path, tiny_log())
+    lines, first = data_lines(path)
+    edit = {
+        None: lambda: None,
+        "bad byte": lambda: lines.__setitem__(-1, lines[-1] + "\udcb5"),
+        "bad header": lambda: lines.insert(1, "# colour: red\n"),
+        "bad row": lambda: lines.__setitem__(first + 9, "rotate:y,0.09,0,zero,0\n"),
+        "unknown tag": lambda: lines.__setitem__(first + 9, "spin,0.09,0,0,0\n"),
+    }[fault]
+    edit()
+    path.write_bytes("".join(lines).encode("utf-8", "surrogateescape"))
+    opens = _opens_of(path, monkeypatch)
+    if fault is None:
+        assert_same_log(read_session_log(path), tiny_log())
+    else:
+        with pytest.raises(LogParseError, match="^line [0-9]+: "):
+            read_session_log(path)
+    assert len(opens) == 1
+
 
 class TestParseErrors:
     def write(self, tmp_path, text):
@@ -552,6 +626,15 @@ class TestParseErrors:
                            match="line 4: header comments must precede the data"):
             read_session_log(path)
 
+    def test_late_copy_of_a_header_line_names_its_own_line(self, tmp_path):
+        path = self.write(
+            tmp_path,
+            "# sample_rate: 100\n# device: late\nstage,t,m_x,m_y,m_z\nstatic,0.0,0,0,0\n"
+            "# device: late\n")
+        with pytest.raises(LogParseError,
+                           match="^line 5: header comments must precede the data"):
+            read_session_log(path)
+
     def test_empty_log_rejected(self, tmp_path):
         path = self.write(tmp_path, "# sample_rate: 100\nstage,t,m_x,m_y,m_z\n")
         with pytest.raises(LogParseError):
@@ -562,6 +645,93 @@ class TestParseErrors:
         path = self.write(tmp_path, "# sample_rate: 100\nstage,t,m_x,m_y,m_z\n \n\t\n")
         with pytest.raises(LogParseError, match="log contains no sample rows"):
             read_session_log(path)
+
+
+def line_by_line_refusal(path):
+    """The reference for a refused row: the message for the first data row
+    that numpy's reader refuses on its own, or whose stage tag is unknown,
+    asking row by row."""
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        lines = enumerate(handle.readlines(), start=1)
+    for _, line in lines:
+        if line.strip() == "stage,t,m_x,m_y,m_z":
+            break
+    for line_number, line in lines:
+        if line.isspace():
+            continue
+        parts = line.split(",")
+        if len(parts) != 5:
+            problem = f"expected 5 comma-separated fields, got {len(parts)}"
+        elif parts[0].strip() not in ("static", "rotate:x", "rotate:y", "rotate:z"):
+            problem = f"unknown stage tag {parts[0].strip()!r}"
+        else:
+            try:
+                np.loadtxt([line], dtype=session_io._ROW, delimiter=",", comments=None)
+                continue
+            except ValueError:
+                problem = f"malformed numeric field in {line.strip()!r}"
+        if line.lstrip().startswith("#"):
+            problem = "header comments must precede the data"
+        return f"line {line_number}: {problem}"
+    return None
+
+
+def _with_field(row, column, value):
+    parts = row.split(",")
+    parts[column] = value
+    return ",".join(parts)
+
+
+#: Each fault a data row can have: the row it makes of a good row, and
+#: the start of the problem a refusal names.
+ROW_FAULTS = {
+    "field count": (lambda row: row.rsplit(",", 1)[0] + "\n",
+                    "expected 5 comma-separated fields, got 4"),
+    "unknown tag": (lambda row: _with_field(row, 0, " spin"), "unknown stage tag 'spin'"),
+    "bad number": (lambda row: _with_field(row, 3, "zero"), "malformed numeric field in "),
+    "late comment": (lambda row: "# device: late\n", "header comments must precede the data"),
+}
+
+#: 120 data rows, 30 per stage.
+FAULT_LOG = SessionLog.from_arrays(
+    np.full((30, 3), 0.25), [np.eye(3)[[axis] * 30] * 1200.0 for axis in range(3)], 100.0)
+
+
+class TestRowRefusal:
+    """A refused log names its first bad row, as asking row by row would."""
+
+    @given(kinds=st.lists(st.sampled_from(sorted(ROW_FAULTS)), min_size=2, max_size=2,
+                          unique=True),
+           rows=st.lists(st.integers(0, 119), min_size=2, max_size=2, unique=True),
+           blank=st.sampled_from(["", "  \n"]))
+    @settings(max_examples=150, deadline=None)
+    def test_earlier_of_two_faults_named(self, tmp_path_factory, kinds, rows, blank):
+        path = tmp_path_factory.getbasetemp() / "two_faults.csv"
+        write_session_log(path, FAULT_LOG)
+        lines, first = data_lines(path)
+        for kind, row in zip(kinds, rows):
+            lines[first + row] = ROW_FAULTS[kind][0](lines[first + row])
+        lines[first:] = [blank + line for line in lines[first:]]
+        path.write_text("".join(lines), encoding="utf-8")
+        row = min(rows)
+        line_number = first + (2 if blank else 1) * (row + 1)
+        problem = ROW_FAULTS[kinds[rows.index(row)]][1]
+        with pytest.raises(LogParseError) as info:
+            read_session_log(path)
+        assert str(info.value).startswith(f"line {line_number}: {problem}")
+        assert str(info.value) == line_by_line_refusal(path)
+
+    @pytest.mark.parametrize("row", [0, 1, 59, 118, 119])
+    @pytest.mark.parametrize("kind", sorted(ROW_FAULTS))
+    def test_one_fault_named_as_row_by_row(self, tmp_path, kind, row):
+        path = tmp_path / "one_fault.csv"
+        write_session_log(path, FAULT_LOG)
+        lines, first = data_lines(path)
+        lines[first + row] = ROW_FAULTS[kind][0](lines[first + row])
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(LogParseError, match=f"^line {first + row + 1}: ") as info:
+            read_session_log(path)
+        assert str(info.value) == line_by_line_refusal(path)
 
 
 #: Pieces of a mutated measurement field: digits, signs, the characters

@@ -330,6 +330,21 @@ class TestRunMonteCarlo:
         assert summary["n_failures"] == 6
         assert summary["parameter_errors"]["k_x"]["median"] is None
 
+    @pytest.mark.parametrize("overrides,message", [
+        (dict(noise_sigma=1e300), "standard deviation must be nonnegative, got inf"),
+        (dict(scale_range=(1e-310, 2e-310)), "rotation sum must be finite, got np.float64(inf)"),
+    ])
+    def test_summaries_that_overflow_stop_the_campaign(self, overrides, message):
+        # The block's stage summaries are from_samples', refusals included.
+        config = SimulationConfig(n_param_sets=1, n_sims_per_set=2, n_test_rates=5, **overrides)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(CalibrationError) as info:
+                run_monte_carlo(config)
+            with pytest.raises(CalibrationError) as single:
+                simulate_session(sample_ground_truth(config, np.random.default_rng(0)), config,
+                                 np.random.default_rng(1))
+        assert str(info.value) == str(single.value) == message
+
     def test_rms_reduction_skips_rows_read_exactly(self):
         report = CampaignReport(SimulationConfig(**QUICK), np.zeros((3, 2), dtype=int),
                                 np.ones((3, 6)), np.ones((3, 6)), np.array([0.0, 2.0, 4.0]),
