@@ -72,7 +72,7 @@ def _calibration_payload(args: argparse.Namespace) -> dict:
         "rotations": rotations,
         "saturated_samples": log.saturated_sample_count(),
         "device": log.device,
-        "sample_rate": float(log.sample_rate),
+        "sample_rate": log.sample_rate,
     }
     return payload
 

@@ -38,8 +38,8 @@ class SingularDesignError(CalibrationError):
 
 
 def _checked_eigendecomposition(rows) -> tuple[int, np.ndarray, np.ndarray]:
-    """Row count and eigendecomposition of the moment matrix XᵀX of a
-    finite ``(n, 3)`` design with n >= 3 that spans all three axes."""
+    """Row count and eigendecomposition of the finite moment matrix XᵀX of
+    a finite ``(n, 3)`` design with n >= 3 that spans all three axes."""
     x = np.asarray(rows, dtype=float)
     if x.ndim != 2 or x.shape[1] != 3:
         raise CalibrationError(f"design rows must form an (n, 3) array, got shape {x.shape}")
@@ -49,7 +49,11 @@ def _checked_eigendecomposition(rows) -> tuple[int, np.ndarray, np.ndarray]:
         )
     if not np.all(np.isfinite(x)):
         raise CalibrationError("design rows must be finite")
-    eigenvalues, eigenvectors = np.linalg.eigh(x.T @ x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        moment = x.T @ x
+    if not np.all(np.isfinite(moment)):
+        raise CalibrationError("design moment matrix overflows; the design rows are too large")
+    eigenvalues, eigenvectors = np.linalg.eigh(moment)
     if eigenvalues[0] <= _SINGULARITY_RTOL * max(eigenvalues[-1], 1.0):
         raise SingularDesignError(
             f"design moment matrix is singular (eigenvalues {eigenvalues}); "
@@ -64,9 +68,14 @@ def spv(rows, point) -> float:
     f = np.asarray(point, dtype=float)
     if f.shape != (3,):
         raise CalibrationError(f"evaluation point must be a 3-vector, got shape {f.shape}")
+    if not np.all(np.isfinite(f)):
+        raise CalibrationError(f"evaluation point must be finite, got {f.tolist()}")
     n, eigenvalues, eigenvectors = _checked_eigendecomposition(rows)
-    projected = eigenvectors.T @ f
-    return float(n * np.sum(projected ** 2 / eigenvalues))
+    with np.errstate(over="ignore"):
+        variance = float(n * np.sum((eigenvectors.T @ f) ** 2 / eigenvalues))
+    if variance == np.inf:
+        raise CalibrationError(f"prediction variance at {f.tolist()} overflows")
+    return variance
 
 
 def max_spv_sphere(rows) -> float:

@@ -13,7 +13,7 @@ Rotation stages are summarized by time-scaled sums of the measured rates
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -90,22 +90,11 @@ class CalibrationParams(Frozen):
         b_z: float,
         condition_number: float | None = None,
     ) -> None:
-        # Six calls rather than a loop: a fit builds one of these per
-        # session. ``_require_finite`` runs only to name the bad value.
-        isfinite = math.isfinite
-        if not (isfinite(k_x) and isfinite(k_y) and isfinite(k_z)
-                and isfinite(b_x) and isfinite(b_y) and isfinite(b_z)):
-            _require_finite("calibration parameter", k_x, k_y, k_z, b_x, b_y, b_z)
+        _require_finite("calibration parameter", k_x, k_y, k_z, b_x, b_y, b_z)
         if min(k_x, k_y, k_z) <= 0.0:
             raise CalibrationError(f"scale factors must be positive: ({k_x}, {k_y}, {k_z})")
-        set_slot = object.__setattr__
-        set_slot(self, "k_x", k_x)
-        set_slot(self, "k_y", k_y)
-        set_slot(self, "k_z", k_z)
-        set_slot(self, "b_x", b_x)
-        set_slot(self, "b_y", b_y)
-        set_slot(self, "b_z", b_z)
-        set_slot(self, "condition_number", condition_number)
+        for name, value in zip(self.__slots__, (k_x, k_y, k_z, b_x, b_y, b_z, condition_number)):
+            object.__setattr__(self, name, value)
 
     def _params(self) -> tuple[float, ...]:
         return (self.k_x, self.k_y, self.k_z, self.b_x, self.b_y, self.b_z)
@@ -183,10 +172,8 @@ def _require_positive(name: str, value: float) -> None:
         raise CalibrationError(f"{name} must be positive, got {value}")
 
 
-# The two stage summaries, built only by their ``from_samples``: for
-# ``SessionLog.session()``, one stage of a log at a time, and for the
-# campaign block, every row's stage at once. They are not exported: a
-# caller builds an ``ObservationArrays`` directly. They stay classes
+# The two halves of ``ObservationArrays.from_samples``, built only by
+# their ``from_samples`` and named nowhere else. They stay classes
 # because the benchmark's tracer (``bench/spans.py``) wraps both
 # ``from_samples``.
 class StaticObservation(NamedTuple):
@@ -229,7 +216,7 @@ class RotationObservation(NamedTuple):
 
     @classmethod
     def from_samples(
-        cls, samples, sample_rate: float, theta_total: float = 360.0
+        cls, samples, sample_rate: float, theta_total: float
     ) -> "RotationObservation":
         """Summarize ``(N, ..., 3)`` measured rates over a rotation, samples first."""
         arr = _stage_samples(samples, sample_rate)
@@ -260,11 +247,11 @@ class ObservationArrays(NamedTuple):
     - ``durations``, ``theta_sq``: ``(..., n)`` seconds and deg^2; the
       replicate axis may be left out when every replicate shares them
 
-    This is the session type, and a caller builds it directly from these
-    arrays. Log reading and the simulator produce it, and the solvers,
-    residuals and gradients take it, each one session as
-    :func:`check_single_session` requires. Every view carries its still
-    stage: a session is the still stage plus the turns.
+    This is the session type. A caller builds it from these arrays, or
+    from raw samples with :meth:`from_samples`, as log reading and the
+    simulator do. The solvers, residuals and gradients take it, each one
+    session as :func:`check_single_session` requires. Every view carries
+    its still stage: a session is the still stage plus the turns.
     """
 
     static_means: np.ndarray
@@ -273,6 +260,28 @@ class ObservationArrays(NamedTuple):
     sums: np.ndarray
     durations: np.ndarray
     theta_sq: np.ndarray
+
+    @classmethod
+    def from_samples(cls, static, turns: Iterable, sample_rate: float,
+                     rotation_angle: float) -> "ObservationArrays":
+        """The view of a still stage's measured rates, ``(N, ..., 3)`` with
+        samples first, and of each turn's, ``(n_i, ..., 3)``, a rotation of
+        ``rotation_angle`` degrees, all at ``sample_rate`` Hz. The still
+        stage is summarised first, then each turn in order. ``(N, R, 3)``
+        stages give the view of R sessions, each row bit for bit its own."""
+        still = StaticObservation.from_samples(static, sample_rate)
+        summaries = [RotationObservation.from_samples(turn, sample_rate, rotation_angle)
+                     for turn in turns]
+        if not summaries:
+            raise CalibrationError("a session needs at least one rotation stage, got none")
+        shapes = sorted({turn.sums.shape for turn in summaries})
+        if shapes != [still.means.shape]:
+            raise CalibrationError(f"the still stage summarises to shape {still.means.shape} "
+                                   f"but the turns to {', '.join(map(str, shapes))}")
+        return cls(still.means, still.stds, still.duration,
+                   np.stack([turn.sums for turn in summaries], axis=-2),
+                   np.array([turn.duration for turn in summaries]),
+                   np.array([turn.theta_total ** 2 for turn in summaries]))
 
     def corrected_sums(self, biases) -> np.ndarray:
         """Bias-corrected integrated angles ``sums + durations * biases``,

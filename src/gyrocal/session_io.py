@@ -14,19 +14,12 @@ it reads back as written.
 
 from __future__ import annotations
 
+import numbers
 from typing import Iterable, NoReturn, Sequence
 
 import numpy as np
 
-from .model import (
-    AXES,
-    CalibrationError,
-    Frozen,
-    ObservationArrays,
-    ProtocolViolation,
-    RotationObservation,
-    StaticObservation,
-)
+from .model import AXES, CalibrationError, Frozen, ObservationArrays, ProtocolViolation
 
 __all__ = [
     "LogParseError",
@@ -57,9 +50,14 @@ class LogParseError(CalibrationError):
     """The log file does not follow the session-log format."""
 
 
-def _check_header_value(key: str, value: float | None) -> None:
-    if value is not None and not 0.0 < value < np.inf:
+def _header_number(key: str, value) -> float | None:
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise LogParseError(f"{key} must be a number, got {value!r}")
+    if not 0.0 < value <= np.finfo(float).max:
         raise LogParseError(f"{key} must be positive and finite, got {value}")
+    return float(value)
 
 
 # LogSegment and SessionLog compare by identity: ``==`` on their arrays
@@ -113,12 +111,12 @@ class SessionLog(Frozen):
     ) -> None:
         # An owned tuple: a caller's list mutated later cannot undo the checks.
         segments = tuple(segments)
-        _check_header_value("sample_rate", sample_rate)
-        _check_header_value("rotation_angle", rotation_angle)
-        _check_header_value("full_scale", full_scale)
-        angle = float(rotation_angle)  # the fit takes its square
-        if angle * angle == np.inf:
-            raise LogParseError(f"rotation_angle {angle!r} has a square that is not finite")
+        sample_rate = _header_number("sample_rate", sample_rate)
+        rotation_angle = _header_number("rotation_angle", rotation_angle)
+        full_scale = _header_number("full_scale", full_scale)
+        if rotation_angle * rotation_angle == np.inf:  # the fit takes its square
+            raise LogParseError(
+                f"rotation_angle {rotation_angle!r} has a square that is not finite")
         # The header line must read back as the same string.
         if device is not None and (
             not isinstance(device, str)
@@ -176,7 +174,7 @@ class SessionLog(Frozen):
             raise CalibrationError(
                 f"got {len(rotations)} rotation blocks for {len(AXES)} axis tags"
             )
-        _check_header_value("sample_rate", sample_rate)  # before it divides the timestamps
+        sample_rate = _header_number("sample_rate", sample_rate)  # it divides the timestamps
         segments = []
         offset = 0
         blocks = [("static", np.asarray(static, dtype=float))]
@@ -220,19 +218,9 @@ class SessionLog(Frozen):
 
     def session(self) -> ObservationArrays:
         """Build the in-memory observation view the estimator consumes."""
-        static = StaticObservation.from_samples(self.static_segment.samples, self.sample_rate)
-        turns = [
-            RotationObservation.from_samples(
-                seg.samples, self.sample_rate, theta_total=self.rotation_angle
-            )
-            for seg in self.rotation_segments
-        ]
-        return ObservationArrays(
-            static.means, static.stds, static.duration,
-            np.array([turn.sums for turn in turns]),
-            np.array([turn.duration for turn in turns]),
-            np.array([turn.theta_total ** 2 for turn in turns]),
-        )
+        return ObservationArrays.from_samples(
+            self.static_segment.samples, [seg.samples for seg in self.rotation_segments],
+            self.sample_rate, self.rotation_angle)
 
 
 def _check_spacing(seg: LogSegment, sample_rate: float) -> None:
@@ -354,12 +342,10 @@ def read_session_log(path) -> SessionLog:
         for first, end in zip(bounds, bounds[1:])
     )
     return SessionLog(
-        sample_rate=float(header["sample_rate"]),  # type: ignore[arg-type]
+        sample_rate=header["sample_rate"],  # type: ignore[arg-type]
         segments=segments,
-        rotation_angle=float(header.get("rotation_angle", 360.0)),  # type: ignore[arg-type]
-        full_scale=(
-            float(header["full_scale"]) if "full_scale" in header else None  # type: ignore[arg-type]
-        ),
+        rotation_angle=header.get("rotation_angle", 360.0),  # type: ignore[arg-type]
+        full_scale=header.get("full_scale"),  # type: ignore[arg-type]
         device=header.get("device"),  # type: ignore[arg-type]
     )
 
@@ -410,10 +396,10 @@ def _reject_rows(lines: list[str], rows: list[str], start: int) -> NoReturn:
 
 def write_session_log(path, log: SessionLog) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(f"# sample_rate: {float(log.sample_rate)!r}\n")
-        handle.write(f"# rotation_angle: {float(log.rotation_angle)!r}\n")
+        handle.write(f"# sample_rate: {log.sample_rate!r}\n")
+        handle.write(f"# rotation_angle: {log.rotation_angle!r}\n")
         if log.full_scale is not None:
-            handle.write(f"# full_scale: {float(log.full_scale)!r}\n")
+            handle.write(f"# full_scale: {log.full_scale!r}\n")
         if log.device is not None:
             handle.write(f"# device: {log.device}\n")
         handle.write(_COLUMNS + "\n")

@@ -30,7 +30,6 @@ import numpy as np
 
 from .estimator import Fit, fit_batch
 from .model import PARAM_NAMES, CalibrationError, CalibrationParams, ObservationArrays
-from .model import RotationObservation, StaticObservation
 
 __all__ = [
     "SimulationConfig",
@@ -314,12 +313,12 @@ class _SessionBlock:
             self.test_rates = np.empty((size, n_test, 3))
             self.test_measurements = np.empty((size, n_test, 3))
             self.profiles = np.empty((size, 3, n_rot))
+            self._still = np.empty(size * 3 * n_static)  # sample-major, (n_static, R, 3)
             # Shared, one user at a time, by the turn passes, (R, 3, n_rot),
-            # the test set, (R, 3, n_test) and (R, n_test, 3), and the
-            # sample-major stage copies, (n_static, R, 3) and (n_rot, R, 3, 3).
-            # Temporaries in its place cost about 3% of the campaign's
-            # floor_ratio and 0.3 MB of peak RSS; a buffer per user, 1 MB.
-            self._scratch = np.empty(size * max(3 * n_static, 9 * n_rot, 3 * n_test))
+            # the test set, (R, 3, n_test) and (R, n_test, 3), and the turns'
+            # sample-major copy, (3, n_rot, R, 3). Temporaries in its place cost
+            # about 3% of the campaign's floor_ratio and 0.3 MB of peak RSS.
+            self._scratch = np.empty(size * max(9 * n_rot, 3 * n_test))
         except (ValueError, MemoryError) as exc:  # too large a dimension, or too many bytes
             raise CalibrationError(
                 f"cannot hold {size} session(s) of {n_static} still, {n_rot} turn and "
@@ -406,24 +405,21 @@ class _SessionBlock:
         add(measurements, coupled.transpose(0, 2, 1))
 
     def observations(self) -> ObservationArrays:
-        """The stage summaries of the simulated sessions: the two
-        ``from_samples`` of every row at once, on sample-major copies
-        ``(n, R, 3)`` and ``(n, R, 3, 3)``. Every sum then runs over the
-        samples in order, as on one stage, with all rows on a long inner
-        loop (on the ``(..., n, 3)`` layout numpy's inner loop is the 3
-        axes), so each row is its stage's own summary, bit for bit."""
+        """``ObservationArrays.from_samples`` of every row at once, on
+        sample-major copies: the still stage and each turn a contiguous
+        ``(n, R, 3)``. Every sum then runs over the samples in order, as on
+        one stage, with all rows on a long inner loop (on the ``(..., n, 3)``
+        layout numpy's inner loop is the 3 axes), so each row is its
+        session's own view, bit for bit."""
         config, size = self.config, self.size
-        rate = config.sample_rate
-        still = self._scratch_view(config.static_samples, size, 3)
+        still = self._still[:config.static_samples * size * 3].reshape(-1, size, 3)
         np.copyto(still, self.static_raw[:size].transpose(1, 0, 2))
-        static = StaticObservation.from_samples(still, rate)
         # Whole (3,) samples copy as 24-byte records, 2.5x faster than floats.
-        turns = self._scratch_view(config.rotation_samples, size, 3, 3)
+        turns = self._scratch_view(3, config.rotation_samples, size, 3)
         np.copyto(turns.view("V24")[..., 0],
-                  self.rotation_raw[:size].view("V24")[..., 0].transpose(2, 0, 1))
-        turn = RotationObservation.from_samples(turns, rate, config.rotation_angle)
-        return ObservationArrays(static.means, static.stds, static.duration, turn.sums,
-                                 np.full(3, turn.duration), np.full(3, turn.theta_total ** 2))
+                  self.rotation_raw[:size].view("V24")[..., 0].transpose(1, 2, 0))
+        return ObservationArrays.from_samples(still, turns, config.sample_rate,
+                                              config.rotation_angle)
 
     def test_set_rms(self, fit: Fit) -> tuple[np.ndarray, np.ndarray]:
         """Test-set RMS error per row before and after correction by ``fit``."""
@@ -464,7 +460,7 @@ def simulate_session(
     campaign replicate with that generator sees. Uniform values are drawn
     as ``Generator.random`` and mapped to their ranges afterwards, which
     gives ``Generator.uniform``'s numbers. Its ``session`` is row 0
-    of a one-row campaign block's stage summaries, so ``calibrate`` of it
+    of a one-row campaign block's view, so ``calibrate`` of it
     is that replicate's campaign fit.
     """
     block = _SessionBlock(config, 1)
@@ -652,7 +648,7 @@ def run_monte_carlo(config: SimulationConfig) -> CampaignReport:
     protocol guard) is recorded as a failure and skipped; the campaign
     carries on. A stage summary that is not finite, which only a config
     at the edge of the float range gives, stops the campaign with the
-    ``from_samples`` refusal. All keys are hashed up front, and one
+    ``ObservationArrays.from_samples`` refusal. All keys are hashed up front, and one
     generator, reseeded per truth set and per replicate, makes every draw.
     """
     per_set = config.n_sims_per_set

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,6 +49,17 @@ class TestDesign:
             with pytest.raises(CalibrationError, match="finite"):
                 check(rows)
 
+    @pytest.mark.parametrize("rows", [1e200 * np.eye(3), [[1e155, 1e155, 0.0], [0.0, 1.0, 0.0],
+                                                          [0.0, 0.0, 1.0]]])
+    def test_moment_matrix_that_overflows_refused(self, rows):
+        # Finite rows whose XᵀX is not: refused, not a NaN that is_g_optimal calls False.
+        for check in ON_ROWS:
+            with pytest.raises(CalibrationError) as info:
+                check(rows)
+            assert type(info.value) is CalibrationError
+            assert str(info.value) == (
+                "design moment matrix overflows; the design rows are too large")
+
     def test_plain_lists_accepted(self):
         assert max_spv_sphere([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == pytest.approx(3.0)
 
@@ -54,6 +67,17 @@ class TestDesign:
 class TestSpv:
     def test_axis_point_value(self):
         assert spv(CANONICAL, [1.0, 0.0, 0.0]) == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_point_must_be_finite(self, bad):
+        message = f"evaluation point must be finite, got [0.0, {bad}, 0.0]"
+        with pytest.raises(CalibrationError, match=re.escape(message)):
+            spv(CANONICAL, [0.0, bad, 0.0])
+
+    def test_variance_that_overflows_refused(self):
+        message = "prediction variance at [1e+200, 0.0, 0.0] overflows"
+        with pytest.raises(CalibrationError, match=re.escape(message)):
+            spv(CANONICAL, [1e200, 0.0, 0.0])
 
     def test_origin_is_zero(self):
         assert spv(CANONICAL, [0.0, 0.0, 0.0]) == 0.0

@@ -13,8 +13,6 @@ from gyrocal.model import (
     CalibrationParams,
     ObservationArrays,
     ProtocolViolation,
-    RotationObservation,
-    StaticObservation,
     apply_calibration,
     inverse_calibration,
     rotation_residuals,
@@ -129,107 +127,119 @@ class TestApplyCalibration:
         np.testing.assert_allclose(apply_calibration(p, raw), rate, atol=1e-9)
 
 
-@pytest.mark.parametrize("observation", [StaticObservation, RotationObservation])
+@pytest.mark.parametrize("shape", [(10, 3), (10, 4, 3)], ids=["session", "stack"])
 @pytest.mark.parametrize("rate", [float("nan"), float("inf"), float("-inf"), 0.0])
-def test_from_samples_rejects_bad_sample_rate(observation, rate):
+def test_from_samples_rejects_bad_sample_rate(shape, rate):
     # a NaN or infinite rate would pass a plain "<= 0" test and fail later
     # with a misleading message about the stage duration
     with pytest.raises(CalibrationError, match="sample rate"):
-        observation.from_samples(np.ones((10, 3)), sample_rate=rate)
+        ObservationArrays.from_samples(np.ones(shape), [np.ones(shape)] * 3, rate, 360.0)
+
+
+def with_one_stage(stage, samples, rate, angle=360.0, other=np.zeros((2, 3))):
+    """``ObservationArrays.from_samples`` with ``samples`` as the still
+    stage (``stage == "static"``) or as the one turn, and ``other`` as the
+    other stage."""
+    still, turn = (samples, other) if stage == "static" else (other, samples)
+    return ObservationArrays.from_samples(still, [turn], rate, angle)
 
 
 _RATE = "sample rate must be finite and positive, got "
 _OVER = {"over": "ignore"}
+#: The still stage is checked first, and at rates below 2 / DBL_MAX
+#: (about 1.1e-308) its duration overflows, so the turn cases that need a
+#: tiny rate run just above that.
+_TINY = 1.2e-308
 
-#: Every refusal of the two ``from_samples``, each in the order they check:
-#: (summary, samples, sample rate, extra arguments, type, exact message,
-#: the numpy floating-point warnings the samples raise first).
+#: Every refusal of the two stage summaries, each in the order they check:
+#: (stage, samples, sample rate, rotation angle, type, exact message, the
+#: numpy floating-point warnings the samples raise first).
 FROM_SAMPLES_REFUSALS = {
-    "static 1-d": (StaticObservation, np.ones(3), 100.0, {},
+    "static 1-d": ("static", np.ones(3), 100.0, 360.0,
                    CalibrationError, "expected an (N, 3) sample array, got shape (3,)", {}),
-    "static 2 columns": (StaticObservation, np.ones((4, 2)), 100.0, {},
+    "static 2 columns": ("static", np.ones((4, 2)), 100.0, 360.0,
                          CalibrationError, "expected an (N, 3) sample array, got shape (4, 2)",
                          {}),
-    "static 3-d": (StaticObservation, np.ones((2, 3, 1)), 100.0, {},
+    "static 3-d": ("static", np.ones((2, 3, 1)), 100.0, 360.0,
                    CalibrationError, "expected an (N, 3) sample array, got shape (2, 3, 1)", {}),
-    "static shape before rate": (StaticObservation, np.ones(3), float("nan"), {},
+    "static shape before rate": ("static", np.ones(3), float("nan"), 360.0,
                                  CalibrationError,
                                  "expected an (N, 3) sample array, got shape (3,)", {}),
-    "static rate nan": (StaticObservation, np.ones((4, 3)), float("nan"), {},
+    "static rate nan": ("static", np.ones((4, 3)), float("nan"), 360.0,
                         CalibrationError, _RATE + "nan", {}),
-    "static rate inf": (StaticObservation, np.ones((4, 3)), float("inf"), {},
+    "static rate inf": ("static", np.ones((4, 3)), float("inf"), 360.0,
                         CalibrationError, _RATE + "inf", {}),
-    "static rate zero": (StaticObservation, np.ones((4, 3)), 0.0, {},
+    "static rate zero": ("static", np.ones((4, 3)), 0.0, 360.0,
                          CalibrationError, _RATE + "0.0", {}),
-    "static rate negative": (StaticObservation, np.ones((4, 3)), -1.0, {},
+    "static rate negative": ("static", np.ones((4, 3)), -1.0, 360.0,
                              CalibrationError, _RATE + "-1.0", {}),
-    "static rate before count": (StaticObservation, np.ones((1, 3)), 0.0, {},
+    "static rate before count": ("static", np.ones((1, 3)), 0.0, 360.0,
                                  CalibrationError, _RATE + "0.0", {}),
-    "static one sample": (StaticObservation, np.ones((1, 3)), 100.0, {},
+    "static one sample": ("static", np.ones((1, 3)), 100.0, 360.0,
                           ProtocolViolation, "static stage needs at least 2 samples, got 1", {}),
-    "static no sample": (StaticObservation, np.ones((0, 3)), 100.0, {},
+    "static no sample": ("static", np.ones((0, 3)), 100.0, 360.0,
                          ProtocolViolation, "static stage needs at least 2 samples, got 0", {}),
-    "static mean inf": (StaticObservation, [[0.0, np.inf, 0.0], [0.0, 1.0, 0.0]], 100.0, {},
+    "static mean inf": ("static", [[0.0, np.inf, 0.0], [0.0, 1.0, 0.0]], 100.0, 360.0,
                         CalibrationError, "static mean must be finite, got np.float64(inf)",
                         {"invalid": "ignore"}),
-    "static mean nan": (StaticObservation, [[0.0, 0.0, np.nan], [0.0, 0.0, 1.0]], 100.0, {},
+    "static mean nan": ("static", [[0.0, 0.0, np.nan], [0.0, 0.0, 1.0]], 100.0, 360.0,
                         CalibrationError, "static mean must be finite, got np.float64(nan)", {}),
-    "static mean overflows": (StaticObservation, [[1e308, 0.0, 0.0]] * 2, 100.0, {},
+    "static mean overflows": ("static", [[1e308, 0.0, 0.0]] * 2, 100.0, 360.0,
                               CalibrationError,
                               "static mean must be finite, got np.float64(inf)", _OVER),
-    "static duration overflows": (StaticObservation, np.ones((2, 3)), 5e-324, {},
+    "static duration overflows": ("static", np.ones((2, 3)), 5e-324, 360.0,
                                   CalibrationError, "static duration must be positive, got inf",
                                   {}),
-    "static std overflows": (StaticObservation, [[0.0, 1e308, 0.0], [0.0, -1e308, 0.0]], 100.0,
-                             {}, CalibrationError,
+    "static std overflows": ("static", [[0.0, 1e308, 0.0], [0.0, -1e308, 0.0]], 100.0, 360.0,
+                             CalibrationError,
                              "standard deviation must be nonnegative, got inf", _OVER),
-    "rotation 1-d": (RotationObservation, np.ones(3), 100.0, {},
+    "rotation 1-d": ("rotation", np.ones(3), 100.0, 360.0,
                      CalibrationError, "expected an (N, 3) sample array, got shape (3,)", {}),
-    "rotation 4 columns": (RotationObservation, np.ones((5, 4)), 100.0, {},
+    "rotation 4 columns": ("rotation", np.ones((5, 4)), 100.0, 360.0,
                            CalibrationError, "expected an (N, 3) sample array, got shape (5, 4)",
                            {}),
-    "rotation rate nan": (RotationObservation, np.ones((4, 3)), float("nan"), {},
+    "rotation rate nan": ("rotation", np.ones((4, 3)), float("nan"), 360.0,
                           CalibrationError, _RATE + "nan", {}),
-    "rotation rate -inf": (RotationObservation, np.ones((4, 3)), float("-inf"), {},
+    "rotation rate -inf": ("rotation", np.ones((4, 3)), float("-inf"), 360.0,
                            CalibrationError, _RATE + "-inf", {}),
-    "rotation rate before sums": (RotationObservation, [[np.inf, 0.0, 0.0]] * 2, 0.0, {},
+    "rotation rate before sums": ("rotation", [[np.inf, 0.0, 0.0]] * 2, 0.0, 360.0,
                                   CalibrationError, _RATE + "0.0", {}),
-    "rotation sum inf": (RotationObservation, [[np.inf, 0.0, 0.0], [1.0, 0.0, 0.0]], 100.0, {},
+    "rotation sum inf": ("rotation", [[np.inf, 0.0, 0.0], [1.0, 0.0, 0.0]], 100.0, 360.0,
                          CalibrationError, "rotation sum must be finite, got np.float64(inf)", {}),
-    "rotation sum nan": (RotationObservation, [[0.0, np.nan, 0.0], [0.0, 1.0, 0.0]], 100.0, {},
+    "rotation sum nan": ("rotation", [[0.0, np.nan, 0.0], [0.0, 1.0, 0.0]], 100.0, 360.0,
                          CalibrationError, "rotation sum must be finite, got np.float64(nan)", {}),
-    "rotation sum overflows": (RotationObservation, [[0.0, 0.0, 1e308]] * 2, 100.0, {},
+    "rotation sum overflows": ("rotation", [[0.0, 0.0, 1e308]] * 2, 100.0, 360.0,
                                CalibrationError,
                                "rotation sum must be finite, got np.float64(inf)", _OVER),
-    "rotation sum over rate overflows": (RotationObservation, [[1.0, 0.0, 0.0]] * 2, 1e-308, {},
+    "rotation sum over rate overflows": ("rotation", [[2.0, 0.0, 0.0]] * 2, _TINY, 360.0,
                                          CalibrationError,
                                          "rotation sum must be finite, got np.float64(inf)",
                                          _OVER),
-    "rotation sums before angle": (RotationObservation, [[np.nan, 0.0, 0.0]] * 2, 100.0,
-                                   {"theta_total": 0.0}, CalibrationError,
+    "rotation sums before angle": ("rotation", [[np.nan, 0.0, 0.0]] * 2, 100.0, 0.0,
+                                   CalibrationError,
                                    "rotation sum must be finite, got np.float64(nan)", {}),
-    "rotation angle zero": (RotationObservation, np.ones((4, 3)), 100.0, {"theta_total": 0.0},
+    "rotation angle zero": ("rotation", np.ones((4, 3)), 100.0, 0.0,
                             CalibrationError,
                             "reference rotation magnitude must be positive, got 0.0", {}),
-    "rotation angle negative": (RotationObservation, np.ones((4, 3)), 100.0,
-                                {"theta_total": -360.0}, CalibrationError,
+    "rotation angle negative": ("rotation", np.ones((4, 3)), 100.0, -360.0,
+                                CalibrationError,
                                 "reference rotation magnitude must be positive, got -360.0", {}),
-    "rotation angle nan": (RotationObservation, np.ones((4, 3)), 100.0,
-                           {"theta_total": float("nan")}, CalibrationError,
+    "rotation angle nan": ("rotation", np.ones((4, 3)), 100.0, float("nan"),
+                           CalibrationError,
                            "reference rotation magnitude must be positive, got nan", {}),
-    "rotation angle inf": (RotationObservation, np.ones((4, 3)), 100.0,
-                           {"theta_total": float("inf")}, CalibrationError,
+    "rotation angle inf": ("rotation", np.ones((4, 3)), 100.0, float("inf"),
+                           CalibrationError,
                            "reference rotation magnitude must be positive, got inf", {}),
-    "rotation angle before count": (RotationObservation, np.ones((1, 3)), 100.0,
-                                    {"theta_total": 0.0}, CalibrationError,
+    "rotation angle before count": ("rotation", np.ones((1, 3)), 100.0, 0.0,
+                                    CalibrationError,
                                     "reference rotation magnitude must be positive, got 0.0", {}),
-    "rotation one sample": (RotationObservation, np.ones((1, 3)), 100.0, {},
+    "rotation one sample": ("rotation", np.ones((1, 3)), 100.0, 360.0,
                             ProtocolViolation, "rotation stage needs at least 2 samples, got 1",
                             {}),
-    "rotation no sample": (RotationObservation, np.ones((0, 3)), 100.0, {},
+    "rotation no sample": ("rotation", np.ones((0, 3)), 100.0, 360.0,
                            ProtocolViolation, "rotation stage needs at least 2 samples, got 0",
                            {}),
-    "rotation duration overflows": (RotationObservation, np.zeros((2, 3)), 5e-324, {},
+    "rotation duration overflows": ("rotation", np.zeros((3, 3)), _TINY, 360.0,
                                     CalibrationError,
                                     "rotation duration must be positive, got inf", {}),
 }
@@ -237,55 +247,96 @@ FROM_SAMPLES_REFUSALS = {
 
 @pytest.mark.parametrize("case", sorted(FROM_SAMPLES_REFUSALS))
 def test_from_samples_refusals_are_pinned(case):
-    summary, samples, rate, extra, error, message, ignored = FROM_SAMPLES_REFUSALS[case]
+    stage, samples, rate, angle, error, message, ignored = FROM_SAMPLES_REFUSALS[case]
     with np.errstate(**ignored), pytest.raises(CalibrationError) as info:
-        summary.from_samples(samples, rate, **extra)
+        with_one_stage(stage, samples, rate, angle)
     assert type(info.value) is error
     assert str(info.value) == message
 
 
+class TestSessionRefusals:
+    """What ``ObservationArrays.from_samples`` checks of a session as a
+    whole, and the order in which it names a bad stage."""
+
+    def test_no_turns(self):
+        with pytest.raises(CalibrationError) as info:
+            ObservationArrays.from_samples(np.zeros((2, 3)), [], 100.0, 360.0)
+        assert type(info.value) is CalibrationError
+        assert str(info.value) == "a session needs at least one rotation stage, got none"
+
+    def test_still_stage_named_before_the_turns(self):
+        with pytest.raises(ProtocolViolation, match="static stage needs at least 2 samples"):
+            ObservationArrays.from_samples(np.ones((1, 3)), [np.ones((1, 3))], 100.0, 0.0)
+
+    def test_first_bad_turn_named(self):
+        turns = [np.ones((2, 3)), [[np.nan, 0.0, 0.0]] * 2, np.ones((1, 3))]
+        with pytest.raises(CalibrationError) as info:
+            ObservationArrays.from_samples(np.zeros((2, 3)), turns, 100.0, 360.0)
+        assert str(info.value) == "rotation sum must be finite, got np.float64(nan)"
+
+    def test_stages_of_different_stacks(self):
+        turns = [np.ones((2, 4, 3)), np.ones((2, 3))]
+        message = "the still stage summarises to shape (4, 3) but the turns to (3,), (4, 3)"
+        with pytest.raises(CalibrationError) as info:
+            ObservationArrays.from_samples(np.zeros((2, 4, 3)), turns, 100.0, 360.0)
+        assert type(info.value) is CalibrationError
+        assert str(info.value) == message
+
+    def test_turns_from_a_generator(self):
+        turns = [np.ones((2, 3)), np.full((3, 3), 2.0)]
+        view = ObservationArrays.from_samples(np.zeros((2, 3)), iter(turns), 100.0, 360.0)
+        assert view.sums.tolist() == [[0.02] * 3, [0.06] * 3]
+        assert view.durations.tolist() == [0.02, 0.03]
+
+
 class TestStackedStages:
-    """``from_samples`` on a sample-major ``(N, R, 3)`` stack summarises R
-    stages at once, as R calls on ``(N, 3)`` stages would."""
+    """``ObservationArrays.from_samples`` on sample-major ``(N, R, 3)``
+    stages gives the view of R sessions at once, as R calls on ``(N, 3)``
+    stages would."""
 
     @pytest.mark.parametrize("n,rows", [(2, 1), (3, 5), (300, 16), (501, 3)])
     def test_rows_equal_single_stages_bitwise(self, n, rows):
         rng = np.random.default_rng(n * rows)
         stack = rng.normal(size=(n, rows, 3)) * 0.15 + rng.uniform(-5.0, 5.0, size=(rows, 3))
-        static = StaticObservation.from_samples(stack, 100.0)
-        turn = RotationObservation.from_samples(stack * 7e3, 100.0, theta_total=720.0)
-        assert static.means.shape == static.stds.shape == turn.sums.shape == (rows, 3)
-        assert (static.duration, turn.duration, turn.theta_total) == (n / 100.0, n / 100.0,
-                                                                      720.0)
+        turns = [stack * 7e3, stack[: n // 2 + 1] * -3e3]
+        view = ObservationArrays.from_samples(stack, turns, 100.0, 720.0)
+        assert view.static_means.shape == view.static_stds.shape == (rows, 3)
+        assert view.sums.shape == (rows, 2, 3)
+        assert view.static_duration == n / 100.0
+        assert view.durations.tolist() == [n / 100.0, (n // 2 + 1) / 100.0]
+        assert view.theta_sq.tolist() == [720.0 ** 2] * 2
         for r in range(rows):
-            one = StaticObservation.from_samples(stack[:, r], 100.0)
-            assert static.means[r].tobytes() == one.means.tobytes()
-            assert static.stds[r].tobytes() == one.stds.tobytes()
-            one_turn = RotationObservation.from_samples(stack[:, r] * 7e3, 100.0, 720.0)
-            assert turn.sums[r].tobytes() == one_turn.sums.tobytes()
+            one = ObservationArrays.from_samples(stack[:, r], [turn[:, r] for turn in turns],
+                                                 100.0, 720.0)
+            assert view.static_means[r].tobytes() == one.static_means.tobytes()
+            assert view.static_stds[r].tobytes() == one.static_stds.tobytes()
+            assert view.sums[r].tobytes() == one.sums.tobytes()
 
     def test_deeper_stack(self):
-        stack = np.random.default_rng(5).normal(size=(50, 4, 3, 3))
-        turn = RotationObservation.from_samples(stack, 100.0)
-        assert turn.sums.shape == (4, 3, 3)
-        for r in range(4):
-            for axis in range(3):
-                one = RotationObservation.from_samples(stack[:, r, axis], 100.0)
-                assert turn.sums[r, axis].tobytes() == one.sums.tobytes()
+        rng = np.random.default_rng(5)
+        still, turns = rng.normal(size=(40, 2, 4, 3)), rng.normal(size=(3, 50, 2, 4, 3))
+        view = ObservationArrays.from_samples(still, turns, 100.0, 360.0)
+        assert view.sums.shape == (2, 4, 3, 3)
+        for i in range(2):
+            for j in range(4):
+                one = ObservationArrays.from_samples(still[:, i, j], turns[:, :, i, j],
+                                                     100.0, 360.0)
+                assert view.static_stds[i, j].tobytes() == one.static_stds.tobytes()
+                assert view.sums[i, j].tobytes() == one.sums.tobytes()
 
-    @pytest.mark.parametrize("summary,bad,name", [
-        (StaticObservation, np.inf, "static mean must be finite, got np.float64(inf)"),
-        (StaticObservation, np.nan, "static mean must be finite, got np.float64(nan)"),
-        (RotationObservation, -np.inf, "rotation sum must be finite, got np.float64(-inf)"),
-        (RotationObservation, np.nan, "rotation sum must be finite, got np.float64(nan)"),
+    @pytest.mark.parametrize("stage,bad,name", [
+        ("static", np.inf, "static mean must be finite, got np.float64(inf)"),
+        ("static", np.nan, "static mean must be finite, got np.float64(nan)"),
+        ("rotation", -np.inf, "rotation sum must be finite, got np.float64(-inf)"),
+        ("rotation", np.nan, "rotation sum must be finite, got np.float64(nan)"),
     ])
-    def test_one_nonfinite_row_named(self, summary, bad, name):
+    def test_one_nonfinite_row_named(self, stage, bad, name):
         # Rows 2 and 3 are bad; the message names row 2's value, the first in C order.
         stack = np.ones((4, 5, 3))
         stack[1, 2, 1] = bad
         stack[0, 3, 0] = np.nan
         with np.errstate(invalid="ignore"), pytest.raises(CalibrationError) as info:
-            summary.from_samples(stack, 100.0)
+            with_one_stage(stage, stack, 100.0, other=np.zeros((4, 5, 3)))
         assert type(info.value) is CalibrationError
         assert str(info.value) == name
 
@@ -293,39 +344,39 @@ class TestStackedStages:
         stack = np.zeros((2, 4, 3))
         stack[:, 1, 2] = (1e308, -1e308)
         with np.errstate(over="ignore"), pytest.raises(CalibrationError) as info:
-            StaticObservation.from_samples(stack, 100.0)
+            with_one_stage("static", stack, 100.0, other=np.zeros((2, 4, 3)))
         assert type(info.value) is CalibrationError
         assert str(info.value) == "standard deviation must be nonnegative, got inf"
 
     def test_samples_come_first(self):
         # A stage count is read from the leading axis: (1, R, 3) is one sample.
         with pytest.raises(ProtocolViolation, match="needs at least 2 samples, got 1"):
-            StaticObservation.from_samples(np.ones((1, 8, 3)), 100.0)
+            with_one_stage("static", np.ones((1, 8, 3)), 100.0)
         shape = "expected an (N, 3) sample array, got shape (4, 3, 2)"
         with pytest.raises(CalibrationError, match=re.escape(shape)):
-            RotationObservation.from_samples(np.ones((4, 3, 2)), 100.0)
+            with_one_stage("rotation", np.ones((4, 3, 2)), 100.0)
 
 
-class TestStaticObservation:
+class TestStillStage:
     def test_from_samples(self):
         samples = np.array([[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]])
-        obs = StaticObservation.from_samples(samples, sample_rate=100.0)
-        np.testing.assert_allclose(obs.means, [2.0, 2.0, 2.0])
-        assert obs.duration == pytest.approx(0.02)
-        np.testing.assert_allclose(obs.stds, np.std(samples, axis=0, ddof=1))
+        view = with_one_stage("static", samples, 100.0)
+        np.testing.assert_allclose(view.static_means, [2.0, 2.0, 2.0])
+        assert view.static_duration == pytest.approx(0.02)
+        np.testing.assert_allclose(view.static_stds, np.std(samples, axis=0, ddof=1))
 
     def test_needs_two_samples(self):
         with pytest.raises(ProtocolViolation):
-            StaticObservation.from_samples(np.zeros((1, 3)), sample_rate=100.0)
+            with_one_stage("static", np.zeros((1, 3)), 100.0)
 
 
-class TestRotationObservation:
+class TestTurns:
     def test_from_samples_time_scaled_sums(self):
         samples = np.array([[100.0, 0.0, 0.0]] * 10)
-        obs = RotationObservation.from_samples(samples, sample_rate=100.0)
-        np.testing.assert_allclose(obs.sums, [10.0, 0.0, 0.0])
-        assert obs.duration == pytest.approx(0.1)
-        assert obs.theta_total == 360.0
+        view = with_one_stage("rotation", samples, 100.0)
+        np.testing.assert_allclose(view.sums, [[10.0, 0.0, 0.0]])
+        assert view.durations == pytest.approx([0.1])
+        assert view.theta_sq.tolist() == [360.0 ** 2]
 
     def test_corrected_sums_shift(self):
         view = zero_still_session([[360.0, 0.0, 0.0]], duration=3.0)
@@ -335,7 +386,7 @@ class TestRotationObservation:
     @pytest.mark.parametrize("theta", [0.0, -360.0, float("nan")])
     def test_reference_angle_must_be_positive(self, theta):
         with pytest.raises(CalibrationError):
-            RotationObservation.from_samples(np.ones((10, 3)), 100.0, theta_total=theta)
+            with_one_stage("rotation", np.ones((10, 3)), 100.0, theta)
 
 
 class TestSession:

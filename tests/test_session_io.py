@@ -10,7 +10,7 @@ import textwrap
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -220,6 +220,18 @@ class TestSessionLogStructure:
         assert all(a is b for a, b in zip(log.segments, segments, strict=True))
         assert calibrate(log.session()) == calibrate(tiny_log().session())
 
+    @pytest.mark.parametrize("key", ["sample_rate", "rotation_angle", "full_scale"])
+    @pytest.mark.parametrize("value", [True, "100", np.float32(100.0)],
+                             ids=["bool", "str", "float32"])
+    def test_header_numbers_are_numbers_kept_as_floats(self, key, value):
+        if isinstance(value, np.float32):
+            kept = getattr(tiny_log(**{key: value}), key)
+            assert type(kept) is float and kept == 100.0
+            return
+        with pytest.raises(LogParseError) as info:
+            tiny_log(**{key: value})
+        assert str(info.value) == f"{key} must be a number, got {value!r}"
+
     @pytest.mark.parametrize("rate", [0.0, -100.0, float("nan"), float("inf")])
     @pytest.mark.filterwarnings("error")
     def test_from_arrays_checks_sample_rate_first(self, rate):
@@ -250,6 +262,26 @@ class TestRoundTrip:
         from_disk = calibrate(read_session_log(path).session(), noise_sigma=0.15)
         in_memory = calibrate(sim.session, noise_sigma=0.15)
         assert from_disk == in_memory
+
+    @given(rate=st.floats(20.0, 1000.0), still=st.floats(0.2, 2.0), turn=st.floats(0.5, 2.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_view_read_back_equals_simulated_view_bitwise(self, tmp_path_factory, rate, still,
+                                                          turn, seed):
+        # Any rate, with stages that do not last a whole number of samples.
+        assume(not (rate * still).is_integer() and not (rate * turn).is_integer())
+        config = SimulationConfig(sample_rate=rate, static_duration=still,
+                                  rotation_duration=turn, n_test_rates=5, rng_seed=seed)
+        assert config.misalignment_range != (0.0, 0.0)  # coupled axes
+        rng = np.random.default_rng(seed)
+        sim = simulate_session(sample_ground_truth(config, rng), config, rng)
+        path = tmp_path_factory.getbasetemp() / "simulated.csv"
+        write_session_log(path, SessionLog.from_arrays(
+            sim.static_raw, list(sim.rotation_raw), rate, rotation_angle=config.rotation_angle))
+        view = read_session_log(path).session()
+        for name, got, expected in zip(view._fields, view, sim.session, strict=True):
+            assert np.shape(got) == np.shape(expected), name
+            assert np.asarray(got).tobytes() == np.asarray(expected).tobytes(), name
 
     def test_header_without_optional_fields(self, tmp_path):
         log = tiny_log(full_scale=None, device=None)

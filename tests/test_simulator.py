@@ -9,12 +9,7 @@ from hypothesis import strategies as st
 
 from gyrocal import estimator, simulator
 from gyrocal.estimator import calibrate
-from gyrocal.model import (
-    CalibrationError,
-    CalibrationParams,
-    RotationObservation,
-    StaticObservation,
-)
+from gyrocal.model import CalibrationError, CalibrationParams, ObservationArrays
 from gyrocal.simulator import (
     REPLICATE_BLOCK,
     CampaignReport,
@@ -594,9 +589,8 @@ class TestSpawnKeyStates:
 
 
 class TestSessionBlockObservations:
-    """``_SessionBlock.observations()`` equals the per-session stage
-    summaries of ``StaticObservation.from_samples`` and
-    ``RotationObservation.from_samples`` bit for bit on every row. The
+    """``_SessionBlock.observations()`` equals the per-session view of
+    ``ObservationArrays.from_samples`` bit for bit on every row. The
     static stds feed only the stillness guard, so no campaign pin would
     catch a drift in their last ulps."""
 
@@ -613,7 +607,9 @@ class TestSessionBlockObservations:
                  "test set": 3 * config.n_test_rates}
         assert max(users, key=users.get) == sizer
         block = simulator._SessionBlock(config, 5)
-        assert block._scratch.size == 5 * users[sizer]
+        # The still stage's copy has its own buffer; the others share one.
+        assert block._still.size == 5 * users.pop("still stage")
+        assert block._scratch.size == 5 * max(users.values())
         # A full block, then a partial one over the first's leftovers.
         for rows in (5, 3):
             scales, biases, coupling = simulator._truth_arrays(config, np.stack(
@@ -623,10 +619,11 @@ class TestSessionBlockObservations:
             view = block.observations()
             assert view.sums.shape == (rows, 3, 3)
             for r in range(rows):
-                static = StaticObservation.from_samples(block.static_raw[r], config.sample_rate)
-                assert view.static_means[r].tobytes() == static.means.tobytes()
-                assert view.static_stds[r].tobytes() == static.stds.tobytes()
-                for axis in range(3):
-                    turn = RotationObservation.from_samples(
-                        block.rotation_raw[r, axis], config.sample_rate)
-                    assert view.sums[r, axis].tobytes() == turn.sums.tobytes()
+                one = ObservationArrays.from_samples(block.static_raw[r], block.rotation_raw[r],
+                                                     config.sample_rate, config.rotation_angle)
+                assert view.static_means[r].tobytes() == one.static_means.tobytes()
+                assert view.static_stds[r].tobytes() == one.static_stds.tobytes()
+                assert view.sums[r].tobytes() == one.sums.tobytes()
+                assert view.static_duration == one.static_duration
+                assert view.durations.tobytes() == one.durations.tobytes()
+                assert view.theta_sq.tobytes() == one.theta_sq.tobytes()
