@@ -21,6 +21,7 @@ from .model import (
     CalibrationParams,
     ObservationArrays,
     ProtocolViolation,
+    as_float,
     check_single_session,
 )
 
@@ -95,14 +96,15 @@ def fit_batch(obs: ObservationArrays, *, noise_sigma: float | None = None) -> Fi
     Applies the guards of :func:`calibrate` to each row, in the same
     order and with the same messages, and records the first one a row
     trips instead of raising. A view without a replicate axis is a
-    stack of one. Raises CalibrationError when ``noise_sigma`` is
-    negative or not finite, as either would silently disable or misfire
-    the stillness guard.
+    stack of one. Raises CalibrationError when ``noise_sigma`` is not a
+    number (see ``model.as_float``), negative or not finite, as any of
+    these would silently disable or misfire the stillness guard.
     """
-    if noise_sigma is not None and not 0.0 <= noise_sigma < np.inf:
-        raise CalibrationError(
-            f"noise_sigma must be finite and non-negative, got {noise_sigma!r}"
-        )
+    if noise_sigma is not None:
+        noise_sigma = as_float("noise_sigma", noise_sigma)
+        if not 0.0 <= noise_sigma < np.inf:
+            raise CalibrationError(
+                f"noise_sigma must be finite and non-negative, got {noise_sigma!r}")
     n_rot = obs.sums.shape[-2]
     means = np.reshape(obs.static_means, (-1, 3))
     n_rows = len(means)

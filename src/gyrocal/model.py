@@ -13,6 +13,7 @@ Rotation stages are summarized by time-scaled sums of the measured rates
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -41,6 +42,18 @@ class CalibrationError(ValueError):
 
 class ProtocolViolation(CalibrationError):
     """Raised when observations do not follow the measurement protocol."""
+
+
+def as_float(name: str, value, error: type[CalibrationError] = CalibrationError) -> float:
+    """``value`` as a Python float: a real number that is not a bool (a
+    bool would count as 0 or 1, and ``float`` would read a string) and
+    that a float can hold. Raises ``error`` naming ``name`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an int or a fraction past the float range
+        raise error(f"{name} is too large for a float") from None
 
 
 def _require_finite(name: str, *values: float) -> None:
@@ -75,7 +88,7 @@ class CalibrationParams(Frozen):
 
     ``condition_number`` is set on the result of a fit: the condition
     number of the scale regression it solved. It takes no part in
-    equality or hashing.
+    equality or hashing. Every field is stored as a Python float.
     """
 
     __slots__ = (*PARAM_NAMES, "condition_number")
@@ -90,10 +103,14 @@ class CalibrationParams(Frozen):
         b_z: float,
         condition_number: float | None = None,
     ) -> None:
-        _require_finite("calibration parameter", k_x, k_y, k_z, b_x, b_y, b_z)
-        if min(k_x, k_y, k_z) <= 0.0:
-            raise CalibrationError(f"scale factors must be positive: ({k_x}, {k_y}, {k_z})")
-        for name, value in zip(self.__slots__, (k_x, k_y, k_z, b_x, b_y, b_z, condition_number)):
+        values = [as_float(name, value)
+                  for name, value in zip(PARAM_NAMES, (k_x, k_y, k_z, b_x, b_y, b_z))]
+        _require_finite("calibration parameter", *values)
+        if min(values[:3]) <= 0.0:
+            raise CalibrationError("scale factors must be positive: ({}, {}, {})".format(*values))
+        if condition_number is not None:
+            condition_number = as_float("condition_number", condition_number)
+        for name, value in zip(self.__slots__, (*values, condition_number)):
             object.__setattr__(self, name, value)
 
     def _params(self) -> tuple[float, ...]:
@@ -122,11 +139,10 @@ class CalibrationParams(Frozen):
         biases: Sequence[float],
         condition_number: float | None = None,
     ) -> "CalibrationParams":
-        k = [float(v) for v in scales]
-        b = [float(v) for v in biases]
+        k, b = list(scales), list(biases)
         if len(k) != 3 or len(b) != 3:
             raise CalibrationError("expected three scales and three biases")
-        return cls(k[0], k[1], k[2], b[0], b[1], b[2], condition_number)
+        return cls(*k, *b, condition_number)
 
     @property
     def scales(self) -> np.ndarray:
@@ -268,7 +284,11 @@ class ObservationArrays(NamedTuple):
         samples first, and of each turn's, ``(n_i, ..., 3)``, a rotation of
         ``rotation_angle`` degrees, all at ``sample_rate`` Hz. The still
         stage is summarised first, then each turn in order. ``(N, R, 3)``
-        stages give the view of R sessions, each row bit for bit its own."""
+        stages give the view of R sessions, each row bit for bit its own.
+        ``sample_rate`` and ``rotation_angle`` are numbers, as
+        :func:`as_float` takes them."""
+        sample_rate = as_float("sample_rate", sample_rate)
+        rotation_angle = as_float("rotation_angle", rotation_angle)
         still = StaticObservation.from_samples(static, sample_rate)
         summaries = [RotationObservation.from_samples(turn, sample_rate, rotation_angle)
                      for turn in turns]

@@ -14,12 +14,12 @@ it reads back as written.
 
 from __future__ import annotations
 
-import numbers
 from typing import Iterable, NoReturn, Sequence
 
 import numpy as np
 
-from .model import AXES, CalibrationError, Frozen, ObservationArrays, ProtocolViolation
+from .model import (
+    AXES, CalibrationError, Frozen, ObservationArrays, ProtocolViolation, as_float)
 
 __all__ = [
     "LogParseError",
@@ -31,7 +31,9 @@ __all__ = [
 
 _COLUMNS = "stage,t,m_x,m_y,m_z"
 _HEADER_KEYS = ("sample_rate", "rotation_angle", "full_scale", "device")
-_STAGES = ("static", "rotate:x", "rotate:y", "rotate:z")
+#: The stage tags, in the order of a session: the still stage, then one
+#: turn about each axis.
+_STAGES = ("static", *(f"rotate:{axis}" for axis in AXES))
 #: One data row: the stage tag as read, the time and the three rates.
 _ROW = np.dtype([("stage", object), ("t", float), ("m", float, (3,))])
 _OUT_OF_ORDER = "timestamps must increase strictly across the whole log"
@@ -53,11 +55,10 @@ class LogParseError(CalibrationError):
 def _header_number(key: str, value) -> float | None:
     if value is None:
         return None
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise LogParseError(f"{key} must be a number, got {value!r}")
-    if not 0.0 < value <= np.finfo(float).max:
+    value = as_float(key, value, LogParseError)
+    if not 0.0 < value < np.inf:
         raise LogParseError(f"{key} must be positive and finite, got {value}")
-    return float(value)
+    return value
 
 
 # LogSegment and SessionLog compare by identity: ``==`` on their arrays
@@ -168,32 +169,21 @@ class SessionLog(Frozen):
         full_scale: float | None = None,
         device: str | None = None,
     ) -> "SessionLog":
-        """Assemble a log from raw sample blocks with continuous timestamps;
-        the rotation blocks are the turns about x, y and z, in that order."""
+        """Assemble a log from raw sample blocks, tagged in the order of
+        ``_STAGES`` (the rotation blocks are the turns about x, y and z), on
+        one clock: sample i of the session is at ``i / sample_rate``."""
         if len(rotations) != len(AXES):
             raise CalibrationError(
                 f"got {len(rotations)} rotation blocks for {len(AXES)} axis tags"
             )
         sample_rate = _header_number("sample_rate", sample_rate)  # it divides the timestamps
-        segments = []
-        offset = 0
-        blocks = [("static", np.asarray(static, dtype=float))]
-        blocks += [
-            (f"rotate:{axis}", np.asarray(block, dtype=float))
-            for axis, block in zip(AXES, rotations)
+        blocks = [np.asarray(block, dtype=float) for block in (static, *rotations)]
+        ends = np.cumsum([block.shape[0] for block in blocks]).tolist()
+        segments = [
+            LogSegment(stage, np.arange(end - block.shape[0], end) / sample_rate, block)
+            for stage, block, end in zip(_STAGES, blocks, ends)
         ]
-        for stage, block in blocks:
-            n = block.shape[0]
-            times = (offset + np.arange(n)) / sample_rate
-            segments.append(LogSegment(stage=stage, times=times, samples=block))
-            offset += n
-        return cls(
-            sample_rate=sample_rate,
-            segments=tuple(segments),
-            rotation_angle=rotation_angle,
-            full_scale=full_scale,
-            device=device,
-        )
+        return cls(sample_rate, segments, rotation_angle, full_scale, device)
 
     @property
     def static_segment(self) -> LogSegment:

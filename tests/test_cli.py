@@ -1,32 +1,20 @@
 import json
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 import gyrocal
+from builders import IDENTITY, run_python, simulated_log
 from gyrocal.cli import main
 from gyrocal.estimator import calibrate
 from gyrocal.session_io import SessionLog, write_session_log
-from gyrocal.simulator import SimulationConfig, sample_ground_truth, simulate_session
 
 
 @pytest.fixture
 def session_log_path(tmp_path):
-    config = SimulationConfig(noise_sigma=0.15, rng_seed=13)
-    rng = np.random.default_rng(13)
-    truth = sample_ground_truth(config, rng)
-    sim = simulate_session(truth, config, rng)
     path = tmp_path / "session.csv"
-    write_session_log(path, SessionLog.from_arrays(
-        sim.static_raw, list(sim.rotation_raw), config.sample_rate,
-        full_scale=245.0, device="bench"))
+    _, sim, truth = simulated_log(13, path, full_scale=245.0, device="bench", noise_sigma=0.15)
     return path, sim, truth
-
-
-IDENTITY = {"k_x": 1.0, "k_y": 1.0, "k_z": 1.0, "b_x": 0.0, "b_y": 0.0, "b_z": 0.0}
 
 
 def write_params(path, values):
@@ -303,19 +291,11 @@ class TestCalibrate:
 
     def test_non_ascii_device_read_in_c_locale(self, tmp_path):
         # The log is UTF-8 whatever the locale says the default encoding is.
-        config = SimulationConfig(noise_sigma=0.15, rng_seed=13)
-        rng = np.random.default_rng(13)
-        sim = simulate_session(sample_ground_truth(config, rng), config, rng)
         path = tmp_path / "session.csv"
-        write_session_log(path, SessionLog.from_arrays(
-            sim.static_raw, list(sim.rotation_raw), config.sample_rate,
-            device="Gyro\u2122 \u00b5"))
-        src = os.path.dirname(os.path.dirname(gyrocal.__file__))
-        env = dict(os.environ, PYTHONPATH=src, LC_ALL="C", PYTHONUTF8="0",
-                   PYTHONCOERCECLOCALE="0")
-        proc = subprocess.run([sys.executable, "-m", "gyrocal", "calibrate", str(path)],
-                              env=env, capture_output=True, timeout=120)
-        assert proc.stderr == b""
+        simulated_log(13, path, device="Gyro\u2122 \u00b5", noise_sigma=0.15)
+        proc = run_python("-m", "gyrocal", "calibrate", str(path),
+                          LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+        assert proc.stderr == ""
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["diagnostics"]["device"] == "Gyro\u2122 \u00b5"
 
@@ -325,10 +305,8 @@ class TestCalibrate:
 
     def test_import_leaves_yaml_unloaded(self):
         # only simulate reads YAML; calibrate should not pay to import it
-        src = os.path.dirname(os.path.dirname(gyrocal.__file__))
         code = "import sys, gyrocal.cli; sys.exit('yaml' in sys.modules)"
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+        proc = run_python("-c", code)
         assert proc.returncode == 0
 
 

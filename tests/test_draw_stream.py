@@ -18,22 +18,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from builders import numpy_generator, simulated_log
 from gyrocal import (
-    SessionLog,
     SimulationConfig,
     bezier_profile,
     run_monte_carlo,
     sample_ground_truth,
     simulate_session,
     simulator,
-    write_session_log,
 )
 from gyrocal.cli import main
-
-
-def _spawned_generator(seed, key):
-    """The generator a campaign draws spawn key ``key`` from."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
 def _sha256(array: np.ndarray) -> str:
@@ -60,8 +54,8 @@ SESSION_PINS = {
 def test_simulate_session_draw_stream_is_pinned(seed):
     # Default config: 0.15 deg/s noise, cross-coupling on.
     cfg = SimulationConfig(rng_seed=seed, noise_sigma=0.15, n_param_sets=2, n_sims_per_set=3)
-    truth = sample_ground_truth(cfg, _spawned_generator(cfg.rng_seed, (0, 1)))
-    sim = simulate_session(truth, cfg, _spawned_generator(cfg.rng_seed, (1, 1, 2)))
+    truth = sample_ground_truth(cfg, numpy_generator(cfg.rng_seed, (0, 1)))
+    sim = simulate_session(truth, cfg, numpy_generator(cfg.rng_seed, (1, 1, 2)))
     got = {
         "static_raw": _sha256(sim.static_raw),
         "rotation_raw": _sha256(np.stack(sim.rotation_raw)),
@@ -143,7 +137,7 @@ ORACLE_CONFIG = dict(scale_range=(0.55, 2.25), bias_range=(-30.0, 7.5),
 
 def test_truth_draws_match_per_call_uniform():
     config = SimulationConfig(**ORACLE_CONFIG)
-    oracle, rng = _spawned_generator(23, (0, 1)), _spawned_generator(23, (0, 1))
+    oracle, rng = numpy_generator(23, (0, 1)), numpy_generator(23, (0, 1))
     scales, biases, coupling = _per_call_truth(config, oracle)
     truth = sample_ground_truth(config, rng)
     assert truth.params.scales.tobytes() == scales.tobytes()
@@ -153,27 +147,27 @@ def test_truth_draws_match_per_call_uniform():
     report = run_monte_carlo(config)
     assert len(report.indices)
     for (set_index, _), row in zip(report.indices.tolist(), report.truth):
-        scales, biases, _ = _per_call_truth(config, _spawned_generator(23, (0, set_index)))
+        scales, biases, _ = _per_call_truth(config, numpy_generator(23, (0, set_index)))
         assert row.tobytes() == np.concatenate([scales, biases]).tobytes()
 
 
 @pytest.mark.parametrize("noise_sigma", [0.0, 0.1])
 def test_session_draws_match_per_call_uniform(noise_sigma):
     config = SimulationConfig(noise_sigma=noise_sigma, **ORACLE_CONFIG)
-    truth = sample_ground_truth(config, _spawned_generator(23, (0, 0)))
-    oracle, rng = _spawned_generator(23, (1, 0, 0)), _spawned_generator(23, (1, 0, 0))
+    truth = sample_ground_truth(config, numpy_generator(23, (0, 0)))
+    oracle, rng = numpy_generator(23, (1, 0, 0)), numpy_generator(23, (1, 0, 0))
     ordinates, test_rates = _per_call_session_draws(config, oracle)
     assert simulate_session(truth, config, rng).test_rates.tobytes() == test_rates.tobytes()
     assert rng.bit_generator.state == oracle.bit_generator.state
     block = simulator._SessionBlock(config, 1)
     block.simulate(truth.params.scales[None], truth.params.biases[None],
-                   truth.misalignment[None], [_spawned_generator(23, (1, 0, 0))])
+                   truth.misalignment[None], [numpy_generator(23, (1, 0, 0))])
     assert block.ordinates[0].tobytes() == ordinates.tobytes()
 
 
 def test_bezier_profile_matches_per_call_uniform():
     config = SimulationConfig(**ORACLE_CONFIG)
-    oracle, rng = _spawned_generator(23, (2,)), _spawned_generator(23, (2,))
+    oracle, rng = numpy_generator(23, (2,)), numpy_generator(23, (2,))
     nominal = config.rotation_angle / config.rotation_duration
     n = config.rotation_samples
     expected = simulator._bezier_samples(oracle.uniform(0.5, 1.5, size=4) * nominal, config,
@@ -217,14 +211,8 @@ CALIBRATE_OUTPUT_PINS = {
 
 @pytest.mark.parametrize("seed,sigma", sorted(CALIBRATE_OUTPUT_PINS))
 def test_calibrate_output_bytes_are_pinned(tmp_path, capsys, seed, sigma):
-    config = SimulationConfig(noise_sigma=sigma, rng_seed=seed)
-    rng = np.random.default_rng(seed)
-    truth = sample_ground_truth(config, rng)
-    sim = simulate_session(truth, config, rng)
     log = tmp_path / "session.csv"
-    write_session_log(log, SessionLog.from_arrays(
-        sim.static_raw, list(sim.rotation_raw), config.sample_rate,
-        rotation_angle=config.rotation_angle, full_scale=245.0, device="bench unit 1"))
+    simulated_log(seed, log, full_scale=245.0, device="bench unit 1", noise_sigma=sigma)
     assert main(["calibrate", str(log), "--noise-sigma", repr(sigma)]) == 0
     stdout = capsys.readouterr().out
     assert hashlib.sha256(stdout.encode()).hexdigest() == CALIBRATE_OUTPUT_PINS[(seed, sigma)]

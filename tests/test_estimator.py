@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from builders import session_view, stack_views
 from gyrocal import estimator, observability
 from gyrocal.estimator import (
     IllConditionedSystem,
@@ -13,7 +14,6 @@ from gyrocal.estimator import (
 from gyrocal.model import (
     CalibrationError,
     CalibrationParams,
-    ObservationArrays,
     ProtocolViolation,
 )
 from gyrocal.observability import ConvergenceFailure, _residuals_and_jacobian, calibrate_nonlinear
@@ -22,31 +22,18 @@ from gyrocal.simulator import SimulationConfig, sample_ground_truth, simulate_se
 ANGLE = 360.0
 
 
-def axis_session(sums_per_turn, static_means=(0.0, 0.0, 0.0), duration=5.0, *,
-                 stds=(0.0, 0.0, 0.0), theta=ANGLE):
-    """The view of a session from explicit turn sums: a 3 s still stage with
-    the given means and standard deviations, then one turn of ``duration``
-    seconds per row of ``sums_per_turn``, with reference angle ``theta``
-    (one for every turn, or one per turn)."""
-    sums = np.array(sums_per_turn, dtype=float)
-    n = len(sums)
-    return ObservationArrays(
-        np.array(static_means, dtype=float), np.array(stds, dtype=float), 3.0,
-        sums, np.full(n, float(duration)), np.square(np.broadcast_to(theta, (n,))))
-
-
 def exact_session(scales, biases, duration=5.0):
     """The noiseless session a sensor with the given truth would record:
     the still stage and one turn about each axis."""
     k = np.asarray(scales, dtype=float)
     b = np.asarray(biases, dtype=float)
-    return axis_session(np.diag(ANGLE / k) - duration * b, -b, duration)
+    return session_view(np.diag(ANGLE / k) - duration * b, -b, duration)
 
 
 def inconsistent_session(stds=(0.0, 0.0, 0.0)):
     """Regressor rows (1, 1, 0), (1, 2, 0), (0, 0, 1) and responses (10, 5, 1),
     in units of 360^2: the least-squares squared scale on y is negative."""
-    return axis_session(
+    return session_view(
         [[ANGLE, ANGLE, 0.0], [ANGLE, ANGLE * np.sqrt(2.0), 0.0], [0.0, 0.0, ANGLE]],
         stds=stds, theta=[ANGLE * np.sqrt(10.0), ANGLE * np.sqrt(5.0), ANGLE])
 
@@ -55,7 +42,7 @@ class TestEstimateBias:
     """The biases calibrate takes from the still stage."""
 
     def test_negated_means(self):
-        session = axis_session(np.eye(3) * ANGLE, static_means=[1.5, -2.0, 0.25])
+        session = session_view(np.eye(3) * ANGLE, static_means=[1.5, -2.0, 0.25])
         np.testing.assert_allclose(calibrate(session).biases, [-1.5, 2.0, -0.25])
 
 
@@ -67,22 +54,22 @@ class TestLinearSystem:
         # bias 0.5 on x over 3 s stages: the x turn's corrected sum is
         # 360 + 3.0 * 0.5 = 361.5, and the y and z turns' raw -1.5 on x
         # corrects to 0, so the regression is diagonal
-        session = axis_session([[360.0, 0.0, 0.0], [-1.5, 360.0, 0.0], [-1.5, 0.0, 360.0]],
-                               static_means=[-0.5, 0.0, 0.0], duration=3.0)
+        session = session_view([[360.0, 0.0, 0.0], [-1.5, 360.0, 0.0], [-1.5, 0.0, 360.0]],
+                               static_means=[-0.5, 0.0, 0.0], durations=3.0)
         est = calibrate(session)
         np.testing.assert_allclose(est.biases, [0.5, 0.0, 0.0])
         np.testing.assert_allclose(est.scales, [360.0 / 361.5, 1.0, 1.0], rtol=1e-12)
         assert est.condition_number == pytest.approx(361.5 ** 2 / 360.0 ** 2, rel=1e-12)
 
     def test_requires_three_rotations(self):
-        fit = fit_batch(axis_session(np.eye(3)[:2] * ANGLE))
+        fit = fit_batch(session_view(np.eye(3)[:2] * ANGLE))
         assert isinstance(fit.errors[0], ProtocolViolation)
         assert "need at least 3 rotation observations" in str(fit.errors[0])
         assert np.all(np.isnan(fit.scales))
 
     def test_accepts_redundant_rotations(self):
         turns = np.eye(3) * ANGLE
-        est = calibrate(axis_session([turns[0], turns[1], turns[2], turns[0]]))
+        est = calibrate(session_view([turns[0], turns[1], turns[2], turns[0]]))
         np.testing.assert_allclose(est.scales, [1.0, 1.0, 1.0], rtol=1e-12)
 
 
@@ -91,13 +78,13 @@ class TestSolveScale:
 
     def test_diagonal_known_values(self):
         # pure per-axis rotations: k_l = theta / S_l
-        session = axis_session(np.diag([ANGLE / 1.2, ANGLE / 0.8, ANGLE]))
+        session = session_view(np.diag([ANGLE / 1.2, ANGLE / 0.8, ANGLE]))
         np.testing.assert_allclose(calibrate(session).scales, [1.2, 0.8, 1.0])
 
     def test_condition_guard(self, monkeypatch):
         # the diagonal regressors above have condition number
         # (1.2 / 0.8)^2 = 2.25; the limit rejects the fit just below it
-        session = axis_session(np.diag([ANGLE / 1.2, ANGLE / 0.8, ANGLE]))
+        session = session_view(np.diag([ANGLE / 1.2, ANGLE / 0.8, ANGLE]))
         monkeypatch.setattr(estimator, "CONDITION_LIMIT", 2.26)
         assert calibrate(session).condition_number == pytest.approx(2.25)
         monkeypatch.setattr(estimator, "CONDITION_LIMIT", 2.24)
@@ -135,7 +122,7 @@ class TestCalibrate:
         calibrate(noisy)  # no sigma given, guard stays quiet
 
     def test_motion_guard_fires_when_nothing_rotates(self):
-        session = axis_session([[1e-4, 0.0, 0.0]] * 3)
+        session = session_view([[1e-4, 0.0, 0.0]] * 3)
         with pytest.raises(ProtocolViolation) as info:
             calibrate(session)
         assert "rotation" in str(info.value)
@@ -161,8 +148,17 @@ class TestCalibrate:
         with pytest.raises(CalibrationError, match=guard):
             fit_batch(session, **{guard: value})
 
+    @pytest.mark.parametrize("value", [True, False, "0.15", np.True_, [0.15]])
+    def test_noise_sigma_must_be_a_number(self, value):
+        # A True sigma would run the stillness guard at 1 deg/s.
+        session = exact_session([1.0, 1.0, 1.0], [0.0, 0.0, 0.0])
+        for fit in (calibrate, fit_batch):
+            with pytest.raises(CalibrationError) as info:
+                fit(session, noise_sigma=value)
+            assert str(info.value) == f"noise_sigma must be a number, got {value!r}"
+
     def test_degenerate_axes_rejected(self):
-        session = axis_session([[360.0, 0.0, 0.0], [360.0, 0.0, 0.0], [0.0, 360.0, 0.0]])
+        session = session_view([[360.0, 0.0, 0.0], [360.0, 0.0, 0.0], [0.0, 360.0, 0.0]])
         with pytest.raises(IllConditionedSystem):
             calibrate(session)
 
@@ -221,7 +217,7 @@ class TestCalibrateNonlinear:
         rng = np.random.default_rng(8)
         means = rng.uniform(-5.0, 5.0, 3)
         turns = [(rng.uniform(-400.0, 400.0, 3), rng.uniform(300.0, 400.0)) for _ in range(4)]
-        obs = axis_session([sums for sums, _ in turns], means,
+        obs = session_view([sums for sums, _ in turns], means,
                            theta=[theta for _, theta in turns])
         x = np.concatenate([rng.uniform(0.8, 1.2, 3), rng.uniform(-5.0, 5.0, 3)])
         _, jacobian = _residuals_and_jacobian(obs, x[:3], x[3:])
@@ -239,19 +235,8 @@ class TestCalibrateNonlinear:
 
     def test_needs_three_rotations(self):
         with pytest.raises(ProtocolViolation):
-            calibrate_nonlinear(axis_session(np.eye(3)[:2] * ANGLE),
+            calibrate_nonlinear(session_view(np.eye(3)[:2] * ANGLE),
                                 CalibrationParams.identity())
-
-
-def _stack(views):
-    return ObservationArrays(
-        static_means=np.stack([v.static_means for v in views]),
-        static_stds=np.stack([v.static_stds for v in views]),
-        static_duration=np.array([v.static_duration for v in views]),
-        sums=np.stack([v.sums for v in views]),
-        durations=np.stack([v.durations for v in views]),
-        theta_sq=np.stack([v.theta_sq for v in views]),
-    )
 
 
 class TestFitBatch:
@@ -259,18 +244,18 @@ class TestFitBatch:
         good = exact_session([1.15, 0.85, 1.02], [2.0, -3.5, 0.75])
         quiet = [0.01, 0.01, 0.01]
         moved = good._replace(static_means=np.zeros(3), static_stds=np.array([0.01, 2.0, 0.5]))
-        still = axis_session([[1e-4, 0.0, 0.0]] * 3, stds=quiet)
-        degenerate = axis_session([[360.0, 0.0, 0.0], [360.0, 0.0, 0.0], [0.0, 360.0, 0.0]],
+        still = session_view([[1e-4, 0.0, 0.0]] * 3, stds=quiet)
+        degenerate = session_view([[360.0, 0.0, 0.0], [360.0, 0.0, 0.0], [0.0, 360.0, 0.0]],
                                   stds=quiet)
         inconsistent = inconsistent_session(quiet)
-        overflow = axis_session([[1e200, 0.0, 0.0]] * 3, stds=quiet)
+        overflow = session_view([[1e200, 0.0, 0.0]] * 3, stds=quiet)
         good_stds = good._replace(static_stds=np.full(3, 0.1))
         return [good_stds, moved, still, degenerate, inconsistent, overflow]
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_rows_match_calibrate_one_by_one(self):
         sessions = self.sessions()
-        fit = fit_batch(_stack(sessions), noise_sigma=0.15)
+        fit = fit_batch(stack_views(sessions), noise_sigma=0.15)
         kinds = []
         for row, session in enumerate(sessions):
             try:
@@ -298,7 +283,7 @@ class TestFitBatch:
         assert calibrate(session).condition_number == fit.condition_numbers[0]
 
     def test_condition_number_missing_when_a_guard_trips_first(self):
-        fit = fit_batch(_stack(self.sessions()[:3]), noise_sigma=0.15)
+        fit = fit_batch(stack_views(self.sessions()[:3]), noise_sigma=0.15)
         assert np.isfinite(fit.condition_numbers[0])
         assert np.all(np.isnan(fit.condition_numbers[1:]))
         assert np.all(np.isnan(fit.scales[1:]))
@@ -313,7 +298,7 @@ class TestFitBatch:
 def test_single_session_solvers_reject_a_stack():
     # a stack of two must not be fitted on its first row
     session = exact_session([1.1, 0.9, 1.0], [1.0, -1.0, 0.5])
-    stack = _stack([session, session])
+    stack = stack_views([session, session])
     with pytest.raises(CalibrationError, match=r"shape \(2, 3\)"):
         calibrate(stack)
     with pytest.raises(CalibrationError, match=r"shape \(2, 3\)"):

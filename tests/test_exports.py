@@ -2,16 +2,12 @@ import importlib
 import json
 import os
 import pkgutil
-import subprocess
-import sys
 import textwrap
 
-import numpy as np
 import pytest
 
 import gyrocal
-from gyrocal.session_io import SessionLog, write_session_log
-from gyrocal.simulator import SimulationConfig, sample_ground_truth, simulate_session
+from builders import SRC, run_python, simulated_log
 
 MODULES = ["gyrocal"] + [
     f"gyrocal.{info.name}" for info in pkgutil.iter_modules(gyrocal.__path__)
@@ -61,7 +57,6 @@ def test_lazy_exports_are_the_lazy_modules_all():
 # docstring). Each check below runs in a fresh interpreter, because this
 # one has loaded them all already.
 
-SRC = os.path.dirname(os.path.dirname(gyrocal.__file__))
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 LAZY = ("simulator", "doe", "observability")
 
@@ -69,20 +64,14 @@ LAZY = ("simulator", "doe", "observability")
 def run_fresh(code, *args):
     """Run ``code`` in a new interpreter that imports gyrocal from this
     checkout; its last stdout line is JSON, returned decoded."""
-    env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
-                          encoding="utf-8", timeout=120)
+    proc = run_python("-c", code, *args)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
 
 def test_calibrate_process_never_runs_the_lazy_modules(tmp_path):
-    config = SimulationConfig(rng_seed=3)
-    rng = np.random.default_rng(3)
-    sim = simulate_session(sample_ground_truth(config, rng), config, rng)
     path = tmp_path / "session.csv"
-    write_session_log(path, SessionLog.from_arrays(sim.static_raw, list(sim.rotation_raw),
-                                                   config.sample_rate))
+    simulated_log(3, path)
     code = textwrap.dedent("""
         import json, runpy, sys, types
 

@@ -1,13 +1,14 @@
 import copy
-import math
 import pickle
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from builders import session_view, stack_views
 from gyrocal.model import (
     CalibrationError,
     CalibrationParams,
@@ -28,15 +29,6 @@ from gyrocal.observability import (
 
 finite_bias = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 positive_scale = st.floats(min_value=0.8, max_value=1.2, allow_nan=False)
-
-
-def zero_still_session(turn_sums, theta=360.0, duration=5.0):
-    """The view of a session whose 3 s still stage reads exactly zero, with
-    one turn of ``duration`` seconds per row of ``turn_sums``."""
-    sums = np.array(turn_sums, dtype=float)
-    n = len(sums)
-    return ObservationArrays(np.zeros(3), np.zeros(3), 3.0, sums,
-                             np.full(n, duration), np.full(n, theta ** 2))
 
 
 def params_strategy():
@@ -102,6 +94,36 @@ class TestCalibrationParams:
         for twin in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
             assert twin == p and twin.condition_number == 1.5
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("k_x", True, "k_x must be a number, got True"),
+        ("b_y", False, "b_y must be a number, got False"),
+        ("k_z", "1", "k_z must be a number, got '1'"),
+        ("b_x", None, "b_x must be a number, got None"),
+        ("k_y", np.True_, "k_y must be a number, got np.True_"),
+        ("b_z", [0.0], "b_z must be a number, got [0.0]"),
+        ("condition_number", "2", "condition_number must be a number, got '2'"),
+        ("k_x", 10 ** 400, "k_x is too large for a float"),
+        ("condition_number", 10 ** 400, "condition_number is too large for a float"),
+    ], ids=["bool", "false", "str", "none", "numpy bool", "list", "str condition", "huge int",
+            "huge condition"])
+    def test_field_that_is_not_a_float_refused(self, field, value, message):
+        # float() would read the string, and a bool would count as 0 or 1.
+        with pytest.raises(CalibrationError) as info:
+            CalibrationParams(**{**CalibrationParams.identity().as_dict(), field: value})
+        assert type(info.value) is CalibrationError and str(info.value) == message
+
+    def test_any_real_number_kept_as_its_float(self):
+        p = CalibrationParams(1, np.float32(2.0), Fraction(3, 2), np.int64(0), -1,
+                              np.float64(0.5), condition_number=np.int32(3))
+        assert {type(getattr(p, name)) for name in p.__slots__} == {float}
+        assert repr(p) == ("CalibrationParams(k_x=1.0, k_y=2.0, k_z=1.5, b_x=0.0, b_y=-1.0, "
+                           "b_z=0.5, condition_number=3.0)")
+        # from_arrays leaves the conversion to the constructor.
+        assert CalibrationParams.from_arrays([1, np.float32(2.0), Fraction(3, 2)],
+                                             (np.int64(0), -1, 0.5), np.int32(3)) == p
+        with pytest.raises(CalibrationError, match="^k_x must be a number, got '1'$"):
+            CalibrationParams.from_arrays(["1", "1", "1"], [True, 0, "2"])
+
 
 class TestApplyCalibration:
     def test_identity_is_passthrough(self):
@@ -134,6 +156,32 @@ def test_from_samples_rejects_bad_sample_rate(shape, rate):
     # with a misleading message about the stage duration
     with pytest.raises(CalibrationError, match="sample rate"):
         ObservationArrays.from_samples(np.ones(shape), [np.ones(shape)] * 3, rate, 360.0)
+
+
+@pytest.mark.parametrize("name,value,message", [
+    ("sample_rate", True, "sample_rate must be a number, got True"),
+    ("sample_rate", "100", "sample_rate must be a number, got '100'"),
+    ("sample_rate", np.True_, "sample_rate must be a number, got np.True_"),
+    ("sample_rate", 10 ** 400, "sample_rate is too large for a float"),
+    ("rotation_angle", True, "rotation_angle must be a number, got True"),
+    ("rotation_angle", None, "rotation_angle must be a number, got None"),
+], ids=["rate bool", "rate str", "rate numpy bool", "rate huge int", "angle bool", "angle none"])
+def test_from_samples_numbers_must_be_floats(name, value, message):
+    # A True rate would make a 1 Hz view, a True angle a 1 degree turn.
+    numbers = {"sample_rate": 100.0, "rotation_angle": 360.0, name: value}
+    with pytest.raises(CalibrationError) as info:
+        ObservationArrays.from_samples(np.zeros((300, 3)), [np.ones((500, 3))] * 3, **numbers)
+    assert type(info.value) is CalibrationError and str(info.value) == message
+
+
+def test_from_samples_takes_any_real_number_as_its_float():
+    stages = np.zeros((300, 3)), [np.ones((500, 3))] * 3
+    exact = ObservationArrays.from_samples(*stages, 100.0, 360.0)
+    for rate, angle in ((100, 360), (np.int64(100), np.float32(360.0)), (Fraction(100), 360)):
+        view = ObservationArrays.from_samples(*stages, rate, angle)
+        for name, got, expected in zip(view._fields, view, exact, strict=True):
+            assert np.asarray(got).dtype == np.float64, name
+            assert np.asarray(got).tobytes() == np.asarray(expected).tobytes(), name
 
 
 def with_one_stage(stage, samples, rate, angle=360.0, other=np.zeros((2, 3))):
@@ -379,7 +427,7 @@ class TestTurns:
         assert view.theta_sq.tolist() == [360.0 ** 2]
 
     def test_corrected_sums_shift(self):
-        view = zero_still_session([[360.0, 0.0, 0.0]], duration=3.0)
+        view = session_view([[360.0, 0.0, 0.0]], durations=3.0)
         np.testing.assert_allclose(
             view.corrected_sums([0.5, 0.0, -1.0]), [[361.5, 0.0, -3.0]])
 
@@ -392,34 +440,31 @@ class TestTurns:
 class TestSession:
     def test_requires_three_rotations(self):
         with pytest.raises(ProtocolViolation, match="at least 3 rotation"):
-            calibrate(zero_still_session([[360.0, 0.0, 0.0]]))
+            calibrate(session_view([[360.0, 0.0, 0.0]]))
 
 
 class TestCostFunctions:
-    def _single_rotation(self, sums, theta=360.0):
-        return zero_still_session([sums], theta=theta)
-
     def test_residual_known_value(self):
         # 180^2 - 360^2 = -97200 with identity parameters
-        rots = self._single_rotation((180.0, 0.0, 0.0))
+        rots = session_view([(180.0, 0.0, 0.0)])
         r = rotation_residuals(CalibrationParams.identity(), rots)
         np.testing.assert_allclose(r, [-97200.0])
         assert squared_cost(CalibrationParams.identity(), rots) == pytest.approx(97200.0 ** 2)
 
     def test_zero_at_consistent_observation(self):
-        rots = self._single_rotation((360.0, 0.0, 0.0))
+        rots = session_view([(360.0, 0.0, 0.0)])
         assert squared_cost(CalibrationParams.identity(), rots) == 0.0
 
     def test_scale_enters_squared(self):
         p = CalibrationParams(2.0, 1.0, 1.0, 0.0, 0.0, 0.0)
-        rots = self._single_rotation((180.0, 0.0, 0.0))
+        rots = session_view([(180.0, 0.0, 0.0)])
         np.testing.assert_allclose(
             rotation_residuals(p, rots), [(2.0 * 180.0) ** 2 - 360.0 ** 2])
 
     @given(params_strategy())
     @settings(max_examples=25)
     def test_cost_nonnegative(self, p):
-        rots = self._single_rotation((200.0, -30.0, 15.0))
+        rots = session_view([(200.0, -30.0, 15.0)])
         assert squared_cost(p, rots) >= 0.0
 
 
@@ -442,8 +487,8 @@ def test_single_session_functions_reject_a_stack(name):
     # replicate axis into a wrong-shaped answer, and the message names
     # the stack's shape
     run = SINGLE_SESSION_FUNCTIONS[name]
-    session = zero_still_session(360.0 * np.eye(3))
+    session = session_view(360.0 * np.eye(3))
     run(session)
-    stack = ObservationArrays(*(np.stack([f, f]) for f in session))
+    stack = stack_views([session, session])
     with pytest.raises(CalibrationError, match=r"turn sums of shape \(2, 3, 3\)"):
         run(stack)

@@ -3,47 +3,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gyrocal.model import (
-    CalibrationError,
-    CalibrationParams,
-    ObservationArrays,
-)
+from builders import session_view
+from gyrocal.model import CalibrationError, CalibrationParams
 from gyrocal.observability import cost_gradient, finite_difference_grad, model_term_gradient
 
-
-def rotation(sums, theta=360.0, duration=5.0):
-    """One turn: its rate sums in degrees, reference angle and duration."""
-    return sums, theta, duration
-
-
-def turns(*rotations):
-    """The view of a session whose 3 s still stage reads exactly zero."""
-    sums, thetas, durations = zip(*rotations)
-    return ObservationArrays(np.zeros(3), np.zeros(3), 3.0, np.array(sums, dtype=float),
-                             np.array(durations, dtype=float),
-                             np.square(np.array(thetas, dtype=float)))
-
-
-def still_observation(theta=360.0):
-    """Zero integrated motion on every axis."""
-    return rotation([0.0, 0.0, 0.0], theta=theta, duration=3.0)
-
-
 def consistent_turn(axis, magnitude):
-    """A turn whose reference angle equals its integrated magnitude."""
+    """A session of one turn whose reference angle equals its integrated
+    magnitude."""
     sums = [0.0, 0.0, 0.0]
     sums[axis] = magnitude
-    return rotation(sums, theta=magnitude)
+    return session_view([sums], theta=magnitude)
 
 
 def random_setup(rng):
     nominal = CalibrationParams.from_arrays(
         rng.uniform(0.8, 1.2, 3), rng.uniform(-5.0, 5.0, 3))
-    rotations = turns(*(
-        rotation(rng.uniform(-400.0, 400.0, 3), theta=rng.uniform(300.0, 400.0))
-        for _ in range(3)
-    ))
-    return nominal, rotations
+    sums, thetas = zip(*((rng.uniform(-400.0, 400.0, 3), rng.uniform(300.0, 400.0))
+                         for _ in range(3)))
+    return nominal, session_view(sums, theta=thetas)
 
 
 class TestFiniteDifferenceAgreement:
@@ -69,7 +46,7 @@ class TestFiniteDifferenceAgreement:
 
     def test_zero_at_consistent_optimum(self):
         nominal = CalibrationParams.identity()
-        rotations = turns(*(consistent_turn(axis, 360.0) for axis in range(3)))
+        rotations = session_view(360.0 * np.eye(3))
         at_optimum = finite_difference_grad(nominal, rotations)
         nearby = finite_difference_grad(
             CalibrationParams(1.01, 1.0, 1.0, 0.0, 0.0, 0.0), rotations)
@@ -81,19 +58,19 @@ class TestFiniteDifferenceAgreement:
     def test_step_must_be_positive(self):
         with pytest.raises(CalibrationError):
             finite_difference_grad(CalibrationParams.identity(),
-                                   turns(still_observation()), step=0.0)
+                                   session_view([[0.0, 0.0, 0.0]], durations=3.0), step=0.0)
 
 
 class TestStaticClaims:
     def test_resting_zero_bias_hides_scale(self):
         nominal = CalibrationParams(1.1, 0.9, 1.0, 0.0, 0.0, 0.0)
-        still = turns(still_observation())
+        still = session_view([[0.0, 0.0, 0.0]], durations=3.0)  # no motion
         assert np.all(cost_gradient(nominal, still)[:3] == 0.0)
         assert np.all(model_term_gradient(nominal, still)[:3] == 0.0)
 
     def test_resting_nonzero_bias_keeps_bias_observable(self):
         nominal = CalibrationParams(1.1, 0.9, 1.0, 2.0, -3.0, 0.5)
-        still = turns(still_observation())
+        still = session_view([[0.0, 0.0, 0.0]], durations=3.0)  # no motion
         assert np.all(cost_gradient(nominal, still)[3:] != 0.0)
         assert np.all(model_term_gradient(nominal, still)[3:] != 0.0)
 
@@ -102,13 +79,13 @@ class TestModelTermForms:
     def test_scale_form_known_value(self):
         # single x turn, unit scales, zero bias: 2 * 360^2 on x
         nominal = CalibrationParams.identity()
-        value = model_term_gradient(nominal, turns(rotation([360.0, 0.0, 0.0])))[:3]
+        value = model_term_gradient(nominal, session_view([[360.0, 0.0, 0.0]]))[:3]
         np.testing.assert_allclose(value, [2.0 * 360.0 ** 2, 0.0, 0.0])
 
     def test_bias_form_known_value(self):
         # 2 k^2 d S with d=5, S=360: 3600 on x
         nominal = CalibrationParams.identity()
-        value = model_term_gradient(nominal, turns(rotation([360.0, 0.0, 0.0])))[3:]
+        value = model_term_gradient(nominal, session_view([[360.0, 0.0, 0.0]]))[3:]
         np.testing.assert_allclose(value, [3600.0, 0.0, 0.0])
 
     @given(st.floats(min_value=10.0, max_value=300.0),
@@ -116,8 +93,8 @@ class TestModelTermForms:
     @settings(max_examples=40)
     def test_scale_sensitivity_grows_with_turn_magnitude(self, magnitude, factor):
         nominal = CalibrationParams(1.05, 1.0, 1.0, 0.0, 0.0, 0.0)
-        small = model_term_gradient(nominal, turns(consistent_turn(0, magnitude)))[:3]
-        large = model_term_gradient(nominal, turns(consistent_turn(0, magnitude * factor)))[:3]
+        small = model_term_gradient(nominal, consistent_turn(0, magnitude))[:3]
+        large = model_term_gradient(nominal, consistent_turn(0, magnitude * factor))[:3]
         assert abs(large[0]) >= abs(small[0])
 
     @given(st.floats(min_value=10.0, max_value=300.0),
@@ -126,16 +103,16 @@ class TestModelTermForms:
     def test_smooth_gradient_grows_for_off_truth_nominal(self, magnitude, factor):
         # consistent observations, scale off by 5 percent: |dJ/dk| = 4k|k^2-1|S^4
         nominal = CalibrationParams(1.05, 1.0, 1.0, 0.0, 0.0, 0.0)
-        small = cost_gradient(nominal, turns(consistent_turn(0, magnitude)))[:3]
-        large = cost_gradient(nominal, turns(consistent_turn(0, magnitude * factor)))[:3]
+        small = cost_gradient(nominal, consistent_turn(0, magnitude))[:3]
+        large = cost_gradient(nominal, consistent_turn(0, magnitude * factor))[:3]
         assert abs(large[0]) >= abs(small[0])
 
     def test_doubling_turn_angle_raises_scale_sensitivity(self):
         nominal = CalibrationParams(1.05, 1.0, 1.0, 0.0, 0.0, 0.0)
-        single = cost_gradient(nominal, turns(consistent_turn(0, 360.0)))[:3]
-        double = cost_gradient(nominal, turns(consistent_turn(0, 720.0)))[:3]
+        single = cost_gradient(nominal, consistent_turn(0, 360.0))[:3]
+        double = cost_gradient(nominal, consistent_turn(0, 720.0))[:3]
         assert abs(double[0]) > abs(single[0])
-        single_m = model_term_gradient(nominal, turns(consistent_turn(0, 360.0)))[:3]
-        double_m = model_term_gradient(nominal, turns(consistent_turn(0, 720.0)))[:3]
+        single_m = model_term_gradient(nominal, consistent_turn(0, 360.0))[:3]
+        double_m = model_term_gradient(nominal, consistent_turn(0, 720.0))[:3]
         assert abs(double_m[0]) > abs(single_m[0])
 

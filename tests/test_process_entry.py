@@ -7,40 +7,19 @@ interpreter here, never in the test process.
 
 import gc
 import json
-import os
-import subprocess
-import sys
 import textwrap
 
-import numpy as np
 import pytest
 
-import gyrocal
+from builders import IDENTITY, run_python, simulated_log
 from gyrocal.cli import main
-from gyrocal.session_io import SessionLog, write_session_log
-from gyrocal.simulator import SimulationConfig, sample_ground_truth, simulate_session
-
-SRC = os.path.dirname(os.path.dirname(gyrocal.__file__))
-IDENTITY = {"k_x": 1.0, "k_y": 1.0, "k_z": 1.0, "b_x": 0.0, "b_y": 0.0, "b_z": 0.0}
 
 
 @pytest.fixture
 def log_path(tmp_path):
-    config = SimulationConfig(noise_sigma=0.15, rng_seed=21)
-    rng = np.random.default_rng(21)
-    sim = simulate_session(sample_ground_truth(config, rng), config, rng)
     path = tmp_path / "session.csv"
-    write_session_log(path, SessionLog.from_arrays(sim.static_raw, list(sim.rotation_raw),
-                                                   config.sample_rate, device="bench"))
+    simulated_log(21, path, device="bench", noise_sigma=0.15)
     return path
-
-
-def fresh(*args):
-    """A new interpreter importing gyrocal from this checkout; argparse's
-    usage is wrapped at 80 columns, as it is in-process below."""
-    env = dict(os.environ, PYTHONPATH=SRC, COLUMNS="80")
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
-                          encoding="utf-8", timeout=120)
 
 
 def in_process(argv, capsys):
@@ -85,7 +64,7 @@ def test_module_entry_freezes_before_main_runs(log_path):
             status = exc.code
         print(json.dumps({"before": before, "counts": counts, "status": status}))
     """)
-    proc = fresh("-c", code, str(log_path))
+    proc = run_python("-c", code, str(log_path), COLUMNS="80")
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["status"] == 0
@@ -104,7 +83,7 @@ def test_module_process_matches_in_process_main(case, log_path, tmp_path, capsys
     monkeypatch.setenv("COLUMNS", "80")
     status, out, err = in_process(argv, capsys)
     assert status == {"good_log": 0, "missing_log": 1, "bad_arguments": 2}[case]
-    proc = fresh("-m", "gyrocal", *argv)
+    proc = run_python("-m", "gyrocal", *argv, COLUMNS="80")  # argparse wraps as in-process
     assert (proc.returncode, proc.stdout, proc.stderr) == (status, out, err)
 
 
@@ -115,5 +94,5 @@ def test_module_process_matches_in_process_main(case, log_path, tmp_path, capsys
 ])
 def test_every_process_entry_prints_the_same_calibration(entry, log_path, capsys):
     status, out, err = in_process(["calibrate", str(log_path)], capsys)
-    proc = fresh(*entry, "calibrate", str(log_path))
+    proc = run_python(*entry, "calibrate", str(log_path), COLUMNS="80")
     assert (proc.returncode, proc.stdout, proc.stderr) == (status, out, err) == (0, out, "")

@@ -4,7 +4,6 @@ import math
 import os
 import pickle
 import re
-import subprocess
 import sys
 import textwrap
 
@@ -14,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-import gyrocal
+from builders import run_python, simulated_log
 from gyrocal import session_io
 from gyrocal.estimator import calibrate
 from gyrocal.model import CalibrationError, ProtocolViolation
@@ -26,7 +25,7 @@ from gyrocal.session_io import (
     read_session_log,
     write_session_log,
 )
-from gyrocal.simulator import SimulationConfig, sample_ground_truth, simulate_session
+from gyrocal.simulator import SimulationConfig
 
 #: The UTF-8 byte-order mark.
 BOM = b"\xef\xbb\xbf"
@@ -35,15 +34,9 @@ BOM = b"\xef\xbb\xbf"
 LARGEST_ANGLE = math.sqrt(sys.float_info.max)
 
 
-def simulated_log(seed=3, noise=0.15, device="unit under test", full_scale=245.0):
-    config = SimulationConfig(noise_sigma=noise, rng_seed=seed)
-    rng = np.random.default_rng(seed)
-    truth = sample_ground_truth(config, rng)
-    sim = simulate_session(truth, config, rng)
-    log = SessionLog.from_arrays(
-        sim.static_raw, list(sim.rotation_raw), config.sample_rate,
-        rotation_angle=config.rotation_angle, full_scale=full_scale, device=device)
-    return log, sim, truth
+def unit_log(path=None):
+    """Seed 3 at 0.15 deg/s, logged from a 245 deg/s "unit under test"."""
+    return simulated_log(3, path, full_scale=245.0, device="unit under test", noise_sigma=0.15)
 
 
 def assert_same_log(a, b):
@@ -238,12 +231,26 @@ class TestSessionLogStructure:
         with pytest.raises(LogParseError, match="sample_rate must be positive and finite"):
             tiny_log(sample_rate=rate)
 
+    @given(rate=st.floats(1e-3, 1e4), sizes=st.lists(st.integers(1, 50), min_size=4,
+                                                      max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_from_arrays_timestamps_run_on_across_stages(self, rate, sizes):
+        # One clock over the whole session: sample i is at i / rate,
+        # whichever stage it falls in, and the tags are the table's, in order.
+        total = sum(sizes)
+        samples = np.arange(3.0 * total).reshape(total, 3)
+        static, *turns = np.split(samples, np.cumsum(sizes)[:-1])
+        log = SessionLog.from_arrays(static, turns, rate)
+        assert tuple(segment.stage for segment in log.segments) == session_io._STAGES
+        times = np.concatenate([segment.times for segment in log.segments])
+        assert times.tobytes() == (np.arange(total) / rate).tobytes()
+        assert np.concatenate([s.samples for s in log.segments]).tobytes() == samples.tobytes()
+
 
 class TestRoundTrip:
     def test_bit_exact_round_trip(self, tmp_path):
-        log, _, _ = simulated_log()
         path = tmp_path / "session.csv"
-        write_session_log(path, log)
+        log, _, _ = unit_log(path)
         back = read_session_log(path)
         assert back.sample_rate == log.sample_rate
         assert back.rotation_angle == log.rotation_angle
@@ -256,9 +263,8 @@ class TestRoundTrip:
             np.testing.assert_array_equal(a.samples, b.samples)
 
     def test_calibrate_matches_in_memory_bitwise(self, tmp_path):
-        log, sim, _ = simulated_log()
         path = tmp_path / "session.csv"
-        write_session_log(path, log)
+        _, sim, _ = unit_log(path)
         from_disk = calibrate(read_session_log(path).session(), noise_sigma=0.15)
         in_memory = calibrate(sim.session, noise_sigma=0.15)
         assert from_disk == in_memory
@@ -270,14 +276,10 @@ class TestRoundTrip:
                                                           turn, seed):
         # Any rate, with stages that do not last a whole number of samples.
         assume(not (rate * still).is_integer() and not (rate * turn).is_integer())
-        config = SimulationConfig(sample_rate=rate, static_duration=still,
-                                  rotation_duration=turn, n_test_rates=5, rng_seed=seed)
-        assert config.misalignment_range != (0.0, 0.0)  # coupled axes
-        rng = np.random.default_rng(seed)
-        sim = simulate_session(sample_ground_truth(config, rng), config, rng)
+        assert SimulationConfig().misalignment_range != (0.0, 0.0)  # coupled axes
         path = tmp_path_factory.getbasetemp() / "simulated.csv"
-        write_session_log(path, SessionLog.from_arrays(
-            sim.static_raw, list(sim.rotation_raw), rate, rotation_angle=config.rotation_angle))
+        _, sim, _ = simulated_log(seed, path, sample_rate=rate, static_duration=still,
+                                  rotation_duration=turn, n_test_rates=5)
         view = read_session_log(path).session()
         for name, got, expected in zip(view._fields, view, sim.session, strict=True):
             assert np.shape(got) == np.shape(expected), name
@@ -347,9 +349,8 @@ class TestTextForms:
         assert len(lines) == 5 + 16
 
     def test_crlf_and_blank_lines(self, tmp_path):
-        log, _, _ = simulated_log()
         path = tmp_path / "session.csv"
-        write_session_log(path, log)
+        log, _, _ = unit_log(path)
         lines = path.read_text(encoding="utf-8").splitlines()
         path.write_bytes("\r\n\r\n  \t\r\n".join(lines).encode() + b"\r\n")
         assert_same_log(read_session_log(path), log)
@@ -392,9 +393,8 @@ class TestTextForms:
             read_session_log(path)
 
     def test_dropped_sample_in_file_rejected(self, tmp_path):
-        log, _, _ = simulated_log()
         path = tmp_path / "session.csv"
-        write_session_log(path, log)
+        log, _, _ = unit_log(path)
         lines, first = data_lines(path)
         row = first + len(log.segments[0].times) + len(log.segments[1].times) // 2
         dropped = lines.pop(row)
@@ -422,12 +422,9 @@ class TestEncoding:
             write_session_log(sys.argv[1], log)
             print(ascii(read_session_log(sys.argv[1]).device))
         """)
-        src = os.path.dirname(os.path.dirname(gyrocal.__file__))
-        env = dict(os.environ, PYTHONPATH=src, LC_ALL="C", PYTHONUTF8="0",
-                   PYTHONCOERCECLOCALE="0")
         path = tmp_path / "session.csv"
-        proc = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
-                              capture_output=True, encoding="utf-8", timeout=120)
+        proc = run_python("-c", code, str(path), LC_ALL="C", PYTHONUTF8="0",
+                          PYTHONCOERCECLOCALE="0")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "'Gyro\\u2122 \\xb5'\n"
         assert f"# device: {self.DEVICE}\n".encode("utf-8") in path.read_bytes()
@@ -436,9 +433,8 @@ class TestEncoding:
     @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
     def test_undecodable_byte_names_line(self, tmp_path, where, newline):
         # The text layer decodes a chunk at a time; the line is still exact.
-        log, _, _ = simulated_log()
         path = tmp_path / "session.csv"
-        write_session_log(path, log)
+        unit_log(path)
         lines = path.read_bytes().splitlines()
         index = {"device": 3, "first row": 5, "row 1000": 1004, "last row": len(lines) - 1}[where]
         lines[index] = lines[index][:-2] + b"\xb5" + lines[index][-2:]
@@ -464,9 +460,8 @@ class TestEncoding:
 
     @pytest.mark.parametrize("where", ["device", "row 1000"])
     def test_undecodable_byte_after_byte_order_mark_names_line(self, tmp_path, where):
-        log, _, _ = simulated_log()
         path = tmp_path / "session.csv"
-        write_session_log(path, log)
+        unit_log(path)
         lines = path.read_bytes().splitlines()
         index = {"device": 3, "row 1000": 1004}[where]
         lines[index] += b"\xb5"
@@ -478,9 +473,8 @@ class TestEncoding:
     def test_undecodable_byte_named_before_a_bad_row(self, tmp_path):
         # The bad row is read long before the text layer decodes the last
         # line; the file is still named by its bad byte.
-        log, _, _ = simulated_log()
         path = tmp_path / "session.csv"
-        write_session_log(path, log)
+        unit_log(path)
         lines = path.read_bytes().splitlines()
         lines[5] = b"static,0.0,0,zero,0"
         lines[-1] += b"\xb5"
@@ -493,9 +487,8 @@ class TestEncoding:
     def test_undecodable_byte_named_before_a_bad_header(self, tmp_path, index):
         # Line 1005 lies past the first 8 KB that a text-mode read decodes
         # before the header is parsed; the byte is still named first.
-        log, _, _ = simulated_log()
         path = tmp_path / "session.csv"
-        write_session_log(path, log)
+        unit_log(path)
         lines = path.read_bytes().splitlines()
         lines[1] = b"# colour: red"
         lines[index] += b"\xb5"
@@ -843,8 +836,8 @@ class TestSaturation:
 def test_array_holders_compare_by_identity():
     # A generated == would compare the array fields and raise, and a
     # generated hash would hash them.
-    log, sim, truth = simulated_log()
-    twin_log, twin_sim, twin_truth = simulated_log()
+    log, sim, truth = unit_log()
+    twin_log, twin_sim, twin_truth = unit_log()
     for a, b in ((log, twin_log), (log.segments[0], twin_log.segments[0]),
                  (sim, twin_sim), (truth, twin_truth)):
         assert a == a and a != b
@@ -853,7 +846,7 @@ def test_array_holders_compare_by_identity():
 
 
 def test_log_records_are_immutable_and_copy_through_the_constructor():
-    log, _, _ = simulated_log()
+    log, _, _ = unit_log()
     for record, name in ((log, "sample_rate"), (log, "segments"), (log.segments[0], "times")):
         with pytest.raises(AttributeError):
             setattr(record, name, None)
@@ -866,7 +859,7 @@ def test_log_records_are_immutable_and_copy_through_the_constructor():
 
 class TestSessionConversion:
     def test_session_summaries_match_arrays(self):
-        log, sim, _ = simulated_log()
+        log, sim, _ = unit_log()
         session = log.session()
         np.testing.assert_allclose(
             session.static_means, np.mean(sim.static_raw, axis=0))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from builders import numpy_generator
 from gyrocal import estimator, simulator
 from gyrocal.estimator import calibrate
 from gyrocal.model import CalibrationError, CalibrationParams, ObservationArrays
@@ -426,11 +427,11 @@ def _assert_campaign_matches_single_sessions(config):
     failures = {(s, r): message for s, r, message in report.failures}
     assert len(rows) + len(failures) == config.n_param_sets * config.n_sims_per_set
     for set_index in range(config.n_param_sets):
-        truth = sample_ground_truth(config, _numpy_generator(config.rng_seed, (0, set_index)))
+        truth = sample_ground_truth(config, numpy_generator(config.rng_seed, (0, set_index)))
         for replicate_index in range(config.n_sims_per_set):
             key = (set_index, replicate_index)
             expected = _single_session_outcome(
-                truth, config, _numpy_generator(config.rng_seed, (1, *key)))
+                truth, config, numpy_generator(config.rng_seed, (1, *key)))
             if isinstance(expected, str):
                 assert failures[key] == expected
                 continue
@@ -537,12 +538,8 @@ class TestCampaignMatchesSingleSessions:
                 assert len(report.indices) + len(report.failures) == 3 * per_set
 
 
-def _numpy_generator(seed, key):
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
-
-
 def _numpy_state(seed, key):
-    state = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)).state["state"]
+    state = numpy_generator(seed, key).bit_generator.state["state"]
     return state["state"], state["inc"]
 
 
@@ -580,9 +577,9 @@ class TestSpawnKeyStates:
         assert not report.failures
         for row in (0, 10, 20):
             s, r = report.indices[row].tolist()
-            truth = sample_ground_truth(config, _numpy_generator(config.rng_seed, (0, s)))
+            truth = sample_ground_truth(config, numpy_generator(config.rng_seed, (0, s)))
             estimate, pre, post = _single_session_outcome(
-                truth, config, _numpy_generator(config.rng_seed, (1, s, r)))
+                truth, config, numpy_generator(config.rng_seed, (1, s, r)))
             assert report.truth[row].tolist() == [*truth.params.scales, *truth.params.biases]
             assert report.estimate[row].tolist() == [*estimate.scales, *estimate.biases]
             assert (report.pre_rms[row], report.post_rms[row]) == (pre, post)
@@ -613,9 +610,9 @@ class TestSessionBlockObservations:
         # A full block, then a partial one over the first's leftovers.
         for rows in (5, 3):
             scales, biases, coupling = simulator._truth_arrays(config, np.stack(
-                [_numpy_generator(config.rng_seed, (0, r)).random(12) for r in range(rows)]))
+                [numpy_generator(config.rng_seed, (0, r)).random(12) for r in range(rows)]))
             block.simulate(scales, biases, coupling,
-                           [_numpy_generator(config.rng_seed, (1, rows, r)) for r in range(rows)])
+                           [numpy_generator(config.rng_seed, (1, rows, r)) for r in range(rows)])
             view = block.observations()
             assert view.sums.shape == (rows, 3, 3)
             for r in range(rows):
