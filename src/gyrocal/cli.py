@@ -23,7 +23,7 @@ import numpy as np
 # so only simulate and verify pay to run them.
 from . import doe, observability, simulator
 from .estimator import calibrate
-from .model import AXES, PARAM_NAMES, CalibrationError, CalibrationParams
+from .model import AXES, PARAM_NAMES, CalibrationError, CalibrationParams, as_float
 from .session_io import read_session_log
 
 __all__ = ["main", "run"]
@@ -108,18 +108,15 @@ def _read_params_json(path: str) -> dict[str, float]:
     missing = [k for k in PARAM_NAMES if k not in data]
     if missing:
         raise CalibrationError(f"{path}: missing parameter fields: {', '.join(missing)}")
-    values = {}
-    for key in PARAM_NAMES:
-        value = data[key]
-        # A JSON number parses to an int or a float; a bool is an int too.
-        if type(value) not in (int, float):
-            raise CalibrationError(
-                f"{path}: field {key!r} must be a JSON number, got {json.dumps(value)}")
-        try:
-            values[key] = float(value)
-        except OverflowError:
-            raise CalibrationError(f"{path}: field {key!r} is too large for a float") from None
     try:
+        values = {}
+        for key in PARAM_NAMES:
+            value = data[key]
+            # A JSON number parses to an int or a float; a bool is an int too.
+            if type(value) not in (int, float):
+                raise CalibrationError(
+                    f"field {key!r} must be a JSON number, got {json.dumps(value)}")
+            values[key] = as_float(f"field {key!r}", value)
         return CalibrationParams(**values).as_dict()
     except CalibrationError as exc:
         raise CalibrationError(f"{path}: {exc}") from None

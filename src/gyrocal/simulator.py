@@ -15,6 +15,16 @@ would seed. A campaign hashes all of its keys in one numpy pass, with
 the algorithm of ``SeedSequence`` (O'Neill's ``seed_seq_fe``), and
 reseeds one shared generator through its ``state`` before each row's
 draws; the tests hold every state to numpy's own ``SeedSequence``.
+
+Noise levels: the levels of one ``gyrocal simulate`` run differ only in
+``noise_sigma`` and share the seed and spawn keys, so every positive
+level draws the same stream. They run from one pass of the draws: each
+block reseeds and draws once, and each level scales the same standard
+normals by its own sigma. These are common random numbers, so the
+levels' errors are correlated, as they would be with each level run
+alone, and each level's report equals :func:`run_monte_carlo` of it, bit
+for bit. A level of 0 draws no normals, so its stream is its own, and it
+runs as its own pass. No file is written until every level has run.
 """
 
 from __future__ import annotations
@@ -47,8 +57,9 @@ __all__ = [
 #: sets. Results do not depend on it. Larger blocks spread the fixed cost
 #: of each numpy call over more rows (``fit_batch`` takes about 120 µs for
 #: 4 rows and 200 µs for 16), but hold more memory: the block peaks at
-#: about 150 kB per replicate at the default config, buffers and
-#: temporaries together (2.4 MB at 16, measured with tracemalloc).
+#: about 205 kB per replicate at the default config, buffers and
+#: temporaries together, 67 kB of it the normals kept for every noise
+#: level (3.3 MB at 16, measured with tracemalloc).
 REPLICATE_BLOCK = 16
 
 #: Bezier control ordinates are drawn in this band around the nominal
@@ -294,11 +305,23 @@ def bezier_profile(rng: np.random.Generator, config: SimulationConfig) -> np.nda
                            _bezier_basis(n), np.empty(n), np.empty(n))
 
 
+def _add(out: np.ndarray, clean: np.ndarray, sigma: float) -> None:
+    """Add the clean readings to the noise in ``out``, or at ``sigma`` 0,
+    where ``out`` holds no noise, set them."""
+    if sigma > 0.0:
+        out += clean
+    else:
+        out[...] = clean
+
+
 class _SessionBlock:
     """Buffers for up to ``size`` sessions of one config, stacked on a
     leading replicate axis, and the simulation that fills them. Each row
     has its own truth, so a block may hold replicates of several truth
-    sets. Arrays stay valid until the next ``simulate``."""
+    sets. :meth:`draw` takes the rows' random draws once, and
+    :meth:`build` turns them into the readings at a noise level, as many
+    levels as wanted. Arrays stay valid until the next ``draw`` or
+    ``build``, the turn readings until :meth:`test_readings`."""
 
     def __init__(self, config: SimulationConfig, size: int) -> None:
         self.config = config
@@ -308,11 +331,20 @@ class _SessionBlock:
         try:
             self.basis = _bezier_basis(n_rot)
             self.static_raw = np.empty((size, n_static, 3))
-            self.rotation_raw = np.empty((size, 3, n_rot, 3))
+            # A level's turn readings, then, once observations() has copied
+            # them, its test-set readings. One buffer for the two saves
+            # 384 kB of the 1.07 MB the stored normals take at the default
+            # config.
+            self._readings = np.empty(size * max(9 * n_rot, 3 * n_test))
             self.ordinates = np.empty((size, 3, 4))
             self.test_rates = np.empty((size, n_test, 3))
-            self.test_measurements = np.empty((size, n_test, 3))
             self.profiles = np.empty((size, 3, n_rot))
+            # The unscaled standard normals, which every level scales anew;
+            # none are drawn at noise_sigma 0.
+            self._normals = tuple(
+                np.empty(shape) for shape in ((size, n_static, 3), (size, 3, n_rot, 3),
+                                              (size, n_test, 3))
+            ) if config.noise_sigma > 0.0 else None
             self._still = np.empty(size * 3 * n_static)  # sample-major, (n_static, R, 3)
             # Shared, one user at a time, by the turn passes, (R, 3, n_rot),
             # the test set, (R, 3, n_test) and (R, n_test, 3), and the turns'
@@ -328,28 +360,98 @@ class _SessionBlock:
     def _scratch_view(self, *shape: int) -> np.ndarray:
         return self._scratch[:math.prod(shape)].reshape(shape)
 
-    def _draw(self, rngs: Iterable[np.random.Generator]) -> None:
-        """Each replicate's draws in the fixed order: static noise, then
-        profile ordinates and noise per axis in x, y, z order, then test
-        rates, then test noise. Noise is drawn only when ``noise_sigma > 0``.
-        Row r draws from the r-th generator ``rngs`` yields, taken just
-        before its draws; no more than ``size`` are taken. The loop only
-        draws: uniform values come as ``Generator.random`` and are mapped
-        once per block, which gives ``Generator.uniform``'s numbers."""
-        config, size = self.config, self.size
-        noisy = config.noise_sigma > 0.0
+    @property
+    def rotation_raw(self) -> np.ndarray:
+        """The turn readings of the level last built, ``(R, 3, n, 3)``,
+        until :meth:`test_readings` takes their memory."""
+        shape = self.size, 3, self.config.rotation_samples, 3
+        return self._readings[:math.prod(shape)].reshape(shape)
+
+    def draw(
+        self,
+        scales: np.ndarray,
+        biases: np.ndarray,
+        coupling: np.ndarray,
+        rngs: Iterable[np.random.Generator],
+    ) -> None:
+        """The draws of the first ``R = len(scales)`` rows, row r with the
+        truth ``scales[r]``, ``biases[r]`` ``(R, 3)`` and ``coupling[r]``
+        ``(R, 3, 3)`` and the draws of the r-th generator of ``rngs``, taken
+        just before its draws; no more than R are taken.
+
+        Each row draws in the fixed order: static noise, then profile
+        ordinates and noise per axis in x, y, z order, then test rates, then
+        test noise. Noise is drawn only when ``noise_sigma > 0``. The loop
+        only draws: uniform values come as ``Generator.random`` and are
+        mapped once per block, which gives ``Generator.uniform``'s numbers.
+        The speed traces go to ``profiles`` ``(R, 3, n)``.
+        """
+        config = self.config
+        size = self.size = len(scales)
+        self._truth = scales, biases, coupling
+        normals = self._normals
         for r, rng in zip(range(size), rngs):
-            if noisy:
-                rng.standard_normal(out=self.static_raw[r])
+            if normals:
+                rng.standard_normal(out=normals[0][r])
             for axis in range(3):
                 rng.random(out=self.ordinates[r, axis])
-                if noisy:
-                    rng.standard_normal(out=self.rotation_raw[r, axis])
+                if normals:
+                    rng.standard_normal(out=normals[1][r, axis])
             rng.random(out=self.test_rates[r])
-            if noisy:
-                rng.standard_normal(out=self.test_measurements[r])
+            if normals:
+                rng.standard_normal(out=normals[2][r])
         _ordinates(self.ordinates[:size], config)
         _uniform(self.test_rates[:size], config.test_rate_range)
+        _bezier_samples(self.ordinates[:size], config, self.basis, self.profiles[:size],
+                        self._scratch_view(size, 3, config.rotation_samples))
+
+    def build(self, sigma: float) -> None:
+        """The drawn rows' readings at white noise ``sigma``, which is 0 on
+        a block drawn at ``noise_sigma`` 0, in ``static_raw`` and
+        ``rotation_raw``; :meth:`test_readings` gives the test set's.
+
+        The sensor reports each true rate through the coupling matrix and
+        the inverse model, ``(M @ rate) / k - b``, plus ``sigma`` times the
+        drawn normals. A reading past the float range is left to the stage
+        summaries to refuse, so it warns of nothing here.
+        """
+        size, config = self.size, self.config
+        scales, biases, coupling = self._truth
+        self._sigma = sigma
+        static_raw, rotation_raw = self.static_raw[:size], self.rotation_raw
+        with np.errstate(over="ignore", invalid="ignore"):
+            if sigma > 0.0:
+                np.multiply(self._normals[0][:size], sigma, out=static_raw)
+                np.multiply(self._normals[1][:size], sigma, out=rotation_raw)
+            # The still stage's true rate is zero, and so is its coupled rate.
+            _add(static_raw, (np.zeros(3) / scales - biases)[:, None, :], sigma)
+            # A turn about axis j has one nonzero true rate, so sensor axis l
+            # reads that rate times M[l, j]. One pass per sensor axis keeps
+            # the element-wise steps running along the samples.
+            column = self._scratch_view(size, 3, config.rotation_samples)
+            for axis in range(3):
+                np.multiply(self.profiles[:size], coupling[:, axis, :, None], out=column)
+                column /= scales[:, axis, None, None]
+                column -= biases[:, axis, None, None]
+                _add(rotation_raw[..., axis], column, sigma)
+
+    def test_readings(self, out: np.ndarray | None = None) -> np.ndarray:
+        """The test set's readings ``(R, n_test, 3)`` at the level last
+        built, in ``out`` or else in the memory of its turn readings, which
+        :meth:`observations` has copied by then."""
+        size, sigma, n_test = self.size, self._sigma, self.config.n_test_rates
+        scales, biases, coupling = self._truth
+        measurements = (self._readings[:size * n_test * 3].reshape(size, n_test, 3)
+                        if out is None else out)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if sigma > 0.0:
+                np.multiply(self._normals[2][:size], sigma, out=measurements)
+            coupled = np.matmul(coupling, self.test_rates[:size].transpose(0, 2, 1),
+                                out=self._scratch_view(size, 3, n_test))
+            coupled /= scales[:, :, None]
+            coupled -= biases[:, :, None]
+            _add(measurements, coupled.transpose(0, 2, 1), sigma)
+        return measurements
 
     def simulate(
         self,
@@ -358,51 +460,9 @@ class _SessionBlock:
         coupling: np.ndarray,
         rngs: Iterable[np.random.Generator],
     ) -> None:
-        """One session per truth, in the first ``R = len(scales)`` rows,
-        row r with the truth ``scales[r]``, ``biases[r]`` ``(R, 3)`` and
-        ``coupling[r]`` ``(R, 3, 3)`` and the draws of the r-th generator
-        of ``rngs``.
-
-        The sensor reports each true rate through the coupling matrix and
-        the inverse model, ``(M @ rate) / k - b``, plus white noise of
-        ``noise_sigma``. The speed traces go to ``profiles`` ``(R, 3, n)``.
-        """
-        size = self.size = len(scales)
-        self._draw(rngs)
-        sigma = self.config.noise_sigma
-        static_raw = self.static_raw[:size]
-        rotation_raw = self.rotation_raw[:size]
-        measurements = self.test_measurements[:size]
-        if sigma > 0.0:
-            static_raw *= sigma
-            rotation_raw *= sigma
-            measurements *= sigma
-
-        def add(out: np.ndarray, clean: np.ndarray) -> None:
-            if sigma > 0.0:
-                out += clean
-            else:
-                out[...] = clean
-
-        # The still stage's true rate is zero, and so is its coupled rate.
-        add(static_raw, (np.zeros(3) / scales - biases)[:, None, :])
-        # A turn about axis j has one nonzero true rate, so sensor axis l
-        # reads that rate times M[l, j]. One pass per sensor axis keeps the
-        # element-wise steps running along the samples.
-        column = self._scratch_view(size, 3, self.config.rotation_samples)
-        profiles = _bezier_samples(self.ordinates[:size], self.config, self.basis,
-                                   self.profiles[:size], column)
-        for axis in range(3):
-            np.multiply(profiles, coupling[:, axis, :, None], out=column)
-            column /= scales[:, axis, None, None]
-            column -= biases[:, axis, None, None]
-            add(rotation_raw[..., axis], column)
-        rates = self.test_rates[:size]
-        coupled = np.matmul(coupling, rates.transpose(0, 2, 1),
-                            out=self._scratch_view(size, 3, self.config.n_test_rates))
-        coupled /= scales[:, :, None]
-        coupled -= biases[:, :, None]
-        add(measurements, coupled.transpose(0, 2, 1))
+        """:meth:`draw`, then :meth:`build` at the config's ``noise_sigma``."""
+        self.draw(scales, biases, coupling, rngs)
+        self.build(self.config.noise_sigma)
 
     def observations(self) -> ObservationArrays:
         """``ObservationArrays.from_samples`` of every row at once, on
@@ -410,21 +470,23 @@ class _SessionBlock:
         ``(n, R, 3)``. Every sum then runs over the samples in order, as on
         one stage, with all rows on a long inner loop (on the ``(..., n, 3)``
         layout numpy's inner loop is the 3 axes), so each row is its
-        session's own view, bit for bit."""
+        session's own view, bit for bit. A sum past the float range is
+        refused there, not warned of."""
         config, size = self.config, self.size
         still = self._still[:config.static_samples * size * 3].reshape(-1, size, 3)
         np.copyto(still, self.static_raw[:size].transpose(1, 0, 2))
         # Whole (3,) samples copy as 24-byte records, 2.5x faster than floats.
         turns = self._scratch_view(3, config.rotation_samples, size, 3)
         np.copyto(turns.view("V24")[..., 0],
-                  self.rotation_raw[:size].view("V24")[..., 0].transpose(1, 2, 0))
-        return ObservationArrays.from_samples(still, turns, config.sample_rate,
-                                              config.rotation_angle)
+                  self.rotation_raw.view("V24")[..., 0].transpose(1, 2, 0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return ObservationArrays.from_samples(still, turns, config.sample_rate,
+                                                  config.rotation_angle)
 
     def test_set_rms(self, fit: Fit) -> tuple[np.ndarray, np.ndarray]:
         """Test-set RMS error per row before and after correction by ``fit``."""
         rates = self.test_rates[:self.size]
-        measurements = self.test_measurements[:self.size]
+        measurements = self.test_readings()
         d = self._scratch_view(*rates.shape)
         np.subtract(measurements, rates, out=d)
         np.square(d, out=d)
@@ -473,7 +535,8 @@ def simulate_session(
         static_raw=block.static_raw[0],
         rotation_raw=tuple(block.rotation_raw[0]),
         test_rates=block.test_rates[0],
-        test_measurements=block.test_measurements[0],
+        # Its own buffer, which leaves the turn readings in the block's.
+        test_measurements=block.test_readings(np.empty((1, config.n_test_rates, 3)))[0],
     )
 
 
@@ -651,6 +714,28 @@ def run_monte_carlo(config: SimulationConfig) -> CampaignReport:
     ``ObservationArrays.from_samples`` refusal. All keys are hashed up front, and one
     generator, reseeded per truth set and per replicate, makes every draw.
     """
+    return _monte_carlo([config])[0]
+
+
+def _run_levels(configs: list[SimulationConfig]) -> list[CampaignReport]:
+    """:func:`run_monte_carlo` of each of ``configs``, in order; they
+    differ only in ``noise_sigma``. The positive levels draw the same
+    stream, so they run together from one pass of the draws. A level of
+    0 draws no normals, so its stream is its own, and it runs alone."""
+    reports = {}
+    for noisy in (True, False):
+        group = [config for config in configs if (config.noise_sigma > 0.0) == noisy]
+        if group:
+            reports.update(zip(map(id, group), _monte_carlo(group)))
+    return [reports[id(config)] for config in configs]
+
+
+def _monte_carlo(configs: list[SimulationConfig]) -> list[CampaignReport]:
+    """The campaign loop of :func:`run_monte_carlo`, for ``configs`` that
+    differ only in ``noise_sigma``, every one positive or every one 0.
+    Each block reseeds and draws once; each level then scales the same
+    normals by its own sigma and fits and scores its own readings."""
+    config = configs[0]
     per_set = config.n_sims_per_set
     total = config.n_param_sets * per_set
     # Reseeded before every draw, so its own seed never shows.
@@ -663,26 +748,32 @@ def run_monte_carlo(config: SimulationConfig) -> CampaignReport:
     indices = np.column_stack(np.divmod(np.arange(total), per_set))
     replicate_rngs = _reseeded(rng, config.rng_seed, np.insert(indices, 0, 1, axis=1))
     truth = np.repeat(truth_draws[:, :6], per_set, axis=0)
-    estimate = np.empty((total, 6))
-    pre_rms = np.empty(total)
-    post_rms = np.empty(total)
-    errors: list[CalibrationError | None] = []
-    guard_sigma = config.noise_sigma if config.noise_sigma > 0.0 else None
+    sigmas = [level.noise_sigma for level in configs]
+    estimate = np.empty((len(sigmas), total, 6))
+    pre_rms = np.empty((len(sigmas), total))
+    post_rms = np.empty((len(sigmas), total))
+    errors: list[list[CalibrationError | None]] = [[] for _ in sigmas]
     block = _SessionBlock(config, min(REPLICATE_BLOCK, total))
     for first in range(0, total, REPLICATE_BLOCK):
         rows = slice(first, min(first + REPLICATE_BLOCK, total))
         sets = indices[rows, 0]
-        block.simulate(scales[sets], biases[sets], coupling[sets], replicate_rngs)
-        fit = fit_batch(block.observations(), noise_sigma=guard_sigma)
-        estimate[rows, :3] = fit.scales
-        estimate[rows, 3:] = fit.biases
-        pre_rms[rows], post_rms[rows] = block.test_set_rms(fit)
-        errors += fit.errors
-    keep = np.array([error is None for error in errors])
-    failures = tuple((*indices[row].tolist(), str(error))
-                     for row, error in enumerate(errors) if error is not None)
-    return CampaignReport(config, indices[keep], truth[keep], estimate[keep],
-                          pre_rms[keep], post_rms[keep], failures=failures)
+        block.draw(scales[sets], biases[sets], coupling[sets], replicate_rngs)
+        for level, sigma in enumerate(sigmas):
+            block.build(sigma)
+            fit = fit_batch(block.observations(), noise_sigma=sigma if sigma > 0.0 else None)
+            estimate[level, rows, :3] = fit.scales
+            estimate[level, rows, 3:] = fit.biases
+            pre_rms[level, rows], post_rms[level, rows] = block.test_set_rms(fit)
+            errors[level] += fit.errors
+    reports = []
+    for level, level_errors in enumerate(errors):
+        keep = np.array([error is None for error in level_errors])
+        failures = tuple((*indices[row].tolist(), str(error))
+                         for row, error in enumerate(level_errors) if error is not None)
+        reports.append(CampaignReport(configs[level], indices[keep], truth[keep],
+                                      estimate[level, keep], pre_rms[level, keep],
+                                      post_rms[level, keep], failures=failures))
+    return reports
 
 
 # The files of ``gyrocal simulate``, here rather than in ``cli`` so that
@@ -717,8 +808,8 @@ def load_configs(path: str | None, seed: int | None) -> list[SimulationConfig]:
 
 
 def write_campaigns(configs: list[SimulationConfig], out: str) -> None:
-    """Run each campaign and write its replicate CSV, then ``summary.json``,
-    into ``out``, printing a line per file."""
+    """Run every campaign, then write each one's replicate CSV and
+    ``summary.json`` into ``out``, printing a line per file."""
     # An unusable --out fails here, before any campaign runs; the
     # directories made for it go again if a config is refused.
     made = []
@@ -739,9 +830,10 @@ def write_campaigns(configs: list[SimulationConfig], out: str) -> None:
 
 
 def _run_campaigns(configs: list[SimulationConfig], out: str) -> None:
+    # Every level runs before any file is written, so a refused level
+    # leaves no output behind.
     campaigns = {}
-    for config in configs:
-        report = run_monte_carlo(config)
+    for config, report in zip(configs, _run_levels(configs)):
         csv_name = f"replicates_sigma_{config.noise_sigma!r}.csv"
         report.write_replicates_csv(os.path.join(out, csv_name))
         campaigns[repr(config.noise_sigma)] = {

@@ -184,10 +184,30 @@ class TestSimulate:
         blocker = tmp_path / "file"
         blocker.write_text("", encoding="utf-8")
         campaigns = []
-        monkeypatch.setattr(gyrocal.simulator, "run_monte_carlo", campaigns.append)
+        monkeypatch.setattr(gyrocal.simulator, "_run_levels",
+                            lambda configs: campaigns.append(configs) or [])
         assert main(["simulate", "--config", str(config), "--out", str(blocker / "x")]) == 1
         assert capsys.readouterr().err.startswith("error: cannot write output: ")
         assert campaigns == []  # before any campaign runs
+        # The patched entry is the one that runs the campaigns.
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        assert len(campaigns) == 1
+
+    @pytest.mark.parametrize("flags", [[], ["-W", "error"]], ids=["plain", "warnings-as-errors"])
+    def test_refused_later_level_leaves_no_output(self, tmp_path, flags):
+        # The first level runs cleanly; the second's readings overflow, so
+        # its stage summaries refuse. No file is written before every level
+        # has run, and the overflow warns of nothing on the way.
+        config = tmp_path / "overflow.yaml"
+        config.write_text("noise_levels: [0.03, 1.0e+308]\nn_param_sets: 2\nn_sims_per_set: 2\n"
+                          "n_test_rates: 5\n", encoding="utf-8")
+        out = tmp_path / "out"
+        result = run_python(*flags, "-m", "gyrocal", "simulate", "--config", str(config),
+                            "--out", str(out))
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr.startswith("error: bad simulation config: ")
+        assert result.stderr.count("\n") == 1
+        assert not out.exists()
 
 
 class TestCalibrate:

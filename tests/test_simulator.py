@@ -538,6 +538,70 @@ class TestCampaignMatchesSingleSessions:
                 assert len(report.indices) + len(report.failures) == 3 * per_set
 
 
+def _level_configs(levels):
+    """One config per noise level: cross-coupling on, and 3 sets of 7
+    replicates, which put set boundaries inside blocks of 5."""
+    base = SimulationConfig(rng_seed=8, n_param_sets=3, n_sims_per_set=7, n_test_rates=40)
+    return [dataclasses.replace(base, noise_sigma=level) for level in levels]
+
+
+def _unlike_separate_runs(configs, reports):
+    """The noise levels whose report differs in any bit from
+    ``run_monte_carlo`` of that level's config alone."""
+    def table(report):
+        columns = (report.indices, report.truth, report.estimate, report.pre_rms, report.post_rms)
+        return [(column.shape, column.tobytes()) for column in columns], report.failures
+
+    return [config.noise_sigma for config, report in zip(configs, reports)
+            if report.config is not config or table(report) != table(run_monte_carlo(config))]
+
+
+class TestLevelsShareOneDrawPass:
+    """The positive noise levels of one run draw the same stream, so they
+    share one pass of the draws and each scales the same normals by its
+    own sigma; a level of 0 draws no normals and runs alone. Either way
+    every level equals its own ``run_monte_carlo``, bit for bit."""
+
+    CONFIGS = _level_configs([0.15, 0.0, 0.03])
+
+    @pytest.fixture(autouse=True)
+    def _blocks(self, monkeypatch):
+        # At 1.03 noise sigmas the stillness guard fails about half the
+        # rows of a noisy level; a level of 0 has no such guard.
+        monkeypatch.setattr(estimator, "STILLNESS_STD_FACTOR", 1.03)
+        monkeypatch.setattr(simulator, "REPLICATE_BLOCK", 5)
+
+    def test_levels_equal_separate_runs(self, monkeypatch):
+        draws = []
+        draw = simulator._SessionBlock.draw
+        monkeypatch.setattr(simulator._SessionBlock, "draw",
+                            lambda block, scales, *args: draws.append(len(scales))
+                            or draw(block, scales, *args))
+        reports = simulator._run_levels(self.CONFIGS)
+        # 21 rows in blocks of 5: one pass for both noisy levels, one for 0.
+        assert draws == [5, 5, 5, 5, 1] * 2
+        for report in reports:
+            assert len(report.indices) + len(report.failures) == 21
+            assert bool(report.failures) == (report.config.noise_sigma > 0.0)
+        assert _unlike_separate_runs(self.CONFIGS, reports) == []
+
+    def test_a_level_scaled_from_another_levels_noise_is_caught(self, monkeypatch):
+        build = simulator._SessionBlock.build
+
+        def rescaled(block, sigma):
+            # Scales the stored normals in place, so the next level scales
+            # this level's noise rather than the drawn normals.
+            if sigma == 0.0:
+                return build(block, sigma)
+            for normals in block._normals:
+                normals[:block.size] *= sigma
+            return build(block, 1.0)
+
+        monkeypatch.setattr(simulator._SessionBlock, "build", rescaled)
+        reports = simulator._run_levels(self.CONFIGS)
+        assert _unlike_separate_runs(self.CONFIGS, reports) == [0.03]
+
+
 def _numpy_state(seed, key):
     state = numpy_generator(seed, key).bit_generator.state["state"]
     return state["state"], state["inc"]
