@@ -37,11 +37,9 @@ def _fail(message: str) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    import yaml
-
     try:
         configs = simulator.load_configs(args.config, args.seed)
-    except (OSError, yaml.YAMLError, CalibrationError, ValueError, TypeError) as exc:
+    except (OSError, CalibrationError) as exc:
         return _fail(f"bad simulation config: {exc}")
     try:
         simulator.write_campaigns(configs, args.out)

@@ -18,17 +18,19 @@ draws; the tests hold every state to numpy's own ``SeedSequence``.
 
 Noise levels: the levels of one ``gyrocal simulate`` run differ only in
 ``noise_sigma`` and share the seed and spawn keys, so every positive
-level draws the same stream. They run from one pass of the draws: each
-block reseeds and draws once, and each level scales the same standard
-normals by its own sigma. These are common random numbers, so the
-levels' errors are correlated, as they would be with each level run
-alone, and each level's report equals :func:`run_monte_carlo` of it, bit
-for bit. A level of 0 draws no normals, so its stream is its own, and it
-runs as its own pass. No file is written until every level has run.
+level draws the same stream. ``_run_levels``, the one campaign loop,
+runs the positive levels from one pass of the draws: each block reseeds
+and draws once, and each level scales the same standard normals by its
+own sigma. These are common random numbers, so the levels' errors are
+correlated, as they would be with each level run alone, and each level's
+report equals :func:`run_monte_carlo` of it, bit for bit. A level of 0
+draws no normals, so its stream is its own, and it runs as its own pass.
+No file is written until every level has run.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
@@ -453,17 +455,6 @@ class _SessionBlock:
             _add(measurements, coupled.transpose(0, 2, 1), sigma)
         return measurements
 
-    def simulate(
-        self,
-        scales: np.ndarray,
-        biases: np.ndarray,
-        coupling: np.ndarray,
-        rngs: Iterable[np.random.Generator],
-    ) -> None:
-        """:meth:`draw`, then :meth:`build` at the config's ``noise_sigma``."""
-        self.draw(scales, biases, coupling, rngs)
-        self.build(self.config.noise_sigma)
-
     def observations(self) -> ObservationArrays:
         """``ObservationArrays.from_samples`` of every row at once, on
         sample-major copies: the still stage and each turn a contiguous
@@ -526,8 +517,9 @@ def simulate_session(
     is that replicate's campaign fit.
     """
     block = _SessionBlock(config, 1)
-    block.simulate(truth.params.scales[None], truth.params.biases[None],
-                   truth.misalignment[None], [rng])
+    block.draw(truth.params.scales[None], truth.params.biases[None],
+               truth.misalignment[None], [rng])
+    block.build(config.noise_sigma)
     stack = block.observations()
     return SimulatedSession(
         session=stack._replace(static_means=stack.static_means[0],
@@ -687,12 +679,12 @@ def _pcg64_states(seed: int, keys) -> Iterator[tuple[int, int]]:
 
 
 def _reseeded(
-    rng: np.random.Generator, seed: int, keys
+    rng: np.random.Generator, states: Iterable[tuple[int, int]]
 ) -> Iterator[np.random.Generator]:
-    """``rng`` once per row of spawn keys, each time with its ``PCG64`` in
-    the state that ``SeedSequence(seed, spawn_key=row)`` seeds."""
+    """``rng`` once per ``(state, inc)`` of ``states``, each time with its
+    ``PCG64`` in that state."""
     bit_generator = rng.bit_generator
-    for state, inc in _pcg64_states(seed, keys):
+    for state, inc in states:
         bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                                "has_uint32": 0, "uinteger": 0}
         yield rng
@@ -714,27 +706,15 @@ def run_monte_carlo(config: SimulationConfig) -> CampaignReport:
     ``ObservationArrays.from_samples`` refusal. All keys are hashed up front, and one
     generator, reseeded per truth set and per replicate, makes every draw.
     """
-    return _monte_carlo([config])[0]
+    return _run_levels([config])[0]
 
 
 def _run_levels(configs: list[SimulationConfig]) -> list[CampaignReport]:
-    """:func:`run_monte_carlo` of each of ``configs``, in order; they
-    differ only in ``noise_sigma``. The positive levels draw the same
-    stream, so they run together from one pass of the draws. A level of
-    0 draws no normals, so its stream is its own, and it runs alone."""
-    reports = {}
-    for noisy in (True, False):
-        group = [config for config in configs if (config.noise_sigma > 0.0) == noisy]
-        if group:
-            reports.update(zip(map(id, group), _monte_carlo(group)))
-    return [reports[id(config)] for config in configs]
-
-
-def _monte_carlo(configs: list[SimulationConfig]) -> list[CampaignReport]:
-    """The campaign loop of :func:`run_monte_carlo`, for ``configs`` that
-    differ only in ``noise_sigma``, every one positive or every one 0.
-    Each block reseeds and draws once; each level then scales the same
-    normals by its own sigma and fits and scores its own readings."""
+    """The one campaign loop: :func:`run_monte_carlo` of each of
+    ``configs``, in order; they differ only in ``noise_sigma``. It draws
+    the truths and hashes the keys once. The positive levels run as one
+    pass of the draws, each block drawn once and built once per level; a
+    level of 0 runs as a pass of its own."""
     config = configs[0]
     per_set = config.n_sims_per_set
     total = config.n_param_sets * per_set
@@ -742,29 +722,38 @@ def _monte_carlo(configs: list[SimulationConfig]) -> list[CampaignReport]:
     rng = np.random.Generator(np.random.PCG64(0))
     truth_keys = np.insert(np.arange(config.n_param_sets)[:, None], 0, 0, axis=1)
     truth_draws = np.empty((config.n_param_sets, 12))
-    for row, truth_rng in zip(truth_draws, _reseeded(rng, config.rng_seed, truth_keys)):
+    truth_rngs = _reseeded(rng, _pcg64_states(config.rng_seed, truth_keys))
+    for row, truth_rng in zip(truth_draws, truth_rngs):
         truth_rng.random(out=row)
     scales, biases, coupling = _truth_arrays(config, truth_draws)
     indices = np.column_stack(np.divmod(np.arange(total), per_set))
-    replicate_rngs = _reseeded(rng, config.rng_seed, np.insert(indices, 0, 1, axis=1))
     truth = np.repeat(truth_draws[:, :6], per_set, axis=0)
     sigmas = [level.noise_sigma for level in configs]
+    # One pass per kind of level, positive or 0, in order of appearance.
+    passes = [[level for level, sigma in enumerate(sigmas) if (sigma > 0.0) == noisy]
+              for noisy in dict.fromkeys(sigma > 0.0 for sigma in sigmas)]
+    # One hash of the keys; a second pass replays the states the first took.
+    states = _pcg64_states(config.rng_seed, np.insert(indices, 0, 1, axis=1))
     estimate = np.empty((len(sigmas), total, 6))
     pre_rms = np.empty((len(sigmas), total))
     post_rms = np.empty((len(sigmas), total))
     errors: list[list[CalibrationError | None]] = [[] for _ in sigmas]
-    block = _SessionBlock(config, min(REPLICATE_BLOCK, total))
-    for first in range(0, total, REPLICATE_BLOCK):
-        rows = slice(first, min(first + REPLICATE_BLOCK, total))
-        sets = indices[rows, 0]
-        block.draw(scales[sets], biases[sets], coupling[sets], replicate_rngs)
-        for level, sigma in enumerate(sigmas):
-            block.build(sigma)
-            fit = fit_batch(block.observations(), noise_sigma=sigma if sigma > 0.0 else None)
-            estimate[level, rows, :3] = fit.scales
-            estimate[level, rows, 3:] = fit.biases
-            pre_rms[level, rows], post_rms[level, rows] = block.test_set_rms(fit)
-            errors[level] += fit.errors
+    for levels, pass_states in zip(passes, itertools.tee(states, len(passes))):
+        replicate_rngs = _reseeded(rng, pass_states)
+        block = _SessionBlock(configs[levels[0]], min(REPLICATE_BLOCK, total))
+        for first in range(0, total, REPLICATE_BLOCK):
+            rows = slice(first, min(first + REPLICATE_BLOCK, total))
+            sets = indices[rows, 0]
+            block.draw(scales[sets], biases[sets], coupling[sets], replicate_rngs)
+            for level in levels:
+                sigma = sigmas[level]
+                block.build(sigma)
+                fit = fit_batch(block.observations(), noise_sigma=sigma if sigma > 0.0 else None)
+                estimate[level, rows, :3] = fit.scales
+                estimate[level, rows, 3:] = fit.biases
+                pre_rms[level, rows], post_rms[level, rows] = block.test_set_rms(fit)
+                errors[level] += fit.errors
+        del block  # freed before the next pass builds its own
     reports = []
     for level, level_errors in enumerate(errors):
         keep = np.array([error is None for error in level_errors])
@@ -781,26 +770,31 @@ def _monte_carlo(configs: list[SimulationConfig]) -> list[CampaignReport]:
 
 def load_configs(path: str | None, seed: int | None) -> list[SimulationConfig]:
     """Config file to campaign list; a noise_levels list fans out campaigns,
-    and no two levels may be the same ``noise_sigma`` once converted."""
+    and no two levels may be the same ``noise_sigma`` once converted. A file
+    that is not UTF-8 or not YAML is a ``CalibrationError``."""
     import yaml  # only simulate reads YAML, so calibrate does not pay to import it
 
     mapping: dict = {}
     if path is not None:
-        with open(path, "r", encoding="utf-8") as handle:
-            loaded = yaml.safe_load(handle)
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                loaded = yaml.safe_load(handle)
+        except (yaml.YAMLError, ValueError) as exc:  # not UTF-8, or an int too long to parse
+            raise CalibrationError(str(exc)) from None
         if loaded is None:
             loaded = {}
         if not isinstance(loaded, dict):
             raise CalibrationError(f"config root must be a mapping, got {type(loaded).__name__}")
         mapping = dict(loaded)
-    levels = mapping.pop("noise_levels", None)
-    if levels is not None and (not isinstance(levels, (list, tuple)) or not levels):
+    if "noise_levels" in mapping and "noise_sigma" in mapping:
+        raise CalibrationError("noise_levels and noise_sigma cannot both be given")
+    sigma = mapping.get("noise_sigma", SimulationConfig.noise_sigma)
+    levels = mapping.pop("noise_levels", [sigma])
+    if not isinstance(levels, (list, tuple)) or not levels:
         raise CalibrationError("noise_levels must be a non-empty list of numbers")
     base = SimulationConfig.from_mapping(mapping)
     if seed is not None:
         base = replace(base, rng_seed=seed)
-    if levels is None:
-        return [base]
     configs = [replace(base, noise_sigma=level) for level in levels]
     if len({config.noise_sigma for config in configs}) != len(configs):
         raise CalibrationError(f"noise_levels must not repeat, got {levels}")
@@ -810,8 +804,8 @@ def load_configs(path: str | None, seed: int | None) -> list[SimulationConfig]:
 def write_campaigns(configs: list[SimulationConfig], out: str) -> None:
     """Run every campaign, then write each one's replicate CSV and
     ``summary.json`` into ``out``, printing a line per file."""
-    # An unusable --out fails here, before any campaign runs; the
-    # directories made for it go again if a config is refused.
+    # An unusable --out fails here, before any campaign runs. Every level
+    # runs before a file is written; if one is refused, the new dirs go.
     made = []
     head = os.path.abspath(out)
     while not os.path.lexists(head):
@@ -819,7 +813,7 @@ def write_campaigns(configs: list[SimulationConfig], out: str) -> None:
         head = os.path.dirname(head)
     os.makedirs(out, exist_ok=True)
     try:
-        _run_campaigns(configs, out)
+        reports = _run_levels(configs)
     except CalibrationError:
         for path in made:  # deepest first; one that holds output stays
             try:
@@ -827,13 +821,8 @@ def write_campaigns(configs: list[SimulationConfig], out: str) -> None:
             except OSError:
                 break
         raise
-
-
-def _run_campaigns(configs: list[SimulationConfig], out: str) -> None:
-    # Every level runs before any file is written, so a refused level
-    # leaves no output behind.
     campaigns = {}
-    for config, report in zip(configs, _run_levels(configs)):
+    for config, report in zip(configs, reports):
         csv_name = f"replicates_sigma_{config.noise_sigma!r}.csv"
         report.write_replicates_csv(os.path.join(out, csv_name))
         campaigns[repr(config.noise_sigma)] = {

@@ -142,6 +142,10 @@ class TestSimulate:
                      f"sample_rate is too large for a float, got {10 ** 400}",
                      id="400-digit sample_rate"),
         ("1: 2\n", [], "unknown simulation config keys: 1"),
+        ("noise_sigma: 0.5\nnoise_levels: [0.03]\n", [],
+         "noise_levels and noise_sigma cannot both be given"),
+        ("noise_levels:\n", [], "noise_levels must be a non-empty list of numbers"),
+        ("noise_levels: null\n", [], "noise_levels must be a non-empty list of numbers"),
     ])
     def test_unusable_config_reported(self, tmp_path, capsys, text, seed_args, message):
         config = tmp_path / "bad.yaml"
@@ -150,6 +154,43 @@ class TestSimulate:
         assert main(["simulate", "--config", str(config), *seed_args, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: bad simulation config: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        b"noise_levels: [0.03\n",
+        b"noise_sigma: 0.03  # \xb5\n",
+        b"sample_rate: " + b"1" * 5000 + b"\n",
+    ], ids=["not YAML", "not UTF-8", "5000-digit int"])
+    def test_unreadable_config_reported(self, tmp_path, capsys, text):
+        config = tmp_path / "bad.yaml"
+        config.write_bytes(text)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad simulation config: ")
+        assert err.count("error:") == 1 and "Traceback" not in err
+        assert not out.exists()
+
+    def test_each_level_writes_the_files_of_its_own_run(self, tmp_path):
+        # A level of 0 runs as its own pass over the truths the positive
+        # levels share; each level's CSV and summary entry are those of a
+        # run of that level alone, byte for byte.
+        def run(name, text):
+            config = tmp_path / f"{name}.yaml"
+            config.write_text(text + "n_param_sets: 3\nn_sims_per_set: 7\nn_test_rates: 40\n",
+                              encoding="utf-8")
+            out = tmp_path / name
+            assert main(["simulate", "--config", str(config), "--seed", "8",
+                         "--out", str(out)]) == 0
+            return out, json.loads((out / "summary.json").read_text(encoding="utf-8"))
+
+        out, summary = run("levels", "noise_levels: [0.15, 0.0, 0.03]\n")
+        assert list(summary["campaigns"]) == ["0.0", "0.03", "0.15"]
+        for level, entry in summary["campaigns"].items():
+            alone, alone_summary = run(level, f"noise_sigma: {level}\n")
+            expected = {"rng_seed": 8, "campaigns": {level: entry}}
+            assert json.dumps(alone_summary) == json.dumps(expected, sort_keys=True)
+            csv_name = f"replicates_sigma_{level}.csv"
+            assert (out / csv_name).read_bytes() == (alone / csv_name).read_bytes()
 
     def test_session_block_too_large_reported(self, tmp_path, capsys):
         # The dimension check refuses this size before any memory is taken.

@@ -160,8 +160,9 @@ def test_session_draws_match_per_call_uniform(noise_sigma):
     assert simulate_session(truth, config, rng).test_rates.tobytes() == test_rates.tobytes()
     assert rng.bit_generator.state == oracle.bit_generator.state
     block = simulator._SessionBlock(config, 1)
-    block.simulate(truth.params.scales[None], truth.params.biases[None],
-                   truth.misalignment[None], [numpy_generator(23, (1, 0, 0))])
+    block.draw(truth.params.scales[None], truth.params.biases[None],
+               truth.misalignment[None], [numpy_generator(23, (1, 0, 0))])
+    block.build(noise_sigma)
     assert block.ordinates[0].tobytes() == ordinates.tobytes()
 
 

@@ -1,4 +1,5 @@
-"""Every ``python`` block of README.md runs as written, warnings as errors."""
+"""Every ``python`` block of README.md runs as written, warnings as errors,
+and every ``yaml`` block is a config that ``gyrocal simulate`` accepts."""
 
 import re
 from pathlib import Path
@@ -6,10 +7,18 @@ from pathlib import Path
 import pytest
 
 from builders import run_python
+from gyrocal import simulator
 
 README = Path(__file__).resolve().parents[1] / "README.md"
-BLOCKS = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"),
-                    re.MULTILINE | re.DOTALL)
+
+
+def _blocks(language):
+    return re.findall(rf"^```{language}\n(.*?)^```$", README.read_text(encoding="utf-8"),
+                      re.MULTILINE | re.DOTALL)
+
+
+BLOCKS = _blocks("python")
+YAML_BLOCKS = _blocks("yaml")
 
 
 def test_readme_has_python_blocks():
@@ -21,3 +30,15 @@ def test_python_block_runs(index):
     # A fresh interpreter, so a block sees only what it imports itself.
     proc = run_python("-W", "error", "-c", BLOCKS[index])
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_has_yaml_blocks():
+    assert YAML_BLOCKS
+
+
+@pytest.mark.parametrize("index", range(len(YAML_BLOCKS)))
+def test_yaml_block_is_a_config(tmp_path, index):
+    # Loaded only: the documented campaign is too large to run here.
+    config = tmp_path / "campaign.yaml"
+    config.write_text(YAML_BLOCKS[index], encoding="utf-8")
+    assert simulator.load_configs(str(config), None)

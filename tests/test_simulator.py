@@ -675,8 +675,9 @@ class TestSessionBlockObservations:
         for rows in (5, 3):
             scales, biases, coupling = simulator._truth_arrays(config, np.stack(
                 [numpy_generator(config.rng_seed, (0, r)).random(12) for r in range(rows)]))
-            block.simulate(scales, biases, coupling,
-                           [numpy_generator(config.rng_seed, (1, rows, r)) for r in range(rows)])
+            block.draw(scales, biases, coupling,
+                       [numpy_generator(config.rng_seed, (1, rows, r)) for r in range(rows)])
+            block.build(noise_sigma)
             view = block.observations()
             assert view.sums.shape == (rows, 3, 3)
             for r in range(rows):
