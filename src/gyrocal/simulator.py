@@ -30,6 +30,7 @@ No file is written until every level has run.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -40,7 +41,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .estimator import Fit, fit_batch
+from .estimator import fit_batch
 from .model import PARAM_NAMES, CalibrationError, CalibrationParams, ObservationArrays
 
 __all__ = [
@@ -59,9 +60,9 @@ __all__ = [
 #: sets. Results do not depend on it. Larger blocks spread the fixed cost
 #: of each numpy call over more rows (``fit_batch`` takes about 120 µs for
 #: 4 rows and 200 µs for 16), but hold more memory: the block peaks at
-#: about 205 kB per replicate at the default config, buffers and
-#: temporaries together, 67 kB of it the normals kept for every noise
-#: level (3.3 MB at 16, measured with tracemalloc).
+#: about 157 kB per replicate at the default config, buffers and
+#: temporaries together, 43 kB of it the normals kept for every noise
+#: level (2.5 MB at 16, measured with tracemalloc).
 REPLICATE_BLOCK = 16
 
 #: Bezier control ordinates are drawn in this band around the nominal
@@ -69,6 +70,9 @@ REPLICATE_BLOCK = 16
 _CONTROL_BAND = (0.5, 1.5)
 
 _OFF_DIAGONAL = ~np.eye(3, dtype=bool)
+
+#: k_x, k_y, k_z, b_x, b_y, b_z of the identity calibration.
+_IDENTITY_ROW = np.repeat([1.0, 0.0], 3)
 
 
 def _config_number(name: str, value, whole: bool) -> float | int:
@@ -91,7 +95,7 @@ def _config_number(name: str, value, whole: bool) -> float | int:
         raise CalibrationError(f"{name} must be finite, got {value!r}")
     if whole and number != int(number):
         raise CalibrationError(f"{name} must be {kind}, got {value!r}")
-    return int(number) if whole else number
+    return int(number) if whole else number + 0.0  # -0.0 + 0.0 is 0.0: one level, one name
 
 
 @dataclass(frozen=True)
@@ -115,7 +119,7 @@ class SimulationConfig:
     rotation_angle: float = 360.0
     n_param_sets: int = 30
     n_sims_per_set: int = 500
-    n_test_rates: int = 1000
+    n_test_rates: int = 1000  # accepted and validated, but unused
     test_rate_range: tuple[float, float] = (-180.0, 180.0)
     rng_seed: int = 0
 
@@ -323,51 +327,35 @@ class _SessionBlock:
     sets. :meth:`draw` takes the rows' random draws once, and
     :meth:`build` turns them into the readings at a noise level, as many
     levels as wanted. Arrays stay valid until the next ``draw`` or
-    ``build``, the turn readings until :meth:`test_readings`."""
+    ``build``."""
 
     def __init__(self, config: SimulationConfig, size: int) -> None:
         self.config = config
-        n_static, n_rot, n_test = (
-            config.static_samples, config.rotation_samples, config.n_test_rates
-        )
+        n_static, n_rot = config.static_samples, config.rotation_samples
         try:
             self.basis = _bezier_basis(n_rot)
             self.static_raw = np.empty((size, n_static, 3))
-            # A level's turn readings, then, once observations() has copied
-            # them, its test-set readings. One buffer for the two saves
-            # 384 kB of the 1.07 MB the stored normals take at the default
-            # config.
-            self._readings = np.empty(size * max(9 * n_rot, 3 * n_test))
+            self.rotation_raw = np.empty((size, 3, n_rot, 3))
             self.ordinates = np.empty((size, 3, 4))
-            self.test_rates = np.empty((size, n_test, 3))
             self.profiles = np.empty((size, 3, n_rot))
             # The unscaled standard normals, which every level scales anew;
             # none are drawn at noise_sigma 0.
-            self._normals = tuple(
-                np.empty(shape) for shape in ((size, n_static, 3), (size, 3, n_rot, 3),
-                                              (size, n_test, 3))
-            ) if config.noise_sigma > 0.0 else None
+            self._normals = (np.empty((size, n_static, 3)), np.empty((size, 3, n_rot, 3))
+                             ) if config.noise_sigma > 0.0 else None
             self._still = np.empty(size * 3 * n_static)  # sample-major, (n_static, R, 3)
             # Shared, one user at a time, by the turn passes, (R, 3, n_rot),
-            # the test set, (R, 3, n_test) and (R, n_test, 3), and the turns'
-            # sample-major copy, (3, n_rot, R, 3). Temporaries in its place cost
-            # about 3% of the campaign's floor_ratio and 0.3 MB of peak RSS.
-            self._scratch = np.empty(size * max(9 * n_rot, 3 * n_test))
+            # and the turns' sample-major copy, (3, n_rot, R, 3). Temporaries
+            # in its place cost about 3% of the campaign's floor_ratio and
+            # 0.3 MB of peak RSS.
+            self._scratch = np.empty(size * 9 * n_rot)
         except (ValueError, MemoryError) as exc:  # too large a dimension, or too many bytes
             raise CalibrationError(
-                f"cannot hold {size} session(s) of {n_static} still, {n_rot} turn and "
-                f"{n_test} test samples: {exc}"
+                f"cannot hold {size} session(s) of {n_static} still and {n_rot} turn "
+                f"samples: {exc}"
             ) from None
 
     def _scratch_view(self, *shape: int) -> np.ndarray:
         return self._scratch[:math.prod(shape)].reshape(shape)
-
-    @property
-    def rotation_raw(self) -> np.ndarray:
-        """The turn readings of the level last built, ``(R, 3, n, 3)``,
-        until :meth:`test_readings` takes their memory."""
-        shape = self.size, 3, self.config.rotation_samples, 3
-        return self._readings[:math.prod(shape)].reshape(shape)
 
     def draw(
         self,
@@ -382,11 +370,11 @@ class _SessionBlock:
         just before its draws; no more than R are taken.
 
         Each row draws in the fixed order: static noise, then profile
-        ordinates and noise per axis in x, y, z order, then test rates, then
-        test noise. Noise is drawn only when ``noise_sigma > 0``. The loop
-        only draws: uniform values come as ``Generator.random`` and are
-        mapped once per block, which gives ``Generator.uniform``'s numbers.
-        The speed traces go to ``profiles`` ``(R, 3, n)``.
+        ordinates and noise per axis in x, y, z order. Noise is drawn only
+        when ``noise_sigma > 0``. The loop only draws: the ordinates come
+        as ``Generator.random`` and are mapped once per block, which gives
+        ``Generator.uniform``'s numbers. The speed traces go to
+        ``profiles`` ``(R, 3, n)``.
         """
         config = self.config
         size = self.size = len(scales)
@@ -399,18 +387,14 @@ class _SessionBlock:
                 rng.random(out=self.ordinates[r, axis])
                 if normals:
                     rng.standard_normal(out=normals[1][r, axis])
-            rng.random(out=self.test_rates[r])
-            if normals:
-                rng.standard_normal(out=normals[2][r])
         _ordinates(self.ordinates[:size], config)
-        _uniform(self.test_rates[:size], config.test_rate_range)
         _bezier_samples(self.ordinates[:size], config, self.basis, self.profiles[:size],
                         self._scratch_view(size, 3, config.rotation_samples))
 
     def build(self, sigma: float) -> None:
         """The drawn rows' readings at white noise ``sigma``, which is 0 on
         a block drawn at ``noise_sigma`` 0, in ``static_raw`` and
-        ``rotation_raw``; :meth:`test_readings` gives the test set's.
+        ``rotation_raw``.
 
         The sensor reports each true rate through the coupling matrix and
         the inverse model, ``(M @ rate) / k - b``, plus ``sigma`` times the
@@ -419,8 +403,7 @@ class _SessionBlock:
         """
         size, config = self.size, self.config
         scales, biases, coupling = self._truth
-        self._sigma = sigma
-        static_raw, rotation_raw = self.static_raw[:size], self.rotation_raw
+        static_raw, rotation_raw = self.static_raw[:size], self.rotation_raw[:size]
         with np.errstate(over="ignore", invalid="ignore"):
             if sigma > 0.0:
                 np.multiply(self._normals[0][:size], sigma, out=static_raw)
@@ -437,24 +420,6 @@ class _SessionBlock:
                 column -= biases[:, axis, None, None]
                 _add(rotation_raw[..., axis], column, sigma)
 
-    def test_readings(self, out: np.ndarray | None = None) -> np.ndarray:
-        """The test set's readings ``(R, n_test, 3)`` at the level last
-        built, in ``out`` or else in the memory of its turn readings, which
-        :meth:`observations` has copied by then."""
-        size, sigma, n_test = self.size, self._sigma, self.config.n_test_rates
-        scales, biases, coupling = self._truth
-        measurements = (self._readings[:size * n_test * 3].reshape(size, n_test, 3)
-                        if out is None else out)
-        with np.errstate(over="ignore", invalid="ignore"):
-            if sigma > 0.0:
-                np.multiply(self._normals[2][:size], sigma, out=measurements)
-            coupled = np.matmul(coupling, self.test_rates[:size].transpose(0, 2, 1),
-                                out=self._scratch_view(size, 3, n_test))
-            coupled /= scales[:, :, None]
-            coupled -= biases[:, :, None]
-            _add(measurements, coupled.transpose(0, 2, 1), sigma)
-        return measurements
-
     def observations(self) -> ObservationArrays:
         """``ObservationArrays.from_samples`` of every row at once, on
         sample-major copies: the still stage and each turn a contiguous
@@ -469,52 +434,57 @@ class _SessionBlock:
         # Whole (3,) samples copy as 24-byte records, 2.5x faster than floats.
         turns = self._scratch_view(3, config.rotation_samples, size, 3)
         np.copyto(turns.view("V24")[..., 0],
-                  self.rotation_raw.view("V24")[..., 0].transpose(1, 2, 0))
+                  self.rotation_raw[:size].view("V24")[..., 0].transpose(1, 2, 0))
         with np.errstate(over="ignore", invalid="ignore"):
             return ObservationArrays.from_samples(still, turns, config.sample_rate,
                                                   config.rotation_angle)
 
-    def test_set_rms(self, fit: Fit) -> tuple[np.ndarray, np.ndarray]:
-        """Test-set RMS error per row before and after correction by ``fit``."""
-        rates = self.test_rates[:self.size]
-        measurements = self.test_readings()
-        d = self._scratch_view(*rates.shape)
-        np.subtract(measurements, rates, out=d)
-        np.square(d, out=d)
-        pre = np.sqrt(d.mean(axis=(1, 2)))
-        for axis in range(3):
-            np.add(measurements[..., axis], fit.biases[:, axis, None], out=d[..., axis])
-            d[..., axis] *= fit.scales[:, axis, None]
-        d -= rates
-        np.square(d, out=d)
-        return pre, np.sqrt(d.mean(axis=(1, 2)))
+
+def _expected_rms(
+    config: SimulationConfig, truth: np.ndarray, coupling: np.ndarray, estimate: np.ndarray
+) -> np.ndarray:
+    """The expected RMS error ``(R,)`` of test readings corrected by
+    ``estimate``: rates uniform on each axis over ``test_rate_range``, read
+    with white noise ``noise_sigma`` by the sensor ``truth`` with coupling
+    matrices ``coupling`` ``(R, 3, 3)``. ``truth`` and ``estimate`` are
+    ``(..., 6)`` rows of k, b; the identity gives the error before
+    correction. With ``A = diag(k̂ / k) M − I``, ``c = k̂ ∘ (b̂ − b)`` and the
+    range's mean ``μ`` and variance ``v``, the mean square error per axis
+    is ``(v ‖A‖²_F + ‖μ A 1 + c‖² + ‖σ k̂‖²) / 3``."""
+    low, high = np.asarray(config.test_rate_range)
+    scales, biases = truth[..., :3], truth[..., 3:]
+    scales_hat, biases_hat = estimate[..., :3], estimate[..., 3:]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as inf
+        a = (scales_hat / scales)[..., None] * coupling - np.eye(3)
+        offset = (low + high) / 2 * a.sum(axis=-1) + scales_hat * (biases_hat - biases)
+        square = (np.square(high - low) / 12 * np.square(a).sum(axis=(-2, -1))
+                  + np.square(offset).sum(axis=-1)
+                  + np.square(config.noise_sigma * scales_hat).sum(axis=-1))
+        return np.sqrt(square / 3)
 
 
 # Compared by identity: a generated ``==`` on array fields raises.
 @dataclass(frozen=True, eq=False)
 class SimulatedSession:
-    """One synthetic protocol run plus its held-out test set."""
+    """One synthetic protocol run: its view and its readings."""
 
     session: ObservationArrays
     static_raw: np.ndarray
     rotation_raw: tuple[np.ndarray, np.ndarray, np.ndarray]
-    test_rates: np.ndarray
-    test_measurements: np.ndarray
 
 
 def simulate_session(
     truth: GroundTruth, config: SimulationConfig, rng: np.random.Generator
 ) -> SimulatedSession:
-    """Generate one full session: still stage, three turns, test set.
+    """Generate one full session: still stage and three turns.
 
     The draw order is fixed (static noise, then profile plus noise per
-    axis in x, y, z order, then test rates, then test noise), so a given
-    generator state always yields the same session, and the same one a
-    campaign replicate with that generator sees. Uniform values are drawn
-    as ``Generator.random`` and mapped to their ranges afterwards, which
-    gives ``Generator.uniform``'s numbers. Its ``session`` is row 0
-    of a one-row campaign block's view, so ``calibrate`` of it
-    is that replicate's campaign fit.
+    axis in x, y, z order), so a given generator state always yields the
+    same session, and the same one a campaign replicate with that
+    generator sees. Uniform values are drawn as ``Generator.random`` and
+    mapped to their ranges afterwards, which gives ``Generator.uniform``'s
+    numbers. Its ``session`` is row 0 of a one-row campaign block's view,
+    so ``calibrate`` of it is that replicate's campaign fit.
     """
     block = _SessionBlock(config, 1)
     block.draw(truth.params.scales[None], truth.params.biases[None],
@@ -526,9 +496,6 @@ def simulate_session(
                                static_stds=stack.static_stds[0], sums=stack.sums[0]),
         static_raw=block.static_raw[0],
         rotation_raw=tuple(block.rotation_raw[0]),
-        test_rates=block.test_rates[0],
-        # Its own buffer, which leaves the turn readings in the block's.
-        test_measurements=block.test_readings(np.empty((1, config.n_test_rates, 3)))[0],
     )
 
 
@@ -545,8 +512,8 @@ class CampaignReport:
 
     - ``indices`` ``(N, 2)``: set index and replicate index
     - ``truth``, ``estimate`` ``(N, 6)``: columns k_x, k_y, k_z, b_x, b_y, b_z
-    - ``pre_rms``, ``post_rms`` ``(N,)``: test-set RMS error (deg/s) before
-      and after correction
+    - ``pre_rms``, ``post_rms`` ``(N,)``: the expected test-set RMS error
+      (deg/s) before and after correction, as ``_expected_rms`` states
 
     ``failures`` holds ``(set index, replicate index, message)`` of every
     replicate that failed calibration.
@@ -691,12 +658,14 @@ def _reseeded(
 
 
 def run_monte_carlo(config: SimulationConfig) -> CampaignReport:
-    """Run the full campaign: truth draws, replicates, test-set scoring.
+    """Run the full campaign: truth draws, replicates, scoring.
 
     Every truth set's truth is drawn first, each from its own spawn key.
-    The replicates are then simulated, fitted and scored in blocks of
+    The replicates are then simulated and fitted in blocks of
     ``REPLICATE_BLOCK`` taken along the flat (set, replicate) sequence,
-    so a block may span truth sets and every block but the last is full.
+    so a block may span truth sets and every block but the last is full,
+    and each fitted replicate is scored by its exact expected test-set
+    error (``_expected_rms``).
     Each replicate draws from its own spawn key in the fixed order of
     :func:`simulate_session` and gets the same result as ``calibrate`` of
     that session. A replicate that fails calibration (degenerate system,
@@ -735,8 +704,6 @@ def _run_levels(configs: list[SimulationConfig]) -> list[CampaignReport]:
     # One hash of the keys; a second pass replays the states the first took.
     states = _pcg64_states(config.rng_seed, np.insert(indices, 0, 1, axis=1))
     estimate = np.empty((len(sigmas), total, 6))
-    pre_rms = np.empty((len(sigmas), total))
-    post_rms = np.empty((len(sigmas), total))
     errors: list[list[CalibrationError | None]] = [[] for _ in sigmas]
     for levels, pass_states in zip(passes, itertools.tee(states, len(passes))):
         replicate_rngs = _reseeded(rng, pass_states)
@@ -748,10 +715,14 @@ def _run_levels(configs: list[SimulationConfig]) -> list[CampaignReport]:
             for level in levels:
                 sigma = sigmas[level]
                 block.build(sigma)
-                fit = fit_batch(block.observations(), noise_sigma=sigma if sigma > 0.0 else None)
+                try:
+                    view = block.observations()
+                except CalibrationError as exc:
+                    raise CalibrationError(f"noise level {sigma!r}: its stage summaries "
+                                           f"overflowed the float range: {exc}") from None
+                fit = fit_batch(view, noise_sigma=sigma if sigma > 0.0 else None)
                 estimate[level, rows, :3] = fit.scales
                 estimate[level, rows, 3:] = fit.biases
-                pre_rms[level, rows], post_rms[level, rows] = block.test_set_rms(fit)
                 errors[level] += fit.errors
         del block  # freed before the next pass builds its own
     reports = []
@@ -759,9 +730,11 @@ def _run_levels(configs: list[SimulationConfig]) -> list[CampaignReport]:
         keep = np.array([error is None for error in level_errors])
         failures = tuple((*indices[row].tolist(), str(error))
                          for row, error in enumerate(level_errors) if error is not None)
-        reports.append(CampaignReport(configs[level], indices[keep], truth[keep],
-                                      estimate[level, keep], pre_rms[level, keep],
-                                      post_rms[level, keep], failures=failures))
+        fitted = estimate[level, keep]
+        score = functools.partial(_expected_rms, configs[level], truth[keep],
+                                  coupling[indices[keep, 0]])
+        reports.append(CampaignReport(configs[level], indices[keep], truth[keep], fitted,
+                                      score(_IDENTITY_ROW), score(fitted), failures=failures))
     return reports
 
 

@@ -129,6 +129,41 @@ class TestSimulate:
         assert "bad simulation config" in err and "noise_levels must not repeat" in err
         assert not out.exists()
 
+    def test_negative_zero_level_is_level_zero(self, tmp_path, capsys):
+        # -0.0 converts to 0.0, so it names the level of 0 and repeats it.
+        config = tmp_path / "signed.yaml"
+        config.write_text("noise_levels: [0.03, -0.0]\nn_param_sets: 1\nn_sims_per_set: 2\n",
+                          encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        assert list(summary["campaigns"]) == ["0.0", "0.03"]
+        assert (out / "replicates_sigma_0.0.csv").exists()
+        assert not (out / "replicates_sigma_-0.0.csv").exists()
+        config.write_text("noise_levels: [0.0, -0.0]\nn_param_sets: 1\nn_sims_per_set: 2\n",
+                          encoding="utf-8")
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "again")]) == 1
+        assert "noise_levels must not repeat" in capsys.readouterr().err
+        assert not (tmp_path / "again").exists()
+
+    def test_test_rate_count_changes_no_output(self, tmp_path):
+        # Replicates are scored by their expected error over the test
+        # rates' distribution, so n_test_rates is accepted and inert.
+        def run(n_test_rates):
+            config = tmp_path / f"{n_test_rates}.yaml"
+            config.write_text(f"noise_levels: [0.03, 0.0]\nn_param_sets: 2\nn_sims_per_set: 3\n"
+                              f"n_test_rates: {n_test_rates}\n", encoding="utf-8")
+            out = tmp_path / f"out_{n_test_rates}"
+            assert main(["simulate", "--config", str(config), "--seed", "4",
+                         "--out", str(out)]) == 0
+            return {path.name: path.read_bytes() for path in out.iterdir()}
+
+        files = run(1)
+        assert sorted(files) == ["replicates_sigma_0.0.csv", "replicates_sigma_0.03.csv",
+                                 "summary.json"]
+        assert run(2000) == files
+
     @pytest.mark.parametrize("text,seed_args,message", [
         ("rng_seed: -1\n", [], "rng_seed must be non-negative, got -1"),
         ("", ["--seed", "-1"], "rng_seed must be non-negative, got -1"),
@@ -146,6 +181,7 @@ class TestSimulate:
          "noise_levels and noise_sigma cannot both be given"),
         ("noise_levels:\n", [], "noise_levels must be a non-empty list of numbers"),
         ("noise_levels: null\n", [], "noise_levels must be a non-empty list of numbers"),
+        ("n_test_rates: 0\n", [], "n_test_rates must be at least 1, got 0"),
     ])
     def test_unusable_config_reported(self, tmp_path, capsys, text, seed_args, message):
         config = tmp_path / "bad.yaml"
@@ -195,20 +231,20 @@ class TestSimulate:
     def test_session_block_too_large_reported(self, tmp_path, capsys):
         # The dimension check refuses this size before any memory is taken.
         config = tmp_path / "huge.yaml"
-        config.write_text(f"n_test_rates: {10 ** 20}\nn_param_sets: 1\nn_sims_per_set: 1\n",
+        config.write_text("rotation_duration: 1.0e+18\nn_param_sets: 1\nn_sims_per_set: 1\n",
                           encoding="utf-8")
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: bad simulation config: cannot hold 1 session(s) of 300 "
-                              f"still, 500 turn and {10 ** 20} test samples: ")
+                              f"still and {10 ** 20} turn samples: ")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (out / "summary.json").exists()
 
     @pytest.mark.parametrize("existing", [False, True])
     def test_refused_config_leaves_no_new_directory(self, tmp_path, capsys, existing):
         config = tmp_path / "huge.yaml"
-        config.write_text(f"n_test_rates: {10 ** 20}\nn_param_sets: 1\nn_sims_per_set: 1\n",
+        config.write_text("rotation_duration: 1.0e+18\nn_param_sets: 1\nn_sims_per_set: 1\n",
                           encoding="utf-8")
         if existing:
             (tmp_path / "new").mkdir()
@@ -246,7 +282,8 @@ class TestSimulate:
         result = run_python(*flags, "-m", "gyrocal", "simulate", "--config", str(config),
                             "--out", str(out))
         assert (result.returncode, result.stdout) == (1, "")
-        assert result.stderr.startswith("error: bad simulation config: ")
+        assert result.stderr.startswith("error: bad simulation config: noise level 1e+308: "
+                                        "its stage summaries overflowed the float range: ")
         assert result.stderr.count("\n") == 1
         assert not out.exists()
 

@@ -5,13 +5,14 @@ implementation of ``simulate_session`` and ``run_monte_carlo``. They hold
 the spawn keys and the draw order fixed: a change that reorders, merges
 or re-derives any draw breaks them. Scale estimates are not pinned
 because the least-squares solve may move them in the last ulps; the
-biases and the test-set RMS before correction depend on the draws and
-the measurement model alone.
+biases depend on the draws and the measurement model alone, and the
+expected test-set RMS before correction on the truth alone.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -38,14 +39,10 @@ SESSION_PINS = {
     3: {
         "static_raw": "7a47fa084bc6506135e658586d372170a92deef65637aab3151b0148888b76ba",
         "rotation_raw": "de7c2fdb9c3be1b28d6efe6bae449f071d7e6a42671973c86aacc43cc80cc706",
-        "test_rates": "e325de983c943c185c796f0fd1269fa2d476653385906a7595411ccb6d849277",
-        "test_measurements": "c2fc63388a73c8f2596a94fbc85e2152e99a5cc8ce8f8dd67175aaf374d201a1",
     },
     11: {
         "static_raw": "68fe2384ead69b04059804d43a5ab07d0fd14aed07416594a3b867f7fa87fce9",
         "rotation_raw": "48505926da556c7373cbe0729e16f3cf6072d51156b27bfe816c09d06febcaf3",
-        "test_rates": "241493e680e7a4a2f76304d1ee4946805c1c0b970ef7974a25b295dda8821335",
-        "test_measurements": "3a204e1283efa8b187b9c46e20ab8d37b2ac53f11d748e686a9eac32a44c7cb7",
     },
 }
 
@@ -59,16 +56,14 @@ def test_simulate_session_draw_stream_is_pinned(seed):
     got = {
         "static_raw": _sha256(sim.static_raw),
         "rotation_raw": _sha256(np.stack(sim.rotation_raw)),
-        "test_rates": _sha256(sim.test_rates),
-        "test_measurements": _sha256(sim.test_measurements),
     }
     assert got == SESSION_PINS[seed]
 
 
 CAMPAIGN_PINS = {
-    (0, 0): ((-3.0622160273706176, 3.9464908921553508, 4.84741552754403), 12.864142303173379),
-    (0, 2): ((-3.0582812834920503, 3.9486269313965545, 4.849689723175099), 13.030173396737531),
-    (1, 1): ((0.365632415744124, -3.092796232974831, -3.1743620172816227), 14.424680186397948),
+    (0, 0): ((-3.0622160273706176, 3.9464908921553508, 4.84741552754403), 12.798100689111092),
+    (0, 2): ((-3.0582812834920503, 3.9486269313965545, 4.849689723175099), 12.798100689111092),
+    (1, 1): ((0.365632415744124, -3.092796232974831, -3.1743620172816227), 14.449488961773994),
 }
 
 
@@ -111,9 +106,9 @@ def _per_call_truth(config, rng):
 
 
 def _per_call_session_draws(config, rng):
-    """A session's control ordinates ``(3, 4)`` and test rates, drawn by one
-    ``Generator.uniform`` call per turn and per test set between the normal
-    draws, in the fixed draw order."""
+    """A session's control ordinates ``(3, 4)``, drawn by one
+    ``Generator.uniform`` call per turn between the normal draws, in the
+    fixed draw order."""
     nominal = config.rotation_angle / config.rotation_duration
     noisy = config.noise_sigma > 0.0
     if noisy:
@@ -123,10 +118,7 @@ def _per_call_session_draws(config, rng):
         ordinates.append(rng.uniform(0.5, 1.5, size=4) * nominal)
         if noisy:
             rng.standard_normal((config.rotation_samples, 3))
-    test_rates = rng.uniform(*config.test_rate_range, size=(config.n_test_rates, 3))
-    if noisy:
-        rng.standard_normal((config.n_test_rates, 3))
-    return np.array(ordinates), test_rates
+    return np.array(ordinates)
 
 
 ORACLE_CONFIG = dict(scale_range=(0.55, 2.25), bias_range=(-30.0, 7.5),
@@ -156,8 +148,8 @@ def test_session_draws_match_per_call_uniform(noise_sigma):
     config = SimulationConfig(noise_sigma=noise_sigma, **ORACLE_CONFIG)
     truth = sample_ground_truth(config, numpy_generator(23, (0, 0)))
     oracle, rng = numpy_generator(23, (1, 0, 0)), numpy_generator(23, (1, 0, 0))
-    ordinates, test_rates = _per_call_session_draws(config, oracle)
-    assert simulate_session(truth, config, rng).test_rates.tobytes() == test_rates.tobytes()
+    ordinates = _per_call_session_draws(config, oracle)
+    simulate_session(truth, config, rng)
     assert rng.bit_generator.state == oracle.bit_generator.state
     block = simulator._SessionBlock(config, 1)
     block.draw(truth.params.scales[None], truth.params.biases[None],
@@ -184,20 +176,49 @@ def test_bezier_profile_matches_per_call_uniform():
 # report's formatting fixed. Recorded with numpy 2.4 and its bundled
 # OpenBLAS on x86-64; another LAPACK build may move scales in the last ulp.
 SIMULATE_OUTPUT_PINS = {
-    "replicates_sigma_0.03.csv": "1301eceaa5a8839accb1ebe0fb3620f0481c199c62aa3d0c4bdd93443a70469f",
-    "replicates_sigma_0.15.csv": "2f79f623f5350ae3df621d8493515dd6b2765f96897db887ee0c35c7ec2a2602",
-    "summary.json": "f93660ba631aac8dbe556a6f5547ea6da3bd596aa6f1bfdf3ed1a8646e6880e7",
+    "replicates_sigma_0.03.csv": "3874e7d5e3c35900c2892d4f89d5ebe4e6f566962b4b0790880132bd5eaab0fe",
+    "replicates_sigma_0.15.csv": "025682cee879e9fa63bac56554e9f2a938893549c8847434fe31dd6ca0ae0425",
+    "summary.json": "54c952c5bc99a1a6b431c7b9be63a76ca3200e78745c0b0cf5050117b9311200",
+}
+
+# sha256 of the same run's truths and estimates alone: each CSV without
+# its last two columns, pre_rms and post_rms, and the summary's
+# parameter_errors blocks. A change to how replicates are scored leaves
+# these as they are.
+ESTIMATE_PINS = {
+    "replicates_sigma_0.03.csv": "e194a7ba0fba72dd3c5d48db07c0f0a016db45edb3b750a4c4cd4ca461ca6507",
+    "replicates_sigma_0.15.csv": "3e7d4fdf907c61829a22bf8ad072a3c65f0b0368333fa47998bbcbdf3b6ff50a",
+    "parameter_errors": "5df6b79e1186a3c47dec85c8912985e3216b65cca8ec501546e32ea704fcea70",
 }
 
 
-def test_simulate_output_bytes_are_pinned(tmp_path):
+@pytest.fixture(scope="module")
+def simulate_output(tmp_path_factory):
+    """The files of the pinned ``gyrocal simulate --seed 17`` run, by name."""
+    tmp_path = tmp_path_factory.mktemp("simulate")
     config = tmp_path / "campaign.yaml"
     config.write_text("noise_levels: [0.03, 0.15]\nn_param_sets: 5\nn_sims_per_set: 7\n",
                       encoding="utf-8")
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(config), "--seed", "17", "--out", str(out)]) == 0
-    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+def test_simulate_output_bytes_are_pinned(simulate_output):
+    got = {name: hashlib.sha256(data).hexdigest() for name, data in simulate_output.items()}
     assert got == SIMULATE_OUTPUT_PINS
+
+
+def test_simulate_estimates_are_pinned(simulate_output):
+    files = dict(simulate_output)
+    summary = json.loads(files.pop("summary.json"))
+    got = {name: hashlib.sha256(b"".join(line.rsplit(b",", 2)[0] + b"\r\n"
+                                         for line in data.splitlines())).hexdigest()
+           for name, data in files.items()}
+    errors = json.dumps({level: entry["parameter_errors"]
+                         for level, entry in summary["campaigns"].items()}, sort_keys=True)
+    got["parameter_errors"] = hashlib.sha256(errors.encode()).hexdigest()
+    assert got == ESTIMATE_PINS
 
 
 # sha256 of the JSON ``gyrocal calibrate`` prints for the session log the

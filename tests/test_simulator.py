@@ -331,7 +331,8 @@ class TestRunMonteCarlo:
         (dict(scale_range=(1e-310, 2e-310)), "rotation sum must be finite, got np.float64(inf)"),
     ])
     def test_summaries_that_overflow_stop_the_campaign(self, overrides, message):
-        # The block's stage summaries are from_samples', refusals included.
+        # The block's stage summaries are from_samples', refusals included;
+        # the campaign names the noise level that overflowed.
         config = SimulationConfig(n_param_sets=1, n_sims_per_set=2, n_test_rates=5, **overrides)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(CalibrationError) as info:
@@ -339,7 +340,9 @@ class TestRunMonteCarlo:
             with pytest.raises(CalibrationError) as single:
                 simulate_session(sample_ground_truth(config, np.random.default_rng(0)), config,
                                  np.random.default_rng(1))
-        assert str(info.value) == str(single.value) == message
+        assert str(single.value) == message
+        assert str(info.value) == (f"noise level {config.noise_sigma!r}: its stage summaries "
+                                   f"overflowed the float range: {message}")
 
     def test_rms_reduction_skips_rows_read_exactly(self):
         report = CampaignReport(SimulationConfig(**QUICK), np.zeros((3, 2), dtype=int),
@@ -405,19 +408,47 @@ class TestRunMonteCarlo:
         assert float(rows[0]["pre_rms"]) == report.pre_rms[0]
 
 
+class TestExpectedRms:
+    """A replicate's ``pre_rms`` and ``post_rms`` are the expected RMS
+    error over the test set's distribution, so a 10^5-rate sample of the
+    same replicate's test set scores within 1% of them. An asymmetric
+    range gives the rates a nonzero mean."""
+
+    @pytest.mark.parametrize("test_rate_range", [(-180.0, 180.0), (-60.0, 240.0)])
+    @pytest.mark.parametrize("misalignment_range", [(0.0, 0.0), (-0.10, 0.10)])
+    @pytest.mark.parametrize("sigma", [0.03, 0.15])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_matches_a_sampled_test_set(self, seed, sigma, misalignment_range, test_rate_range):
+        config = SimulationConfig(noise_sigma=sigma, misalignment_range=misalignment_range,
+                                  test_rate_range=test_rate_range, rng_seed=seed,
+                                  n_param_sets=1, n_sims_per_set=1)
+        report = run_monte_carlo(config)
+        truth = sample_ground_truth(config, numpy_generator(seed, (0, 0)))
+        rng = np.random.default_rng(seed)
+        rates = rng.uniform(*test_rate_range, size=(100_000, 3))
+        readings = (rates @ truth.misalignment.T / truth.params.scales - truth.params.biases
+                    + rng.normal(0.0, sigma, size=rates.shape))
+        scales, biases = report.estimate[0, :3], report.estimate[0, 3:]
+        for corrected, expected in ((readings, report.pre_rms[0]),
+                                    (scales * (readings + biases), report.post_rms[0])):
+            sampled = np.sqrt(np.mean((corrected - rates) ** 2))
+            assert sampled == pytest.approx(expected, rel=0.01)
+
+
 def _single_session_outcome(truth, config, rng):
-    """What ``calibrate`` and the test-set scoring give for one replicate
-    simulated on its own from ``rng``: ``(estimate, pre_rms, post_rms)`` or
-    the error text."""
+    """What ``calibrate`` and the scoring give for one replicate simulated
+    on its own from ``rng``: ``(estimate, pre_rms, post_rms)`` or the error
+    text."""
     sim = simulate_session(truth, config, rng)
     guard = config.noise_sigma if config.noise_sigma > 0.0 else None
     try:
         estimate = calibrate(sim.session, noise_sigma=guard)
     except CalibrationError as exc:
         return str(exc)
-    pre = float(np.sqrt(np.mean((sim.test_measurements - sim.test_rates) ** 2)))
-    corrected = estimate.scales * (sim.test_measurements + estimate.biases)
-    post = float(np.sqrt(np.mean((corrected - sim.test_rates) ** 2)))
+    true_row = np.concatenate([truth.params.scales, truth.params.biases])[None]
+    fitted = np.concatenate([estimate.scales, estimate.biases])[None]
+    pre, post = (simulator._expected_rms(config, true_row, truth.misalignment[None], row)[0]
+                 for row in (simulator._IDENTITY_ROW, fitted))
     return estimate, pre, post
 
 
@@ -657,20 +688,19 @@ class TestSessionBlockObservations:
 
     @pytest.mark.parametrize("noise_sigma", [0.0, 0.15])
     @pytest.mark.parametrize("sizer,overrides", [
-        ("turns", dict(n_test_rates=40)),
-        ("test set", dict(n_test_rates=2000)),
-        ("still stage", dict(static_duration=20.0, n_test_rates=40)),
-        ("turns", dict(n_test_rates=1)),
+        ("turns", {}),
+        ("still stage", dict(static_duration=20.0)),
+        ("still stage", dict(rotation_duration=0.5)),
     ])
     def test_rows_match_from_samples_bitwise(self, noise_sigma, sizer, overrides):
         config = SimulationConfig(noise_sigma=noise_sigma, rng_seed=9, **overrides)
-        users = {"still stage": 3 * config.static_samples, "turns": 9 * config.rotation_samples,
-                 "test set": 3 * config.n_test_rates}
+        users = {"still stage": 3 * config.static_samples, "turns": 9 * config.rotation_samples}
         assert max(users, key=users.get) == sizer
         block = simulator._SessionBlock(config, 5)
-        # The still stage's copy has its own buffer; the others share one.
-        assert block._still.size == 5 * users.pop("still stage")
-        assert block._scratch.size == 5 * max(users.values())
+        # The still stage's copy has its own buffer; the turn passes and the
+        # turns' copy share the scratch.
+        assert block._still.size == 5 * users["still stage"]
+        assert block._scratch.size == 5 * users["turns"]
         # A full block, then a partial one over the first's leftovers.
         for rows in (5, 3):
             scales, biases, coupling = simulator._truth_arrays(config, np.stack(
