@@ -188,6 +188,13 @@ def _require_positive(name: str, value: float) -> None:
         raise CalibrationError(f"{name} must be positive, got {value}")
 
 
+def _require_finite_still(means: np.ndarray, stds: np.ndarray) -> None:
+    # Only the non-finite values go to the checks, which name the first.
+    _require_finite("static mean", *means[~np.isfinite(means)])
+    for s in stds[~np.isfinite(stds)]:  # a square root is never negative
+        raise CalibrationError(f"standard deviation must be nonnegative, got {s}")
+
+
 # The two halves of ``ObservationArrays.from_samples``, built only by
 # their ``from_samples`` and named nowhere else. They stay classes
 # because the benchmark's tracer (``bench/spans.py``) wraps both
@@ -208,14 +215,11 @@ class StaticObservation(NamedTuple):
         n = arr.shape[0]
         if n < 2:
             raise ProtocolViolation(f"static stage needs at least 2 samples, got {n}")
-        means = arr.mean(axis=0)
-        stds = arr.std(axis=0, ddof=1)
-        # Only the non-finite values go to the checks, which name the first.
-        _require_finite("static mean", *means[~np.isfinite(means)])
         duration = n / sample_rate
         _require_positive("static duration", duration)
-        for s in stds[~np.isfinite(stds)]:  # a square root is never negative
-            raise CalibrationError(f"standard deviation must be nonnegative, got {s}")
+        means = arr.mean(axis=0)
+        stds = arr.std(axis=0, ddof=1)
+        _require_finite_still(means, stds)
         return cls(means, stds, duration)
 
 
@@ -302,6 +306,14 @@ class ObservationArrays(NamedTuple):
                    np.stack([turn.sums for turn in summaries], axis=-2),
                    np.array([turn.duration for turn in summaries]),
                    np.array([turn.theta_total ** 2 for turn in summaries]))
+
+    def require_finite(self) -> None:
+        """Raise the CalibrationError that :meth:`from_samples` raises for
+        stage summaries that are not finite, naming the first in its order:
+        the still means, the still stds, then each turn's sums."""
+        _require_finite_still(self.static_means, self.static_stds)
+        sums = np.moveaxis(self.sums, -2, 0)
+        _require_finite("rotation sum", *sums[~np.isfinite(sums)])
 
     def corrected_sums(self, biases) -> np.ndarray:
         """Bias-corrected integrated angles ``sums + durations * biases``,

@@ -16,22 +16,20 @@ the algorithm of ``SeedSequence`` (O'Neill's ``seed_seq_fe``), and
 reseeds one shared generator through its ``state`` before each row's
 draws; the tests hold every state to numpy's own ``SeedSequence``.
 
-Noise levels: the levels of one ``gyrocal simulate`` run differ only in
-``noise_sigma`` and share the seed and spawn keys, so every positive
-level draws the same stream. ``_run_levels``, the one campaign loop,
-runs the positive levels from one pass of the draws: each block reseeds
-and draws once, and each level scales the same standard normals by its
-own sigma. These are common random numbers, so the levels' errors are
-correlated, as they would be with each level run alone, and each level's
-report equals :func:`run_monte_carlo` of it, bit for bit. A level of 0
-draws no normals, so its stream is its own, and it runs as its own pass.
-No file is written until every level has run.
+A campaign replicate draws only what the fit reads, its stage summaries,
+15 numbers from exact distributions (``_run_levels``), and fits them as
+``calibrate`` fits a session; it is distributed as ``calibrate`` of
+:func:`simulate_session`, not equal to it bit for bit. This is exact for
+white Gaussian noise only. The levels of one ``gyrocal simulate`` run
+differ only in ``noise_sigma`` and share the seed and spawn keys, so
+every level, 0 included, scales the same draws by its own sigma: common
+random numbers, so each level's report equals :func:`run_monte_carlo` of
+it, bit for bit. No file is written until every level has run.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 import numbers
@@ -54,16 +52,6 @@ __all__ = [
     "simulate_session",
     "run_monte_carlo",
 ]
-
-#: Replicates a campaign simulates and fits together, taken in order
-#: along the flat (set, replicate) sequence, so a block may span truth
-#: sets. Results do not depend on it. Larger blocks spread the fixed cost
-#: of each numpy call over more rows (``fit_batch`` takes about 120 µs for
-#: 4 rows and 200 µs for 16), but hold more memory: the block peaks at
-#: about 157 kB per replicate at the default config, buffers and
-#: temporaries together, 43 kB of it the normals kept for every noise
-#: level (2.5 MB at 16, measured with tracemalloc).
-REPLICATE_BLOCK = 16
 
 #: Bezier control ordinates are drawn in this band around the nominal
 #: (constant-speed) rate before the exactness rescale.
@@ -158,6 +146,12 @@ class SimulationConfig:
         if self.rotation_angle * self.rotation_angle == math.inf:
             raise CalibrationError(
                 f"rotation_angle {self.rotation_angle!r} has a square that is not finite")
+        # The expected test-set error squares both (``_expected_rms``).
+        low, high = self.test_rate_range
+        width, mean = high - low, (low + high) / 2
+        if width * width == math.inf or mean * mean == math.inf:
+            raise CalibrationError(f"test_rate_range {self.test_rate_range} has a width or a "
+                                   "mean whose square is not finite")
         for name in ("n_param_sets", "n_sims_per_set", "n_test_rates"):
             if getattr(self, name) < 1:
                 raise CalibrationError(f"{name} must be at least 1, got {getattr(self, name)}")
@@ -311,135 +305,6 @@ def bezier_profile(rng: np.random.Generator, config: SimulationConfig) -> np.nda
                            _bezier_basis(n), np.empty(n), np.empty(n))
 
 
-def _add(out: np.ndarray, clean: np.ndarray, sigma: float) -> None:
-    """Add the clean readings to the noise in ``out``, or at ``sigma`` 0,
-    where ``out`` holds no noise, set them."""
-    if sigma > 0.0:
-        out += clean
-    else:
-        out[...] = clean
-
-
-class _SessionBlock:
-    """Buffers for up to ``size`` sessions of one config, stacked on a
-    leading replicate axis, and the simulation that fills them. Each row
-    has its own truth, so a block may hold replicates of several truth
-    sets. :meth:`draw` takes the rows' random draws once, and
-    :meth:`build` turns them into the readings at a noise level, as many
-    levels as wanted. Arrays stay valid until the next ``draw`` or
-    ``build``."""
-
-    def __init__(self, config: SimulationConfig, size: int) -> None:
-        self.config = config
-        n_static, n_rot = config.static_samples, config.rotation_samples
-        try:
-            self.basis = _bezier_basis(n_rot)
-            self.static_raw = np.empty((size, n_static, 3))
-            self.rotation_raw = np.empty((size, 3, n_rot, 3))
-            self.ordinates = np.empty((size, 3, 4))
-            self.profiles = np.empty((size, 3, n_rot))
-            # The unscaled standard normals, which every level scales anew;
-            # none are drawn at noise_sigma 0.
-            self._normals = (np.empty((size, n_static, 3)), np.empty((size, 3, n_rot, 3))
-                             ) if config.noise_sigma > 0.0 else None
-            self._still = np.empty(size * 3 * n_static)  # sample-major, (n_static, R, 3)
-            # Shared, one user at a time, by the turn passes, (R, 3, n_rot),
-            # and the turns' sample-major copy, (3, n_rot, R, 3). Temporaries
-            # in its place cost about 3% of the campaign's floor_ratio and
-            # 0.3 MB of peak RSS.
-            self._scratch = np.empty(size * 9 * n_rot)
-        except (ValueError, MemoryError) as exc:  # too large a dimension, or too many bytes
-            raise CalibrationError(
-                f"cannot hold {size} session(s) of {n_static} still and {n_rot} turn "
-                f"samples: {exc}"
-            ) from None
-
-    def _scratch_view(self, *shape: int) -> np.ndarray:
-        return self._scratch[:math.prod(shape)].reshape(shape)
-
-    def draw(
-        self,
-        scales: np.ndarray,
-        biases: np.ndarray,
-        coupling: np.ndarray,
-        rngs: Iterable[np.random.Generator],
-    ) -> None:
-        """The draws of the first ``R = len(scales)`` rows, row r with the
-        truth ``scales[r]``, ``biases[r]`` ``(R, 3)`` and ``coupling[r]``
-        ``(R, 3, 3)`` and the draws of the r-th generator of ``rngs``, taken
-        just before its draws; no more than R are taken.
-
-        Each row draws in the fixed order: static noise, then profile
-        ordinates and noise per axis in x, y, z order. Noise is drawn only
-        when ``noise_sigma > 0``. The loop only draws: the ordinates come
-        as ``Generator.random`` and are mapped once per block, which gives
-        ``Generator.uniform``'s numbers. The speed traces go to
-        ``profiles`` ``(R, 3, n)``.
-        """
-        config = self.config
-        size = self.size = len(scales)
-        self._truth = scales, biases, coupling
-        normals = self._normals
-        for r, rng in zip(range(size), rngs):
-            if normals:
-                rng.standard_normal(out=normals[0][r])
-            for axis in range(3):
-                rng.random(out=self.ordinates[r, axis])
-                if normals:
-                    rng.standard_normal(out=normals[1][r, axis])
-        _ordinates(self.ordinates[:size], config)
-        _bezier_samples(self.ordinates[:size], config, self.basis, self.profiles[:size],
-                        self._scratch_view(size, 3, config.rotation_samples))
-
-    def build(self, sigma: float) -> None:
-        """The drawn rows' readings at white noise ``sigma``, which is 0 on
-        a block drawn at ``noise_sigma`` 0, in ``static_raw`` and
-        ``rotation_raw``.
-
-        The sensor reports each true rate through the coupling matrix and
-        the inverse model, ``(M @ rate) / k - b``, plus ``sigma`` times the
-        drawn normals. A reading past the float range is left to the stage
-        summaries to refuse, so it warns of nothing here.
-        """
-        size, config = self.size, self.config
-        scales, biases, coupling = self._truth
-        static_raw, rotation_raw = self.static_raw[:size], self.rotation_raw[:size]
-        with np.errstate(over="ignore", invalid="ignore"):
-            if sigma > 0.0:
-                np.multiply(self._normals[0][:size], sigma, out=static_raw)
-                np.multiply(self._normals[1][:size], sigma, out=rotation_raw)
-            # The still stage's true rate is zero, and so is its coupled rate.
-            _add(static_raw, (np.zeros(3) / scales - biases)[:, None, :], sigma)
-            # A turn about axis j has one nonzero true rate, so sensor axis l
-            # reads that rate times M[l, j]. One pass per sensor axis keeps
-            # the element-wise steps running along the samples.
-            column = self._scratch_view(size, 3, config.rotation_samples)
-            for axis in range(3):
-                np.multiply(self.profiles[:size], coupling[:, axis, :, None], out=column)
-                column /= scales[:, axis, None, None]
-                column -= biases[:, axis, None, None]
-                _add(rotation_raw[..., axis], column, sigma)
-
-    def observations(self) -> ObservationArrays:
-        """``ObservationArrays.from_samples`` of every row at once, on
-        sample-major copies: the still stage and each turn a contiguous
-        ``(n, R, 3)``. Every sum then runs over the samples in order, as on
-        one stage, with all rows on a long inner loop (on the ``(..., n, 3)``
-        layout numpy's inner loop is the 3 axes), so each row is its
-        session's own view, bit for bit. A sum past the float range is
-        refused there, not warned of."""
-        config, size = self.config, self.size
-        still = self._still[:config.static_samples * size * 3].reshape(-1, size, 3)
-        np.copyto(still, self.static_raw[:size].transpose(1, 0, 2))
-        # Whole (3,) samples copy as 24-byte records, 2.5x faster than floats.
-        turns = self._scratch_view(3, config.rotation_samples, size, 3)
-        np.copyto(turns.view("V24")[..., 0],
-                  self.rotation_raw[:size].view("V24")[..., 0].transpose(1, 2, 0))
-        with np.errstate(over="ignore", invalid="ignore"):
-            return ObservationArrays.from_samples(still, turns, config.sample_rate,
-                                                  config.rotation_angle)
-
-
 def _expected_rms(
     config: SimulationConfig, truth: np.ndarray, coupling: np.ndarray, estimate: np.ndarray
 ) -> np.ndarray:
@@ -476,27 +341,52 @@ class SimulatedSession:
 def simulate_session(
     truth: GroundTruth, config: SimulationConfig, rng: np.random.Generator
 ) -> SimulatedSession:
-    """Generate one full session: still stage and three turns.
+    """Generate one full session, sample by sample: still stage and three
+    turns.
 
     The draw order is fixed (static noise, then profile plus noise per
     axis in x, y, z order), so a given generator state always yields the
-    same session, and the same one a campaign replicate with that
-    generator sees. Uniform values are drawn as ``Generator.random`` and
-    mapped to their ranges afterwards, which gives ``Generator.uniform``'s
-    numbers. Its ``session`` is row 0 of a one-row campaign block's view,
-    so ``calibrate`` of it is that replicate's campaign fit.
+    same session. Noise is drawn only when ``noise_sigma > 0``. Uniform
+    values are drawn as ``Generator.random`` and mapped to their ranges
+    afterwards, which gives ``Generator.uniform``'s numbers. The sensor
+    reports each true rate through the coupling matrix and the inverse
+    model, ``(M @ rate) / k - b``, plus ``noise_sigma`` times the drawn
+    normals. A reading past the float range is left to the stage summaries
+    to refuse, so it warns of nothing here. ``calibrate`` of the session
+    is distributed as a campaign replicate's fit (:func:`run_monte_carlo`).
     """
-    block = _SessionBlock(config, 1)
-    block.draw(truth.params.scales[None], truth.params.biases[None],
-               truth.misalignment[None], [rng])
-    block.build(config.noise_sigma)
-    stack = block.observations()
-    return SimulatedSession(
-        session=stack._replace(static_means=stack.static_means[0],
-                               static_stds=stack.static_stds[0], sums=stack.sums[0]),
-        static_raw=block.static_raw[0],
-        rotation_raw=tuple(block.rotation_raw[0]),
-    )
+    sigma = config.noise_sigma
+    n_static, n_rot = config.static_samples, config.rotation_samples
+    try:
+        static_raw, rotation_raw = np.zeros((n_static, 3)), np.zeros((3, n_rot, 3))
+        profiles, term = np.empty((3, n_rot)), np.empty((3, n_rot))
+        basis = _bezier_basis(n_rot)
+    except (ValueError, MemoryError) as exc:  # too large a dimension, or too many bytes
+        raise CalibrationError(f"cannot hold a session of {n_static} still and {n_rot} turn "
+                               f"samples: {exc}") from None
+    ordinates = np.empty((3, 4))
+    if sigma > 0.0:
+        rng.standard_normal(out=static_raw)
+    for axis in range(3):
+        rng.random(out=ordinates[axis])
+        if sigma > 0.0:
+            rng.standard_normal(out=rotation_raw[axis])
+    _bezier_samples(_ordinates(ordinates, config), config, basis, profiles, term)
+    scales, biases, coupling = truth.params.scales, truth.params.biases, truth.misalignment
+    with np.errstate(over="ignore", invalid="ignore"):
+        static_raw *= sigma
+        rotation_raw *= sigma
+        static_raw += 0.0 - biases  # the still stage's true rate is zero
+        # A turn about axis j has one nonzero true rate, so sensor axis l
+        # reads that rate times M[l, j].
+        for axis in range(3):
+            np.multiply(profiles, coupling[axis, :, None], out=term)
+            term /= scales[axis]
+            term -= biases[axis]
+            rotation_raw[..., axis] += term
+        session = ObservationArrays.from_samples(static_raw, rotation_raw, config.sample_rate,
+                                                 config.rotation_angle)
+    return SimulatedSession(session, static_raw, tuple(rotation_raw))
 
 
 def _finite(values: np.ndarray) -> list[float | None]:
@@ -661,29 +551,39 @@ def run_monte_carlo(config: SimulationConfig) -> CampaignReport:
     """Run the full campaign: truth draws, replicates, scoring.
 
     Every truth set's truth is drawn first, each from its own spawn key.
-    The replicates are then simulated and fitted in blocks of
-    ``REPLICATE_BLOCK`` taken along the flat (set, replicate) sequence,
-    so a block may span truth sets and every block but the last is full,
-    and each fitted replicate is scored by its exact expected test-set
-    error (``_expected_rms``).
-    Each replicate draws from its own spawn key in the fixed order of
-    :func:`simulate_session` and gets the same result as ``calibrate`` of
-    that session. A replicate that fails calibration (degenerate system,
-    protocol guard) is recorded as a failure and skipped; the campaign
-    carries on. A stage summary that is not finite, which only a config
-    at the edge of the float range gives, stops the campaign with the
-    ``ObservationArrays.from_samples`` refusal. All keys are hashed up front, and one
-    generator, reseeded per truth set and per replicate, makes every draw.
+    Each replicate then draws its stage summaries from its own spawn key,
+    all replicates are fitted as one stack, and each fitted replicate is
+    scored by its exact expected test-set error (``_expected_rms``). A
+    replicate's fit is distributed as ``calibrate`` of the session that
+    :func:`simulate_session` yields for its truth: for white Gaussian noise
+    the still means, the still stds and the turn sums, all that the fit
+    reads, have exact distributions (see ``_run_levels``). A replicate that
+    fails calibration (degenerate system, protocol guard) is recorded as a
+    failure and skipped; the campaign carries on. A stage summary that is
+    not finite, which only a config at the edge of the float range gives,
+    stops the campaign with the ``ObservationArrays.from_samples`` refusal.
+    All keys are hashed up front, and one generator, reseeded per truth set
+    and per replicate, makes every draw.
     """
     return _run_levels([config])[0]
 
 
 def _run_levels(configs: list[SimulationConfig]) -> list[CampaignReport]:
     """The one campaign loop: :func:`run_monte_carlo` of each of
-    ``configs``, in order; they differ only in ``noise_sigma``. It draws
-    the truths and hashes the keys once. The positive levels run as one
-    pass of the draws, each block drawn once and built once per level; a
-    level of 0 runs as a pass of its own."""
+    ``configs``, in order; they differ only in ``noise_sigma``. The truths
+    and each replicate's 15 draws are taken once, and every level, 0
+    included, scales the same draws by its own sigma.
+
+    From its stream a replicate draws 3 standard normals ``Z_m``, 3
+    standard gamma variates of shape ``(N_s - 1) / 2``, which are half of
+    chi-squares ``C`` with ``N_s - 1`` degrees of freedom, and 9 standard
+    normals ``Z_t`` (turns x, y, z; sensor axes x, y, z). With ``N_s`` still
+    and ``n`` turn samples at ``rate``, its session's still mean is
+    ``-b + sigma / sqrt(N_s) Z_m``, its still std ``sqrt(sigma² C / (N_s -
+    1))``, independent of the mean, and turn i's sum on sensor axis l is
+    ``M[l, i] theta / k_l - b_l n / rate + sigma sqrt(n) / rate Z_t``: every
+    speed trace sums to ``theta`` (``_bezier_samples``), so the profile
+    does not reach the fit."""
     config = configs[0]
     per_set = config.n_sims_per_set
     total = config.n_param_sets * per_set
@@ -697,43 +597,44 @@ def _run_levels(configs: list[SimulationConfig]) -> list[CampaignReport]:
     scales, biases, coupling = _truth_arrays(config, truth_draws)
     indices = np.column_stack(np.divmod(np.arange(total), per_set))
     truth = np.repeat(truth_draws[:, :6], per_set, axis=0)
-    sigmas = [level.noise_sigma for level in configs]
-    # One pass per kind of level, positive or 0, in order of appearance.
-    passes = [[level for level, sigma in enumerate(sigmas) if (sigma > 0.0) == noisy]
-              for noisy in dict.fromkeys(sigma > 0.0 for sigma in sigmas)]
-    # One hash of the keys; a second pass replays the states the first took.
-    states = _pcg64_states(config.rng_seed, np.insert(indices, 0, 1, axis=1))
-    estimate = np.empty((len(sigmas), total, 6))
-    errors: list[list[CalibrationError | None]] = [[] for _ in sigmas]
-    for levels, pass_states in zip(passes, itertools.tee(states, len(passes))):
-        replicate_rngs = _reseeded(rng, pass_states)
-        block = _SessionBlock(configs[levels[0]], min(REPLICATE_BLOCK, total))
-        for first in range(0, total, REPLICATE_BLOCK):
-            rows = slice(first, min(first + REPLICATE_BLOCK, total))
-            sets = indices[rows, 0]
-            block.draw(scales[sets], biases[sets], coupling[sets], replicate_rngs)
-            for level in levels:
-                sigma = sigmas[level]
-                block.build(sigma)
-                try:
-                    view = block.observations()
-                except CalibrationError as exc:
-                    raise CalibrationError(f"noise level {sigma!r}: its stage summaries "
-                                           f"overflowed the float range: {exc}") from None
-                fit = fit_batch(view, noise_sigma=sigma if sigma > 0.0 else None)
-                estimate[level, rows, :3] = fit.scales
-                estimate[level, rows, 3:] = fit.biases
-                errors[level] += fit.errors
-        del block  # freed before the next pass builds its own
+    n_static, n_rot, rate = config.static_samples, config.rotation_samples, config.sample_rate
+    draws = np.empty((total, 15))
+    shape = (n_static - 1) / 2
+    replicate_rngs = _reseeded(rng, _pcg64_states(config.rng_seed,
+                                                  np.insert(indices, 0, 1, axis=1)))
+    for row, replicate_rng in zip(draws, replicate_rngs):
+        replicate_rng.standard_normal(out=row[:3])
+        replicate_rng.standard_gamma(shape, out=row[3:6])
+        replicate_rng.standard_normal(out=row[6:])
+    sets = indices[:, 0]
+    turn_duration = n_rot / rate
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, by level
+        clean_sums = (coupling.transpose(0, 2, 1) * config.rotation_angle / scales[:, None, :]
+                      - biases[:, None, :] * turn_duration)[sets]
+    clean_means, chi_square = -biases[sets], 2.0 * draws[:, 3:6]
+    turn_normals = draws[:, 6:].reshape(total, 3, 3)
     reports = []
-    for level, level_errors in enumerate(errors):
-        keep = np.array([error is None for error in level_errors])
+    for level in configs:
+        sigma = level.noise_sigma
+        with np.errstate(over="ignore", invalid="ignore"):
+            view = ObservationArrays(
+                clean_means + sigma / math.sqrt(n_static) * draws[:, :3],
+                np.sqrt(sigma * sigma * chi_square / (n_static - 1)),
+                n_static / rate,
+                clean_sums + sigma * math.sqrt(n_rot) / rate * turn_normals,
+                np.full(3, turn_duration), np.full(3, config.rotation_angle ** 2))
+        try:
+            view.require_finite()
+        except CalibrationError as exc:
+            raise CalibrationError(f"noise level {sigma!r}: its stage summaries "
+                                   f"overflowed the float range: {exc}") from None
+        fit = fit_batch(view, noise_sigma=sigma if sigma > 0.0 else None)
+        keep = np.array([error is None for error in fit.errors], dtype=bool)
         failures = tuple((*indices[row].tolist(), str(error))
-                         for row, error in enumerate(level_errors) if error is not None)
-        fitted = estimate[level, keep]
-        score = functools.partial(_expected_rms, configs[level], truth[keep],
-                                  coupling[indices[keep, 0]])
-        reports.append(CampaignReport(configs[level], indices[keep], truth[keep], fitted,
+                         for row, error in enumerate(fit.errors) if error is not None)
+        fitted = np.column_stack([fit.scales[keep], fit.biases[keep]])
+        score = functools.partial(_expected_rms, level, truth[keep], coupling[sets[keep]])
+        reports.append(CampaignReport(level, indices[keep], truth[keep], fitted,
                                       score(_IDENTITY_ROW), score(fitted), failures=failures))
     return reports
 

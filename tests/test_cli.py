@@ -182,6 +182,10 @@ class TestSimulate:
         ("noise_levels:\n", [], "noise_levels must be a non-empty list of numbers"),
         ("noise_levels: null\n", [], "noise_levels must be a non-empty list of numbers"),
         ("n_test_rates: 0\n", [], "n_test_rates must be at least 1, got 0"),
+        ("test_rate_range: [-1.0e+200, 1.0e+200]\n", [],
+         "test_rate_range (-1e+200, 1e+200) has a width or a mean whose square is not finite"),
+        ("test_rate_range: [1.0e+200, 1.0e+200]\n", [],
+         "test_rate_range (1e+200, 1e+200) has a width or a mean whose square is not finite"),
     ])
     def test_unusable_config_reported(self, tmp_path, capsys, text, seed_args, message):
         config = tmp_path / "bad.yaml"
@@ -228,29 +232,18 @@ class TestSimulate:
             csv_name = f"replicates_sigma_{level}.csv"
             assert (out / csv_name).read_bytes() == (alone / csv_name).read_bytes()
 
-    def test_session_block_too_large_reported(self, tmp_path, capsys):
-        # The dimension check refuses this size before any memory is taken.
-        config = tmp_path / "huge.yaml"
-        config.write_text("rotation_duration: 1.0e+18\nn_param_sets: 1\nn_sims_per_set: 1\n",
-                          encoding="utf-8")
-        out = tmp_path / "out"
-        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: bad simulation config: cannot hold 1 session(s) of 300 "
-                              f"still and {10 ** 20} turn samples: ")
-        assert err.count("\n") == 1 and "Traceback" not in err
-        assert not (out / "summary.json").exists()
-
     @pytest.mark.parametrize("existing", [False, True])
     def test_refused_config_leaves_no_new_directory(self, tmp_path, capsys, existing):
+        # The campaign refuses this level after --out was made.
         config = tmp_path / "huge.yaml"
-        config.write_text("rotation_duration: 1.0e+18\nn_param_sets: 1\nn_sims_per_set: 1\n",
+        config.write_text("noise_sigma: 1.0e+300\nn_param_sets: 1\nn_sims_per_set: 1\n",
                           encoding="utf-8")
         if existing:
             (tmp_path / "new").mkdir()
         out = tmp_path / "new" / "nested"
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("error: bad simulation config: cannot hold")
+        assert capsys.readouterr().err.startswith(
+            "error: bad simulation config: noise level 1e+300: ")
         assert not out.exists()
         assert (tmp_path / "new").exists() == existing
 

@@ -1,9 +1,9 @@
 """Pins of the simulator's random draw stream.
 
-The hashes and reprs below were recorded from the per-replicate
-implementation of ``simulate_session`` and ``run_monte_carlo``. They hold
-the spawn keys and the draw order fixed: a change that reorders, merges
-or re-derives any draw breaks them. Scale estimates are not pinned
+The hashes and reprs below hold the spawn keys and the draw order fixed:
+``simulate_session``'s per-sample draws and a campaign replicate's
+stage-summary draws. A change that reorders, merges or re-derives any
+draw breaks them. Scale estimates are not pinned
 because the least-squares solve may move them in the last ulps; the
 biases depend on the draws and the measurement model alone, and the
 expected test-set RMS before correction on the truth alone.
@@ -61,9 +61,9 @@ def test_simulate_session_draw_stream_is_pinned(seed):
 
 
 CAMPAIGN_PINS = {
-    (0, 0): ((-3.0622160273706176, 3.9464908921553508, 4.84741552754403), 12.798100689111092),
-    (0, 2): ((-3.0582812834920503, 3.9486269313965545, 4.849689723175099), 12.798100689111092),
-    (1, 1): ((0.365632415744124, -3.092796232974831, -3.1743620172816227), 14.449488961773994),
+    (0, 0): ((-3.05950579929298, 3.9501416232736095, 4.8480484434122), 12.798100689111092),
+    (0, 2): ((-3.0592526283354875, 3.9463577505866008, 4.8496838191321), 12.798100689111092),
+    (1, 1): ((0.36704999525565246, -3.0942858404546616, -3.1782205351609956), 14.449488961773994),
 }
 
 
@@ -78,7 +78,7 @@ def test_campaign_biases_and_pre_rms_are_pinned():
 
 
 # The simulator draws every uniform value as ``Generator.random`` and maps
-# the draws to their range afterwards, once per block. That is numpy's own
+# the draws to their range afterwards. That is numpy's own
 # ``Generator.uniform`` arithmetic, ``low + (high - low) * u`` on the same
 # doubles, so the numbers are numpy's to the bit.
 @settings(max_examples=300, deadline=None)
@@ -105,20 +105,28 @@ def _per_call_truth(config, rng):
     return scales, biases, coupling
 
 
-def _per_call_session_draws(config, rng):
-    """A session's control ordinates ``(3, 4)``, drawn by one
-    ``Generator.uniform`` call per turn between the normal draws, in the
-    fixed draw order."""
+def _per_call_session(config, truth, rng):
+    """A session's readings, still ``(N, 3)`` and turns ``(3, n, 3)``, from
+    one ``Generator.uniform`` call per turn's control ordinates between the
+    normal draws, in the fixed draw order."""
     nominal = config.rotation_angle / config.rotation_duration
-    noisy = config.noise_sigma > 0.0
-    if noisy:
-        rng.standard_normal((config.static_samples, 3))
-    ordinates = []
+    sigma = config.noise_sigma
+    static_noise = rng.standard_normal((config.static_samples, 3)) if sigma > 0.0 else None
+    ordinates, turn_noise = [], []
     for _axis in range(3):
         ordinates.append(rng.uniform(0.5, 1.5, size=4) * nominal)
-        if noisy:
-            rng.standard_normal((config.rotation_samples, 3))
-    return np.array(ordinates)
+        if sigma > 0.0:
+            turn_noise.append(rng.standard_normal((config.rotation_samples, 3)))
+    n = config.rotation_samples
+    profiles = simulator._bezier_samples(np.array(ordinates), config, simulator._bezier_basis(n),
+                                         np.empty((3, n)), np.empty((3, n)))
+    scales, biases = truth.params.scales, truth.params.biases
+    # Turn j, sample t, sensor axis l reads profile_j[t] M[l, j] / k_l - b_l.
+    static = np.broadcast_to(0.0 - biases, (config.static_samples, 3))
+    turns = profiles[:, :, None] * truth.misalignment.T[:, None, :] / scales - biases
+    if sigma > 0.0:
+        return static_noise * sigma + static, np.array(turn_noise) * sigma + turns
+    return static, turns
 
 
 ORACLE_CONFIG = dict(scale_range=(0.55, 2.25), bias_range=(-30.0, 7.5),
@@ -148,14 +156,11 @@ def test_session_draws_match_per_call_uniform(noise_sigma):
     config = SimulationConfig(noise_sigma=noise_sigma, **ORACLE_CONFIG)
     truth = sample_ground_truth(config, numpy_generator(23, (0, 0)))
     oracle, rng = numpy_generator(23, (1, 0, 0)), numpy_generator(23, (1, 0, 0))
-    ordinates = _per_call_session_draws(config, oracle)
-    simulate_session(truth, config, rng)
+    static, turns = _per_call_session(config, truth, oracle)
+    sim = simulate_session(truth, config, rng)
     assert rng.bit_generator.state == oracle.bit_generator.state
-    block = simulator._SessionBlock(config, 1)
-    block.draw(truth.params.scales[None], truth.params.biases[None],
-               truth.misalignment[None], [numpy_generator(23, (1, 0, 0))])
-    block.build(noise_sigma)
-    assert block.ordinates[0].tobytes() == ordinates.tobytes()
+    assert sim.static_raw.tobytes() == static.tobytes()
+    assert np.stack(sim.rotation_raw).tobytes() == turns.tobytes()
 
 
 def test_bezier_profile_matches_per_call_uniform():
@@ -176,9 +181,9 @@ def test_bezier_profile_matches_per_call_uniform():
 # report's formatting fixed. Recorded with numpy 2.4 and its bundled
 # OpenBLAS on x86-64; another LAPACK build may move scales in the last ulp.
 SIMULATE_OUTPUT_PINS = {
-    "replicates_sigma_0.03.csv": "3874e7d5e3c35900c2892d4f89d5ebe4e6f566962b4b0790880132bd5eaab0fe",
-    "replicates_sigma_0.15.csv": "025682cee879e9fa63bac56554e9f2a938893549c8847434fe31dd6ca0ae0425",
-    "summary.json": "54c952c5bc99a1a6b431c7b9be63a76ca3200e78745c0b0cf5050117b9311200",
+    "replicates_sigma_0.03.csv": "1cfa3c03eb514c42c6ae6d65efe498ca214e3f5d1a5e441a7541881c590d5f8c",
+    "replicates_sigma_0.15.csv": "d137267efdfdf89ade449e10158cf22f40cb794feca593f2b5f42b87f44e3b83",
+    "summary.json": "693da9d48ea043f3456b660552fcba218f4547c22e7fcc9eda9f6a87a1f155d5",
 }
 
 # sha256 of the same run's truths and estimates alone: each CSV without
@@ -186,9 +191,9 @@ SIMULATE_OUTPUT_PINS = {
 # parameter_errors blocks. A change to how replicates are scored leaves
 # these as they are.
 ESTIMATE_PINS = {
-    "replicates_sigma_0.03.csv": "e194a7ba0fba72dd3c5d48db07c0f0a016db45edb3b750a4c4cd4ca461ca6507",
-    "replicates_sigma_0.15.csv": "3e7d4fdf907c61829a22bf8ad072a3c65f0b0368333fa47998bbcbdf3b6ff50a",
-    "parameter_errors": "5df6b79e1186a3c47dec85c8912985e3216b65cca8ec501546e32ea704fcea70",
+    "replicates_sigma_0.03.csv": "d63438833578e6444708cc5172e168888f8a6bb3a0e666f8fc3eb9ee55338c06",
+    "replicates_sigma_0.15.csv": "5fdc6ae2e1821eebbf8830d800c269a25176ed8258260fe22dd9290fc152c437",
+    "parameter_errors": "b64bb4f5f79418f327255ed928fde969378a6aa5b53ce83bb94d7ac57ff6ca0c",
 }
 
 

@@ -1,18 +1,18 @@
 import csv
 import dataclasses
 import io
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from builders import numpy_generator
+from builders import numpy_generator, stack_views
 from gyrocal import estimator, simulator
 from gyrocal.estimator import calibrate
 from gyrocal.model import CalibrationError, CalibrationParams, ObservationArrays
 from gyrocal.simulator import (
-    REPLICATE_BLOCK,
     CampaignReport,
     GroundTruth,
     SimulationConfig,
@@ -291,6 +291,17 @@ class TestSimulateSession:
         measured = np.std(sim.static_raw, axis=0, ddof=1)
         np.testing.assert_allclose(measured, 0.15, rtol=0.10)
 
+    def test_session_too_large_to_hold_refused(self):
+        # 10**20 turn samples: the dimension check refuses them before any
+        # memory is taken. A campaign holds no samples, so it runs this config.
+        config = SimulationConfig(rotation_duration=1.0e18, n_param_sets=1, n_sims_per_set=1)
+        with pytest.raises(CalibrationError, match=f"^cannot hold a session of 300 still and "
+                                                   f"{10 ** 20} turn samples: "):
+            simulate_session(sample_ground_truth(config, np.random.default_rng(0)), config,
+                             np.random.default_rng(1))
+        report = run_monte_carlo(config)
+        assert len(report.indices) + len(report.failures) == 1
+
     def test_cross_coupling_leaks_into_other_axes(self):
         config = SimulationConfig(noise_sigma=0.0, misalignment_range=(0.05, 0.05),
                                   scale_range=(1.0, 1.0), bias_range=(0.0, 0.0))
@@ -408,6 +419,120 @@ class TestRunMonteCarlo:
         assert float(rows[0]["pre_rms"]) == report.pre_rms[0]
 
 
+def _iqr(errors):
+    q1, q3 = np.quantile(errors, [0.25, 0.75], axis=0)
+    return q3 - q1
+
+
+class TestCampaignMatchesSessionsInDistribution:
+    """A campaign replicate fits stage summaries drawn from their exact
+    distributions, so its fit is distributed as ``calibrate`` of a
+    :func:`simulate_session` session. On the same 20 truths, 500 campaign
+    replicates per truth are set against 50 per-sample sessions per truth
+    (``fit_batch`` of their stack is ``calibrate`` of each)."""
+
+    SETS, PER_SET, SESSIONS = 20, 500, 50
+
+    def _config(self, **overrides):
+        return SimulationConfig(static_duration=1.0, rotation_duration=2.0, rng_seed=2027,
+                                n_param_sets=self.SETS, n_sims_per_set=self.PER_SET, **overrides)
+
+    def _sessions(self, config):
+        """The per-sample sessions, set by set, and their truths ``(k, b)``."""
+        views, truths = [], []
+        for set_index in range(self.SETS):
+            truth = sample_ground_truth(config, numpy_generator(config.rng_seed, (0, set_index)))
+            rng = np.random.default_rng([config.rng_seed, set_index])
+            views += [simulate_session(truth, config, rng).session for _ in range(self.SESSIONS)]
+            truths += [[*truth.params.scales, *truth.params.biases]] * self.SESSIONS
+        return stack_views(views), np.array(truths)
+
+    @pytest.mark.parametrize("misalignment_range", [(0.0, 0.0), (-0.10, 0.10)])
+    @pytest.mark.parametrize("sigma", [0.03, 0.15])
+    def test_errors_match_per_sample_sessions(self, sigma, misalignment_range):
+        # Each parameter's error std and IQR agree. For normal errors the std
+        # ratio's standard error is sqrt(1/2000 + 1/20000) = 0.023 and the
+        # IQR ratio's 1.17 sqrt(1/1000 + 1/10000) = 0.039, so the bounds,
+        # 0.10 and 0.16, are over 4 of them. Each truth's mean error, which
+        # carries the coupling's shift of the scales, agrees within 5 of its
+        # standard errors.
+        config = self._config(noise_sigma=sigma, misalignment_range=misalignment_range)
+        report = run_monte_carlo(config)
+        views, truths = self._sessions(config)
+        fit = estimator.fit_batch(views, noise_sigma=sigma)
+        assert not report.failures and not any(fit.errors)
+        campaign = report.parameter_errors()
+        per_sample = np.column_stack([fit.scales, fit.biases]) - truths
+        for ratio, bound in ((campaign.std(axis=0) / per_sample.std(axis=0), 0.10),
+                             (_iqr(campaign) / _iqr(per_sample), 0.16)):
+            assert np.all(np.abs(ratio - 1.0) <= bound), ratio
+        by_set = [errors.reshape(self.SETS, -1, 6) for errors in (campaign, per_sample)]
+        standard_error = np.sqrt(sum(errors.var(axis=1, ddof=1) / errors.shape[1]
+                                     for errors in by_set))
+        shift = by_set[0].mean(axis=1) - by_set[1].mean(axis=1)
+        assert np.all(np.abs(shift) <= 5.0 * standard_error)
+
+    def test_still_stds_match_per_sample_sessions(self, monkeypatch):
+        # The share of replicates whose still std trips a 1.03 sigma
+        # stillness guard reads the chi-square draws. Its standard error is
+        # at most 0.5 sqrt(1/1000 + 1/10000) = 0.017, and the bound 0.07 is
+        # over 4 of them.
+        config = self._config(noise_sigma=0.03)
+        monkeypatch.setattr(estimator, "STILLNESS_STD_FACTOR", 1.03)
+        tripped = len(run_monte_carlo(config).failures) / (self.SETS * self.PER_SET)
+        views, _ = self._sessions(config)
+        per_sample = np.mean((views.static_stds > 1.03 * 0.03).any(axis=1))
+        assert 0.3 < per_sample < 0.9
+        assert tripped == pytest.approx(per_sample, abs=0.07)
+
+
+class TestCampaignDeterminism:
+    """A replicate's draws come from its own stream, so no row depends on
+    how many replicates share its truth set or on the other levels run
+    beside it."""
+
+    def test_rows_do_not_depend_on_replicates_per_set(self, monkeypatch):
+        # At 1.03 noise sigmas the stillness guard fails about half the rows.
+        monkeypatch.setattr(estimator, "STILLNESS_STD_FACTOR", 1.03)
+        small, large = (run_monte_carlo(SimulationConfig(rng_seed=12, noise_sigma=0.15,
+                                                         n_param_sets=30, n_sims_per_set=per_set))
+                        for per_set in (4, 7))
+        assert small.failures and len(small.indices)
+        rows = {tuple(index): row for row, index in enumerate(large.indices.tolist())}
+        matching = [rows[tuple(index)] for index in small.indices.tolist()]
+        for column in ("indices", "truth", "estimate", "pre_rms", "post_rms"):
+            assert getattr(small, column).tobytes() == getattr(large, column)[matching].tobytes()
+        assert small.failures == tuple(f for f in large.failures if f[1] < 4)
+
+    @pytest.mark.parametrize("levels", [[0.0, 0.03], [0.15, 0.0, 0.03]])
+    def test_levels_equal_separate_runs(self, monkeypatch, levels):
+        monkeypatch.setattr(estimator, "STILLNESS_STD_FACTOR", 1.03)
+        base = SimulationConfig(rng_seed=8, n_param_sets=3, n_sims_per_set=7)
+        configs = [dataclasses.replace(base, noise_sigma=level) for level in levels]
+        for config, report in zip(configs, simulator._run_levels(configs), strict=True):
+            alone = run_monte_carlo(config)
+            assert report.config is config
+            for column in ("indices", "truth", "estimate", "pre_rms", "post_rms"):
+                assert getattr(report, column).tobytes() == getattr(alone, column).tobytes()
+            assert report.failures == alone.failures
+            assert bool(report.failures) == (config.noise_sigma > 0.0)
+
+    @given(sample_rate=st.floats(min_value=20.0, max_value=1000.0),
+           static_duration=st.floats(min_value=0.5, max_value=10.0),
+           rotation_duration=st.floats(min_value=1.0, max_value=10.0))
+    @example(sample_rate=97.3, static_duration=3.01, rotation_duration=5.37)  # 292.873, 522.501
+    @settings(max_examples=50, deadline=None)
+    def test_noiseless_campaign_at_any_rate_and_duration(self, sample_rate, static_duration,
+                                                         rotation_duration):
+        config = SimulationConfig(noise_sigma=0.0, misalignment_range=(0.0, 0.0),
+                                  sample_rate=sample_rate, static_duration=static_duration,
+                                  rotation_duration=rotation_duration, rng_seed=21,
+                                  n_param_sets=3, n_sims_per_set=2)
+        report = run_monte_carlo(config)
+        assert not report.failures
+        assert np.max(np.abs(report.parameter_errors())) < 1e-9
+
+
 class TestExpectedRms:
     """A replicate's ``pre_rms`` and ``post_rms`` are the expected RMS
     error over the test set's distribution, so a 10^5-rate sample of the
@@ -435,202 +560,34 @@ class TestExpectedRms:
             assert sampled == pytest.approx(expected, rel=0.01)
 
 
-def _single_session_outcome(truth, config, rng):
-    """What ``calibrate`` and the scoring give for one replicate simulated
-    on its own from ``rng``: ``(estimate, pre_rms, post_rms)`` or the error
-    text."""
-    sim = simulate_session(truth, config, rng)
-    guard = config.noise_sigma if config.noise_sigma > 0.0 else None
-    try:
-        estimate = calibrate(sim.session, noise_sigma=guard)
-    except CalibrationError as exc:
-        return str(exc)
-    true_row = np.concatenate([truth.params.scales, truth.params.biases])[None]
+def _numpy_seeded_replicate(config, set_index, replicate_index):
+    """The truth, fit and scores of one campaign replicate, rebuilt from
+    the generators numpy's own ``SeedSequence`` builds for its keys: its
+    stage summaries from 3 still-mean normals, 3 chi-squares of ``N_s - 1``
+    degrees of freedom and 9 turn-sum normals (turns x, y, z; sensor axes
+    x, y, z), drawn in that order, then ``calibrate`` of their view.
+    Returns ``(truth, estimate, pre_rms, post_rms)``."""
+    truth = sample_ground_truth(config, numpy_generator(config.rng_seed, (0, set_index)))
+    rng = numpy_generator(config.rng_seed, (1, set_index, replicate_index))
+    mean_normals = rng.standard_normal(3)
+    chi_square = rng.chisquare(config.static_samples - 1, 3)
+    sum_normals = rng.standard_normal((3, 3))
+    sigma, rate, angle = config.noise_sigma, config.sample_rate, config.rotation_angle
+    n_static, n_rot = config.static_samples, config.rotation_samples
+    scales, biases = truth.params.scales, truth.params.biases
+    view = ObservationArrays(
+        -biases + sigma / math.sqrt(n_static) * mean_normals,
+        np.sqrt(sigma * sigma * chi_square / (n_static - 1)),
+        n_static / rate,
+        (truth.misalignment.T * angle / scales - biases * (n_rot / rate))
+        + sigma * math.sqrt(n_rot) / rate * sum_normals,
+        np.full(3, n_rot / rate), np.full(3, angle ** 2))
+    estimate = calibrate(view, noise_sigma=sigma if sigma > 0.0 else None)
+    true_row = np.concatenate([scales, biases])[None]
     fitted = np.concatenate([estimate.scales, estimate.biases])[None]
     pre, post = (simulator._expected_rms(config, true_row, truth.misalignment[None], row)[0]
                  for row in (simulator._IDENTITY_ROW, fitted))
-    return estimate, pre, post
-
-
-def _assert_campaign_matches_single_sessions(config):
-    report = run_monte_carlo(config)
-    rows = {tuple(index): row for row, index in enumerate(report.indices.tolist())}
-    failures = {(s, r): message for s, r, message in report.failures}
-    assert len(rows) + len(failures) == config.n_param_sets * config.n_sims_per_set
-    for set_index in range(config.n_param_sets):
-        truth = sample_ground_truth(config, numpy_generator(config.rng_seed, (0, set_index)))
-        for replicate_index in range(config.n_sims_per_set):
-            key = (set_index, replicate_index)
-            expected = _single_session_outcome(
-                truth, config, numpy_generator(config.rng_seed, (1, *key)))
-            if isinstance(expected, str):
-                assert failures[key] == expected
-                continue
-            estimate, pre, post = expected
-            row = rows[key]
-            # bitwise float equality
-            assert report.truth[row].tolist() == [*truth.params.scales, *truth.params.biases]
-            assert report.estimate[row].tolist() == [*estimate.scales, *estimate.biases]
-            assert report.pre_rms[row] == pre
-            assert report.post_rms[row] == post
-    return report
-
-
-def _straddling_blocks(config, block):
-    """The (set, replicate) keys of each block of ``block`` flat rows that
-    holds rows of more than one truth set."""
-    keys = [(s, r) for s in range(config.n_param_sets) for r in range(config.n_sims_per_set)]
-    chunks = (keys[i:i + block] for i in range(0, len(keys), block))
-    return [chunk for chunk in chunks if len({s for s, _ in chunk}) > 1]
-
-
-class TestCampaignMatchesSingleSessions:
-    """Blocked campaign replicates equal ``calibrate(simulate_session(...))``
-    bit for bit, however the blocks fall across truth sets. Cross-coupling
-    is on unless a test says otherwise, so every truth set, and with it
-    every row of a block that spans sets, has its own coupling matrix."""
-
-    @pytest.mark.parametrize("seed", [0, 7, 19])
-    def test_seeds_with_cross_coupling(self, seed):
-        # 3 x 7 rows: the first block spans all three sets, the last is partial.
-        config = SimulationConfig(rng_seed=seed, noise_sigma=0.15, n_param_sets=3,
-                                  n_sims_per_set=7, n_test_rates=40)
-        assert _straddling_blocks(config, REPLICATE_BLOCK)
-        report = _assert_campaign_matches_single_sessions(config)
-        assert not report.failures
-
-    def test_noiseless(self):
-        config = SimulationConfig(rng_seed=4, noise_sigma=0.0, n_param_sets=2,
-                                  n_sims_per_set=11, n_test_rates=40)
-        report = _assert_campaign_matches_single_sessions(config)
-        assert not report.failures
-
-    def test_motion_guard_failures(self):
-        config = SimulationConfig(rotation_angle=0.5, rng_seed=2, n_param_sets=2,
-                                  n_sims_per_set=6, n_test_rates=40)
-        report = _assert_campaign_matches_single_sessions(config)
-        assert len(report.failures) == 12
-        assert "no usable rotation" in report.failures[0][2]
-
-    def test_stillness_guard_failures(self, monkeypatch):
-        # At one noise sigma each axis's static std trips the guard about
-        # half the time, so blocks mix failed and fitted replicates.
-        monkeypatch.setattr(estimator, "STILLNESS_STD_FACTOR", 1.0)
-        config = SimulationConfig(noise_sigma=0.03, rng_seed=6, n_param_sets=2,
-                                  n_sims_per_set=9, n_test_rates=40)
-        report = _assert_campaign_matches_single_sessions(config)
-        assert report.failures and len(report.indices)
-        assert all("static stage shows motion" in f[2] for f in report.failures)
-
-    @pytest.mark.parametrize("per_set", [4, 7])
-    @pytest.mark.parametrize("block", [1, 3, 5, 16])
-    def test_blocks_across_truth_sets(self, monkeypatch, block, per_set):
-        # 3 sets: at every size but 1 some block spans two sets, and with
-        # per_set 7 the last block is partial at every size but 1.
-        monkeypatch.setattr(simulator, "REPLICATE_BLOCK", block)
-        config = SimulationConfig(rng_seed=30 + block, noise_sigma=0.15, n_param_sets=3,
-                                  n_sims_per_set=per_set, n_test_rates=40)
-        assert bool(_straddling_blocks(config, block)) == (block > 1)
-        report = _assert_campaign_matches_single_sessions(config)
-        assert not report.failures
-
-    @pytest.mark.parametrize("block", [3, 5, 16])
-    def test_mixed_failures_across_set_boundaries(self, monkeypatch, block):
-        # At 1.03 noise sigmas the stillness guard rejects about half the
-        # replicates.
-        monkeypatch.setattr(estimator, "STILLNESS_STD_FACTOR", 1.03)
-        monkeypatch.setattr(simulator, "REPLICATE_BLOCK", block)
-        config = SimulationConfig(noise_sigma=0.03, rng_seed=6, n_param_sets=3,
-                                  n_sims_per_set=7, n_test_rates=40)
-        report = _assert_campaign_matches_single_sessions(config)
-        failed = {(s, r) for s, r, _ in report.failures}
-        # Some block spans two sets and holds both failed and fitted rows.
-        assert any(0 < sum(key in failed for key in chunk) < len(chunk)
-                   for chunk in _straddling_blocks(config, block))
-
-    @pytest.mark.parametrize("block", [1, 3, 5, 16])
-    def test_block_size_never_changes_results(self, monkeypatch, block):
-        # Reference blocks of 2; per_set 4 and 7 put the set boundaries at
-        # different places in the blocks, and a stillness factor of 1.03
-        # mixes failed and fitted rows.
-        for per_set in (4, 7):
-            for stillness in (estimator.STILLNESS_STD_FACTOR, 1.03):
-                monkeypatch.setattr(estimator, "STILLNESS_STD_FACTOR", stillness)
-                config = SimulationConfig(rng_seed=12, noise_sigma=0.03, n_param_sets=3,
-                                          n_sims_per_set=per_set, n_test_rates=40)
-                monkeypatch.setattr(simulator, "REPLICATE_BLOCK", 2)
-                reference = run_monte_carlo(config)
-                monkeypatch.setattr(simulator, "REPLICATE_BLOCK", block)
-                report = run_monte_carlo(config)
-                for column in ("indices", "truth", "estimate", "pre_rms", "post_rms"):
-                    np.testing.assert_array_equal(getattr(report, column),
-                                                  getattr(reference, column))
-                assert report.failures == reference.failures
-                assert len(report.indices) + len(report.failures) == 3 * per_set
-
-
-def _level_configs(levels):
-    """One config per noise level: cross-coupling on, and 3 sets of 7
-    replicates, which put set boundaries inside blocks of 5."""
-    base = SimulationConfig(rng_seed=8, n_param_sets=3, n_sims_per_set=7, n_test_rates=40)
-    return [dataclasses.replace(base, noise_sigma=level) for level in levels]
-
-
-def _unlike_separate_runs(configs, reports):
-    """The noise levels whose report differs in any bit from
-    ``run_monte_carlo`` of that level's config alone."""
-    def table(report):
-        columns = (report.indices, report.truth, report.estimate, report.pre_rms, report.post_rms)
-        return [(column.shape, column.tobytes()) for column in columns], report.failures
-
-    return [config.noise_sigma for config, report in zip(configs, reports)
-            if report.config is not config or table(report) != table(run_monte_carlo(config))]
-
-
-class TestLevelsShareOneDrawPass:
-    """The positive noise levels of one run draw the same stream, so they
-    share one pass of the draws and each scales the same normals by its
-    own sigma; a level of 0 draws no normals and runs alone. Either way
-    every level equals its own ``run_monte_carlo``, bit for bit."""
-
-    CONFIGS = _level_configs([0.15, 0.0, 0.03])
-
-    @pytest.fixture(autouse=True)
-    def _blocks(self, monkeypatch):
-        # At 1.03 noise sigmas the stillness guard fails about half the
-        # rows of a noisy level; a level of 0 has no such guard.
-        monkeypatch.setattr(estimator, "STILLNESS_STD_FACTOR", 1.03)
-        monkeypatch.setattr(simulator, "REPLICATE_BLOCK", 5)
-
-    def test_levels_equal_separate_runs(self, monkeypatch):
-        draws = []
-        draw = simulator._SessionBlock.draw
-        monkeypatch.setattr(simulator._SessionBlock, "draw",
-                            lambda block, scales, *args: draws.append(len(scales))
-                            or draw(block, scales, *args))
-        reports = simulator._run_levels(self.CONFIGS)
-        # 21 rows in blocks of 5: one pass for both noisy levels, one for 0.
-        assert draws == [5, 5, 5, 5, 1] * 2
-        for report in reports:
-            assert len(report.indices) + len(report.failures) == 21
-            assert bool(report.failures) == (report.config.noise_sigma > 0.0)
-        assert _unlike_separate_runs(self.CONFIGS, reports) == []
-
-    def test_a_level_scaled_from_another_levels_noise_is_caught(self, monkeypatch):
-        build = simulator._SessionBlock.build
-
-        def rescaled(block, sigma):
-            # Scales the stored normals in place, so the next level scales
-            # this level's noise rather than the drawn normals.
-            if sigma == 0.0:
-                return build(block, sigma)
-            for normals in block._normals:
-                normals[:block.size] *= sigma
-            return build(block, 1.0)
-
-        monkeypatch.setattr(simulator._SessionBlock, "build", rescaled)
-        reports = simulator._run_levels(self.CONFIGS)
-        assert _unlike_separate_runs(self.CONFIGS, reports) == [0.03]
+    return truth, estimate, pre, post
 
 
 def _numpy_state(seed, key):
@@ -644,7 +601,7 @@ _INDEX = st.integers(0, 2 ** 32 - 1)
 class TestSpawnKeyStates:
     """The campaign's generator states equal those numpy's own
     ``SeedSequence`` seeds ``PCG64`` with, row for row, and its rows equal
-    sessions drawn from generators numpy builds. numpy is the oracle, so a
+    the fits of stage summaries drawn from generators numpy builds. numpy is the oracle, so a
     numpy release that changed its seeding fails here by name."""
 
     @settings(max_examples=100, deadline=None)
@@ -665,57 +622,15 @@ class TestSpawnKeyStates:
             states = list(simulator._pcg64_states(seed, np.array(keys)))
             assert states == [_numpy_state(seed, key) for key in keys]
 
-    def test_campaign_rows_match_numpy_seeded_sessions(self):
-        config = SimulationConfig(rng_seed=23, noise_sigma=0.15, n_param_sets=3,
-                                  n_sims_per_set=7, n_test_rates=40)
+    @pytest.mark.parametrize("noise_sigma", [0.0, 0.15])
+    def test_campaign_rows_match_numpy_seeded_draws(self, noise_sigma):
+        config = SimulationConfig(rng_seed=23, noise_sigma=noise_sigma, n_param_sets=3,
+                                  n_sims_per_set=7)
         report = run_monte_carlo(config)
         assert not report.failures
         for row in (0, 10, 20):
-            s, r = report.indices[row].tolist()
-            truth = sample_ground_truth(config, numpy_generator(config.rng_seed, (0, s)))
-            estimate, pre, post = _single_session_outcome(
-                truth, config, numpy_generator(config.rng_seed, (1, s, r)))
+            truth, estimate, pre, post = _numpy_seeded_replicate(
+                config, *report.indices[row].tolist())
             assert report.truth[row].tolist() == [*truth.params.scales, *truth.params.biases]
             assert report.estimate[row].tolist() == [*estimate.scales, *estimate.biases]
             assert (report.pre_rms[row], report.post_rms[row]) == (pre, post)
-
-
-class TestSessionBlockObservations:
-    """``_SessionBlock.observations()`` equals the per-session view of
-    ``ObservationArrays.from_samples`` bit for bit on every row. The
-    static stds feed only the stillness guard, so no campaign pin would
-    catch a drift in their last ulps."""
-
-    @pytest.mark.parametrize("noise_sigma", [0.0, 0.15])
-    @pytest.mark.parametrize("sizer,overrides", [
-        ("turns", {}),
-        ("still stage", dict(static_duration=20.0)),
-        ("still stage", dict(rotation_duration=0.5)),
-    ])
-    def test_rows_match_from_samples_bitwise(self, noise_sigma, sizer, overrides):
-        config = SimulationConfig(noise_sigma=noise_sigma, rng_seed=9, **overrides)
-        users = {"still stage": 3 * config.static_samples, "turns": 9 * config.rotation_samples}
-        assert max(users, key=users.get) == sizer
-        block = simulator._SessionBlock(config, 5)
-        # The still stage's copy has its own buffer; the turn passes and the
-        # turns' copy share the scratch.
-        assert block._still.size == 5 * users["still stage"]
-        assert block._scratch.size == 5 * users["turns"]
-        # A full block, then a partial one over the first's leftovers.
-        for rows in (5, 3):
-            scales, biases, coupling = simulator._truth_arrays(config, np.stack(
-                [numpy_generator(config.rng_seed, (0, r)).random(12) for r in range(rows)]))
-            block.draw(scales, biases, coupling,
-                       [numpy_generator(config.rng_seed, (1, rows, r)) for r in range(rows)])
-            block.build(noise_sigma)
-            view = block.observations()
-            assert view.sums.shape == (rows, 3, 3)
-            for r in range(rows):
-                one = ObservationArrays.from_samples(block.static_raw[r], block.rotation_raw[r],
-                                                     config.sample_rate, config.rotation_angle)
-                assert view.static_means[r].tobytes() == one.static_means.tobytes()
-                assert view.static_stds[r].tobytes() == one.static_stds.tobytes()
-                assert view.sums[r].tobytes() == one.sums.tobytes()
-                assert view.static_duration == one.static_duration
-                assert view.durations.tobytes() == one.durations.tobytes()
-                assert view.theta_sq.tobytes() == one.theta_sq.tobytes()
