@@ -504,7 +504,7 @@ class TestCampaignDeterminism:
             assert getattr(small, column).tobytes() == getattr(large, column)[matching].tobytes()
         assert small.failures == tuple(f for f in large.failures if f[1] < 4)
 
-    @pytest.mark.parametrize("levels", [[0.0, 0.03], [0.15, 0.0, 0.03]])
+    @pytest.mark.parametrize("levels", [[0.0, 0.03], [0.15, 0.0, 0.03], [0.03, 0.15]])
     def test_levels_equal_separate_runs(self, monkeypatch, levels):
         monkeypatch.setattr(estimator, "STILLNESS_STD_FACTOR", 1.03)
         base = SimulationConfig(rng_seed=8, n_param_sets=3, n_sims_per_set=7)
@@ -531,6 +531,143 @@ class TestCampaignDeterminism:
         report = run_monte_carlo(config)
         assert not report.failures
         assert np.max(np.abs(report.parameter_errors())) < 1e-9
+
+    def test_rows_do_not_depend_on_truth_set_count(self):
+        small, large = (run_monte_carlo(SimulationConfig(rng_seed=12, noise_sigma=0.15,
+                                                         n_param_sets=sets, n_sims_per_set=3))
+                        for sets in (2, 5))
+        assert not small.failures and not large.failures
+        for column in ("indices", "truth", "estimate", "pre_rms", "post_rms"):
+            assert getattr(small, column).tobytes() == getattr(large, column)[:6].tobytes()
+
+
+def _campaign_views(monkeypatch, configs):
+    """``_run_levels(configs)`` and the stage-summary view it fits at each
+    level, in order."""
+    views = []
+
+    def recording(view, **kwargs):
+        views.append(view)
+        return estimator.fit_batch(view, **kwargs)
+
+    monkeypatch.setattr(simulator, "fit_batch", recording)
+    return simulator._run_levels(configs), views
+
+
+def _clean_sums(truth, config):
+    """Turn i's noiseless sum on sensor axis l, ``M[l, i] theta / k_l -
+    b_l n / rate``, as ``(3, 3)`` turns by sensor axes."""
+    turn_duration = config.rotation_samples / config.sample_rate
+    return (truth.misalignment.T * config.rotation_angle / truth.params.scales
+            - truth.params.biases * turn_duration)
+
+
+@pytest.fixture(scope="class", params=[0.03, 0.15])
+def one_truth_campaign(request):
+    """The config, truth and stage-summary view of a 20,000-replicate
+    campaign on one truth set, at each noise level."""
+    config = SimulationConfig(rng_seed=31, noise_sigma=request.param, n_param_sets=1,
+                              n_sims_per_set=TestCampaignStageSummaries.REPLICATES)
+    with pytest.MonkeyPatch.context() as patch:
+        _, (view,) = _campaign_views(patch, [config])
+    truth = sample_ground_truth(config, numpy_generator(config.rng_seed, (0, 0)))
+    return config, truth, view
+
+
+class TestCampaignStageSummaries:
+    """The stage summaries a campaign draws have their exact white-noise
+    distributions. With N_s = 300 still and n = 500 turn samples, a still
+    mean is normal about ``-b`` with std ``sigma / sqrt(N_s)``, a still
+    variance is ``sigma²`` times a chi-square over its ``N_s - 1`` degrees
+    of freedom, a turn sum is normal about its noiseless sum with std
+    ``sigma sqrt(n) / rate``, and all 15 are independent. Over 20,000
+    replicates a std ratio's standard error is about 1/200, so its bound
+    0.025 is 5 of them, and a mean is held to 5 of its standard errors."""
+
+    REPLICATES = 20_000
+
+    def test_still_means(self, one_truth_campaign):
+        config, truth, view = one_truth_campaign
+        spread = config.noise_sigma / math.sqrt(config.static_samples)
+        errors = view.static_means + truth.params.biases
+        assert np.all(np.abs(errors.mean(axis=0)) <= 5.0 * spread / math.sqrt(self.REPLICATES))
+        np.testing.assert_allclose(errors.std(axis=0) / spread, 1.0, rtol=0.0, atol=0.025)
+
+    def test_still_variances(self, one_truth_campaign):
+        config, _, view = one_truth_campaign
+        degrees = config.static_samples - 1
+        ratio = view.static_stds ** 2 / config.noise_sigma ** 2  # chi-square / degrees
+        spread = math.sqrt(2.0 / degrees)
+        assert np.all(np.abs(ratio.mean(axis=0) - 1.0)
+                      <= 5.0 * spread / math.sqrt(self.REPLICATES))
+        np.testing.assert_allclose(ratio.std(axis=0) / spread, 1.0, rtol=0.0, atol=0.025)
+
+    def test_turn_sums(self, one_truth_campaign):
+        config, truth, view = one_truth_campaign
+        spread = config.noise_sigma * math.sqrt(config.rotation_samples) / config.sample_rate
+        errors = view.sums - _clean_sums(truth, config)
+        assert np.all(np.abs(errors.mean(axis=0)) <= 5.0 * spread / math.sqrt(self.REPLICATES))
+        np.testing.assert_allclose(errors.std(axis=0) / spread, 1.0, rtol=0.0, atol=0.025)
+
+    def test_summaries_are_uncorrelated(self, one_truth_campaign):
+        # 105 pairs: each correlation's standard error is 1/sqrt(20000).
+        _, _, view = one_truth_campaign
+        columns = np.column_stack([view.static_means, view.static_stds ** 2,
+                                   view.sums.reshape(self.REPLICATES, 9)])
+        correlation = np.corrcoef(columns, rowvar=False)
+        off_diagonal = correlation[~np.eye(15, dtype=bool)]
+        assert np.max(np.abs(off_diagonal)) <= 4.5 / math.sqrt(self.REPLICATES)
+
+
+class TestCampaignMatchesSessionsWithoutNoise:
+    """At sigma 0 a replicate's stage summaries are its session's, up to
+    rounding, so its fit is ``calibrate`` of the :func:`simulate_session`
+    session for its truth, coupling and all; a whole number of samples or
+    not. A guard that reads no noise refuses both with one message."""
+
+    @pytest.mark.parametrize("overrides", [{}, dict(sample_rate=97.3, static_duration=3.01,
+                                                     rotation_duration=5.37)],
+                             ids=["whole", "fractional"])
+    @pytest.mark.parametrize("seed", [0, 7, 19])
+    def test_views_and_fits_match_sessions(self, monkeypatch, seed, overrides):
+        config = SimulationConfig(rng_seed=seed, noise_sigma=0.0,
+                                  misalignment_range=(-0.10, 0.10), n_param_sets=3,
+                                  n_sims_per_set=2, **overrides)
+        (report,), (view,) = _campaign_views(monkeypatch, [config])
+        assert not report.failures
+        for row, (set_index, replicate_index) in enumerate(report.indices.tolist()):
+            truth = sample_ground_truth(config, numpy_generator(seed, (0, set_index)))
+            rng = np.random.default_rng([seed, set_index, replicate_index])
+            session = simulate_session(truth, config, rng).session
+            np.testing.assert_array_equal(view.static_means[row], -truth.params.biases)
+            np.testing.assert_array_equal(view.static_stds[row], 0.0)
+            np.testing.assert_allclose(session.static_means, view.static_means[row],
+                                       rtol=1e-14, atol=1e-14)
+            # A mean of equal samples may miss them by an ulp, so their
+            # std reads a few ulps of the bias, not 0.
+            np.testing.assert_allclose(session.static_stds, 0.0, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(session.sums, view.sums[row], rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(session.durations, view.durations, rtol=0.0, atol=0.0)
+            estimate = calibrate(session)
+            np.testing.assert_allclose(report.estimate[row],
+                                       [*estimate.scales, *estimate.biases],
+                                       rtol=1e-11, atol=1e-12)
+
+    @pytest.mark.parametrize("noise_sigma", [0.0, 0.03])
+    def test_motion_guard_failures_match_sessions(self, noise_sigma):
+        # A 0.5 degree turn never clears the 10 degree motion guard.
+        config = SimulationConfig(rotation_angle=0.5, noise_sigma=noise_sigma, rng_seed=4,
+                                  n_param_sets=2, n_sims_per_set=3)
+        report = run_monte_carlo(config)
+        assert len(report.indices) == 0 and len(report.failures) == 6
+        for set_index, replicate_index, message in report.failures:
+            truth = sample_ground_truth(config, numpy_generator(4, (0, set_index)))
+            rng = np.random.default_rng([4, set_index, replicate_index])
+            with pytest.raises(CalibrationError) as info:
+                calibrate(simulate_session(truth, config, rng).session,
+                          noise_sigma=noise_sigma or None)
+            assert str(info.value) == message
+            assert message.startswith("every rotation stage integrates below 10 degrees")
 
 
 class TestExpectedRms:
