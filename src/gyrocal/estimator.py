@@ -63,8 +63,8 @@ class InconsistentScaleData(CalibrationError):
 def _record(errors: list, rows: np.ndarray, make) -> None:
     """Store ``make(r)`` for every flagged row that has not failed yet, so
     each row keeps the first guard it tripped."""
-    for r, flagged in enumerate(rows.tolist()):
-        if flagged and errors[r] is None:
+    for r in np.flatnonzero(rows).tolist():
+        if errors[r] is None:
             errors[r] = make(r)
 
 

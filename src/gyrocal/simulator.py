@@ -406,7 +406,9 @@ class CampaignReport:
       (deg/s) before and after correction, as ``_expected_rms`` states
 
     ``failures`` holds ``(set index, replicate index, message)`` of every
-    replicate that failed calibration.
+    replicate that failed calibration. ``write_replicates_csv`` writes the
+    table as ``set_index, replicate_index, true_*, est_*, pre_rms,
+    post_rms``; the errors, ``est_* - true_*``, are read back exactly.
     """
 
     config: SimulationConfig
@@ -450,23 +452,36 @@ class CampaignReport:
         }
 
     def write_replicates_csv(self, path) -> None:
-        """One row per replicate; floats via repr for lossless round trips."""
+        """One row per replicate, columns ``set_index, replicate_index,
+        true_*, est_*, pre_rms, post_rms``; floats via repr for lossless
+        round trips, so ``float(est) - float(true)`` is the row's
+        ``parameter_errors()`` exactly."""
         header = (
             ["set_index", "replicate_index"]
             + [f"true_{n}" for n in PARAM_NAMES]
             + [f"est_{n}" for n in PARAM_NAMES]
-            + [f"err_{n}" for n in PARAM_NAMES]
             + ["pre_rms", "post_rms"]
         )
-        values = np.column_stack([self.truth, self.estimate, self.parameter_errors(),
-                                  self.pre_rms, self.post_rms])
+        # The rows of a truth set share their truth and pre_rms, so those
+        # fields are formatted once per bit pattern (not per float value:
+        # 0.0 == -0.0 and nan != nan) and their text reused.
+        shared = np.column_stack([self.truth, self.pre_rms])
+        keys = shared.view(f"V{shared.itemsize * shared.shape[1]}")[:, 0].tolist()
+
+        def rows():
+            texts = {}
+            for index, ((s, r), key, estimate, post) in enumerate(zip(
+                    self.indices.tolist(), keys, self.estimate.tolist(), self.post_rms.tolist())):
+                text = texts.get(key)
+                if text is None:
+                    *truth, pre = shared[index].tolist()
+                    text = texts[key] = (",".join(map(repr, truth)), repr(pre))
+                yield f"{s},{r},{text[0]},{','.join(map(repr, estimate))},{text[1]},{post!r}\r\n"
+
         # The rows csv.writer would write: no field needs quoting.
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(",".join(header) + "\r\n")
-            handle.writelines(
-                f"{s},{r},{','.join(map(repr, row))}\r\n"
-                for (s, r), row in zip(self.indices.tolist(), values.tolist())
-            )
+            handle.writelines(rows())
 
 
 _MASK32 = 0xFFFFFFFF

@@ -181,8 +181,8 @@ def test_bezier_profile_matches_per_call_uniform():
 # report's formatting fixed. Recorded with numpy 2.4 and its bundled
 # OpenBLAS on x86-64; another LAPACK build may move scales in the last ulp.
 SIMULATE_OUTPUT_PINS = {
-    "replicates_sigma_0.03.csv": "1cfa3c03eb514c42c6ae6d65efe498ca214e3f5d1a5e441a7541881c590d5f8c",
-    "replicates_sigma_0.15.csv": "d137267efdfdf89ade449e10158cf22f40cb794feca593f2b5f42b87f44e3b83",
+    "replicates_sigma_0.03.csv": "c1ce431b360265d761b2499af3a2c171ea33eb93642b9233dfd5e9b1f7f69e25",
+    "replicates_sigma_0.15.csv": "44103a17ecec3a4ed45acf8dc6240d84f9ba688b9b81a39bdbb2d7f33cf6abd9",
     "summary.json": "693da9d48ea043f3456b660552fcba218f4547c22e7fcc9eda9f6a87a1f155d5",
 }
 
@@ -191,8 +191,8 @@ SIMULATE_OUTPUT_PINS = {
 # parameter_errors blocks. A change to how replicates are scored leaves
 # these as they are.
 ESTIMATE_PINS = {
-    "replicates_sigma_0.03.csv": "d63438833578e6444708cc5172e168888f8a6bb3a0e666f8fc3eb9ee55338c06",
-    "replicates_sigma_0.15.csv": "5fdc6ae2e1821eebbf8830d800c269a25176ed8258260fe22dd9290fc152c437",
+    "replicates_sigma_0.03.csv": "eb031978cc6f802d89337b068b86417f5b50ae3ffb2b3415945bcabb43df7dea",
+    "replicates_sigma_0.15.csv": "de1005c1deea6e2d985c086f1abc21b49265f5845aa6bbe912cfc71bd8dae552",
     "parameter_errors": "b64bb4f5f79418f327255ed928fde969378a6aa5b53ce83bb94d7ac57ff6ca0c",
 }
 

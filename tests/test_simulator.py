@@ -386,25 +386,33 @@ class TestRunMonteCarlo:
             report.estimate[:, :3], report.truth[:, :3] * factor, rtol=1e-9)
         np.testing.assert_allclose(report.estimate[:, 3:], report.truth[:, 3:], atol=1e-9)
 
-    @pytest.mark.parametrize("rotation_angle", [360.0, 0.5])
-    def test_csv_bytes_match_csv_module(self, tmp_path, rotation_angle):
+    @pytest.mark.parametrize("make_report", [
+        pytest.param(lambda: _quick_campaign(360.0), id="360.0"),
         # A 0.5 degree turn fails every replicate: a header-only file.
-        config = SimulationConfig(rotation_angle=rotation_angle, rng_seed=3, **QUICK)
-        report = run_monte_carlo(config)
-        assert len(report.indices) == (6 if rotation_angle == 360.0 else 0)
+        pytest.param(lambda: _quick_campaign(0.5), id="0.5"),
+        # Set 0's truth changes between rows, and its last row keeps the
+        # truth but not the pre_rms.
+        pytest.param(lambda: _hand_built_report(
+            [_TRUTH, _TRUTH_2, _TRUTH, _TRUTH], [0.5, 0.5, 0.5, 0.7]), id="truth_differs_in_set"),
+        # 0.0 == -0.0 and nan != nan, yet each row keeps its own bits.
+        pytest.param(lambda: _hand_built_report(
+            [_ZEROS, _NEGATIVE_ZERO, _ZEROS, _NAN, _NAN, _ZEROS],
+            [0.0, 0.0, -0.0, math.nan, math.nan, -0.0]), id="signed_zero_and_nan"),
+    ])
+    def test_csv_bytes_match_csv_module(self, tmp_path, make_report):
+        report = make_report()
         path = tmp_path / "replicates.csv"
         report.write_replicates_csv(path)
         names = [f"{p}_{a}" for p in ("k", "b") for a in "xyz"]
         expected = io.StringIO(newline="")
         writer = csv.writer(expected)
         writer.writerow(["set_index", "replicate_index"]
-                        + [f"{kind}_{n}" for kind in ("true", "est", "err") for n in names]
+                        + [f"{kind}_{n}" for kind in ("true", "est") for n in names]
                         + ["pre_rms", "post_rms"])
         for index, truth, estimate, pre, post in zip(
                 report.indices.tolist(), report.truth.tolist(), report.estimate.tolist(),
                 report.pre_rms.tolist(), report.post_rms.tolist()):
-            errors = (np.array(estimate) - np.array(truth)).tolist()
-            writer.writerow([*index, *map(repr, truth + estimate + errors + [pre, post])])
+            writer.writerow([*index, *map(repr, truth + estimate + [pre, post])])
         assert path.read_bytes() == expected.getvalue().encode()
 
     def test_csv_export_round_trips(self, tmp_path):
@@ -417,6 +425,35 @@ class TestRunMonteCarlo:
         assert len(rows) == len(report.indices)
         assert float(rows[0]["est_k_x"]) == report.estimate[0, 0]
         assert float(rows[0]["pre_rms"]) == report.pre_rms[0]
+        # The errors are est - true of each row, recovered bit for bit.
+        names = [f"{p}_{a}" for p in ("k", "b") for a in "xyz"]
+        errors = np.array([[float(row[f"est_{n}"]) - float(row[f"true_{n}"]) for n in names]
+                           for row in rows])
+        assert errors.tobytes() == report.parameter_errors().tobytes()
+
+
+def _quick_campaign(rotation_angle):
+    report = run_monte_carlo(SimulationConfig(rotation_angle=rotation_angle, rng_seed=3, **QUICK))
+    assert len(report.indices) == (6 if rotation_angle == 360.0 else 0)
+    return report
+
+
+_TRUTH = [1.0, 1.1, 0.9, 0.2, -0.3, 0.1]
+_TRUTH_2 = [1.0, 1.1, 0.95, 0.2, -0.3, 0.1]
+_ZEROS = [0.0] * 6
+_NEGATIVE_ZERO = [0.0] * 4 + [-0.0, 0.0]
+_NAN = [math.nan] + [0.0] * 5
+
+
+def _hand_built_report(truth, pre_rms):
+    """A report of one truth set with a row per ``truth`` row, rows that no
+    campaign gives."""
+    truth, pre_rms = np.array(truth), np.array(pre_rms)
+    n = len(pre_rms)
+    estimate = truth + np.linspace(-1e-3, 1e-3, 6 * n).reshape(n, 6)
+    indices = np.column_stack([np.zeros(n, dtype=int), np.arange(n)])
+    return CampaignReport(SimulationConfig(**QUICK), indices, truth, estimate, pre_rms,
+                          pre_rms / 3.0, failures=())
 
 
 def _iqr(errors):
