@@ -9,12 +9,9 @@ the estimation errors distribute.
 
 Determinism contract: every random stream is derived from the campaign
 seed through named spawn keys, so a report is bit-identical across runs
-and independent of replicate execution order. Each stream is the
-``PCG64`` generator that ``np.random.SeedSequence(seed, spawn_key=key)``
-would seed. A campaign hashes all of its keys in one numpy pass, with
-the algorithm of ``SeedSequence`` (O'Neill's ``seed_seq_fe``), and
-reseeds one shared generator through its ``state`` before each row's
-draws; the tests hold every state to numpy's own ``SeedSequence``.
+and independent of replicate execution order. Each stream is
+``np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))``;
+a campaign builds two per truth set (``_run_levels``).
 
 A campaign replicate draws only what the fit reads, its stage summaries,
 15 numbers from exact distributions (``_run_levels``), and fits them as
@@ -35,7 +32,7 @@ import math
 import numbers
 import os
 from dataclasses import dataclass, fields, replace
-from typing import Iterable, Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -157,10 +154,7 @@ class SimulationConfig:
                 raise CalibrationError(f"{name} must be at least 1, got {getattr(self, name)}")
         for name in ("n_param_sets", "n_sims_per_set"):
             if getattr(self, name) >= 2 ** 32:
-                raise CalibrationError(
-                    f"{name} must be below 2**32, got {getattr(self, name)}: each set and "
-                    "replicate index is one 32-bit word of a spawn key"
-                )
+                raise CalibrationError(f"{name} must be below 2**32, got {getattr(self, name)}")
         if self.rng_seed < 0:
             raise CalibrationError(f"rng_seed must be non-negative, got {self.rng_seed}")
 
@@ -484,90 +478,12 @@ class CampaignReport:
             handle.writelines(rows())
 
 
-_MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_PCG64_MULTIPLIER = (2549297995355413924 << 64) + 4865540595714422341
-
-
-def _hash_constants(value: int, multiplier: int) -> Iterator[tuple[int, int]]:
-    """The ``(xor, multiply)`` constant pairs of successive hash steps."""
-    while True:
-        following = (value * multiplier) & _MASK32
-        yield value, following
-        value = following
-
-
-def _next_constants(constants: Iterator[tuple[int, int]], n: int) -> np.ndarray:
-    """The next ``n`` pairs as ``uint32`` ``(2, n)``: xors, then multipliers."""
-    return np.array([next(constants) for _ in range(n)], dtype=np.uint32).T
-
-
-def _hashmix(value, xor, multiply):
-    """``seed_seq_fe``'s word hash, on Python ints or ``uint32`` arrays."""
-    value = ((value ^ xor) * multiply) & _MASK32
-    return value ^ (value >> 16)
-
-
-def _mix(x, y):
-    """``seed_seq_fe``'s mix of pool word ``x`` with hashed word ``y``."""
-    value = (((0xCA01F9DD * x) & _MASK32) - ((0x4973F715 * y) & _MASK32)) & _MASK32
-    return value ^ (value >> 16)
-
-
-def _pcg64_states(seed: int, keys) -> Iterator[tuple[int, int]]:
-    """The ``(state, inc)`` of ``PCG64(SeedSequence(seed, spawn_key=row))``
-    for each row of the ``(R, k)`` spawn keys ``keys``, every element
-    below 2**32, in row order; ``seed`` is non-negative.
-
-    The steps are ``SeedSequence``'s: the seed's little-endian 32-bit
-    words, padded to the 4-word pool, fill and mix the pool, and each
-    later word, the key words last, is hashed into every pool word;
-    ``generate_state(4, uint64)`` then hashes the pool into the 128-bit
-    seed and stream that ``pcg_setseq_128_srandom_r`` takes. The pool
-    before the first key word is the same for every row, so it is built
-    once on Python ints. Each key word then goes into all four pool
-    words of all rows at once, as ``uint32`` arrays ``(R, 4)``."""
-    words = []
-    while seed:
-        words.append(seed & _MASK32)
-        seed >>= 32
-    words += [0] * (4 - len(words))
-    constants = _hash_constants(0x43B0D7E5, 0x931E8875)  # numpy's INIT_A, MULT_A
-    pool = [_hashmix(word, *next(constants)) for word in words[:4]]
-    for source in range(4):
-        for target in range(4):
-            if source != target:
-                pool[target] = _mix(pool[target], _hashmix(pool[source], *next(constants)))
-    pool = np.array(pool, dtype=np.uint32)
-    for word in (*words[4:], *np.asarray(keys, dtype=np.uint32).T):
-        word = np.asarray(word, dtype=np.uint32)[..., None]
-        pool = _mix(pool, _hashmix(word, *_next_constants(constants, 4)))
-    constants = _hash_constants(0x8B51F9DD, 0x58F38DED)  # INIT_B, MULT_B
-    state = _hashmix(np.tile(pool, 2), *_next_constants(constants, 8))
-    for row in state.astype("<u4").view("<u8"):
-        seed_high, seed_low, stream_high, stream_low = row.tolist()
-        inc = ((stream_high << 65) | (stream_low << 1) | 1) & _MASK128
-        yield ((inc + (seed_high << 64 | seed_low)) * _PCG64_MULTIPLIER + inc) & _MASK128, inc
-
-
-def _reseeded(
-    rng: np.random.Generator, states: Iterable[tuple[int, int]]
-) -> Iterator[np.random.Generator]:
-    """``rng`` once per ``(state, inc)`` of ``states``, each time with its
-    ``PCG64`` in that state."""
-    bit_generator = rng.bit_generator
-    for state, inc in states:
-        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
-        yield rng
-
-
 def run_monte_carlo(config: SimulationConfig) -> CampaignReport:
     """Run the full campaign: truth draws, replicates, scoring.
 
-    Every truth set's truth is drawn first, each from its own spawn key.
-    Each replicate then draws its stage summaries from its own spawn key,
-    all replicates are fitted as one stack, and each fitted replicate is
+    Each truth set draws its truth and then its replicates' stage summaries
+    from its two streams (see ``_run_levels``), all replicates are fitted
+    as one stack, and each fitted replicate is
     scored by its exact expected test-set error (``_expected_rms``). A
     replicate's fit is distributed as ``calibrate`` of the session that
     :func:`simulate_session` yields for its truth: for white Gaussian noise
@@ -576,9 +492,8 @@ def run_monte_carlo(config: SimulationConfig) -> CampaignReport:
     fails calibration (degenerate system, protocol guard) is recorded as a
     failure and skipped; the campaign carries on. A stage summary that is
     not finite, which only a config at the edge of the float range gives,
-    stops the campaign with the ``ObservationArrays.from_samples`` refusal.
-    All keys are hashed up front, and one generator, reseeded per truth set
-    and per replicate, makes every draw.
+    stops the campaign with the ``ObservationArrays.from_samples`` refusal,
+    and a campaign too large to hold is refused before any draw.
     """
     return _run_levels([config])[0]
 
@@ -589,10 +504,15 @@ def _run_levels(configs: list[SimulationConfig]) -> list[CampaignReport]:
     and each replicate's 15 draws are taken once, and every level, 0
     included, scales the same draws by its own sigma.
 
-    From its stream a replicate draws 3 standard normals ``Z_m``, 3
+    Truth set ``s`` has two streams, ``default_rng(SeedSequence(seed,
+    spawn_key=key))`` of the keys ``(0, s)`` and ``(1, s)``. The first draws
+    the truth's 12 uniforms, then an ``(n_sims_per_set, 12)`` block of
+    standard normals; the second an ``(n_sims_per_set, 3)`` block of
     standard gamma variates of shape ``(N_s - 1) / 2``, which are half of
-    chi-squares ``C`` with ``N_s - 1`` degrees of freedom, and 9 standard
-    normals ``Z_t`` (turns x, y, z; sensor axes x, y, z). With ``N_s`` still
+    chi-squares ``C`` with ``N_s - 1`` degrees of freedom. Replicate ``r`` is
+    row ``r`` of both blocks, so no row depends on how many a set has: its
+    normals are 3 ``Z_m`` and 9 ``Z_t`` (turns x, y, z; sensor axes x, y,
+    z), its gamma variates ``C / 2``. With ``N_s`` still
     and ``n`` turn samples at ``rate``, its session's still mean is
     ``-b + sigma / sqrt(N_s) Z_m``, its still std ``sqrt(sigma² C / (N_s -
     1))``, independent of the mean, and turn i's sum on sensor axis l is
@@ -600,40 +520,38 @@ def _run_levels(configs: list[SimulationConfig]) -> list[CampaignReport]:
     speed trace sums to ``theta`` (``_bezier_samples``), so the profile
     does not reach the fit."""
     config = configs[0]
-    per_set = config.n_sims_per_set
-    total = config.n_param_sets * per_set
-    # Reseeded before every draw, so its own seed never shows.
-    rng = np.random.Generator(np.random.PCG64(0))
-    truth_keys = np.insert(np.arange(config.n_param_sets)[:, None], 0, 0, axis=1)
-    truth_draws = np.empty((config.n_param_sets, 12))
-    truth_rngs = _reseeded(rng, _pcg64_states(config.rng_seed, truth_keys))
-    for row, truth_rng in zip(truth_draws, truth_rngs):
-        truth_rng.random(out=row)
+    n_sets, per_set = config.n_param_sets, config.n_sims_per_set
+    total = n_sets * per_set
+    try:
+        normals, gammas = np.empty((n_sets, per_set, 12)), np.empty((n_sets, per_set, 3))
+    except (ValueError, MemoryError) as exc:  # too large a dimension, or too many bytes
+        raise CalibrationError(f"cannot hold a campaign of {total} replicates: {exc}") from None
+    n_static, n_rot, rate = config.static_samples, config.rotation_samples, config.sample_rate
+    truth_draws = np.empty((n_sets, 12))
+    for s in range(n_sets):
+        truth_rng, gamma_rng = (
+            np.random.default_rng(np.random.SeedSequence(config.rng_seed, spawn_key=(stream, s)))
+            for stream in (0, 1))
+        truth_rng.random(out=truth_draws[s])
+        truth_rng.standard_normal(out=normals[s])
+        gamma_rng.standard_gamma((n_static - 1) / 2, out=gammas[s])
+    normals, gammas = normals.reshape(total, 12), gammas.reshape(total, 3)
     scales, biases, coupling = _truth_arrays(config, truth_draws)
     indices = np.column_stack(np.divmod(np.arange(total), per_set))
     truth = np.repeat(truth_draws[:, :6], per_set, axis=0)
-    n_static, n_rot, rate = config.static_samples, config.rotation_samples, config.sample_rate
-    draws = np.empty((total, 15))
-    shape = (n_static - 1) / 2
-    replicate_rngs = _reseeded(rng, _pcg64_states(config.rng_seed,
-                                                  np.insert(indices, 0, 1, axis=1)))
-    for row, replicate_rng in zip(draws, replicate_rngs):
-        replicate_rng.standard_normal(out=row[:3])
-        replicate_rng.standard_gamma(shape, out=row[3:6])
-        replicate_rng.standard_normal(out=row[6:])
     sets = indices[:, 0]
     turn_duration = n_rot / rate
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, by level
         clean_sums = (coupling.transpose(0, 2, 1) * config.rotation_angle / scales[:, None, :]
                       - biases[:, None, :] * turn_duration)[sets]
-    clean_means, chi_square = -biases[sets], 2.0 * draws[:, 3:6]
-    turn_normals = draws[:, 6:].reshape(total, 3, 3)
+    clean_means, chi_square = -biases[sets], 2.0 * gammas
+    turn_normals = normals[:, 3:].reshape(total, 3, 3)
     reports = []
     for level in configs:
         sigma = level.noise_sigma
         with np.errstate(over="ignore", invalid="ignore"):
             view = ObservationArrays(
-                clean_means + sigma / math.sqrt(n_static) * draws[:, :3],
+                clean_means + sigma / math.sqrt(n_static) * normals[:, :3],
                 np.sqrt(sigma * sigma * chi_square / (n_static - 1)),
                 n_static / rate,
                 clean_sums + sigma * math.sqrt(n_rot) / rate * turn_normals,

@@ -59,7 +59,7 @@ def stack_views(views):
 
 def numpy_generator(seed, key):
     """The generator numpy's own ``SeedSequence`` spawns for ``key``: the
-    oracle for the campaign's hashed seeds."""
+    oracle for the campaign's streams."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 

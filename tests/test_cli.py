@@ -233,17 +233,21 @@ class TestSimulate:
             assert (out / csv_name).read_bytes() == (alone / csv_name).read_bytes()
 
     @pytest.mark.parametrize("existing", [False, True])
-    def test_refused_config_leaves_no_new_directory(self, tmp_path, capsys, existing):
-        # The campaign refuses this level after --out was made.
+    @pytest.mark.parametrize("text,refusal", [
+        ("noise_sigma: 1.0e+300\nn_param_sets: 1\nn_sims_per_set: 1\n", "noise level 1e+300: "),
+        ("n_param_sets: 2147483648\nn_sims_per_set: 2147483648\n",
+         f"cannot hold a campaign of {2 ** 62} replicates: "),
+    ], ids=["level-overflows", "too-large-to-hold"])
+    def test_refused_config_leaves_no_new_directory(self, tmp_path, capsys, existing, text,
+                                                    refusal):
+        # The campaign refuses this config after --out was made.
         config = tmp_path / "huge.yaml"
-        config.write_text("noise_sigma: 1.0e+300\nn_param_sets: 1\nn_sims_per_set: 1\n",
-                          encoding="utf-8")
+        config.write_text(text, encoding="utf-8")
         if existing:
             (tmp_path / "new").mkdir()
         out = tmp_path / "new" / "nested"
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith(
-            "error: bad simulation config: noise level 1e+300: ")
+        assert capsys.readouterr().err.startswith("error: bad simulation config: " + refusal)
         assert not out.exists()
         assert (tmp_path / "new").exists() == existing
 

@@ -1,9 +1,10 @@
 """Pins of the simulator's random draw stream.
 
 The hashes and reprs below hold the spawn keys and the draw order fixed:
-``simulate_session``'s per-sample draws and a campaign replicate's
-stage-summary draws. A change that reorders, merges or re-derives any
-draw breaks them. Scale estimates are not pinned
+``simulate_session``'s per-sample draws, and a campaign truth set's two
+streams, ``(0, s)`` with its truth and then its replicates' normals and
+``(1, s)`` with their gamma variates. A change that reorders, merges or
+re-derives any draw breaks them. Scale estimates are not pinned
 because the least-squares solve may move them in the last ulps; the
 biases depend on the draws and the measurement model alone, and the
 expected test-set RMS before correction on the truth alone.
@@ -61,9 +62,9 @@ def test_simulate_session_draw_stream_is_pinned(seed):
 
 
 CAMPAIGN_PINS = {
-    (0, 0): ((-3.05950579929298, 3.9501416232736095, 4.8480484434122), 12.798100689111092),
-    (0, 2): ((-3.0592526283354875, 3.9463577505866008, 4.8496838191321), 12.798100689111092),
-    (1, 1): ((0.36704999525565246, -3.0942858404546616, -3.1782205351609956), 14.449488961773994),
+    (0, 0): ((-3.0579333889820726, 3.9451833304976374, 4.851420850929545), 12.798100689111092),
+    (0, 2): ((-3.0605033995386557, 3.945577704166087, 4.847926865206681), 12.798100689111092),
+    (1, 1): ((0.36561372740589737, -3.0899275693372594, -3.1776487760093133), 14.449488961773994),
 }
 
 
@@ -181,9 +182,9 @@ def test_bezier_profile_matches_per_call_uniform():
 # report's formatting fixed. Recorded with numpy 2.4 and its bundled
 # OpenBLAS on x86-64; another LAPACK build may move scales in the last ulp.
 SIMULATE_OUTPUT_PINS = {
-    "replicates_sigma_0.03.csv": "c1ce431b360265d761b2499af3a2c171ea33eb93642b9233dfd5e9b1f7f69e25",
-    "replicates_sigma_0.15.csv": "44103a17ecec3a4ed45acf8dc6240d84f9ba688b9b81a39bdbb2d7f33cf6abd9",
-    "summary.json": "693da9d48ea043f3456b660552fcba218f4547c22e7fcc9eda9f6a87a1f155d5",
+    "replicates_sigma_0.03.csv": "447141acf83f1ce6f9e070852200b801347d1b76103617fe2e4f248dcf396db4",
+    "replicates_sigma_0.15.csv": "792f85dac01bbe0e9400f4291891c8ac18a666c34f56a1eedbe725b7a2da4e5a",
+    "summary.json": "b0ca68bf1709a8eaf9a4d2b2f9a4ff85d08aad165d4ef8a999ac56b1873f499c",
 }
 
 # sha256 of the same run's truths and estimates alone: each CSV without
@@ -191,9 +192,9 @@ SIMULATE_OUTPUT_PINS = {
 # parameter_errors blocks. A change to how replicates are scored leaves
 # these as they are.
 ESTIMATE_PINS = {
-    "replicates_sigma_0.03.csv": "eb031978cc6f802d89337b068b86417f5b50ae3ffb2b3415945bcabb43df7dea",
-    "replicates_sigma_0.15.csv": "de1005c1deea6e2d985c086f1abc21b49265f5845aa6bbe912cfc71bd8dae552",
-    "parameter_errors": "b64bb4f5f79418f327255ed928fde969378a6aa5b53ce83bb94d7ac57ff6ca0c",
+    "replicates_sigma_0.03.csv": "87b1a3d11a0d3c4b24003eee76a64fa449e2e89398e27e9c59290863a1b8168a",
+    "replicates_sigma_0.15.csv": "4f46e71a49072ad81c88e21dc44e82b831cbfb288a65f3d64ce9c0dd81d79bb0",
+    "parameter_errors": "55420a7f04df48502aca33e19ae8cc55bb82191f3ab99e18fea3814d3ed2b1bf",
 }
 
 

@@ -87,10 +87,9 @@ class TestSimulationConfig:
             SimulationConfig(rng_seed=seed)
 
     @pytest.mark.parametrize("field", ["n_param_sets", "n_sims_per_set"])
-    def test_indices_fit_one_spawn_key_word(self, field):
-        # Each set and replicate index is hashed as one uint32 word.
+    def test_counts_below_2_to_the_32(self, field):
         with pytest.raises(CalibrationError,
-                           match=f"{field} must be below 2\\*\\*32, .* one 32-bit word"):
+                           match=f"^{field} must be below 2\\*\\*32, got {2 ** 32}$"):
             SimulationConfig(**{field: 2 ** 32})
         assert getattr(SimulationConfig(**{field: 2 ** 32 - 1}), field) == 2 ** 32 - 1
 
@@ -354,6 +353,14 @@ class TestRunMonteCarlo:
         assert str(single.value) == message
         assert str(info.value) == (f"noise level {config.noise_sigma!r}: its stage summaries "
                                    f"overflowed the float range: {message}")
+
+    def test_campaign_too_large_to_hold_refused(self):
+        # 2**62 replicates: the dimension check refuses the draw blocks
+        # before any memory is taken, and before the per-set draw loop.
+        config = SimulationConfig(n_param_sets=2 ** 31, n_sims_per_set=2 ** 31)
+        with pytest.raises(CalibrationError,
+                           match=f"^cannot hold a campaign of {2 ** 62} replicates: "):
+            run_monte_carlo(config)
 
     def test_rms_reduction_skips_rows_read_exactly(self):
         report = CampaignReport(SimulationConfig(**QUICK), np.zeros((3, 2), dtype=int),
@@ -736,16 +743,21 @@ class TestExpectedRms:
 
 def _numpy_seeded_replicate(config, set_index, replicate_index):
     """The truth, fit and scores of one campaign replicate, rebuilt from
-    the generators numpy's own ``SeedSequence`` builds for its keys: its
-    stage summaries from 3 still-mean normals, 3 chi-squares of ``N_s - 1``
-    degrees of freedom and 9 turn-sum normals (turns x, y, z; sensor axes
-    x, y, z), drawn in that order, then ``calibrate`` of their view.
-    Returns ``(truth, estimate, pre_rms, post_rms)``."""
-    truth = sample_ground_truth(config, numpy_generator(config.rng_seed, (0, set_index)))
-    rng = numpy_generator(config.rng_seed, (1, set_index, replicate_index))
-    mean_normals = rng.standard_normal(3)
-    chi_square = rng.chisquare(config.static_samples - 1, 3)
-    sum_normals = rng.standard_normal((3, 3))
+    the two generators numpy builds for its set's keys ``(0, s)`` and
+    ``(1, s)``: the first draws the truth, then a block of 12 standard
+    normals per replicate, 3 for the still means and 9 for the turn sums
+    (turns x, y, z; sensor axes x, y, z); the second a block of 3
+    chi-squares of ``N_s - 1`` degrees of freedom per replicate. Row
+    ``replicate_index`` of the blocks gives the stage summaries, then
+    ``calibrate`` of their view. Returns ``(truth, estimate, pre_rms,
+    post_rms)``."""
+    per_set = config.n_sims_per_set
+    rng = numpy_generator(config.rng_seed, (0, set_index))
+    truth = sample_ground_truth(config, rng)
+    normals = rng.standard_normal((per_set, 12))[replicate_index]
+    chi_square = numpy_generator(config.rng_seed, (1, set_index)).chisquare(
+        config.static_samples - 1, (per_set, 3))[replicate_index]
+    mean_normals, sum_normals = normals[:3], normals[3:].reshape(3, 3)
     sigma, rate, angle = config.noise_sigma, config.sample_rate, config.rotation_angle
     n_static, n_rot = config.static_samples, config.rotation_samples
     scales, biases = truth.params.scales, truth.params.biases
@@ -764,37 +776,11 @@ def _numpy_seeded_replicate(config, set_index, replicate_index):
     return truth, estimate, pre, post
 
 
-def _numpy_state(seed, key):
-    state = numpy_generator(seed, key).bit_generator.state["state"]
-    return state["state"], state["inc"]
-
-
-_INDEX = st.integers(0, 2 ** 32 - 1)
-
-
-class TestSpawnKeyStates:
-    """The campaign's generator states equal those numpy's own
-    ``SeedSequence`` seeds ``PCG64`` with, row for row, and its rows equal
-    the fits of stage summaries drawn from generators numpy builds. numpy is the oracle, so a
-    numpy release that changed its seeding fails here by name."""
-
-    @settings(max_examples=100, deadline=None)
-    @given(seed=st.integers(0, 2 ** 128 - 1), keys=st.one_of(
-        st.lists(st.tuples(st.just(0), _INDEX), min_size=1, max_size=6),
-        st.lists(st.tuples(st.just(1), _INDEX, _INDEX), min_size=1, max_size=6),
-    ))
-    def test_states_match_numpy(self, seed, keys):
-        assert list(simulator._pcg64_states(seed, keys)) == [_numpy_state(seed, k) for k in keys]
-
-    @pytest.mark.parametrize("seed", [0, 2 ** 32 - 1, 2 ** 32, 2 ** 1100],
-                             ids=["0", "2**32-1", "2**32", "2**1100"])
-    def test_word_boundary_seeds_and_indices(self, seed):
-        # 1, 1, 2 and 35 seed words: 2**1100 overfills the 4-word pool.
-        edge = 2 ** 32 - 1
-        for keys in ([(0, s) for s in (0, 1, edge)],
-                     [(1, s, r) for s in (0, edge) for r in (0, 7, edge)]):
-            states = list(simulator._pcg64_states(seed, np.array(keys)))
-            assert states == [_numpy_state(seed, key) for key in keys]
+class TestSpawnKeyStreams:
+    """The campaign's rows equal the fits of stage summaries drawn from the
+    generators numpy builds for each truth set's two spawn keys. numpy is
+    the oracle, so a numpy release that changed its seeding or its draws
+    fails here by name."""
 
     @pytest.mark.parametrize("noise_sigma", [0.0, 0.15])
     def test_campaign_rows_match_numpy_seeded_draws(self, noise_sigma):
@@ -808,3 +794,16 @@ class TestSpawnKeyStates:
             assert report.truth[row].tolist() == [*truth.params.scales, *truth.params.biases]
             assert report.estimate[row].tolist() == [*estimate.scales, *estimate.biases]
             assert (report.pre_rms[row], report.post_rms[row]) == (pre, post)
+
+    @pytest.mark.parametrize("seed", [2 ** 32 - 1, 2 ** 32, 2 ** 64, 2 ** 1100],
+                             ids=["2**32-1", "2**32", "2**64", "2**1100"])
+    def test_word_boundary_seeds_match_numpy(self, seed):
+        # 1, 2, 3 and 35 seed words: the seed reaches SeedSequence whole,
+        # never cut to one machine word.
+        config = SimulationConfig(rng_seed=seed, noise_sigma=0.15, n_param_sets=2,
+                                  n_sims_per_set=3)
+        report = run_monte_carlo(config)
+        for row in (0, 5):
+            truth, estimate, _, _ = _numpy_seeded_replicate(config, *report.indices[row].tolist())
+            assert report.truth[row].tolist() == [*truth.params.scales, *truth.params.biases]
+            assert report.estimate[row].tolist() == [*estimate.scales, *estimate.biases]
