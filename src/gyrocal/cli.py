@@ -45,7 +45,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         simulator.write_campaigns(configs, args.out)
     except OSError as exc:
         return _fail(f"cannot write output: {exc}")
-    except CalibrationError as exc:  # a campaign too large to hold, or a level that overflows
+    except CalibrationError as exc:  # a campaign that outgrows memory, or a level that overflows
         return _fail(f"bad simulation config: {exc}")
     return 0
 

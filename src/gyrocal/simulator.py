@@ -206,26 +206,23 @@ class GroundTruth:
 
 
 def _uniform(draws: np.ndarray, bounds: tuple[float, float]) -> np.ndarray:
-    """Map ``Generator.random`` draws in place to ``U(low, high)`` and
-    return them: ``low + (high - low) * u``, which is how numpy's
-    ``Generator.uniform`` maps the same draws, bit for bit."""
+    """``Generator.random`` draws mapped to ``U(low, high)``: ``low + (high -
+    low) * u``, which is how numpy's ``Generator.uniform`` maps the same
+    draws, bit for bit."""
     low, high = bounds
-    draws *= high - low
-    draws += low
-    return draws
+    return low + (high - low) * draws
 
 
 def _truth_arrays(
     config: SimulationConfig, draws: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scales, biases ``(S, 3)`` and coupling matrices ``(S, 3, 3)`` mapped in
-    place from ``draws`` ``(S, 12)``, each row one truth's ``Generator.random``
+    """Scales, biases ``(S, 3)`` and coupling matrices ``(S, 3, 3)`` mapped
+    from ``draws`` ``(S, 12)``, each row one truth's ``Generator.random``
     draws in that order, the six off-diagonal coupling terms row-major."""
-    scales = _uniform(draws[:, :3], config.scale_range)
-    biases = _uniform(draws[:, 3:6], config.bias_range)
     coupling = np.tile(np.eye(3), (len(draws), 1, 1))
     coupling[:, _OFF_DIAGONAL] = _uniform(draws[:, 6:], config.misalignment_range)
-    return scales, biases, coupling
+    return (_uniform(draws[:, :3], config.scale_range), _uniform(draws[:, 3:6], config.bias_range),
+            coupling)
 
 
 def sample_ground_truth(config: SimulationConfig, rng: np.random.Generator) -> GroundTruth:
@@ -237,47 +234,23 @@ def sample_ground_truth(config: SimulationConfig, rng: np.random.Generator) -> G
     )
 
 
-def _bezier_basis(n: int) -> tuple[np.ndarray, ...]:
-    """``u``, ``v``, ``v³``, ``v²``, ``u²`` and ``u³`` at the ``n`` interval
-    midpoints, ``v = 1 - u``."""
+def _speed_traces(ordinates: np.ndarray, config: SimulationConfig) -> np.ndarray:
+    """The speed traces ``(..., n)`` of control ordinates ``(..., 4)``: the
+    cubic Bezier curve at the interval midpoints ``u``, summed term by term,
+    rescaled so that a trace's sum times the sample period is the turn angle."""
+    n = config.rotation_samples
     u = (np.arange(n) + 0.5) / n
     v = 1.0 - u
-    return u, v, v ** 3, v ** 2, u ** 2, u ** 3
-
-
-def _bezier_samples(
-    ordinates: np.ndarray,
-    config: SimulationConfig,
-    basis: tuple[np.ndarray, ...],
-    out: np.ndarray,
-    term: np.ndarray,
-) -> np.ndarray:
-    """Fill ``out`` ``(..., n)`` with the speed traces of control
-    ordinates ``(..., 4)``, rescaled so that each trace's sum times the
-    sample period ``1 / sample_rate`` is the turn angle, and return it. The terms are summed in curve order, ``o0 v³ + 3 o1 u v² +
-    3 o2 u² v + o3 u³``; ``term`` is scratch of the same shape as ``out``."""
-    u, v, v3, v2, u2, u3 = basis
-    o = ordinates[..., None]
-    np.multiply(o[..., 0, :], v3, out=out)
-    np.multiply(3.0 * o[..., 1, :], u, out=term)
-    term *= v2
-    out += term
-    np.multiply(3.0 * o[..., 2, :], u2, out=term)
-    term *= v
-    out += term
-    np.multiply(o[..., 3, :], u3, out=term)
-    out += term
-    dt = 1.0 / config.sample_rate
-    out *= (config.rotation_angle / (out.sum(axis=-1) * dt))[..., None]
-    return out
+    o0, o1, o2, o3 = (ordinates[..., i, None] for i in range(4))
+    trace = o0 * v**3 + 3.0 * o1 * u * v**2 + 3.0 * o2 * u**2 * v + o3 * u**3
+    return trace * (config.rotation_angle
+                    / (trace.sum(-1, keepdims=True) * (1.0 / config.sample_rate)))
 
 
 def _ordinates(draws: np.ndarray, config: SimulationConfig) -> np.ndarray:
-    """Map ``Generator.random`` draws in place to control ordinates, uniform
-    in ``_CONTROL_BAND`` times the constant-speed rate, and return them."""
-    _uniform(draws, _CONTROL_BAND)
-    draws *= config.rotation_angle / config.rotation_duration
-    return draws
+    """``Generator.random`` draws mapped to control ordinates, uniform in
+    ``_CONTROL_BAND`` times the constant-speed rate."""
+    return _uniform(draws, _CONTROL_BAND) * (config.rotation_angle / config.rotation_duration)
 
 
 def bezier_profile(rng: np.random.Generator, config: SimulationConfig) -> np.ndarray:
@@ -292,11 +265,16 @@ def bezier_profile(rng: np.random.Generator, config: SimulationConfig) -> np.nda
     ``rotation_duration * sample_rate`` not a whole number the trace
     lasts ``rotation_samples / sample_rate`` seconds, not exactly
     ``rotation_duration``. Positive control points keep the rate positive
-    throughout, like a hand turn that never reverses.
+    throughout, like a hand turn that never reverses. A config at the edge
+    of the float range whose trace is not finite is refused.
     """
-    n = config.rotation_samples
-    return _bezier_samples(_ordinates(rng.random(out=np.empty(4)), config), config,
-                           _bezier_basis(n), np.empty(n), np.empty(n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = _speed_traces(_ordinates(rng.random(4), config), config)
+    if not np.isfinite(trace).all():
+        raise CalibrationError(
+            f"rotation_angle {config.rotation_angle!r} over {config.rotation_duration!r} s "
+            f"at {config.sample_rate!r} Hz gives a speed trace that is not finite")
+    return trace
 
 
 def _expected_rms(
@@ -342,44 +320,41 @@ def simulate_session(
     axis in x, y, z order), so a given generator state always yields the
     same session. Noise is drawn only when ``noise_sigma > 0``. Uniform
     values are drawn as ``Generator.random`` and mapped to their ranges
-    afterwards, which gives ``Generator.uniform``'s numbers. The sensor
-    reports each true rate through the coupling matrix and the inverse
-    model, ``(M @ rate) / k - b``, plus ``noise_sigma`` times the drawn
-    normals. A reading past the float range is left to the stage summaries
-    to refuse, so it warns of nothing here. ``calibrate`` of the session
-    is distributed as a campaign replicate's fit (:func:`run_monte_carlo`).
+    afterwards, which gives ``Generator.uniform``'s numbers. Turn j, sample
+    t, sensor axis l reads ``profile_j[t] M[l, j] / k_l - b_l`` plus
+    ``noise_sigma`` times its normal. A reading past the float range is
+    left to the stage summaries to refuse, so it warns of nothing here; a
+    session too large to hold is refused. ``calibrate`` of the session is
+    distributed as a campaign replicate's fit (:func:`run_monte_carlo`).
     """
     sigma = config.noise_sigma
     n_static, n_rot = config.static_samples, config.rotation_samples
+    refusal = f"cannot hold a session of {n_static} still and {n_rot} turn samples"
     try:
         static_raw, rotation_raw = np.zeros((n_static, 3)), np.zeros((3, n_rot, 3))
-        profiles, term = np.empty((3, n_rot)), np.empty((3, n_rot))
-        basis = _bezier_basis(n_rot)
     except (ValueError, MemoryError) as exc:  # too large a dimension, or too many bytes
-        raise CalibrationError(f"cannot hold a session of {n_static} still and {n_rot} turn "
-                               f"samples: {exc}") from None
-    ordinates = np.empty((3, 4))
-    if sigma > 0.0:
-        rng.standard_normal(out=static_raw)
-    for axis in range(3):
-        rng.random(out=ordinates[axis])
-        if sigma > 0.0:
-            rng.standard_normal(out=rotation_raw[axis])
-    _bezier_samples(_ordinates(ordinates, config), config, basis, profiles, term)
+        raise CalibrationError(f"{refusal}: {exc}") from None
     scales, biases, coupling = truth.params.scales, truth.params.biases, truth.misalignment
-    with np.errstate(over="ignore", invalid="ignore"):
-        static_raw *= sigma
-        rotation_raw *= sigma
-        static_raw += 0.0 - biases  # the still stage's true rate is zero
-        # A turn about axis j has one nonzero true rate, so sensor axis l
-        # reads that rate times M[l, j].
+    try:  # not ValueError: the refusals of from_samples pass as they are
+        ordinates = np.empty((3, 4))
+        if sigma > 0.0:
+            rng.standard_normal(out=static_raw)
         for axis in range(3):
-            np.multiply(profiles, coupling[axis, :, None], out=term)
-            term /= scales[axis]
-            term -= biases[axis]
-            rotation_raw[..., axis] += term
-        session = ObservationArrays.from_samples(static_raw, rotation_raw, config.sample_rate,
-                                                 config.rotation_angle)
+            ordinates[axis] = rng.random(4)
+            if sigma > 0.0:
+                rng.standard_normal(out=rotation_raw[axis])
+        with np.errstate(over="ignore", invalid="ignore"):
+            traces = _speed_traces(_ordinates(ordinates, config), config)
+            static_raw *= sigma
+            static_raw += 0.0 - biases  # the still stage's true rate is zero
+            rotation_raw *= sigma
+            # Built (l, j, t), samples inner, which is the fast layout.
+            rotation_raw += (coupling[:, :, None] * traces / scales[:, None, None]
+                             - biases[:, None, None]).transpose(1, 2, 0)
+            session = ObservationArrays.from_samples(static_raw, rotation_raw,
+                                                     config.sample_rate, config.rotation_angle)
+    except MemoryError as exc:  # a temporary too large to hold
+        raise CalibrationError(f"{refusal}: {exc}") from None
     return SimulatedSession(session, static_raw, tuple(rotation_raw))
 
 
@@ -493,7 +468,7 @@ def run_monte_carlo(config: SimulationConfig) -> CampaignReport:
     failure and skipped; the campaign carries on. A stage summary that is
     not finite, which only a config at the edge of the float range gives,
     stops the campaign with the ``ObservationArrays.from_samples`` refusal,
-    and a campaign too large to hold is refused before any draw.
+    and a campaign too large to hold is refused.
     """
     return _run_levels([config])[0]
 
@@ -517,59 +492,62 @@ def _run_levels(configs: list[SimulationConfig]) -> list[CampaignReport]:
     ``-b + sigma / sqrt(N_s) Z_m``, its still std ``sqrt(sigma² C / (N_s -
     1))``, independent of the mean, and turn i's sum on sensor axis l is
     ``M[l, i] theta / k_l - b_l n / rate + sigma sqrt(n) / rate Z_t``: every
-    speed trace sums to ``theta`` (``_bezier_samples``), so the profile
+    speed trace sums to ``theta`` (``_speed_traces``), so the profile
     does not reach the fit."""
     config = configs[0]
     n_sets, per_set = config.n_param_sets, config.n_sims_per_set
     total = n_sets * per_set
+    refusal = f"cannot hold a campaign of {total} replicates"
     try:
         normals, gammas = np.empty((n_sets, per_set, 12)), np.empty((n_sets, per_set, 3))
     except (ValueError, MemoryError) as exc:  # too large a dimension, or too many bytes
-        raise CalibrationError(f"cannot hold a campaign of {total} replicates: {exc}") from None
-    n_static, n_rot, rate = config.static_samples, config.rotation_samples, config.sample_rate
-    truth_draws = np.empty((n_sets, 12))
-    for s in range(n_sets):
-        truth_rng, gamma_rng = (
-            np.random.default_rng(np.random.SeedSequence(config.rng_seed, spawn_key=(stream, s)))
-            for stream in (0, 1))
-        truth_rng.random(out=truth_draws[s])
-        truth_rng.standard_normal(out=normals[s])
-        gamma_rng.standard_gamma((n_static - 1) / 2, out=gammas[s])
-    normals, gammas = normals.reshape(total, 12), gammas.reshape(total, 3)
-    scales, biases, coupling = _truth_arrays(config, truth_draws)
-    indices = np.column_stack(np.divmod(np.arange(total), per_set))
-    truth = np.repeat(truth_draws[:, :6], per_set, axis=0)
-    sets = indices[:, 0]
-    turn_duration = n_rot / rate
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below, by level
-        clean_sums = (coupling.transpose(0, 2, 1) * config.rotation_angle / scales[:, None, :]
-                      - biases[:, None, :] * turn_duration)[sets]
-    clean_means, chi_square = -biases[sets], 2.0 * gammas
-    turn_normals = normals[:, 3:].reshape(total, 3, 3)
-    reports = []
-    for level in configs:
-        sigma = level.noise_sigma
-        with np.errstate(over="ignore", invalid="ignore"):
-            view = ObservationArrays(
-                clean_means + sigma / math.sqrt(n_static) * normals[:, :3],
-                np.sqrt(sigma * sigma * chi_square / (n_static - 1)),
-                n_static / rate,
-                clean_sums + sigma * math.sqrt(n_rot) / rate * turn_normals,
-                np.full(3, turn_duration), np.full(3, config.rotation_angle ** 2))
-        try:
-            view.require_finite()
-        except CalibrationError as exc:
-            raise CalibrationError(f"noise level {sigma!r}: its stage summaries "
-                                   f"overflowed the float range: {exc}") from None
-        fit = fit_batch(view, noise_sigma=sigma if sigma > 0.0 else None)
-        keep = np.array([error is None for error in fit.errors], dtype=bool)
-        failures = tuple((*indices[row].tolist(), str(error))
-                         for row, error in enumerate(fit.errors) if error is not None)
-        fitted = np.column_stack([fit.scales[keep], fit.biases[keep]])
-        score = functools.partial(_expected_rms, level, truth[keep], coupling[sets[keep]])
-        reports.append(CampaignReport(level, indices[keep], truth[keep], fitted,
-                                      score(_IDENTITY_ROW), score(fitted), failures=failures))
-    return reports
+        raise CalibrationError(f"{refusal}: {exc}") from None
+    try:  # not ValueError: a level's overflow refusal passes as it is
+        n_static, n_rot, rate = config.static_samples, config.rotation_samples, config.sample_rate
+        truth_draws = np.empty((n_sets, 12))
+        for s in range(n_sets):
+            truth_rng, gamma_rng = (np.random.default_rng(np.random.SeedSequence(
+                config.rng_seed, spawn_key=(stream, s))) for stream in (0, 1))
+            truth_rng.random(out=truth_draws[s])
+            truth_rng.standard_normal(out=normals[s])
+            gamma_rng.standard_gamma((n_static - 1) / 2, out=gammas[s])
+        normals, gammas = normals.reshape(total, 12), gammas.reshape(total, 3)
+        scales, biases, coupling = _truth_arrays(config, truth_draws)
+        indices = np.column_stack(np.divmod(np.arange(total), per_set))
+        truth = np.repeat(np.column_stack([scales, biases]), per_set, axis=0)
+        sets = indices[:, 0]
+        turn_duration = n_rot / rate
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, by level
+            clean_sums = (coupling.transpose(0, 2, 1) * config.rotation_angle / scales[:, None, :]
+                          - biases[:, None, :] * turn_duration)[sets]
+        clean_means, chi_square = -biases[sets], 2.0 * gammas
+        turn_normals = normals[:, 3:].reshape(total, 3, 3)
+        reports = []
+        for level in configs:
+            sigma = level.noise_sigma
+            with np.errstate(over="ignore", invalid="ignore"):
+                view = ObservationArrays(
+                    clean_means + sigma / math.sqrt(n_static) * normals[:, :3],
+                    np.sqrt(sigma * sigma * chi_square / (n_static - 1)),
+                    n_static / rate,
+                    clean_sums + sigma * math.sqrt(n_rot) / rate * turn_normals,
+                    np.full(3, turn_duration), np.full(3, config.rotation_angle ** 2))
+            try:
+                view.require_finite()
+            except CalibrationError as exc:
+                raise CalibrationError(f"noise level {sigma!r}: its stage summaries "
+                                       f"overflowed the float range: {exc}") from None
+            fit = fit_batch(view, noise_sigma=sigma if sigma > 0.0 else None)
+            keep = np.array([error is None for error in fit.errors], dtype=bool)
+            failures = tuple((*indices[row].tolist(), str(error))
+                             for row, error in enumerate(fit.errors) if error is not None)
+            fitted = np.column_stack([fit.scales[keep], fit.biases[keep]])
+            score = functools.partial(_expected_rms, level, truth[keep], coupling[sets[keep]])
+            reports.append(CampaignReport(level, indices[keep], truth[keep], fitted,
+                                          score(_IDENTITY_ROW), score(fitted), failures=failures))
+        return reports
+    except MemoryError as exc:  # an array after the draw blocks too large to hold
+        raise CalibrationError(f"{refusal}: {exc}") from None
 
 
 # The files of ``gyrocal simulate``, here rather than in ``cli`` so that

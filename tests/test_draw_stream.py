@@ -95,6 +95,7 @@ def test_uniform_is_numpys_map_of_random_draws(low, width, size, seed):
     draws = np.random.default_rng(seed).random(size)
     assert (low + (high - low) * draws).tobytes() == expected
     assert simulator._uniform(draws, (low, high)).tobytes() == expected
+    assert draws.tobytes() == np.random.default_rng(seed).random(size).tobytes()  # left as drawn
 
 
 def _per_call_truth(config, rng):
@@ -118,9 +119,7 @@ def _per_call_session(config, truth, rng):
         ordinates.append(rng.uniform(0.5, 1.5, size=4) * nominal)
         if sigma > 0.0:
             turn_noise.append(rng.standard_normal((config.rotation_samples, 3)))
-    n = config.rotation_samples
-    profiles = simulator._bezier_samples(np.array(ordinates), config, simulator._bezier_basis(n),
-                                         np.empty((3, n)), np.empty((3, n)))
+    profiles = simulator._speed_traces(np.array(ordinates), config)
     scales, biases = truth.params.scales, truth.params.biases
     # Turn j, sample t, sensor axis l reads profile_j[t] M[l, j] / k_l - b_l.
     static = np.broadcast_to(0.0 - biases, (config.static_samples, 3))
@@ -168,9 +167,7 @@ def test_bezier_profile_matches_per_call_uniform():
     config = SimulationConfig(**ORACLE_CONFIG)
     oracle, rng = numpy_generator(23, (2,)), numpy_generator(23, (2,))
     nominal = config.rotation_angle / config.rotation_duration
-    n = config.rotation_samples
-    expected = simulator._bezier_samples(oracle.uniform(0.5, 1.5, size=4) * nominal, config,
-                                         simulator._bezier_basis(n), np.empty(n), np.empty(n))
+    expected = simulator._speed_traces(oracle.uniform(0.5, 1.5, size=4) * nominal, config)
     assert bezier_profile(rng, config).tobytes() == expected.tobytes()
     assert rng.bit_generator.state == oracle.bit_generator.state
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from builders import numpy_generator, stack_views
+from builders import numpy_generator, run_python, stack_views
 from gyrocal import estimator, simulator
 from gyrocal.estimator import calibrate
 from gyrocal.model import CalibrationError, CalibrationParams, ObservationArrays
@@ -233,12 +233,24 @@ class TestBezierProfile:
         config = SimulationConfig()
 
         class FlatRng:  # every control ordinate at 0.5 + 1.0 * 0.8 = 1.3 times nominal
-            def random(self, out):
-                out[...] = 0.8
-                return out
+            def random(self, size):
+                return np.full(size, 0.8)
 
         trace = bezier_profile(FlatRng(), config)
         np.testing.assert_allclose(trace, 72.0, rtol=1e-12)
+
+    def test_trace_past_the_float_range_refused(self):
+        # 3 times a control ordinate near 1e308 deg/s overflows. The traces
+        # are computed under errstate: neither path warns, and both refuse.
+        config = SimulationConfig(rotation_angle=1e150, rotation_duration=1e-158,
+                                  sample_rate=1e159, static_duration=1e-158, noise_sigma=0.0)
+        with pytest.raises(CalibrationError, match=r"^rotation_angle 1e\+150 over 1e-158 s at "
+                                                   r"1e\+159 Hz gives a speed trace that is not "
+                                                   r"finite$"):
+            bezier_profile(np.random.default_rng(0), config)
+        rng = np.random.default_rng(1)
+        with pytest.raises(CalibrationError, match=r"^rotation sum must be finite, got .*nan"):
+            simulate_session(sample_ground_truth(config, rng), config, rng)
 
     def test_seed_reproducibility(self):
         config = SimulationConfig()
@@ -437,6 +449,51 @@ class TestRunMonteCarlo:
         errors = np.array([[float(row[f"est_{n}"]) - float(row[f"true_{n}"]) for n in names]
                            for row in rows])
         assert errors.tobytes() == report.parameter_errors().tobytes()
+
+
+# A child caps its own address space at its size after import plus a
+# margin in MB: an array after the guarded allocation then fails to fit.
+_MEMORY_CHILD = """import resource, sys
+import numpy as np
+from gyrocal import cli, simulator
+from gyrocal.model import CalibrationError
+with open("/proc/self/status", encoding="ascii") as status:
+    size_kb = next(int(line.split()[1]) for line in status if line.startswith("VmSize:"))
+margin_mb, *campaign = sys.argv[1:]
+limit = (size_kb + int(margin_mb) * 1024) * 1024
+resource.setrlimit(resource.RLIMIT_AS, (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
+if campaign:
+    config_path, out = campaign
+    sys.exit(cli.main(["simulate", "--config", config_path, "--out", out]))
+config = simulator.SimulationConfig(sample_rate=1e6, noise_sigma=0.15)
+rng = np.random.default_rng(0)
+try:
+    simulator.simulate_session(simulator.sample_ground_truth(config, rng), config, rng)
+except CalibrationError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("case", ["campaign", "session"])
+def test_memory_outgrown_after_the_draws_is_refused(tmp_path, case):
+    # The campaign's draw blocks fit in 300 MB and its later arrays do not;
+    # the session's readings fit in 500 MB and its speed traces do not.
+    if case == "campaign":
+        config, out = tmp_path / "campaign.yaml", tmp_path / "out"
+        config.write_text("noise_levels: [0.03, 0.15]\nmisalignment_range: [0.0, 0.0]\n"
+                          "n_param_sets: 10\nn_sims_per_set: 100000\n", encoding="utf-8")
+        proc = run_python("-W", "error", "-c", _MEMORY_CHILD, "300", str(config), str(out),
+                          OPENBLAS_NUM_THREADS="1")
+        assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
+        assert proc.stderr.startswith("error: bad simulation config: cannot hold a campaign of "
+                                      "1000000 replicates: ")
+        assert proc.stderr.count("\n") == 1
+        assert not out.exists()
+    else:
+        proc = run_python("-W", "error", "-c", _MEMORY_CHILD, "500", OPENBLAS_NUM_THREADS="1")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith("cannot hold a session of 3000000 still and 5000000 turn "
+                                      "samples: ")
 
 
 def _quick_campaign(rotation_angle):
