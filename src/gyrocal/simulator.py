@@ -563,7 +563,8 @@ def load_configs(path: str | None, seed: int | None) -> list[SimulationConfig]:
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as handle:
-                loaded = yaml.safe_load(handle)
+                # libyaml's parser if PyYAML has it; both use SafeConstructor
+                loaded = yaml.load(handle, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
         except (yaml.YAMLError, ValueError) as exc:  # not UTF-8, or an int too long to parse
             raise CalibrationError(str(exc)) from None
         if loaded is None:

@@ -2,7 +2,9 @@
 puts ``tests/`` on ``sys.path``, so a test imports it as ``builders``.
 Nothing here writes a file except to a path the caller passes."""
 
+import importlib.util
 import os
+import re
 import subprocess
 import sys
 
@@ -15,6 +17,9 @@ from gyrocal.simulator import SimulationConfig, sample_ground_truth, simulate_se
 
 #: The ``src`` directory gyrocal is imported from.
 SRC = os.path.dirname(os.path.dirname(gyrocal.__file__))
+
+#: The checkout's root, which holds README.md and bench/.
+ROOT = os.path.dirname(SRC)
 
 #: The identity calibration, as the six fields of a parameters file.
 IDENTITY = {"k_x": 1.0, "k_y": 1.0, "k_z": 1.0, "b_x": 0.0, "b_y": 0.0, "b_z": 0.0}
@@ -69,3 +74,21 @@ def run_python(*args, **env):
     captured as UTF-8 text."""
     return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=SRC, **env),
                           capture_output=True, encoding="utf-8", timeout=120)
+
+
+def readme_blocks(language):
+    """The text of every fenced ``language`` block of README.md."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as handle:
+        text = handle.read()
+    return re.findall(rf"^```{language}\n(.*?)^```$", text, re.MULTILINE | re.DOTALL)
+
+
+def bench_workloads():
+    """``bench/workloads.py``, imported once as the module ``bench_workloads``
+    (its dataclasses look their module up in ``sys.modules``)."""
+    if "bench_workloads" not in sys.modules:
+        path = os.path.join(ROOT, "bench", "workloads.py")
+        spec = importlib.util.spec_from_file_location("bench_workloads", path)
+        sys.modules["bench_workloads"] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return sys.modules["bench_workloads"]

@@ -1,10 +1,13 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import gyrocal
-from builders import IDENTITY, run_python, simulated_log
+from builders import IDENTITY, bench_workloads, readme_blocks, run_python, simulated_log
+from gyrocal import simulator
 from gyrocal.cli import main
 from gyrocal.estimator import calibrate
 from gyrocal.session_io import SessionLog, write_session_log
@@ -15,6 +18,48 @@ def session_log_path(tmp_path):
     path = tmp_path / "session.csv"
     _, sim, truth = simulated_log(13, path, full_scale=245.0, device="bench", noise_sigma=0.15)
     return path, sim, truth
+
+
+@pytest.fixture(params=["CSafeLoader", "SafeLoader"])
+def yaml_loader(request, monkeypatch):
+    """The loader ``load_configs`` must parse with: libyaml's, or PyYAML's
+    own once ``CSafeLoader`` is taken off the yaml module, as in a PyYAML
+    built without libyaml. Every parse of the test is checked to use it."""
+    if request.param == "SafeLoader":
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    elif not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML was built without libyaml")
+    loader, used, load = getattr(yaml, request.param), [], yaml.load
+
+    def spy(stream, Loader):
+        used.append(Loader)
+        return load(stream, Loader=Loader)
+
+    monkeypatch.setattr(yaml, "load", spy)
+    yield loader
+    assert used and set(used) == {loader}
+
+
+def yaml_config_texts():
+    """Every README ``yaml`` block and the bench's campaign config."""
+    campaign = bench_workloads().Campaign(Path("unused"), seed=7)
+    return [*readme_blocks("yaml"), campaign.config_text]
+
+
+def load_text(directory, text):
+    """The campaigns ``load_configs`` builds from a config file of ``text``."""
+    config = directory / "config.yaml"
+    config.write_text(text, encoding="utf-8")
+    return simulator.load_configs(str(config), None)
+
+
+@pytest.fixture(scope="module")
+def pure_python_configs(tmp_path_factory):
+    """What PyYAML's own parser makes of each of ``yaml_config_texts``."""
+    directory = tmp_path_factory.mktemp("configs")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delattr(yaml, "CSafeLoader", raising=False)
+        return [load_text(directory, text) for text in yaml_config_texts()]
 
 
 def write_params(path, values):
@@ -200,7 +245,7 @@ class TestSimulate:
         b"noise_sigma: 0.03  # \xb5\n",
         b"sample_rate: " + b"1" * 5000 + b"\n",
     ], ids=["not YAML", "not UTF-8", "5000-digit int"])
-    def test_unreadable_config_reported(self, tmp_path, capsys, text):
+    def test_unreadable_config_reported(self, tmp_path, capsys, yaml_loader, text):
         config = tmp_path / "bad.yaml"
         config.write_bytes(text)
         out = tmp_path / "out"
@@ -209,6 +254,11 @@ class TestSimulate:
         assert err.startswith("error: bad simulation config: ")
         assert err.count("error:") == 1 and "Traceback" not in err
         assert not out.exists()
+
+    def test_either_loader_builds_the_same_configs(self, tmp_path, yaml_loader,
+                                                   pure_python_configs):
+        configs = [load_text(tmp_path, text) for text in yaml_config_texts()]
+        assert configs == pure_python_configs
 
     def test_each_level_writes_the_files_of_its_own_run(self, tmp_path):
         # A level of 0 runs as its own pass over the truths the positive

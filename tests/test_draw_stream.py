@@ -179,9 +179,9 @@ def test_bezier_profile_matches_per_call_uniform():
 # report's formatting fixed. Recorded with numpy 2.4 and its bundled
 # OpenBLAS on x86-64; another LAPACK build may move scales in the last ulp.
 SIMULATE_OUTPUT_PINS = {
-    "replicates_sigma_0.03.csv": "447141acf83f1ce6f9e070852200b801347d1b76103617fe2e4f248dcf396db4",
-    "replicates_sigma_0.15.csv": "792f85dac01bbe0e9400f4291891c8ac18a666c34f56a1eedbe725b7a2da4e5a",
-    "summary.json": "b0ca68bf1709a8eaf9a4d2b2f9a4ff85d08aad165d4ef8a999ac56b1873f499c",
+    "replicates_sigma_0.03.csv": "f2f636c82f7d61c5f1a05ccf78a6015c826fad5e05317cf283d0d8d280280847",
+    "replicates_sigma_0.15.csv": "4789be7c4ef92415a1ee44166ee9d25811ba463cde0eb7b4b1c965a61f7da157",
+    "summary.json": "6c59f09a9aa8252c36a57d9ed13bb4e107eaa585168af8e1f216ccb43f8979aa",
 }
 
 # sha256 of the same run's truths and estimates alone: each CSV without
@@ -189,9 +189,9 @@ SIMULATE_OUTPUT_PINS = {
 # parameter_errors blocks. A change to how replicates are scored leaves
 # these as they are.
 ESTIMATE_PINS = {
-    "replicates_sigma_0.03.csv": "87b1a3d11a0d3c4b24003eee76a64fa449e2e89398e27e9c59290863a1b8168a",
-    "replicates_sigma_0.15.csv": "4f46e71a49072ad81c88e21dc44e82b831cbfb288a65f3d64ce9c0dd81d79bb0",
-    "parameter_errors": "55420a7f04df48502aca33e19ae8cc55bb82191f3ab99e18fea3814d3ed2b1bf",
+    "replicates_sigma_0.03.csv": "0714ffc22ed0aadd6a1951c5e3a23efad9da5ddbd5604c255548d5937796d5be",
+    "replicates_sigma_0.15.csv": "363370295ea31a44a021aefe50681e1327ce774e65492a1c5d5bdb80627d5a8c",
+    "parameter_errors": "36a8932c28793a2045dc651bc1c12e86361c631609bb08550ffa8e9f68066b7a",
 }
 
 
@@ -229,8 +229,8 @@ def test_simulate_estimates_are_pinned(simulate_output):
 # like the pins above. They cover the session summaries, the closed form,
 # the condition number and the CLI's diagnostics.
 CALIBRATE_OUTPUT_PINS = {
-    (2024, 0.15): "214fbd78fe921159262ddb0ced62277686a816d5562c323638a0586c0de03366",
-    (7, 0.03): "051a81e18aad913397a952fc072bdb916d6d7f2026dff1e0d4a34b16711062b1",
+    (2024, 0.15): "0fa41365f68d856f3fe1536d15c2048cf9f991141c23f2c8c9c2bed0ea0e7e1a",
+    (7, 0.03): "9cae9a7a1e6de00a0bd75d7c37491947a6fa30d310d86b9ecf61ec5d1676f8e6",
 }
 
 

@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -287,6 +290,91 @@ class TestFitBatch:
         assert np.isfinite(fit.condition_numbers[0])
         assert np.all(np.isnan(fit.condition_numbers[1:]))
         assert np.all(np.isnan(fit.scales[1:]))
+
+    def test_sums_near_the_float_range_are_fitted(self):
+        # Regressors of 1e200 square past the float range in XᵀX unless the
+        # row is scaled first; the fit is exact both alone and in a stack.
+        huge = session_view(np.diag([1e100 / 1.2, 1e100 / 0.8, 1e100]), theta=1e100)
+        good = exact_session([1.1, 0.9, 1.0], [1.0, -1.0, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alone = calibrate(huge)
+            fit = fit_batch(stack_views([good, huge]))
+        np.testing.assert_allclose(alone.scales, [1.2, 0.8, 1.0], rtol=1e-12)
+        assert alone.condition_number == pytest.approx(2.25, rel=1e-12)
+        assert fit.errors == (None, None)
+        assert fit.params(1) == alone
+        assert fit.params(0) == calibrate(good)
+
+    def test_failed_rows_do_not_stop_the_stack(self):
+        # Rows that an earlier guard fails, and a singular one, sit between
+        # good rows in one solve: each keeps its own first error.
+        goods = [exact_session([1.15, 0.85, 1.02], [2.0, -3.5, 0.75]),
+                 exact_session([0.9, 1.1, 1.0], [0.5, 0.0, -1.0]),
+                 exact_session([1.0, 1.2, 0.8], [-2.0, 1.0, 3.0])]
+        still = session_view([[1e-4, 0.0, 0.0]] * 3)
+        repeated = session_view([[360.0, 0.0, 0.0], [360.0, 0.0, 0.0], [0.0, 360.0, 0.0]])
+        not_finite = session_view([[np.nan, 0.0, 0.0], [0.0, 360.0, 0.0], [0.0, 0.0, 360.0]])
+        rows = [goods[0], still, goods[1], repeated, not_finite, goods[2]]
+        fit = fit_batch(stack_views(rows))
+        expected = [
+            None,
+            (ProtocolViolation, "every rotation stage integrates below 10 degrees; "
+                                "the session contains no usable rotation"),
+            None,
+            (IllConditionedSystem, "regressor matrix condition number inf exceeds 200; "
+                                   "the rotation stages look degenerate (for example repeated axes)"),
+            (CalibrationError, "linear system entries must be finite"),
+            None,
+        ]
+        for row, (session, error) in enumerate(zip(rows, expected)):
+            if error is None:
+                assert fit.errors[row] is None
+                assert fit.params(row) == calibrate(session)
+            else:
+                assert type(fit.errors[row]) is error[0]
+                assert str(fit.errors[row]) == error[1]
+                with pytest.raises(error[0], match="^" + re.escape(error[1]) + "$"):
+                    calibrate(session)
+        assert fit.condition_numbers[3] == np.inf
+        assert np.isnan(fit.condition_numbers[[1, 4]]).all()
+
+    def test_singular_rows_report_an_infinite_condition_number(self):
+        # A turn logged twice makes XᵀX singular; rounding leaves its least
+        # eigenvalue about 1e-16 of the largest above or below 0: above, the
+        # condition number reads about 1e8, and below, inf, never NaN.
+        rng = np.random.default_rng(5)
+        sums = rng.uniform(100.0, 400.0, (200, 3, 3))
+        sums[:, 1] = sums[:, 0]
+        fit = fit_batch(stack_views([session_view(turns) for turns in sums]))
+        assert all(type(error) is IllConditionedSystem for error in fit.errors)
+        x = sums ** 2
+        x = x * 2.0 ** -np.frexp(x.max(axis=(1, 2)))[1][:, None, None]
+        least = np.linalg.eigvalsh(x.transpose(0, 2, 1) @ x)[:, 0]
+        assert (least <= 0.0).any()
+        assert (fit.condition_numbers[least <= 0.0] == np.inf).all()
+        assert (fit.condition_numbers > 1e6).all()
+
+    @pytest.mark.parametrize("n_turns", [3, 4])
+    def test_matches_numpy_least_squares(self, n_turns):
+        # 1000 coupled, noisy sessions; a fourth turn is about a random axis.
+        rng = np.random.default_rng(n_turns)
+        n = 1000
+        scales = rng.uniform(0.8, 1.2, (n, 3))
+        coupling = np.eye(3) + rng.uniform(-0.10, 0.10, (n, 3, 3)) * (1.0 - np.eye(3))
+        axes = np.concatenate([np.broadcast_to(np.eye(3), (n, 3, 3)),
+                               rng.normal(size=(n, 1, 3))], axis=1)[:, :n_turns]
+        axes /= np.linalg.norm(axes, axis=2, keepdims=True)
+        sums = ANGLE * (axes @ coupling.transpose(0, 2, 1)) / scales[:, None, :]
+        sums += rng.normal(0.0, 0.5, sums.shape)
+        obs = stack_views([session_view(turns) for turns in sums])
+        fit = fit_batch(obs)
+        assert all(error is None for error in fit.errors)
+        x = obs.sums ** 2
+        for r in range(n):
+            lstsq = np.linalg.lstsq(x[r], obs.theta_sq[r], rcond=None)[0]
+            np.testing.assert_allclose(fit.scales[r] ** 2, lstsq, rtol=1e-12)
+            np.testing.assert_allclose(fit.condition_numbers[r], np.linalg.cond(x[r]), rtol=1e-12)
 
     def test_unstacked_view_is_a_stack_of_one(self):
         session = exact_session([1.1, 0.9, 1.0], [1.0, -1.0, 0.5])

@@ -1,24 +1,13 @@
 """Every ``python`` block of README.md runs as written, warnings as errors,
 and every ``yaml`` block is a config that ``gyrocal simulate`` accepts."""
 
-import re
-from pathlib import Path
-
 import pytest
 
-from builders import run_python
+from builders import readme_blocks, run_python
 from gyrocal import simulator
 
-README = Path(__file__).resolve().parents[1] / "README.md"
-
-
-def _blocks(language):
-    return re.findall(rf"^```{language}\n(.*?)^```$", README.read_text(encoding="utf-8"),
-                      re.MULTILINE | re.DOTALL)
-
-
-BLOCKS = _blocks("python")
-YAML_BLOCKS = _blocks("yaml")
+BLOCKS = readme_blocks("python")
+YAML_BLOCKS = readme_blocks("yaml")
 
 
 def test_readme_has_python_blocks():
