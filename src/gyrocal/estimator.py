@@ -162,7 +162,8 @@ def fit_batch(obs: ObservationArrays, *, noise_sigma: float | None = None) -> Fi
     scale_sq = np.linalg.solve(gram, x.transpose(0, 2, 1) @ y[:, :, None])[:, :, 0]
     _record(errors, valid & ~solvable, lambda r: IllConditionedSystem(
         f"regressor matrix condition number {cond[r]:.3g} exceeds {CONDITION_LIMIT:.3g}; "
-        "the rotation stages look degenerate (for example repeated axes)"
+        "the turns may not separate the three axes under the diagonal model (for example "
+        "two turns about one axis, or turns about (1, 1, 0) and (1, -1, 0))"
     ))
 
     def inconsistent(r: int) -> InconsistentScaleData:

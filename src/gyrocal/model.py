@@ -173,10 +173,10 @@ def inverse_calibration(params: CalibrationParams, true_rate) -> np.ndarray:
 
 
 def _stage_samples(samples, sample_rate: float) -> np.ndarray:
-    """A stage's measured rates as a sample-major ``(N, ..., 3)`` float
-    array, taken at a finite positive ``sample_rate``."""
+    """A stage's measured rates as an ``(N, 3)`` float array, taken at a
+    finite positive ``sample_rate``."""
     arr = np.asarray(samples, dtype=float)
-    if arr.ndim < 2 or arr.shape[-1] != 3:
+    if arr.ndim != 2 or arr.shape[1] != 3:
         raise CalibrationError(f"expected an (N, 3) sample array, got shape {arr.shape}")
     if not (math.isfinite(sample_rate) and sample_rate > 0.0):
         raise CalibrationError(f"sample rate must be finite and positive, got {sample_rate}")
@@ -201,7 +201,7 @@ def _require_finite_still(means: np.ndarray, stds: np.ndarray) -> None:
 # ``from_samples``.
 class StaticObservation(NamedTuple):
     """The still stage: per-axis means and sample standard deviations of
-    the measured rate, ``(..., 3)`` in deg/s, and the integration time
+    the measured rate, ``(3,)`` in deg/s, and the integration time
     ``n_samples / sample_rate`` in seconds."""
 
     means: np.ndarray
@@ -210,7 +210,7 @@ class StaticObservation(NamedTuple):
 
     @classmethod
     def from_samples(cls, samples, sample_rate: float) -> "StaticObservation":
-        """Summarize ``(N, ..., 3)`` measured rates taken at rest, samples first."""
+        """Summarize ``(N, 3)`` measured rates taken at rest."""
         arr = _stage_samples(samples, sample_rate)
         n = arr.shape[0]
         if n < 2:
@@ -225,7 +225,7 @@ class StaticObservation(NamedTuple):
 
 class RotationObservation(NamedTuple):
     """One rotation stage: the time-scaled sums of the measured rates,
-    ``(..., 3)`` in degrees, the duration ``n_samples / sample_rate`` in
+    ``(3,)`` in degrees, the duration ``n_samples / sample_rate`` in
     seconds, and ``theta_total``, the known magnitude of the physical
     rotation used as the reference, in degrees (360 for the standard
     protocol)."""
@@ -238,7 +238,7 @@ class RotationObservation(NamedTuple):
     def from_samples(
         cls, samples, sample_rate: float, theta_total: float
     ) -> "RotationObservation":
-        """Summarize ``(N, ..., 3)`` measured rates over a rotation, samples first."""
+        """Summarize ``(N, 3)`` measured rates over a rotation."""
         arr = _stage_samples(samples, sample_rate)
         n = arr.shape[0]
         sums = arr.sum(axis=0) / sample_rate
@@ -267,11 +267,12 @@ class ObservationArrays(NamedTuple):
     - ``durations``, ``theta_sq``: ``(..., n)`` seconds and deg^2; the
       replicate axis may be left out when every replicate shares them
 
-    This is the session type. A caller builds it from these arrays, or
-    from raw samples with :meth:`from_samples`, as log reading and the
-    simulator do. The solvers, residuals and gradients take it, each one
-    session as :func:`check_single_session` requires. Every view carries
-    its still stage: a session is the still stage plus the turns.
+    This is the session type. A caller builds it from these arrays, as a
+    campaign builds its stack, or one session from raw samples with
+    :meth:`from_samples`, as log reading and the simulator do. The
+    solvers, residuals and gradients take one session, as
+    :func:`check_single_session` requires. Every view carries its still
+    stage: a session is the still stage plus the turns.
     """
 
     static_means: np.ndarray
@@ -284,13 +285,11 @@ class ObservationArrays(NamedTuple):
     @classmethod
     def from_samples(cls, static, turns: Iterable, sample_rate: float,
                      rotation_angle: float) -> "ObservationArrays":
-        """The view of a still stage's measured rates, ``(N, ..., 3)`` with
-        samples first, and of each turn's, ``(n_i, ..., 3)``, a rotation of
-        ``rotation_angle`` degrees, all at ``sample_rate`` Hz. The still
-        stage is summarised first, then each turn in order. ``(N, R, 3)``
-        stages give the view of R sessions, each row bit for bit its own.
-        ``sample_rate`` and ``rotation_angle`` are numbers, as
-        :func:`as_float` takes them."""
+        """The view of one session: a still stage's measured rates, ``(N,
+        3)``, and each turn's, ``(n_i, 3)``, a rotation of ``rotation_angle``
+        degrees, all at ``sample_rate`` Hz. The still stage is summarised
+        first, then each turn in order. ``sample_rate`` and
+        ``rotation_angle`` are numbers, as :func:`as_float` takes them."""
         sample_rate = as_float("sample_rate", sample_rate)
         rotation_angle = as_float("rotation_angle", rotation_angle)
         still = StaticObservation.from_samples(static, sample_rate)
@@ -298,19 +297,15 @@ class ObservationArrays(NamedTuple):
                      for turn in turns]
         if not summaries:
             raise CalibrationError("a session needs at least one rotation stage, got none")
-        shapes = sorted({turn.sums.shape for turn in summaries})
-        if shapes != [still.means.shape]:
-            raise CalibrationError(f"the still stage summarises to shape {still.means.shape} "
-                                   f"but the turns to {', '.join(map(str, shapes))}")
         return cls(still.means, still.stds, still.duration,
-                   np.stack([turn.sums for turn in summaries], axis=-2),
+                   np.array([turn.sums for turn in summaries]),
                    np.array([turn.duration for turn in summaries]),
                    np.array([turn.theta_total ** 2 for turn in summaries]))
 
     def require_finite(self) -> None:
         """Raise the CalibrationError that :meth:`from_samples` raises for
         stage summaries that are not finite, naming the first in its order:
-        the still means, the still stds, then each turn's sums."""
+        the still means, the still stds, then the sums turn by turn."""
         _require_finite_still(self.static_means, self.static_stds)
         sums = np.moveaxis(self.sums, -2, 0)
         _require_finite("rotation sum", *sums[~np.isfinite(sums)])
@@ -322,11 +317,11 @@ class ObservationArrays(NamedTuple):
         return self.sums + self.durations[..., None] * b[..., None, :]
 
     def residuals(self, scales, biases) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Rotation residuals and their Jacobian at one parameter point.
+        """One session's rotation residuals and their Jacobian at one point.
 
         With ``S`` the corrected sums, residual i is ``sum_l (k_l S_{l,i})^2
-        - theta_i^2`` in deg^2, shape ``(..., n)``. The Jacobian comes as
-        ``dr/dk = 2 k S^2`` and ``dr/db = 2 k^2 d S``, each ``(..., n, 3)``.
+        - theta_i^2`` in deg^2, shape ``(n,)``. The Jacobian comes as
+        ``dr/dk = 2 k S^2`` and ``dr/db = 2 k^2 d S``, each ``(n, 3)``.
         The squared cost, every gradient and every Gauss-Newton step are
         reductions of these.
         """

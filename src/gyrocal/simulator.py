@@ -537,7 +537,7 @@ def _run_levels(configs: list[SimulationConfig]) -> list[CampaignReport]:
             except CalibrationError as exc:
                 raise CalibrationError(f"noise level {sigma!r}: its stage summaries "
                                        f"overflowed the float range: {exc}") from None
-            fit = fit_batch(view, noise_sigma=sigma if sigma > 0.0 else None)
+            fit = fit_batch(view, noise_sigma=sigma)
             keep = np.array([error is None for error in fit.errors], dtype=bool)
             failures = tuple((*indices[row].tolist(), str(error))
                              for row, error in enumerate(fit.errors) if error is not None)

@@ -323,7 +323,9 @@ class TestFitBatch:
                                 "the session contains no usable rotation"),
             None,
             (IllConditionedSystem, "regressor matrix condition number inf exceeds 200; "
-                                   "the rotation stages look degenerate (for example repeated axes)"),
+                                   "the turns may not separate the three axes under the "
+                                   "diagonal model (for example two turns about one axis, "
+                                   "or turns about (1, 1, 0) and (1, -1, 0))"),
             (CalibrationError, "linear system entries must be finite"),
             None,
         ]

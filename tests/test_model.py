@@ -1,6 +1,5 @@
 import copy
 import pickle
-import re
 from fractions import Fraction
 
 import numpy as np
@@ -149,13 +148,12 @@ class TestApplyCalibration:
         np.testing.assert_allclose(apply_calibration(p, raw), rate, atol=1e-9)
 
 
-@pytest.mark.parametrize("shape", [(10, 3), (10, 4, 3)], ids=["session", "stack"])
 @pytest.mark.parametrize("rate", [float("nan"), float("inf"), float("-inf"), 0.0])
-def test_from_samples_rejects_bad_sample_rate(shape, rate):
+def test_from_samples_rejects_bad_sample_rate(rate):
     # a NaN or infinite rate would pass a plain "<= 0" test and fail later
     # with a misleading message about the stage duration
     with pytest.raises(CalibrationError, match="sample rate"):
-        ObservationArrays.from_samples(np.ones(shape), [np.ones(shape)] * 3, rate, 360.0)
+        ObservationArrays.from_samples(np.ones((10, 3)), [np.ones((10, 3))] * 3, rate, 360.0)
 
 
 @pytest.mark.parametrize("name,value,message", [
@@ -184,10 +182,11 @@ def test_from_samples_takes_any_real_number_as_its_float():
             assert np.asarray(got).tobytes() == np.asarray(expected).tobytes(), name
 
 
-def with_one_stage(stage, samples, rate, angle=360.0, other=np.zeros((2, 3))):
+def with_one_stage(stage, samples, rate, angle=360.0):
     """``ObservationArrays.from_samples`` with ``samples`` as the still
-    stage (``stage == "static"``) or as the one turn, and ``other`` as the
-    other stage."""
+    stage (``stage == "static"``) or as the one turn, and two zero samples
+    as the other stage."""
+    other = np.zeros((2, 3))
     still, turn = (samples, other) if stage == "static" else (other, samples)
     return ObservationArrays.from_samples(still, [turn], rate, angle)
 
@@ -210,6 +209,8 @@ FROM_SAMPLES_REFUSALS = {
                          {}),
     "static 3-d": ("static", np.ones((2, 3, 1)), 100.0, 360.0,
                    CalibrationError, "expected an (N, 3) sample array, got shape (2, 3, 1)", {}),
+    "static stack": ("static", np.ones((2, 4, 3)), 100.0, 360.0,
+                     CalibrationError, "expected an (N, 3) sample array, got shape (2, 4, 3)", {}),
     "static shape before rate": ("static", np.ones(3), float("nan"), 360.0,
                                  CalibrationError,
                                  "expected an (N, 3) sample array, got shape (3,)", {}),
@@ -302,6 +303,38 @@ def test_from_samples_refusals_are_pinned(case):
     assert str(info.value) == message
 
 
+class TestStackedStagesRefused:
+    """A sample-major ``(N, R, 3)`` or deeper stack is not one session:
+    ``from_samples`` refuses it by shape, before it reads the sample count
+    or the sample rate. Campaigns build their stacks from summaries."""
+
+    @pytest.mark.parametrize("shape", [(2, 1, 3), (3, 5, 3), (300, 16, 3), (501, 3, 3),
+                                       (40, 2, 4, 3), (1, 8, 3)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    @pytest.mark.parametrize("stage", ["static", "rotation"])
+    def test_by_shape(self, stage, shape):
+        # (1, 8, 3) has one sample along its leading axis: the shape is named, not the count.
+        with pytest.raises(CalibrationError) as info:
+            with_one_stage(stage, np.ones(shape), 100.0)
+        assert type(info.value) is CalibrationError
+        assert str(info.value) == f"expected an (N, 3) sample array, got shape {shape}"
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), float("-inf"), 0.0])
+    def test_before_a_bad_sample_rate(self, rate):
+        stack = np.ones((10, 4, 3))
+        with pytest.raises(CalibrationError) as info:
+            ObservationArrays.from_samples(stack, [stack] * 3, rate, 360.0)
+        assert type(info.value) is CalibrationError
+        assert str(info.value) == "expected an (N, 3) sample array, got shape (10, 4, 3)"
+
+    def test_a_stacked_turn_after_a_session_turn(self):
+        turns = [np.ones((2, 3)), np.ones((2, 4, 3))]
+        with pytest.raises(CalibrationError) as info:
+            ObservationArrays.from_samples(np.zeros((2, 3)), turns, 100.0, 360.0)
+        assert type(info.value) is CalibrationError
+        assert str(info.value) == "expected an (N, 3) sample array, got shape (2, 4, 3)"
+
+
 class TestSessionRefusals:
     """What ``ObservationArrays.from_samples`` checks of a session as a
     whole, and the order in which it names a bad stage."""
@@ -322,14 +355,6 @@ class TestSessionRefusals:
             ObservationArrays.from_samples(np.zeros((2, 3)), turns, 100.0, 360.0)
         assert str(info.value) == "rotation sum must be finite, got np.float64(nan)"
 
-    def test_stages_of_different_stacks(self):
-        turns = [np.ones((2, 4, 3)), np.ones((2, 3))]
-        message = "the still stage summarises to shape (4, 3) but the turns to (3,), (4, 3)"
-        with pytest.raises(CalibrationError) as info:
-            ObservationArrays.from_samples(np.zeros((2, 4, 3)), turns, 100.0, 360.0)
-        assert type(info.value) is CalibrationError
-        assert str(info.value) == message
-
     def test_turns_from_a_generator(self):
         turns = [np.ones((2, 3)), np.full((3, 3), 2.0)]
         view = ObservationArrays.from_samples(np.zeros((2, 3)), iter(turns), 100.0, 360.0)
@@ -337,72 +362,47 @@ class TestSessionRefusals:
         assert view.durations.tolist() == [0.02, 0.03]
 
 
-class TestStackedStages:
-    """``ObservationArrays.from_samples`` on sample-major ``(N, R, 3)``
-    stages gives the view of R sessions at once, as R calls on ``(N, 3)``
-    stages would."""
+def finite_stack():
+    """A view of two sessions of three turns, built from summaries as a
+    campaign builds its stack."""
+    return ObservationArrays(np.zeros((2, 3)), np.full((2, 3), 0.15), 3.0,
+                             np.full((2, 3, 3), 120.0), np.full(3, 5.0), np.full(3, 360.0 ** 2))
 
-    @pytest.mark.parametrize("n,rows", [(2, 1), (3, 5), (300, 16), (501, 3)])
-    def test_rows_equal_single_stages_bitwise(self, n, rows):
-        rng = np.random.default_rng(n * rows)
-        stack = rng.normal(size=(n, rows, 3)) * 0.15 + rng.uniform(-5.0, 5.0, size=(rows, 3))
-        turns = [stack * 7e3, stack[: n // 2 + 1] * -3e3]
-        view = ObservationArrays.from_samples(stack, turns, 100.0, 720.0)
-        assert view.static_means.shape == view.static_stds.shape == (rows, 3)
-        assert view.sums.shape == (rows, 2, 3)
-        assert view.static_duration == n / 100.0
-        assert view.durations.tolist() == [n / 100.0, (n // 2 + 1) / 100.0]
-        assert view.theta_sq.tolist() == [720.0 ** 2] * 2
-        for r in range(rows):
-            one = ObservationArrays.from_samples(stack[:, r], [turn[:, r] for turn in turns],
-                                                 100.0, 720.0)
-            assert view.static_means[r].tobytes() == one.static_means.tobytes()
-            assert view.static_stds[r].tobytes() == one.static_stds.tobytes()
-            assert view.sums[r].tobytes() == one.sums.tobytes()
 
-    def test_deeper_stack(self):
-        rng = np.random.default_rng(5)
-        still, turns = rng.normal(size=(40, 2, 4, 3)), rng.normal(size=(3, 50, 2, 4, 3))
-        view = ObservationArrays.from_samples(still, turns, 100.0, 360.0)
-        assert view.sums.shape == (2, 4, 3, 3)
-        for i in range(2):
-            for j in range(4):
-                one = ObservationArrays.from_samples(still[:, i, j], turns[:, :, i, j],
-                                                     100.0, 360.0)
-                assert view.static_stds[i, j].tobytes() == one.static_stds.tobytes()
-                assert view.sums[i, j].tobytes() == one.sums.tobytes()
+#: Non-finite values put into ``finite_stack()``, as (field, index,
+#: value), the refusal ``require_finite`` raises, and the still and turn
+#: samples of one session that ``from_samples`` refuses with it.
+REQUIRE_FINITE_CASES = {
+    "mean before std": ([("static_stds", (0, 0), np.inf), ("static_means", (1, 2), np.nan),
+                         ("sums", (0, 0, 0), np.nan)],
+                        "static mean must be finite, got np.float64(nan)",
+                        ([[0.0, 0.0, np.nan], [0.0, 0.0, 1.0]], np.ones((2, 3)))),
+    "std before sums": ([("sums", (0, 0, 1), -np.inf), ("static_stds", (1, 1), np.inf)],
+                        "standard deviation must be nonnegative, got inf",
+                        ([[0.0, 1e308, 0.0], [0.0, -1e308, 0.0]], np.ones((2, 3)))),
+    # Row 1's turn 0 comes before row 0's turn 2: turn by turn, not row by row.
+    "turn by turn": ([("sums", (0, 2, 0), np.inf), ("sums", (1, 0, 2), np.nan)],
+                     "rotation sum must be finite, got np.float64(nan)",
+                     (np.zeros((2, 3)), [[0.0, 0.0, np.nan]] * 2)),
+}
 
-    @pytest.mark.parametrize("stage,bad,name", [
-        ("static", np.inf, "static mean must be finite, got np.float64(inf)"),
-        ("static", np.nan, "static mean must be finite, got np.float64(nan)"),
-        ("rotation", -np.inf, "rotation sum must be finite, got np.float64(-inf)"),
-        ("rotation", np.nan, "rotation sum must be finite, got np.float64(nan)"),
-    ])
-    def test_one_nonfinite_row_named(self, stage, bad, name):
-        # Rows 2 and 3 are bad; the message names row 2's value, the first in C order.
-        stack = np.ones((4, 5, 3))
-        stack[1, 2, 1] = bad
-        stack[0, 3, 0] = np.nan
-        with np.errstate(invalid="ignore"), pytest.raises(CalibrationError) as info:
-            with_one_stage(stage, stack, 100.0, other=np.zeros((4, 5, 3)))
-        assert type(info.value) is CalibrationError
-        assert str(info.value) == name
 
-    def test_one_overflowing_std_named(self):
-        stack = np.zeros((2, 4, 3))
-        stack[:, 1, 2] = (1e308, -1e308)
-        with np.errstate(over="ignore"), pytest.raises(CalibrationError) as info:
-            with_one_stage("static", stack, 100.0, other=np.zeros((2, 4, 3)))
-        assert type(info.value) is CalibrationError
-        assert str(info.value) == "standard deviation must be nonnegative, got inf"
+class TestRequireFinite:
+    def test_finite_view_passes(self):
+        assert finite_stack().require_finite() is None
 
-    def test_samples_come_first(self):
-        # A stage count is read from the leading axis: (1, R, 3) is one sample.
-        with pytest.raises(ProtocolViolation, match="needs at least 2 samples, got 1"):
-            with_one_stage("static", np.ones((1, 8, 3)), 100.0)
-        shape = "expected an (N, 3) sample array, got shape (4, 3, 2)"
-        with pytest.raises(CalibrationError, match=re.escape(shape)):
-            with_one_stage("rotation", np.ones((4, 3, 2)), 100.0)
+    @pytest.mark.parametrize("case", sorted(REQUIRE_FINITE_CASES))
+    def test_first_refusal_is_from_samples_own(self, case):
+        bad, message, (still, turn) = REQUIRE_FINITE_CASES[case]
+        view = finite_stack()
+        for field, index, value in bad:
+            getattr(view, field)[index] = value
+        with pytest.raises(CalibrationError) as stacked:
+            view.require_finite()
+        with np.errstate(over="ignore"), pytest.raises(CalibrationError) as single:
+            ObservationArrays.from_samples(still, [turn], 100.0, 360.0)
+        assert type(stacked.value) is type(single.value) is CalibrationError
+        assert str(stacked.value) == str(single.value) == message
 
 
 class TestStillStage:

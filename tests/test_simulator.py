@@ -353,7 +353,7 @@ class TestRunMonteCarlo:
         (dict(scale_range=(1e-310, 2e-310)), "rotation sum must be finite, got np.float64(inf)"),
     ])
     def test_summaries_that_overflow_stop_the_campaign(self, overrides, message):
-        # The block's stage summaries are from_samples', refusals included;
+        # The campaign's stage summaries are refused as from_samples' are;
         # the campaign names the noise level that overflowed.
         config = SimulationConfig(n_param_sets=1, n_sims_per_set=2, n_test_rates=5, **overrides)
         with np.errstate(over="ignore", invalid="ignore"):
