@@ -364,6 +364,29 @@ def _finite(values: np.ndarray) -> list[float | None]:
     return [value if math.isfinite(value) else None for value in values.tolist()]
 
 
+def _quartiles(columns: np.ndarray) -> np.ndarray:
+    """``numpy.quantile(columns, [0.25, 0.5, 0.75], axis=0)`` of ``n >= 1`` rows, bit for
+    bit and warning for warning: numpy's indexes, kth list and lerp, without ``unique``."""
+    virtual = (len(columns) - 1) * np.array([0.25, 0.5, 0.75])
+    low = np.where(virtual >= len(columns) - 1, -1, np.floor(virtual)).astype(np.intp)
+    high = np.where(low < 0, -1, low + 1)  # past the end both read the last, gamma 1
+    part = np.partition(columns, sorted({0, -1, *low.tolist(), *high.tolist()}), axis=0)
+    below, above, gamma = part[low], part[high], (virtual - low)[:, None]
+    step = above - below
+    result = below + step * gamma
+    np.subtract(above, step * (1 - gamma), out=result, where=gamma >= 0.5)
+    np.copyto(result, part[-1], where=np.isnan(part[-1]))  # a NaN partitions last
+    return result
+
+
+def _median(values: np.ndarray) -> np.float64:
+    """``numpy.median`` of a non-empty 1-D array, bit and warning for warning."""
+    low, half = (len(values) - 1) // 2, len(values) // 2
+    part = np.partition(values, [low, half, -1] if low < half else [half, -1])
+    middle = part[low:half + 1].mean()  # before the NaN check, as numpy warns of it
+    return part[-1] if np.isnan(part[-1]) else middle
+
+
 @dataclass(frozen=True, eq=False)
 class CampaignReport:
     """All replicate outcomes of one Monte-Carlo campaign, as one table
@@ -395,17 +418,19 @@ class CampaignReport:
     def summary(self) -> dict:
         """Quartile digest per parameter plus test-set improvement stats.
         A statistic with no finite value, as over no replicates, is ``None``,
-        and the RMS reduction is taken over the rows with ``pre_rms > 0``."""
+        and the RMS reduction is taken over the rows with ``pre_rms > 0``.
+        Quartiles are numpy's default linear ones (Hyndman and Fan's type 7) and
+        medians ``numpy.median``'s, bit for bit, computed without loading ``numpy.ma``."""
         errors, pre, post = self.parameter_errors(), self.pre_rms, self.post_rms
         stats = np.full((5, 6), math.nan)
         test = np.full(4, math.nan)
         if len(pre):
-            stats[:3] = np.quantile(errors, [0.25, 0.5, 0.75], axis=0)
+            stats[:3] = _quartiles(errors)
             stats[3], stats[4] = errors.min(axis=0), errors.max(axis=0)
-            test[:3] = np.median(pre), np.median(post), np.mean(post < pre)
+            test[:3] = _median(pre), _median(post), np.mean(post < pre)
         scored = pre > 0.0  # a noiseless identity truth reads its test rates exactly
         if scored.any():
-            test[3] = np.median(1.0 - post[scored] / pre[scored])
+            test[3] = _median(1.0 - post[scored] / pre[scored])
         return {
             "noise_sigma": self.config.noise_sigma,
             "n_param_sets": self.config.n_param_sets,

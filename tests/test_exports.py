@@ -94,7 +94,7 @@ def test_calibrate_process_never_runs_the_lazy_modules(tmp_path):
                 for name in ("simulator", "doe", "observability")}
         stdlib = sorted({"dataclasses", "copy"} & set(sys.modules))
         print(json.dumps({"status": status, "seen": sorted(map(str, seen)), "lazy": lazy,
-                          "stdlib": stdlib}))
+                          "stdlib": stdlib, "masked": "numpy.ma" in sys.modules}))
     """)
     result = run_fresh(code, str(path))
     assert result["status"] == 0
@@ -105,6 +105,7 @@ def test_calibrate_process_never_runs_the_lazy_modules(tmp_path):
     assert result["lazy"] == dict.fromkeys(LAZY, True)
     # Building a dataclass costs about a millisecond, and its module pulls in copy.
     assert result["stdlib"] == []
+    assert result["masked"] is False
 
 
 def test_cli_import_puts_every_traced_module_in_sys_modules():
@@ -177,10 +178,12 @@ def test_simulate_and_verify_run_after_cli_import(tmp_path):
         import gyrocal.cli
 
         simulate = gyrocal.cli.main(["simulate", "--config", sys.argv[1], "--out", sys.argv[2]])
+        # The campaign's quartiles and medians never load numpy's masked arrays.
+        masked = "numpy.ma" in sys.modules
         doe = gyrocal.cli.main(["verify", "--suite", "doe"])
         observability = gyrocal.cli.main(["verify", "--suite", "observability"])
-        print(json.dumps([simulate, doe, observability]))
+        print(json.dumps([simulate, masked, doe, observability]))
     """)
-    assert run_fresh(code, str(config), str(out)) == [0, 0, 0]
+    assert run_fresh(code, str(config), str(out)) == [0, False, 0, 0]
     summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
     assert list(summary["campaigns"]) == ["0.03"]

@@ -2,11 +2,13 @@ import csv
 import dataclasses
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from builders import numpy_generator, run_python, stack_views
 from gyrocal import estimator, simulator
@@ -383,6 +385,26 @@ class TestRunMonteCarlo:
         assert test_set["improved_fraction"] == 2 / 3
         assert test_set["median_pre_rms"] == 2.0
 
+    def test_summary_of_an_infinite_pre_rms(self):
+        # The median of pre_rms meets an inf and reads None; the other
+        # statistics are the values numpy's quantile and median gave.
+        truth = np.ones((4, 6))
+        errors = np.linspace(-1e-3, 1e-3, 24).reshape(4, 6)
+        report = CampaignReport(SimulationConfig(**QUICK), np.zeros((4, 2), dtype=int), truth,
+                                truth + errors, np.array([1.0, math.inf, math.inf, 2.0]),
+                                np.array([0.5, 1.0, 2.0, 3.0]), failures=())
+        summary = report.summary()
+        assert summary["test_set"] == {"median_pre_rms": None, "median_post_rms": 1.5,
+                                       "improved_fraction": 0.75, "median_rms_reduction": 0.75}
+        assert summary["parameter_errors"]["k_x"] == {
+            "q1": -0.0006086956521739462, "median": -0.00021739130434783593,
+            "q3": 0.00017391304347830205, "min": -0.0010000000000000009,
+            "max": 0.00056521739130444}
+        expected = np.quantile(report.parameter_errors(), [0.25, 0.5, 0.75], axis=0)
+        for name, column in zip(("k_x", "k_y", "k_z", "b_x", "b_y", "b_z"), expected.T):
+            stats = summary["parameter_errors"][name]
+            assert [stats["q1"], stats["median"], stats["q3"]] == column.tolist()
+
     def test_improvement_direction_with_cross_coupling(self):
         # full truth ranges including coupling: correction still helps
         config = SimulationConfig(noise_sigma=0.03, rng_seed=8,
@@ -518,6 +540,49 @@ def _hand_built_report(truth, pre_rms):
     indices = np.column_stack([np.zeros(n, dtype=int), np.arange(n)])
     return CampaignReport(SimulationConfig(**QUICK), indices, truth, estimate, pre_rms,
                           pre_rms / 3.0, failures=())
+
+
+_ORDER_ELEMENTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e308, math.nan, math.inf, -math.inf]),
+    st.floats(allow_nan=True, allow_infinity=True))
+
+
+def _with_warnings(function, *args, **kwargs):
+    """``function``'s value and the messages of the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = function(*args, **kwargs)
+    return value, [str(warning.message) for warning in caught]
+
+
+def _assert_same_bits(value, expected):
+    assert np.array_equal(value, expected, equal_nan=True)
+    assert np.array_equal(np.signbit(value), np.signbit(expected))  # of zeros and NaNs too
+
+
+class TestSummaryOrderStatistics:
+    """``summary`` takes its quartiles and medians from partitioned columns;
+    they are numpy's, bit for bit and warning for warning, for NaN, ±inf,
+    repeated values and ties of -0.0 and 0.0."""
+
+    @given(arrays(np.float64, st.tuples(st.integers(1, 200), st.integers(1, 6)),
+                  elements=_ORDER_ELEMENTS))
+    @example(np.array([[0.0], [-0.0], [0.0], [-0.0], [-0.0]]))
+    @example(np.array([[1.0], [math.inf], [3.0], [2.0], [0.5]]))
+    @example(np.array([[math.nan], [1e308], [1e308], [1.0]]))  # numpy warns of the mean
+    @settings(max_examples=300)
+    def test_match_numpy(self, columns):
+        quartiles, warned = _with_warnings(simulator._quartiles, columns)
+        expected, expected_warned = _with_warnings(np.quantile, columns, [0.25, 0.5, 0.75],
+                                                   axis=0)
+        _assert_same_bits(quartiles, expected)
+        assert warned == expected_warned
+        for column in columns.T:
+            median, warned = _with_warnings(simulator._median, column)
+            expected, expected_warned = _with_warnings(np.median, column)
+            assert type(median) is type(expected)
+            _assert_same_bits(median, expected)
+            assert warned == expected_warned
 
 
 def _iqr(errors):
