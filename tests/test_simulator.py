@@ -387,7 +387,7 @@ class TestRunMonteCarlo:
 
     def test_summary_of_an_infinite_pre_rms(self):
         # The median of pre_rms meets an inf and reads None; the other
-        # statistics are the values numpy's quantile and median gave.
+        # statistics are the values numpy's quantile and median give.
         truth = np.ones((4, 6))
         errors = np.linspace(-1e-3, 1e-3, 24).reshape(4, 6)
         report = CampaignReport(SimulationConfig(**QUICK), np.zeros((4, 2), dtype=int), truth,
@@ -396,10 +396,6 @@ class TestRunMonteCarlo:
         summary = report.summary()
         assert summary["test_set"] == {"median_pre_rms": None, "median_post_rms": 1.5,
                                        "improved_fraction": 0.75, "median_rms_reduction": 0.75}
-        assert summary["parameter_errors"]["k_x"] == {
-            "q1": -0.0006086956521739462, "median": -0.00021739130434783593,
-            "q3": 0.00017391304347830205, "min": -0.0010000000000000009,
-            "max": 0.00056521739130444}
         expected = np.quantile(report.parameter_errors(), [0.25, 0.5, 0.75], axis=0)
         for name, column in zip(("k_x", "k_y", "k_z", "b_x", "b_y", "b_z"), expected.T):
             stats = summary["parameter_errors"][name]
