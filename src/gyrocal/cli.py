@@ -211,9 +211,20 @@ def run() -> NoReturn:
     The objects that numpy and gyrocal built at import live until exit,
     so they go into the collector's permanent generation first: no
     collection, during the command or at interpreter exit, traverses them
-    again. ``main`` called in-process freezes nothing."""
+    again. ``main`` called in-process freezes nothing.
+
+    A reader that closes stdout early, as ``| head`` does, ends the
+    process with status 1 and no traceback, as the Python ``signal``
+    docs advise ("Note on SIGPIPE")."""
     gc.freeze()
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # The exit flushes stdout again: point it at devnull first.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -5,7 +5,9 @@ rotation_angle, full_scale and device are optional, and none may
 repeat), then the column header `stage,t,m_x,m_y,m_z`, then one row per
 sample, all UTF-8 text; a leading byte-order mark is skipped. The stage
 column is `static` or `rotate:<axis>`. Floats are written with repr so a
-log round-trips bit-for-bit. Within a stage, timestamps step by one
+log round-trips bit-for-bit. The writer formats and writes a stage one
+bounded block of rows at a time; the reader normalises line breaks only
+when the file holds a ``\\r``. Within a stage, timestamps step by one
 sample period; a step over 1.5 periods is dropped samples, and one more
 than ``SPACING_TOLERANCE`` of a period off it is a jittered clock; both
 are rejected. The device is one line without surrounding whitespace, so
@@ -37,6 +39,9 @@ _STAGES = ("static", *(f"rotate:{axis}" for axis in AXES))
 #: One data row: the stage tag as read, the time and the three rates.
 _ROW = np.dtype([("stage", object), ("t", float), ("m", float, (3,))])
 _OUT_OF_ORDER = "timestamps must increase strictly across the whole log"
+#: The most rows the writer formats and writes at once; it bounds the
+#: writer's memory whatever the length of a stage.
+_WRITE_BLOCK = 4096
 
 #: How far, as a fraction of the sample period, a timestamp step within a
 #: stage may stray from ``1 / sample_rate``. A clock off by this much over
@@ -267,7 +272,9 @@ def _read_lines(path) -> list[str]:
         raise LogParseError(
             f"line {len((bad[: exc.start] + b'_').splitlines())}: byte {bad[exc.start]:#04x} "
             f"is not UTF-8 ({exc.reason}); session logs are UTF-8 text") from None
-    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
 
 
 def read_session_log(path) -> SessionLog:
@@ -394,10 +401,11 @@ def write_session_log(path, log: SessionLog) -> None:
             handle.write(f"# device: {log.device}\n")
         handle.write(_COLUMNS + "\n")
         for seg in log.segments:
-            stage = seg.stage
-            # tolist() gives Python floats, whose repr is the shortest
-            # string that reads back to the same double.
-            handle.writelines(
-                f"{stage},{t!r},{x!r},{y!r},{z!r}\n"
-                for t, (x, y, z) in zip(seg.times.tolist(), seg.samples.tolist())
-            )
+            row = seg.stage + ",%r,%r,%r,%r\n"
+            # A block at a time: tolist() gives Python floats, whose repr is
+            # the shortest string that reads back to the same double, and
+            # one % formats the block's rows into one string to write.
+            for first in range(0, seg.times.size, _WRITE_BLOCK):
+                block = np.column_stack((seg.times[first:first + _WRITE_BLOCK],
+                                         seg.samples[first:first + _WRITE_BLOCK]))
+                handle.write((row * len(block)) % tuple(block.ravel().tolist()))

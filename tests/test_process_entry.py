@@ -7,11 +7,14 @@ interpreter here, never in the test process.
 
 import gc
 import json
+import os
+import subprocess
+import sys
 import textwrap
 
 import pytest
 
-from builders import IDENTITY, run_python, simulated_log
+from builders import IDENTITY, SRC, run_python, simulated_log
 from gyrocal.cli import main
 
 
@@ -96,3 +99,17 @@ def test_every_process_entry_prints_the_same_calibration(entry, log_path, capsys
     status, out, err = in_process(["calibrate", str(log_path)], capsys)
     proc = run_python(*entry, "calibrate", str(log_path), COLUMNS="80")
     assert (proc.returncode, proc.stdout, proc.stderr) == (status, out, err) == (0, out, "")
+
+
+def test_closed_stdout_pipe_ends_the_process_without_a_traceback(log_path):
+    # The read end is closed before the child starts, so its first write
+    # to stdout meets a pipe without a reader, on every run.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "gyrocal", "calibrate", str(log_path)],
+                              env=dict(os.environ, PYTHONPATH=SRC), stdout=write_end,
+                              stderr=subprocess.PIPE, encoding="utf-8", timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")  # no traceback

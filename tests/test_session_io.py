@@ -1,11 +1,13 @@
 import builtins
 import copy
+import hashlib
 import math
 import os
 import pickle
 import re
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -355,6 +357,16 @@ class TestTextForms:
         path.write_bytes("\r\n\r\n  \t\r\n".join(lines).encode() + b"\r\n")
         assert_same_log(read_session_log(path), log)
 
+    @pytest.mark.parametrize("breaks", [("\r",), ("\n", "\r\n", "\r")], ids=["CR", "mixed"])
+    def test_other_line_breaks(self, tmp_path, breaks):
+        path = tmp_path / "session.csv"
+        unit_log(path)
+        original = read_session_log(path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_bytes("".join(line + breaks[i % len(breaks)]
+                                 for i, line in enumerate(lines)).encode())
+        assert_same_log(read_session_log(path), original)
+
     def test_stage_tag_with_surrounding_spaces(self, tmp_path):
         log = tiny_log()
         path = tmp_path / "log.csv"
@@ -404,6 +416,74 @@ class TestTextForms:
             read_session_log(path)
         assert repr(float(lines[row - 1].split(",")[1])) in str(info.value)
         assert dropped.startswith("rotate:x,")
+
+
+def per_row_text(log):
+    """The text of ``log`` as a writer that formats one f-string a row
+    gives it: the oracle of the block writer."""
+    head = [f"# sample_rate: {log.sample_rate!r}\n", f"# rotation_angle: {log.rotation_angle!r}\n"]
+    if log.full_scale is not None:
+        head.append(f"# full_scale: {log.full_scale!r}\n")
+    if log.device is not None:
+        head.append(f"# device: {log.device}\n")
+    rows = [f"{seg.stage},{t!r},{x!r},{y!r},{z!r}\n" for seg in log.segments
+            for t, (x, y, z) in zip(seg.times.tolist(), seg.samples.tolist())]
+    return "".join([*head, "stage,t,m_x,m_y,m_z\n", *rows])
+
+
+def pinned_log(name):
+    if name == "100 Hz":
+        return simulated_log(5, full_scale=245.0, device="unit 5", noise_sigma=0.15)[0]
+    if name == "400 Hz":
+        return simulated_log(7, sample_rate=400.0, noise_sigma=0.03)[0]
+    edges = np.resize(np.array(EDGE_FLOATS), (4, 6, 3))
+    return SessionLog.from_arrays(edges[0], list(edges[1:]), 10.0)
+
+
+#: The sha256 of each ``pinned_log``'s written bytes, recorded from the
+#: writer that formatted one f-string a row.
+WRITTEN_LOG_PINS = {
+    "100 Hz": "8326067b3c86e3fc688f0d850a9eaa090e0f2793f0910548f1174e92630fab6e",
+    "400 Hz": "180b482b65c6d564ae1c029accc0fa0160d47eeab6a67830a3d31f3c3202b85f",
+    "edge floats": "6fa30a59a8314950d30621d8ebe57a8b353e127c0c491653a5a291274707d7d8",
+}
+
+#: The most memory, in bytes, that writing a log may take beyond the log.
+WRITER_PEAK_BOUND = 4 * 2 ** 20
+
+
+class TestBlockWriter:
+    @pytest.mark.parametrize("name", sorted(WRITTEN_LOG_PINS))
+    def test_written_bytes_are_pinned(self, tmp_path, name):
+        path = tmp_path / "pinned.csv"
+        write_session_log(path, pinned_log(name))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == WRITTEN_LOG_PINS[name]
+
+    def test_rows_across_block_boundaries(self, tmp_path):
+        block = session_io._WRITE_BLOCK
+        counts = [5 * block // 2 + 1, 3 * block - 1, 2 * block, block + 1]
+        rng = np.random.default_rng(36)
+        samples = rng.standard_normal((sum(counts), 3)) * 10.0 ** rng.integers(
+            -300, 300, (sum(counts), 3))
+        samples[::97] = np.resize(np.array(EDGE_FLOATS), samples[::97].shape)
+        static, *turns = np.split(samples, np.cumsum(counts)[:-1])
+        log = SessionLog.from_arrays(static, turns, 400.0, full_scale=245.0,
+                                     device="unit \u00b5")
+        path = tmp_path / "long.csv"
+        write_session_log(path, log)
+        assert path.read_bytes() == per_row_text(log).encode("utf-8")
+
+    def test_writer_memory_is_bounded(self, tmp_path):
+        # The 200,000 rows as Python floats would take tens of MB.
+        static = np.random.default_rng(36).standard_normal((200_000, 3))
+        log = SessionLog.from_arrays(static, [np.eye(3)[[axis] * 4] for axis in range(3)], 100.0)
+        tracemalloc.start()
+        try:
+            write_session_log(tmp_path / "long.csv", log)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < WRITER_PEAK_BOUND
 
 
 class TestEncoding:
