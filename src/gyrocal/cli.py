@@ -10,6 +10,7 @@ the built-in design and sensitivity property suites.
 from __future__ import annotations
 
 import argparse
+import atexit
 import functools
 import gc
 import json
@@ -210,8 +211,17 @@ def run() -> NoReturn:
 
     The objects that numpy and gyrocal built at import live until exit,
     so they go into the collector's permanent generation first: no
-    collection, during the command or at interpreter exit, traverses them
-    again. ``main`` called in-process freezes nothing.
+    collection during the command traverses them again. ``main`` called
+    in-process freezes nothing.
+
+    Once ``main`` returns, the process ends at its answer: stdout is
+    flushed, the ``atexit`` callbacks registered so far run once (a
+    wrapper's hook, such as coverage's, still fires), both streams are
+    flushed again and ``os._exit`` ends the process without tearing its
+    modules down. An argparse exit (``--help``, a bad argument) or an
+    uncaught exception leaves through the normal interpreter exit. A
+    profiler or other wrapper that needs the interpreter after the
+    command should call ``main``.
 
     A reader that closes stdout early, as ``| head`` does, ends the
     process with status 1 and no traceback, as the Python ``signal``
@@ -219,12 +229,16 @@ def run() -> NoReturn:
     gc.freeze()
     try:
         status = main()
-        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        sys.stdout.flush()  # the answer is out before any exit hook runs
     except BrokenPipeError:
-        # The exit flushes stdout again: point it at devnull first.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(1)
-    sys.exit(status)
+        status = 1
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()  # what the hooks printed
+    except BrokenPipeError:  # the closed pipe still holds the unwritten text
+        status = 1
+    sys.stderr.flush()
+    os._exit(status)
 
 
 if __name__ == "__main__":

@@ -234,17 +234,47 @@ def sample_ground_truth(config: SimulationConfig, rng: np.random.Generator) -> G
     )
 
 
-def _speed_traces(ordinates: np.ndarray, config: SimulationConfig) -> np.ndarray:
+def _trace_scratch(n: int, turns: int) -> np.ndarray:
+    """Rows of ``n`` for :func:`_speed_traces` of ``turns`` traces: the
+    Bezier parameter ``u`` at the interval midpoints, ``1 - u``, a row of
+    powers and ``turns`` rows of terms."""
+    scratch = np.empty((3 + turns, n))
+    np.add(np.arange(n), 0.5, out=scratch[0])
+    scratch[0] /= n
+    np.subtract(1.0, scratch[0], out=scratch[1])
+    return scratch
+
+
+def _speed_traces(ordinates: np.ndarray, config: SimulationConfig,
+                  traces: np.ndarray | None = None,
+                  scratch: np.ndarray | None = None) -> np.ndarray:
     """The speed traces ``(..., n)`` of control ordinates ``(..., 4)``: the
     cubic Bezier curve at the interval midpoints ``u``, summed term by term,
-    rescaled so that a trace's sum times the sample period is the turn angle."""
+    rescaled so that a trace's sum times the sample period is the turn angle.
+
+    Computed in place, into ``traces`` with the rows of ``scratch``
+    (:func:`_trace_scratch`), each made here when not given, by the
+    operations of ``o0 v³ + 3 o1 u v² + 3 o2 u² v + o3 u³`` in that order."""
     n = config.rotation_samples
-    u = (np.arange(n) + 0.5) / n
-    v = 1.0 - u
+    shape = ordinates.shape[:-1] + (n,)
+    if traces is None:
+        traces = np.empty(shape)
+    if scratch is None:
+        scratch = _trace_scratch(n, math.prod(shape[:-1]))
+    u, v, power = scratch[:3]
+    term = scratch[3:].reshape(shape)
     o0, o1, o2, o3 = (ordinates[..., i, None] for i in range(4))
-    trace = o0 * v**3 + 3.0 * o1 * u * v**2 + 3.0 * o2 * u**2 * v + o3 * u**3
-    return trace * (config.rotation_angle
-                    / (trace.sum(-1, keepdims=True) * (1.0 / config.sample_rate)))
+    np.multiply(o0, np.power(v, 3, out=power), out=traces)
+    np.multiply(3.0 * o1, u, out=term)
+    term *= np.square(v, out=power)
+    traces += term
+    np.multiply(3.0 * o2, np.square(u, out=power), out=term)
+    term *= v
+    traces += term
+    np.multiply(o3, np.power(u, 3, out=power), out=term)
+    traces += term
+    traces *= config.rotation_angle / (traces.sum(-1, keepdims=True) * (1.0 / config.sample_rate))
+    return traces
 
 
 def _ordinates(draws: np.ndarray, config: SimulationConfig) -> np.ndarray:
@@ -324,14 +354,18 @@ def simulate_session(
     t, sensor axis l reads ``profile_j[t] M[l, j] / k_l - b_l`` plus
     ``noise_sigma`` times its normal. A reading past the float range is
     left to the stage summaries to refuse, so it warns of nothing here; a
-    session too large to hold is refused. ``calibrate`` of the session is
-    distributed as a campaign replicate's fit (:func:`run_monte_carlo`).
+    session too large to hold is refused before the first draw.
+    ``calibrate`` of the session is distributed as a campaign replicate's
+    fit (:func:`run_monte_carlo`).
     """
     sigma = config.noise_sigma
     n_static, n_rot = config.static_samples, config.rotation_samples
     refusal = f"cannot hold a session of {n_static} still and {n_rot} turn samples"
     try:
         static_raw, rotation_raw = np.zeros((n_static, 3)), np.zeros((3, n_rot, 3))
+        # What the draws feed is computed in these, so a session too large
+        # to hold is refused before the first draw.
+        traces, scratch = np.empty((3, n_rot)), _trace_scratch(n_rot, 3)
     except (ValueError, MemoryError) as exc:  # too large a dimension, or too many bytes
         raise CalibrationError(f"{refusal}: {exc}") from None
     scales, biases, coupling = truth.params.scales, truth.params.biases, truth.misalignment
@@ -344,13 +378,18 @@ def simulate_session(
             if sigma > 0.0:
                 rng.standard_normal(out=rotation_raw[axis])
         with np.errstate(over="ignore", invalid="ignore"):
-            traces = _speed_traces(_ordinates(ordinates, config), config)
+            _speed_traces(_ordinates(ordinates, config), config, traces, scratch)
             static_raw *= sigma
             static_raw += 0.0 - biases  # the still stage's true rate is zero
             rotation_raw *= sigma
-            # Built (l, j, t), samples inner, which is the fast layout.
-            rotation_raw += (coupling[:, :, None] * traces / scales[:, None, None]
-                             - biases[:, None, None]).transpose(1, 2, 0)
+            # Turn j's true readings (l, t), samples inner, which is the fast
+            # layout, in the rows of terms the traces no longer need.
+            readings = scratch[3:]
+            for j in range(3):
+                np.multiply(coupling[:, j, None], traces[j], out=readings)
+                readings /= scales[:, None]
+                readings -= biases[:, None]
+                rotation_raw[j] += readings.T
             session = ObservationArrays.from_samples(static_raw, rotation_raw,
                                                      config.sample_rate, config.rotation_angle)
     except MemoryError as exc:  # a temporary too large to hold

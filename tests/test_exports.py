@@ -72,8 +72,10 @@ def run_fresh(code, *args):
 def test_calibrate_process_never_runs_the_lazy_modules(tmp_path):
     path = tmp_path / "session.csv"
     simulated_log(3, path)
+    # The entry ends the process itself, so the record is printed by an
+    # exit hook, and ``run_fresh`` takes the status from the process.
     code = textwrap.dedent("""
-        import json, runpy, sys, types
+        import atexit, json, runpy, sys, types
 
         seen = set()
 
@@ -84,20 +86,19 @@ def test_calibrate_process_never_runs_the_lazy_modules(tmp_path):
             elif event == "exec" and hasattr(args[0], "co_filename"):
                 seen.add(args[0].co_filename)
 
+        def report():
+            lazy = {name: type(sys.modules["gyrocal." + name]) is not types.ModuleType
+                    for name in ("simulator", "doe", "observability")}
+            stdlib = sorted({"dataclasses", "copy"} & set(sys.modules))
+            print(json.dumps({"seen": sorted(map(str, seen)), "lazy": lazy,
+                              "stdlib": stdlib, "masked": "numpy.ma" in sys.modules}))
+
         sys.addaudithook(hook)
+        atexit.register(report)
         sys.argv = ["gyrocal", "calibrate", sys.argv[1]]
-        try:
-            runpy.run_module("gyrocal", run_name="__main__", alter_sys=True)
-        except SystemExit as exc:
-            status = exc.code
-        lazy = {name: type(sys.modules["gyrocal." + name]) is not types.ModuleType
-                for name in ("simulator", "doe", "observability")}
-        stdlib = sorted({"dataclasses", "copy"} & set(sys.modules))
-        print(json.dumps({"status": status, "seen": sorted(map(str, seen)), "lazy": lazy,
-                          "stdlib": stdlib, "masked": "numpy.ma" in sys.modules}))
+        runpy.run_module("gyrocal", run_name="__main__", alter_sys=True)
     """)
-    result = run_fresh(code, str(path))
-    assert result["status"] == 0
+    result = run_fresh(code, str(path))  # asserts the process's status is 0
     ran = {os.path.basename(f) for f in result["seen"]
            if os.path.dirname(os.path.abspath(f)) == os.path.join(SRC, "gyrocal")}
     assert {"cli.py", "estimator.py", "session_io.py"} <= ran  # the hook sees module code

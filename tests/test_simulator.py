@@ -485,17 +485,21 @@ if campaign:
     sys.exit(cli.main(["simulate", "--config", config_path, "--out", out]))
 config = simulator.SimulationConfig(sample_rate=1e6, noise_sigma=0.15)
 rng = np.random.default_rng(0)
+truth = simulator.sample_ground_truth(config, rng)
+state = rng.bit_generator.state
 try:
-    simulator.simulate_session(simulator.sample_ground_truth(config, rng), config, rng)
+    simulator.simulate_session(truth, config, rng)
 except CalibrationError as exc:
     print(exc)
+print("generator untouched" if rng.bit_generator.state == state else "generator drawn")
 """
 
 
 @pytest.mark.parametrize("case", ["campaign", "session"])
 def test_memory_outgrown_after_the_draws_is_refused(tmp_path, case):
     # The campaign's draw blocks fit in 300 MB and its later arrays do not;
-    # the session's readings fit in 500 MB and its speed traces do not.
+    # the session's readings fit in 500 MB and its speed traces do not, which
+    # is found before the first draw.
     if case == "campaign":
         config, out = tmp_path / "campaign.yaml", tmp_path / "out"
         config.write_text("noise_levels: [0.03, 0.15]\nmisalignment_range: [0.0, 0.0]\n"
@@ -512,6 +516,7 @@ def test_memory_outgrown_after_the_draws_is_refused(tmp_path, case):
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout.startswith("cannot hold a session of 3000000 still and 5000000 turn "
                                       "samples: ")
+        assert proc.stdout.endswith("\ngenerator untouched\n")
 
 
 def _quick_campaign(rotation_angle):
