@@ -9,9 +9,12 @@ the estimation errors distribute.
 
 Determinism contract: every random stream is derived from the campaign
 seed through named spawn keys, so a report is bit-identical across runs
-and independent of replicate execution order. Each stream is
-``np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))``;
-a campaign builds two per truth set (``_run_levels``).
+and independent of replicate execution order. Each stream equals
+``np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))`` bit
+for bit; a campaign has two per truth set, whose states ``_run_levels``
+computes for every set in one pass rather than building each generator.
+numpy guarantees that ``SeedSequence`` and ``PCG64`` give the same streams
+from release to release.
 
 A campaign replicate draws only what the fit reads, its stage summaries,
 15 numbers from exact distributions (``_run_levels``), and fits them as
@@ -537,6 +540,106 @@ def run_monte_carlo(config: SimulationConfig) -> CampaignReport:
     return _run_levels([config])[0]
 
 
+# numpy's SeedSequence is O'Neill's seed_seq_fe with a pool of 4 words and
+# these 32-bit constants; PCG64 seeds from 4 of its 64-bit words and steps
+# by the 128-bit multiplier. numpy keeps both stable across releases.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+#: Truth sets whose stream states are hashed as one array, so that a
+#: campaign's seeding holds a few blocks of states at most.
+_SEED_BLOCK = 256
+
+
+def _hash_constants(start: int, mult: int, n: int) -> list[int]:
+    """The ``n`` successive values of a hash constant from ``start``: the
+    constant is multiplied by ``mult`` after each use, whatever it hashed."""
+    constants = [start]
+    while len(constants) < n:
+        constants.append(constants[-1] * mult & _MASK32)
+    return constants
+
+
+def _mix(x: int, y: int) -> int:
+    """seed_seq_fe's mix of a pool word ``x`` with a hashed word ``y``."""
+    result = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return result ^ result >> 16
+
+
+def _pool_prefix(seed: int, stream: int) -> tuple[list[int], int]:
+    """The pool of ``SeedSequence(seed, spawn_key=(stream, s))`` before its
+    last entropy word ``s``, with the hash constant that word starts at.
+    The entropy is the seed's 32-bit words, little end first and padded
+    with zeros to the pool size, then ``stream`` and ``s``."""
+    words = []
+    while True:
+        words.append(seed & _MASK32)
+        seed >>= 32
+        if not seed:
+            break
+    words += [0] * (4 - len(words)) + [stream]
+    const = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * _MULT_A & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(word) for word in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    return pool, const
+
+
+def _spawned_states(seed: int, stream: int, sets: range):
+    """Yield, for each ``s`` of ``sets`` (step 1), the ``PCG64`` state of
+    ``np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,
+    s)))``, bit for bit, as a ``bit_generator.state`` dict. ``stream`` and
+    every ``s`` are below 2**32, one entropy word each.
+
+    Only the last entropy word differs between sets, so the pool before it
+    is hashed once, in Python ints. The last word's mix and
+    ``generate_state(4, np.uint64)`` run on uint32 arrays, which wrap as
+    the hash's 32-bit words do, over ``_SEED_BLOCK`` sets at a time; the
+    ``PCG64`` seeding step (O'Neill 2014, ``srandom``) runs in Python ints."""
+    pool, const = _pool_prefix(seed, stream)
+    # The last word is hashed once per pool word, each time with the next
+    # constant; the state's 8 words hash the pool twice over.
+    mix, out = _hash_constants(const, _MULT_A, 5), _hash_constants(_INIT_B, _MULT_B, 9)
+    mix_xor, mix_mult = (np.array(c, dtype=np.uint32)[:, None] for c in (mix[:4], mix[1:]))
+    pool_mixed = np.array([_MIX_L * word & _MASK32 for word in pool], dtype=np.uint32)[:, None]
+    out_xor, out_mult = (np.array(c, dtype=np.uint32)[:, None] for c in (out[:8], out[1:]))
+    for start in range(sets.start, sets.stop, _SEED_BLOCK):
+        words = np.arange(start, min(start + _SEED_BLOCK, sets.stop), dtype=np.uint32)
+        words = words ^ mix_xor
+        words *= mix_mult
+        words ^= words >> 16
+        words = pool_mixed - _MIX_R * words
+        words ^= words >> 16
+        words = np.concatenate([words, words])
+        words ^= out_xor
+        words *= out_mult
+        words ^= words >> 16
+        wide = words.astype(np.uint64)
+        for seed_high, seed_low, inc_high, inc_low in zip(
+                *(wide[0::2] | wide[1::2] << 32).tolist()):
+            inc = ((inc_high << 64 | inc_low) << 1 | 1) & _MASK128
+            state = ((inc + (seed_high << 64 | seed_low)) * _PCG_MULT + inc) & _MASK128
+            yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                   "has_uint32": 0, "uinteger": 0}
+
+
 def _run_levels(configs: list[SimulationConfig]) -> list[CampaignReport]:
     """The one campaign loop: :func:`run_monte_carlo` of each of
     ``configs``, in order; they differ only in ``noise_sigma``. The truths
@@ -544,7 +647,10 @@ def _run_levels(configs: list[SimulationConfig]) -> list[CampaignReport]:
     included, scales the same draws by its own sigma.
 
     Truth set ``s`` has two streams, ``default_rng(SeedSequence(seed,
-    spawn_key=key))`` of the keys ``(0, s)`` and ``(1, s)``. The first draws
+    spawn_key=key))`` of the keys ``(0, s)`` and ``(1, s)`` bit for bit:
+    ``_spawned_states`` computes their states for every set in one pass,
+    which numpy's stream-stability guarantee for ``SeedSequence`` and
+    ``PCG64`` keeps exact, and one generator takes each in turn. The first draws
     the truth's 12 uniforms, then an ``(n_sims_per_set, 12)`` block of
     standard normals; the second an ``(n_sims_per_set, 3)`` block of
     standard gamma variates of shape ``(N_s - 1) / 2``, which are half of
@@ -569,12 +675,14 @@ def _run_levels(configs: list[SimulationConfig]) -> list[CampaignReport]:
     try:  # not ValueError: a level's overflow refusal passes as it is
         n_static, n_rot, rate = config.static_samples, config.rotation_samples, config.sample_rate
         truth_draws = np.empty((n_sets, 12))
-        for s in range(n_sets):
-            truth_rng, gamma_rng = (np.random.default_rng(np.random.SeedSequence(
-                config.rng_seed, spawn_key=(stream, s))) for stream in (0, 1))
-            truth_rng.random(out=truth_draws[s])
-            truth_rng.standard_normal(out=normals[s])
-            gamma_rng.standard_gamma((n_static - 1) / 2, out=gammas[s])
+        rng = np.random.Generator(np.random.PCG64(0))  # each stream's state is set below
+        for s, truth_state, gamma_state in zip(range(n_sets), *(
+                _spawned_states(config.rng_seed, stream, range(n_sets)) for stream in (0, 1))):
+            rng.bit_generator.state = truth_state
+            rng.random(out=truth_draws[s])
+            rng.standard_normal(out=normals[s])
+            rng.bit_generator.state = gamma_state
+            rng.standard_gamma((n_static - 1) / 2, out=gammas[s])
         normals, gammas = normals.reshape(total, 12), gammas.reshape(total, 3)
         scales, biases, coupling = _truth_arrays(config, truth_draws)
         indices = np.column_stack(np.divmod(np.arange(total), per_set))

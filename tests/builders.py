@@ -68,11 +68,20 @@ def numpy_generator(seed, key):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
+def python_env(**env):
+    """The environment of a new interpreter that imports gyrocal from this
+    checkout, with ``env`` added. Its stdout is block-buffered unless ``env``
+    sets ``PYTHONUNBUFFERED``, whatever the caller's environment holds, so
+    text that a skipped flush leaves behind is lost."""
+    inherited = {name: value for name, value in os.environ.items()
+                 if name != "PYTHONUNBUFFERED"}
+    return dict(inherited, PYTHONPATH=SRC, **env)
+
+
 def run_python(*args, **env):
-    """``python *args`` in a new interpreter that imports gyrocal from this
-    checkout, with ``env`` added to the environment; stdout and stderr are
-    captured as UTF-8 text."""
-    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=SRC, **env),
+    """``python *args`` in a new interpreter with ``python_env(**env)``;
+    stdout and stderr are captured as UTF-8 text."""
+    return subprocess.run([sys.executable, *args], env=python_env(**env),
                           capture_output=True, encoding="utf-8", timeout=120)
 
 

@@ -73,10 +73,13 @@ def test_calibrate_process_never_runs_the_lazy_modules(tmp_path):
     path = tmp_path / "session.csv"
     simulated_log(3, path)
     # The entry ends the process itself, so the record is printed by an
-    # exit hook, and ``run_fresh`` takes the status from the process.
+    # exit hook, and ``run_fresh`` takes the status from the process. The
+    # record names gyrocal's files only: a line shorter than stdout's
+    # buffer is lost if the entry skips its last flush.
     code = textwrap.dedent("""
-        import atexit, json, runpy, sys, types
+        import atexit, json, os, runpy, sys, types
 
+        _, log, package = sys.argv
         seen = set()
 
         def hook(event, args):
@@ -90,17 +93,19 @@ def test_calibrate_process_never_runs_the_lazy_modules(tmp_path):
             lazy = {name: type(sys.modules["gyrocal." + name]) is not types.ModuleType
                     for name in ("simulator", "doe", "observability")}
             stdlib = sorted({"dataclasses", "copy"} & set(sys.modules))
-            print(json.dumps({"seen": sorted(map(str, seen)), "lazy": lazy,
+            ran = {os.path.basename(f) for f in map(str, seen)
+                   if os.path.dirname(os.path.abspath(f)) == package}
+            print(json.dumps({"ran": sorted(ran), "lazy": lazy,
                               "stdlib": stdlib, "masked": "numpy.ma" in sys.modules}))
 
         sys.addaudithook(hook)
         atexit.register(report)
-        sys.argv = ["gyrocal", "calibrate", sys.argv[1]]
+        sys.argv = ["gyrocal", "calibrate", log]
         runpy.run_module("gyrocal", run_name="__main__", alter_sys=True)
     """)
-    result = run_fresh(code, str(path))  # asserts the process's status is 0
-    ran = {os.path.basename(f) for f in result["seen"]
-           if os.path.dirname(os.path.abspath(f)) == os.path.join(SRC, "gyrocal")}
+    # Asserts the process's status is 0.
+    result = run_fresh(code, str(path), os.path.join(SRC, "gyrocal"))
+    ran = set(result["ran"])
     assert {"cli.py", "estimator.py", "session_io.py"} <= ran  # the hook sees module code
     assert ran.isdisjoint({f"{name}.py" for name in LAZY})
     assert result["lazy"] == dict.fromkeys(LAZY, True)

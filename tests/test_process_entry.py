@@ -14,13 +14,8 @@ import textwrap
 
 import pytest
 
-from builders import IDENTITY, SRC, run_python, simulated_log
+from builders import IDENTITY, python_env, run_python, simulated_log
 from gyrocal.cli import main
-
-
-# A child's stdout block-buffered, as without PYTHONUNBUFFERED (an empty
-# value unsets it), so that text a skipped flush leaves behind is lost.
-BUFFERED = {"PYTHONUNBUFFERED": ""}
 
 
 @pytest.fixture
@@ -71,7 +66,7 @@ def test_module_entry_freezes_before_main_runs(log_path):
         sys.argv = ["gyrocal", "calibrate", sys.argv[1]]
         runpy.run_module("gyrocal", run_name="__main__", alter_sys=True)
     """)
-    proc = run_python("-c", code, str(log_path), COLUMNS="80", **BUFFERED)
+    proc = run_python("-c", code, str(log_path), COLUMNS="80")
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["before"] == 0
@@ -109,7 +104,7 @@ def test_module_process_matches_in_process_main(case, log_path, tmp_path, capsys
     status, out, err = in_process(argv(tmp_path / "in_process"), capsys)
     assert status == {"missing_log": 1, "bad_arguments": 2}.get(case, 0)
     # COLUMNS: argparse wraps as in-process.
-    proc = run_python("-m", "gyrocal", *argv(tmp_path / "process"), COLUMNS="80", **BUFFERED)
+    proc = run_python("-m", "gyrocal", *argv(tmp_path / "process"), COLUMNS="80")
     assert (proc.returncode, proc.stdout, proc.stderr) == (status, out, err)
     files = written(tmp_path / "in_process")
     assert bool(files) == (case == "simulate")
@@ -121,7 +116,7 @@ def run_to_file(args, stdout):
     checkout, its block-buffered stdout written to the file ``stdout``."""
     with open(stdout, "w", encoding="utf-8") as handle:
         return subprocess.run([sys.executable, *args],
-                              env=dict(os.environ, PYTHONPATH=SRC, **BUFFERED),
+                              env=python_env(),
                               stdout=handle, stderr=subprocess.PIPE, encoding="utf-8",
                               timeout=120)
 
@@ -170,7 +165,7 @@ def test_calibrate_out_and_redirected_stdout_are_whole(log_path, tmp_path, capsy
 ])
 def test_every_process_entry_prints_the_same_calibration(entry, log_path, capsys):
     status, out, err = in_process(["calibrate", str(log_path)], capsys)
-    proc = run_python(*entry, "calibrate", str(log_path), COLUMNS="80", **BUFFERED)
+    proc = run_python(*entry, "calibrate", str(log_path), COLUMNS="80")
     assert (proc.returncode, proc.stdout, proc.stderr) == (status, out, err) == (0, out, "")
 
 
@@ -181,7 +176,7 @@ def test_closed_stdout_pipe_ends_the_process_without_a_traceback(log_path):
     os.close(read_end)
     try:
         proc = subprocess.run([sys.executable, "-m", "gyrocal", "calibrate", str(log_path)],
-                              env=dict(os.environ, PYTHONPATH=SRC), stdout=write_end,
+                              env=python_env(), stdout=write_end,
                               stderr=subprocess.PIPE, encoding="utf-8", timeout=120)
     finally:
         os.close(write_end)

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -918,11 +919,12 @@ class TestSpawnKeyStreams:
             assert report.estimate[row].tolist() == [*estimate.scales, *estimate.biases]
             assert (report.pre_rms[row], report.post_rms[row]) == (pre, post)
 
-    @pytest.mark.parametrize("seed", [2 ** 32 - 1, 2 ** 32, 2 ** 64, 2 ** 1100],
-                             ids=["2**32-1", "2**32", "2**64", "2**1100"])
+    @pytest.mark.parametrize("seed", [2 ** 32 - 1, 2 ** 32, 2 ** 64, 2 ** 96, 2 ** 128, 2 ** 1100],
+                             ids=["2**32-1", "2**32", "2**64", "2**96", "2**128", "2**1100"])
     def test_word_boundary_seeds_match_numpy(self, seed):
-        # 1, 2, 3 and 35 seed words: the seed reaches SeedSequence whole,
-        # never cut to one machine word.
+        # 1, 2, 3, 4, 5 and 35 seed words: the seed reaches SeedSequence
+        # whole, never cut to one machine word, and is padded with zeros to
+        # the pool's 4 words only when it is shorter.
         config = SimulationConfig(rng_seed=seed, noise_sigma=0.15, n_param_sets=2,
                                   n_sims_per_set=3)
         report = run_monte_carlo(config)
@@ -930,3 +932,51 @@ class TestSpawnKeyStreams:
             truth, estimate, _, _ = _numpy_seeded_replicate(config, *report.indices[row].tolist())
             assert report.truth[row].tolist() == [*truth.params.scales, *truth.params.biases]
             assert report.estimate[row].tolist() == [*estimate.scales, *estimate.biases]
+
+    @pytest.mark.parametrize("stream", [0, 1])
+    @pytest.mark.parametrize("seed", [7, 2 ** 32, 2 ** 64, 2 ** 96, 2 ** 128, 2 ** 1100],
+                             ids=["1 word", "2 words", "3 words", "4 words", "5 words",
+                                  "35 words"])
+    def test_spawned_states_match_numpy(self, seed, stream):
+        # Set 0 and both sides of the first block boundary, then the last
+        # set index a config allows, 2**32 - 1, in a range of its own.
+        block = simulator._SEED_BLOCK
+        states = {}
+        for sets in (range(block + 1), range(2 ** 32 - 2, 2 ** 32)):
+            states.update(zip(sets, simulator._spawned_states(seed, stream, sets), strict=True))
+        for s in (0, block - 1, block, 2 ** 32 - 2, 2 ** 32 - 1):
+            assert states[s] == numpy_generator(seed, (stream, s)).bit_generator.state
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.one_of(st.integers(0, 2 ** 160), st.integers(0, 2 ** 1200)),
+           stream=st.integers(0, 2 ** 32 - 1), first=st.integers(0, 2 ** 32 - 3),
+           count=st.integers(1, 3))
+    @example(seed=2 ** 96 - 1, stream=2 ** 32 - 1, first=2 ** 32 - 3, count=3)
+    @example(seed=2 ** 128 - 1, stream=0, first=0, count=1)
+    def test_spawned_states_match_numpy_for_any_seed(self, seed, stream, first, count):
+        sets = range(first, first + count)
+        assert list(simulator._spawned_states(seed, stream, sets)) == [
+            numpy_generator(seed, (stream, s)).bit_generator.state for s in sets]
+
+
+#: The traced peak of ``_run_levels`` below when each truth set built its two
+#: generators from a ``SeedSequence``, 26.43 MiB, rounded up: it moves by a few
+#: hundred bytes from run to run. Every set's state built before the draws
+#: took 44.1 MiB.
+CAMPAIGN_PEAK_BOUND = 26.5 * 2 ** 20
+
+
+def test_campaign_seeding_memory_is_bounded():
+    # 20,000 truth sets of one replicate: the streams are seeded a block of
+    # sets at a time, so the peak is the fit's. The untraced run first takes
+    # what the process allocates once, on a first campaign.
+    configs = [SimulationConfig(n_param_sets=20_000, n_sims_per_set=1, noise_sigma=sigma)
+               for sigma in (0.03, 0.15)]
+    simulator._run_levels(configs)
+    tracemalloc.start()
+    try:
+        simulator._run_levels(configs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= CAMPAIGN_PEAK_BOUND
